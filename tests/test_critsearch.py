@@ -5,6 +5,7 @@ import pytest
 
 from groupnear.critsearch import (
     GroupSpec,
+    _orthonormal_basis,
     critical_point_from,
     critical_residual,
     embed_complex,
@@ -32,6 +33,13 @@ class TestGroupSpec:
     def test_unitary_embedding_even(self):
         with pytest.raises(InputError):
             GroupSpec("unitary_embedded", 3)
+
+    def test_hashable_with_one_cached_basis(self):
+        a, b = GroupSpec("symplectic", 4), GroupSpec("symplectic", 4)
+        assert hash(a) == hash(b)
+        assert _orthonormal_basis(a) is _orthonormal_basis(b)
+        with pytest.raises(ValueError):
+            _orthonormal_basis(a)[0, 0, 0] = 1.0
 
 
 class TestLieBasis:

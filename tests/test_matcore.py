@@ -72,6 +72,14 @@ class TestHermEig:
         ref = np.sort(np.linalg.eigvalsh(h))
         assert np.max(np.abs(ours - ref)) < 1e-10
 
+    def test_repeated_eigenvalue_keeps_unitary_frame(self):
+        u = random_general(3, 31, complex_entries=True)
+        w, _ = np.linalg.qr(u)
+        h = (w * np.array([2.0, 2.0, -1.0])) @ np.conj(w).T
+        e = herm_eig(h)
+        assert frobenius_norm(np.conj(e.q).T @ e.q - np.eye(3)) < 1e-12
+        assert frobenius_norm(e.reconstruct() - h) < 1e-12
+
 
 class TestLU:
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -108,6 +116,10 @@ class TestLU:
     def test_singular_raises(self):
         with pytest.raises(SingularityError):
             inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_solve_nearly_singular_raises(self):
+        with pytest.raises(SingularityError):
+            solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.array([1.0, 2.0]))
 
 
 class TestShapeChecks:

@@ -72,7 +72,9 @@ class TestDiagonalTwoByTwo:
 
 
 class TestSolutionSystem:
-    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    # (3, 150): the interpolated eliminant has spurious real roots whose
+    # Newton correction wanders off; they must be skipped, not reported.
+    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 150)])
     def test_full_system_satisfied(self, n, seed):
         u = random_general(n, seed)
         sols = sl_critical_points(u)

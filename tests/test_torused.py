@@ -8,6 +8,7 @@ from groupnear.torused import (
     WeightSet,
     bkk_bound,
     bkk_tightness_experiment,
+    random_rank1_coefficients,
     torus_critical_count_rank1,
     validate_weightset,
     weightset_from_json,
@@ -230,3 +231,9 @@ class TestTightnessExperiment:
         out = bkk_tightness_experiment(w, seeds=4)
         assert out["bound"] == 8
         assert all(c == 4 for c in out["counts"])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_random_rank1_coefficients_match_reference_draw(seed):
+    w = _sym_line(7)
+    assert random_rank1_coefficients(w, seed) == _draw(w, seed)
