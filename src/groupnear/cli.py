@@ -221,10 +221,8 @@ def cmd_critical(args) -> RunReport:
     _known_group(group, _CENSUS_GROUPS, "critical")
     u, digest = _read_matrix(args.input, group)
     n = u.shape[0]
-    if group == "symplectic":
-        spec = GroupSpec("symplectic", n)
     # Refuses unsupported sizes before any solver runs.
-    expected = _expected_count(group, n)
+    counts = {"expected": _expected_count(group, n)}
     with_c = group in ("sl", "sl-pm")
     if group == "orthogonal":
         points = enumerate_orthogonal_critical(u)
@@ -239,14 +237,23 @@ def cmd_critical(args) -> RunReport:
         kind = "sl" if group == "sl" else "sl_pm"
         points = [critical_point_from(s.x, u, GroupSpec(kind, n), c=s.c) for s in sols]
     else:
-        points = list(multistart_census(u, spec, starts=args.starts, seed=args.seed))
+        census = multistart_census(
+            u, GroupSpec("symplectic", n), starts=args.starts, seed=args.seed
+        )
+        points = list(census)
+        counts.update(
+            expected_source="literature",
+            attempted=census.attempted,
+            converged=census.converged,
+            failed=census.failed,
+        )
     results = [_point_summary(p, with_c) for p in points]
     return RunReport(
         command="critical",
         group=_group_descriptor(group, n),
         input_digest=digest,
         results=results,
-        counts={"expected": expected},
+        counts=counts,
         seed=args.seed,
     )
 

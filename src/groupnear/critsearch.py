@@ -13,7 +13,6 @@ checked against it, and for the symplectic groups it is the only tool.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -307,25 +306,52 @@ def critical_point_from(x, u, g: GroupSpec, c: Optional[float] = None) -> Critic
 # Random group elements
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling, truncated series, and squaring."""
-    nrm = frobenius_norm(a)
-    squarings = max(0, int(math.ceil(math.log2(nrm / 0.5)))) if nrm > 0.5 else 0
-    b = a / (2.0**squarings)
-    n = a.shape[0]
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 24):
-        term = term @ b / k
+# Taylor degree of the batched exponential.  Each matrix is first scaled to
+# Frobenius norm at most 0.5, so the first omitted term has norm below
+# 0.5^19 / 19! < 1e-22.  A fixed degree (rather than stopping once the terms
+# of the whole batch are small) keeps every row independent of the others.
+_EXPM_DEGREE = 18
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (B, n, n)."""
+    return np.sqrt(np.sum(np.abs(a.reshape(a.shape[0], -1)) ** 2, axis=1))
+
+
+def _expm_batch(a: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of a stack (B, n, n) by scaling, a truncated
+    series and squaring; every product is one stacked matmul per matrix."""
+    nrm = _row_norms(a)
+    squarings = np.zeros(a.shape[0], dtype=int)
+    big = nrm > 0.5
+    squarings[big] = np.ceil(np.log2(nrm[big] / 0.5))
+    b = a / (2.0**squarings)[:, None, None]
+    out = np.broadcast_to(np.eye(a.shape[1]), a.shape).copy()
+    term = out
+    for k in range(1, _EXPM_DEGREE + 1):
+        term = np.matmul(term, b) / k
         out = out + term
-        if frobenius_norm(term) < 1e-18 * frobenius_norm(out):
-            break
-    for _ in range(squarings):
-        out = out @ out
+    for s in range(int(squarings.max(initial=0))):
+        rows = squarings > s
+        out[rows] = np.matmul(out[rows], out[rows])
     return out
 
 
+def _draw_symplectic(g: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count symplectic elements (count, n, n): exponentials of random
+    algebra elements, mildly scaled.  Consumes the same stream as count
+    single draws."""
+    coeffs = rng.uniform(-1.0, 1.0, (count, g.dim))
+    a = np.tensordot(coeffs, _stacked_basis(g), axes=1)
+    nrm = _row_norms(a)
+    big = nrm > 1.5
+    a[big] *= (1.5 / nrm[big])[:, None, None]
+    return _expm_batch(a)
+
+
 def _draw_element(g: GroupSpec, rng: np.random.Generator) -> np.ndarray:
+    if g.kind == "symplectic":
+        return _draw_symplectic(g, rng, 1)[0]
     n = g.n
     for _ in range(100):
         if g.kind in ("orthogonal", "special_orthogonal"):
@@ -353,13 +379,6 @@ def _draw_element(g: GroupSpec, rng: np.random.Generator) -> np.ndarray:
             if q is None:
                 continue
             return embed_complex(q)
-        # symplectic: exponential of a random algebra element, mildly scaled
-        coeffs = rng.uniform(-1.0, 1.0, g.dim)
-        a = np.tensordot(coeffs, _stacked_basis(g), axes=1)
-        nrm = frobenius_norm(a)
-        if nrm > 1.5:
-            a = a * (1.5 / nrm)
-        return _expm(a)
     raise DegeneracyError(f"random_group_element: no usable draw for {g.kind}")
 
 
@@ -466,6 +485,8 @@ class _System:
         self.basis = _orthonormal_basis(g)
         self.kind = g.kind
         n = self.n
+        # Basis as columns (n^2, k): the Lie coordinates of m are m_flat @ these.
+        self.basis_cols = np.ascontiguousarray(self.basis.reshape(-1, n * n).T)
         self.iu = np.triu_indices(n)
         self.isu = np.triu_indices(n, 1)
         if self.kind == "symplectic":
@@ -478,13 +499,16 @@ class _System:
             self.jcomm = jc.reshape(n * n, n * n)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """x: (B, n, n) -> stacked residual (B, R)."""
+        """x: (B, n, n) -> stacked residual (B, R).  Every product is a
+        stacked matmul, one matrix at a time, so a row never depends on the
+        other rows of the batch."""
         u, n = self.u, self.n
-        m = np.einsum("bji,bjk->bik", x, u[None, :, :] - x)
-        lie = np.einsum("bij,kij->bk", m, self.basis)
+        xt = np.swapaxes(x, 1, 2)
+        m = np.matmul(xt, u[None, :, :] - x)
+        lie = np.matmul(m.reshape(-1, 1, n * n), self.basis_cols)[:, 0, :]
         parts = [lie]
         if self.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
-            gram = np.einsum("bji,bjk->bik", x, x) - np.eye(n)[None, :, :]
+            gram = np.matmul(xt, x) - np.eye(n)[None, :, :]
             parts.append(gram[:, self.iu[0], self.iu[1]])
         if self.kind == "special_orthogonal":
             parts.append((np.linalg.det(x) - 1.0)[:, None])
@@ -494,11 +518,10 @@ class _System:
             d = np.linalg.det(x)
             parts.append((d - np.sign(d))[:, None])
         if self.kind == "symplectic":
-            jx = np.einsum("ij,bjk->bik", self.jform, x)
-            s = np.einsum("bji,bjk->bik", x, jx) - self.jform[None, :, :]
+            s = np.matmul(xt, np.matmul(self.jform, x)) - self.jform[None, :, :]
             parts.append(s[:, self.isu[0], self.isu[1]])
         if self.kind == "unitary_embedded":
-            comm = np.einsum("bij,jk->bik", x, self.K) - np.einsum("ij,bjk->bik", self.K, x)
+            comm = np.matmul(x, self.K) - np.matmul(self.K, x)
             parts.append(comm.reshape(x.shape[0], n * n))
         return np.concatenate(parts, axis=1)
 
@@ -535,16 +558,96 @@ class _System:
         return np.concatenate(blocks, axis=1)
 
 
+# Armijo step lengths 2^-j, j = 0..29, tried in blocks of j.  A start takes
+# the largest step of the first block that holds one passing the test, which
+# is the step that halving one length at a time would accept.
+_ARMIJO_BLOCKS = tuple(
+    np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in ((0, 1), (1, 3), (3, 10), (10, 30))
+)
+
+# Candidate rows per residual call in the line search, and frontier rows
+# per distance block in the merge: both bound the working arrays.
+_ARMIJO_ROWS = 4096
+_MERGE_BLOCK = 128
+
+
+def _armijo(sys_: _System, x, step, fvals, phi):
+    """Backtracking line search along x + 2^-j step for a stack of starts.
+
+    Returns the accepted x, residuals and squared residual norms (rows with
+    no passing step are unchanged) and the indices of those rows.
+    """
+    n = x.shape[1]
+    xnew, fnew, phinew = x.copy(), fvals.copy(), phi.copy()
+    todo = np.arange(x.shape[0])
+    for alpha in _ARMIJO_BLOCKS:
+        width = alpha.size
+        chunk = _ARMIJO_ROWS // width
+        missed = []
+        for lo in range(0, todo.size, chunk):
+            rows = todo[lo : lo + chunk]
+            cand = x[rows, None] + alpha[None, :, None, None] * step[rows, None]
+            cand = cand.reshape(-1, n, n)
+            fc = sys_.residual(cand)
+            pc = np.einsum("br,br->b", fc, fc)
+            ok = pc.reshape(-1, width) <= (1.0 - 1e-4 * alpha)[None, :] * phi[rows, None]
+            hit = np.any(ok, axis=1)
+            pick = np.flatnonzero(hit) * width + np.argmax(ok, axis=1)[hit]
+            xnew[rows[hit]], fnew[rows[hit]], phinew[rows[hit]] = cand[pick], fc[pick], pc[pick]
+            missed.append(rows[~hit])
+        if missed:
+            todo = np.concatenate(missed)
+    return xnew, fnew, phinew, todo
+
+
+def _merge_representatives(flat: np.ndarray, radius: float) -> np.ndarray:
+    """Single-linkage clusters of the rows of flat (rows closer than radius
+    are linked); returns each cluster's lowest row index, ascending.
+
+    A cluster is grown from the lowest unassigned row: each round links every
+    unassigned row within radius of the current frontier, with squared
+    distances in the Gram form |a|^2 + |b|^2 - 2 a.b on frontier x unassigned
+    blocks, and the newly linked rows become the next frontier.
+    """
+    sq = np.einsum("kn,kn->k", flat, flat)
+    r2 = radius * radius
+    free = np.ones(flat.shape[0], dtype=bool)
+    reps = []
+    while np.any(free):
+        seed = int(np.argmax(free))
+        reps.append(seed)
+        free[seed] = False
+        frontier = np.array([seed])
+        while frontier.size:
+            rest = np.flatnonzero(free)
+            linked = np.zeros(rest.size, dtype=bool)
+            for lo in range(0, frontier.size, _MERGE_BLOCK):
+                f = frontier[lo : lo + _MERGE_BLOCK]
+                d2 = sq[f][:, None] + sq[rest][None, :] - 2.0 * (flat[f] @ flat[rest].T)
+                linked |= np.any(d2 <= r2, axis=0)
+            frontier = rest[linked]
+            free[frontier] = False
+    return np.array(reps, dtype=int)
+
+
 def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> CensusResult:
     """Seeded multistart Gauss-Newton census of real critical points.
 
-    Starts are random group elements pulled halfway toward the
-    membership-projected data matrix, then iterated on the stacked system
-    with Armijo backtracking (budget 200 sweeps).  Converged points
-    (residual below 1e-9) are merged by single linkage at radius
-    1e-5 * (1 + ||u||) and returned sorted by distance, then entries.
-    The start sequence is a prefix-stable function of the seed, so a larger
-    `starts` only ever adds points.
+    Starts are random group elements, every other one pulled halfway toward
+    the membership-projected data matrix, then iterated on the stacked
+    system (budget 200 sweeps).  Each sweep's Armijo search tries the step
+    lengths 2^-j, j = 0..29, in a few blocks of j at once and takes the
+    largest passing length, as halving one length at a time would; a start
+    with no passing length stops.  Converged points (residual below 1e-9)
+    are merged by single linkage at radius 1e-5 * (1 + ||u||), one
+    representative (the lowest start index) per cluster, and returned sorted
+    by distance, then entries.
+
+    Every kernel acts on one start at a time, so a start's trajectory does
+    not depend on which other starts are in the batch (the one exception is
+    the pseudo-inverse fallback, which the whole sweep takes when a normal
+    matrix is exactly singular).  With the prefix-stable start sequence, a
+    larger `starts` only ever adds points.
     """
     u = as_square(u, "u").astype(float)
     if u.shape[0] != g.n:
@@ -554,13 +657,14 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     n = g.n
     rng = np.random.default_rng(seed)
     anchor = _project_membership(u, g)
-    x0 = np.empty((starts, n, n))
-    for i in range(starts):
-        elem = _draw_element(g, rng)
-        # Alternate biased and raw starts: pulling every start halfway toward
-        # the projected data matrix starves the far basins and loses critical
-        # points, while pure random starts waste sweeps near useless regions.
-        x0[i] = 0.5 * (elem + anchor) if i % 2 == 0 else elem
+    if g.kind == "symplectic":
+        x0 = _draw_symplectic(g, rng, starts)
+    else:
+        x0 = np.stack([_draw_element(g, rng) for _ in range(starts)])
+    # Alternate biased and raw starts: pulling every start halfway toward
+    # the projected data matrix starves the far basins and loses critical
+    # points, while pure random starts waste sweeps near useless regions.
+    x0[0::2] = 0.5 * (x0[0::2] + anchor)
 
     sys_ = _System(u, g)
     utol = 1.0 + frobenius_norm(u)
@@ -578,8 +682,9 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
         if active.size == 0:
             break
         jac = sys_.jacobian(x)
-        jtj = np.einsum("brn,brm->bnm", jac, jac)
-        rhs = -np.einsum("brn,br->bn", jac, fvals)
+        jact = np.swapaxes(jac, 1, 2)
+        jtj = np.matmul(jact, jac)
+        rhs = -np.matmul(jact, fvals[:, :, None])[:, :, 0]
         reg = 1e-13 * np.maximum(1.0, np.einsum("bnn->b", jtj) / (n * n))
         jtj += reg[:, None, None] * np.eye(n * n)[None, :, :]
         try:
@@ -588,33 +693,10 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
             delta = np.einsum(
                 "bnm,bm->bn", np.linalg.pinv(jtj, rcond=1e-12, hermitian=True), rhs
             )
-        step = delta.reshape(-1, n, n)
-
-        alpha = np.ones(active.size)
-        accepted = np.zeros(active.size, dtype=bool)
-        xnew = np.array(x)
-        phinew = np.array(phi)
-        for _ in range(30):
-            todo = ~accepted
-            if not np.any(todo):
-                break
-            cand = x[todo] + alpha[todo, None, None] * step[todo]
-            fc = sys_.residual(cand)
-            pc = np.einsum("br,br->b", fc, fc)
-            ok = pc <= (1.0 - 1e-4 * alpha[todo]) * phi[todo]
-            idx = np.flatnonzero(todo)
-            good = idx[ok]
-            xnew[good] = cand[ok]
-            phinew[good] = pc[ok]
-            accepted[good] = True
-            alpha[idx[~ok]] *= 0.5
-
-        stalled = ~accepted
-        x, phi = xnew, phinew
-        fvals = sys_.residual(x)
-        phi = np.einsum("br,br->b", fvals, fvals)
+        x, fvals, phi, stalled = _armijo(sys_, x, delta.reshape(-1, n, n), fvals, phi)
         normf = np.sqrt(phi)
-        done = (normf <= converge_tol) | stalled
+        done = normf <= converge_tol
+        done[stalled] = True
         if np.any(done):
             sel = np.flatnonzero(done)
             frozen_x[active[sel]] = x[sel]
@@ -630,32 +712,9 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     n_conv = int(np.sum(frozen_ok))
     n_fail = starts - n_conv
 
-    # Single-linkage merge, then one representative per cluster.
     pts: list[CriticalPoint] = []
     if n_conv:
-        radius = 1e-5 * utol
-        k = good.shape[0]
-        parent = np.arange(k)
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        flat = good.reshape(k, -1)
-        for i in range(k):
-            d2 = np.einsum("kn->k", (flat[i + 1 :] - flat[i]) ** 2)
-            for joff in np.flatnonzero(d2 <= radius * radius):
-                ri, rj = find(i), find(i + 1 + joff)
-                if ri != rj:
-                    parent[ri] = rj
-        reps = {}
-        for i in range(k):
-            r = find(i)
-            if r not in reps:
-                reps[r] = i
-        for i in sorted(reps.values()):
+        for i in _merge_representatives(good.reshape(n_conv, -1), 1e-5 * utol):
             xi = good[i]
             cval = None
             if g.kind in ("sl", "sl_pm"):

@@ -1,4 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
+
+# pytest finds the package under src/ through pyproject's `pythonpath`; the
+# interpreters the tests start (the CLI, import probes) need it on
+# PYTHONPATH too, so a plain checkout runs the suite without an install.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 _VERDICTS = []
 

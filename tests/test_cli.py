@@ -131,15 +131,33 @@ class TestCritical:
         report = json.loads(proc.stdout)
         assert report["counts"]["expected"] == 4
 
+    def test_symplectic_census_diagnostics_reported(self, antidiag):
+        first = run_cli("--starts", "200", "critical", "symplectic", antidiag)
+        second = run_cli("--starts", "200", "critical", "symplectic", antidiag)
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
+        counts = json.loads(first.stdout)["counts"]
+        assert counts["expected_source"] == "literature"
+        assert counts["attempted"] == counts["converged"] + counts["failed"] == 200
+
     def test_symplectic_size_refused_before_census(self, tmp_path, monkeypatch):
-        path = tmp_path / "u8.json"
-        path.write_text(json.dumps(matrix_to_json(random_general(8, 0))))
+        assert _critical_symplectic_without_census(8, tmp_path, monkeypatch) == cli.EXIT_UNSUPPORTED
 
-        def census_must_not_run(*args, **kwargs):
-            raise AssertionError("census ran for an unsupported size")
+    def test_odd_symplectic_size_refused_before_census(self, tmp_path, monkeypatch):
+        assert _critical_symplectic_without_census(3, tmp_path, monkeypatch) == cli.EXIT_UNSUPPORTED
 
-        monkeypatch.setattr(cli, "multistart_census", census_must_not_run)
-        assert cli.main(["critical", "symplectic", str(path)]) == cli.EXIT_UNSUPPORTED
+
+def _critical_symplectic_without_census(n, tmp_path, monkeypatch):
+    """Exit code of `critical symplectic` on a random n x n input, with a
+    census that fails the test if it is ever called."""
+    path = tmp_path / f"u{n}.json"
+    path.write_text(json.dumps(matrix_to_json(random_general(n, 0))))
+
+    def census_must_not_run(*args, **kwargs):
+        raise AssertionError("census ran for an unsupported size")
+
+    monkeypatch.setattr(cli, "multistart_census", census_must_not_run)
+    return cli.main(["critical", "symplectic", str(path)])
 
 
 class TestVerify:

@@ -5,7 +5,10 @@ import pytest
 
 from groupnear.critsearch import (
     GroupSpec,
+    _armijo,
+    _merge_representatives,
     _orthonormal_basis,
+    _System,
     critical_point_from,
     critical_residual,
     embed_complex,
@@ -176,3 +179,112 @@ class TestCensus:
         assert len(census) >= 1
         for p in census:
             assert p.residual < 1e-9
+
+    @pytest.mark.parametrize(
+        "kind,n", [("symplectic", 4), ("sl_pm", 3), ("symplectic", 2), ("orthogonal", 3)]
+    )
+    def test_larger_census_contains_smaller_bitwise(self, kind, n):
+        # A start's trajectory must not depend on the other starts in the
+        # batch, so every point of a 100-start census is, byte for byte, a
+        # point of the 800-start census on the same seed.
+        g = GroupSpec(kind, n)
+        for seed in range(6):
+            u = random_general(n, seed)
+            few = multistart_census(u, g, starts=100, seed=seed)
+            many = {p.x.tobytes() for p in multistart_census(u, g, starts=800, seed=seed)}
+            for p in few:
+                assert p.x.tobytes() in many, f"{kind} n={n} seed={seed}"
+
+
+def _union_find_representatives(points, radius):
+    """Reference single linkage: lowest index of each cluster, ascending."""
+    parent = list(range(len(points)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if np.sum((points[i] - points[j]) ** 2) <= radius * radius:
+                parent[root(i)] = root(j)
+    lowest = {}
+    for i in range(len(points)):
+        lowest.setdefault(root(i), i)
+    return sorted(lowest.values())
+
+
+class TestMerge:
+    def test_chain_links_transitively(self):
+        # Rows 0 and 1 are 1.8 radius apart, linked only through row 2.
+        r = 1e-5
+        direction = np.ones(16) / 4.0
+        flat = np.stack([np.zeros(16), 1.8 * r * direction, 0.9 * r * direction]) + 0.3
+        assert list(_merge_representatives(flat, r)) == [0]
+
+    def test_far_clusters_keep_lowest_index(self):
+        r = 1e-5
+        a, b = np.full(16, 0.5), np.full(16, -0.5)
+        offsets = 0.2 * r * np.eye(16)
+        flat = np.stack([b, a, b + offsets[0], a + offsets[1], a + offsets[2]])
+        assert list(_merge_representatives(flat, r)) == [0, 1]
+
+    def test_matches_reference_union_find(self):
+        rng = np.random.default_rng(7)
+        r = 1e-3
+        for _ in range(5):
+            # Random walks with steps near the radius: clusters that are
+            # chains, some of them broken where a step exceeds it.
+            walks = []
+            for centre in rng.uniform(-1.0, 1.0, (6, 16)):
+                steps = rng.normal(size=(rng.integers(1, 12), 16))
+                steps *= (r * rng.uniform(0.3, 1.2, len(steps)) / np.linalg.norm(steps, axis=1))[:, None]
+                walks.append(centre + np.cumsum(steps, axis=0))
+            flat = np.concatenate(walks)[rng.permutation(sum(len(w) for w in walks))]
+            assert list(_merge_representatives(flat, r)) == _union_find_representatives(flat, r)
+
+
+def _halving_reference(sys_, x, step, phi):
+    """Reference Armijo search: halve one step length at a time, 30 tries."""
+    alpha = np.ones(len(x))
+    accepted = np.zeros(len(x), dtype=bool)
+    xnew, phinew = x.copy(), phi.copy()
+    for _ in range(30):
+        idx = np.flatnonzero(~accepted)
+        if idx.size == 0:
+            break
+        cand = x[idx] + alpha[idx, None, None] * step[idx]
+        fc = sys_.residual(cand)
+        pc = np.einsum("br,br->b", fc, fc)
+        ok = pc <= (1.0 - 1e-4 * alpha[idx]) * phi[idx]
+        xnew[idx[ok]], phinew[idx[ok]] = cand[ok], pc[ok]
+        accepted[idx[ok]] = True
+        alpha[idx[~ok]] *= 0.5
+    return xnew, phinew, np.flatnonzero(~accepted)
+
+
+class TestArmijo:
+    def test_blocks_match_sequential_halving(self):
+        g = GroupSpec("symplectic", 4)
+        u = random_general(4, 40)
+        sys_ = _System(u, g)
+        rng = np.random.default_rng(3)
+        x = np.stack([random_group_element(g, s) for s in range(60)])
+        x += 0.05 * rng.normal(size=x.shape)
+        fvals = sys_.residual(x)
+        phi = np.einsum("br,br->b", fvals, fvals)
+        jac = sys_.jacobian(x)
+        step = np.stack([np.linalg.lstsq(j, -f, rcond=None)[0] for j, f in zip(jac, fvals)])
+        # Overlong Gauss-Newton steps need 0 to 29 halvings; uphill ones
+        # (every seventh) pass at no length.
+        step *= np.ldexp(1.0, np.arange(60) % 30 - 2)[:, None]
+        step[::7] *= -1.0
+        step = step.reshape(x.shape)
+        xnew, fnew, phinew, stalled = _armijo(sys_, x, step, fvals, phi)
+        xref, phiref, stalled_ref = _halving_reference(sys_, x, step, phi)
+        assert np.array_equal(xnew, xref)
+        assert np.array_equal(phinew, phiref)
+        assert np.array_equal(np.sort(stalled), stalled_ref)
+        assert np.array_equal(fnew, sys_.residual(xnew))
+        assert 0 < len(stalled) < 60
