@@ -246,6 +246,8 @@ def cmd_critical(args) -> RunReport:
             attempted=census.attempted,
             converged=census.converged,
             failed=census.failed,
+            merge_radius=census.merge_radius,
+            worst_residual=census.worst_residual,
         )
     results = [_point_summary(p, with_c) for p in points]
     return RunReport(

@@ -51,10 +51,14 @@ def symplectic_form(n: int) -> np.ndarray:
     return j
 
 
+def _embed(z: np.ndarray) -> np.ndarray:
+    """[[re, -im], [im, re]] of a matrix or of each matrix of a stack."""
+    return np.block([[z.real, -z.imag], [z.imag, z.real]])
+
+
 def embed_complex(z) -> np.ndarray:
     """Embed an m x m complex matrix as [[re, -im], [im, re]] (2m x 2m real)."""
-    z = as_square(z, "embed_complex").astype(np.complex128)
-    return np.block([[z.real, -z.imag], [z.imag, z.real]])
+    return _embed(as_square(z, "embed_complex").astype(np.complex128))
 
 
 def unembed_complex(x) -> np.ndarray:
@@ -239,38 +243,101 @@ def _orthonormal_basis(g: GroupSpec) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _basis_columns(g: GroupSpec) -> np.ndarray:
+    """The orthonormal basis as columns (n^2, k): the Lie coordinates of a
+    matrix m are m_flat @ these.  Cached per group, read-only."""
+    out = np.ascontiguousarray(_orthonormal_basis(g).reshape(-1, g.n * g.n).T)
+    out.flags.writeable = False
+    return out
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (B, n, n)."""
+    return np.sqrt(np.sum(np.abs(a.reshape(a.shape[0], -1)) ** 2, axis=1))
+
+
+def _violations(x: np.ndarray, g: GroupSpec) -> np.ndarray:
+    """Defining-equation violation (B,) of each matrix of a real stack x."""
+    n = g.n
+    if g.kind in ("special_orthogonal", "sl", "sl_pm"):
+        dets = np.linalg.det(x)
+    if g.kind == "sl":
+        return np.abs(dets - 1.0)
+    if g.kind == "sl_pm":
+        return np.abs(np.abs(dets) - 1.0)
+    xt = np.swapaxes(x, 1, 2)
+    if g.kind == "symplectic":
+        j = g.form
+        return _row_norms(np.matmul(xt, np.matmul(j, x)) - j)
+    out = _row_norms(np.matmul(xt, x) - np.eye(n))
+    if g.kind == "special_orthogonal":
+        out = out + np.abs(dets - 1.0)
+    if g.kind == "unitary_embedded":
+        k = complex_structure(n)
+        out = out + _row_norms(np.matmul(x, k) - np.matmul(k, x))
+    return out
+
+
+def _residuals(x: np.ndarray, u: np.ndarray, g: GroupSpec) -> np.ndarray:
+    """Criticality residual (B,) of each matrix of a real stack x: the norm
+    of the Lie coordinates of x^t (u - x) plus the membership violation."""
+    n = g.n
+    m = np.matmul(np.swapaxes(x, 1, 2), u[None, :, :] - x)
+    coords = np.matmul(m.reshape(-1, 1, n * n), _basis_columns(g))[:, 0, :]
+    return np.sqrt(np.sum(coords**2, axis=1)) + _violations(x, g)
+
+
+def _certify_batch(xs: np.ndarray, u: np.ndarray, g: GroupSpec, c=None) -> list[CriticalPoint]:
+    """Package a stack of solution matrices xs (B, n, n) as CriticalPoints.
+
+    c is None or one multiplier per row.  Complex stacks are measured in the
+    real embedding: distances double and the embedded determinant of a
+    unimodular complex matrix is always +1.  Every product is a stacked
+    per-matrix matmul, so a row's fields do not depend on the other rows.
+    """
+    count = xs.shape[0]
+    diff = np.abs(u[None, :, :] - xs).reshape(count, -1)
+    dist = np.sum(diff**2, axis=1)
+    if np.iscomplexobj(xs):
+        dist = dist * 2.0
+        signs = [1] * count
+        ge = GroupSpec("unitary_embedded", 2 * xs.shape[1])
+        res = _residuals(_embed(xs), _embed(np.asarray(u, dtype=np.complex128)), ge)
+    else:
+        signs = np.where(np.linalg.det(xs) >= 0.0, 1, -1).tolist()
+        res = _residuals(xs, u, g)
+    cs = [None] * count if c is None else c
+    return [
+        CriticalPoint(x=x, distance_sq=d, det_sign=s, residual=r, c=cv)
+        for x, d, s, r, cv in zip(xs, dist.tolist(), signs, res.tolist(), cs)
+    ]
+
+
+def _one_row(x, u, name: str):
+    """x and u validated as square and of one size; x as a (1, n, n) stack."""
+    x = as_square(x, "x")
+    u = as_square(u, "u")
+    if x.shape != u.shape:
+        raise InputError(f"{name}: size mismatch")
+    return x[None], u
+
+
 def membership_violation(x, g: GroupSpec) -> float:
     """Norm of the defining-equation violation of x for the group g."""
     x = as_square(x, "x")
-    n = g.n
-    if x.shape[0] != n:
+    if x.shape[0] != g.n:
         raise InputError("membership_violation: size mismatch")
-    if g.kind == "orthogonal":
-        return frobenius_norm(x.T @ x - np.eye(n))
-    if g.kind == "special_orthogonal":
-        return frobenius_norm(x.T @ x - np.eye(n)) + abs(det(x) - 1.0)
-    if g.kind == "sl":
-        return abs(det(x) - 1.0)
-    if g.kind == "sl_pm":
-        return abs(abs(det(x)) - 1.0)
-    if g.kind == "symplectic":
-        j = g.form
-        return frobenius_norm(x.T @ j @ x - j)
-    k = complex_structure(n)
-    return frobenius_norm(x.T @ x - np.eye(n)) + frobenius_norm(x @ k - k @ x)
+    return float(_violations(x[None], g)[0])
 
 
 def critical_residual(x, u, g: GroupSpec) -> float:
     """Criticality measure: norm of the Lie-algebra component of x^t (u - x)
     plus the membership violation.  Zero exactly at critical points on G."""
-    x = as_square(x, "x")
-    u = as_square(u, "u")
-    if x.shape != u.shape or x.shape[0] != g.n:
+    xs, u = _one_row(x, u, "critical_residual")
+    if xs.shape[1] != g.n:
         raise InputError("critical_residual: size mismatch")
-    basis = _orthonormal_basis(g)
-    m = x.T @ (u - x)
-    coords = np.einsum("ij,kij->k", m, basis)
-    return float(np.sqrt(np.sum(coords**2))) + membership_violation(x, g)
+    return float(_residuals(xs, u, g)[0])
 
 
 def critical_point_from(x, u, g: GroupSpec, c: Optional[float] = None) -> CriticalPoint:
@@ -279,27 +346,12 @@ def critical_point_from(x, u, g: GroupSpec, c: Optional[float] = None) -> Critic
     Complex inputs are measured in the real embedding: distances double and
     the embedded determinant of a unimodular complex matrix is always +1.
     """
-    if np.iscomplexobj(x):
-        xe, ue = embed_complex(x), embed_complex(u)
-        ge = GroupSpec("unitary_embedded", 2 * x.shape[0])
-        dist = float(np.sum(np.abs(u - x) ** 2)) * 2.0
-        return CriticalPoint(
-            x=np.asarray(x),
-            distance_sq=dist,
-            det_sign=1,
-            residual=critical_residual(xe, ue, ge),
-            c=c,
-        )
-    x = as_square(x, "x")
-    dist = float(np.sum((np.asarray(u, dtype=float) - x) ** 2))
-    sign = 1 if det(x) >= 0.0 else -1
-    return CriticalPoint(
-        x=x,
-        distance_sq=dist,
-        det_sign=sign,
-        residual=critical_residual(x, u, g),
-        c=c,
-    )
+    xs, u = _one_row(x, u, "critical_point_from")
+    if np.iscomplexobj(xs):
+        g = GroupSpec("unitary_embedded", 2 * xs.shape[1])
+    elif xs.shape[1] != g.n:
+        raise InputError("critical_point_from: size mismatch")
+    return _certify_batch(xs, u, g, None if c is None else [c])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +363,6 @@ def critical_point_from(x, u, g: GroupSpec, c: Optional[float] = None) -> Critic
 # 0.5^19 / 19! < 1e-22.  A fixed degree (rather than stopping once the terms
 # of the whole batch are small) keeps every row independent of the others.
 _EXPM_DEGREE = 18
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack (B, n, n)."""
-    return np.sqrt(np.sum(np.abs(a.reshape(a.shape[0], -1)) ** 2, axis=1))
 
 
 def _expm_batch(a: np.ndarray) -> np.ndarray:
@@ -464,6 +511,8 @@ class CensusResult:
     attempted: int
     converged: int
     failed: int
+    merge_radius: float
+    worst_residual: Optional[float]  # largest residual among points; None if none
 
     def __iter__(self):
         return iter(self.points)
@@ -483,10 +532,9 @@ class _System:
         self.g = g
         self.n = g.n
         self.basis = _orthonormal_basis(g)
+        self.basis_cols = _basis_columns(g)
         self.kind = g.kind
         n = self.n
-        # Basis as columns (n^2, k): the Lie coordinates of m are m_flat @ these.
-        self.basis_cols = np.ascontiguousarray(self.basis.reshape(-1, n * n).T)
         self.iu = np.triu_indices(n)
         self.isu = np.triu_indices(n, 1)
         if self.kind == "symplectic":
@@ -712,13 +760,21 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     n_conv = int(np.sum(frozen_ok))
     n_fail = starts - n_conv
 
+    radius = 1e-5 * utol
     pts: list[CriticalPoint] = []
     if n_conv:
-        for i in _merge_representatives(good.reshape(n_conv, -1), 1e-5 * utol):
+        for i in _merge_representatives(good.reshape(n_conv, -1), radius):
             xi = good[i]
             cval = None
             if g.kind in ("sl", "sl_pm"):
                 cval = float(np.trace(xi.T @ (u - xi)) / n)
             pts.append(critical_point_from(xi, u, g, c=cval))
         pts.sort(key=lambda p: (p.distance_sq, tuple(p.x.reshape(-1))))
-    return CensusResult(points=pts, attempted=starts, converged=n_conv, failed=n_fail)
+    return CensusResult(
+        points=pts,
+        attempted=starts,
+        converged=n_conv,
+        failed=n_fail,
+        merge_radius=radius,
+        worst_residual=max((p.residual for p in pts), default=None),
+    )

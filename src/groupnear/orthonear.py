@@ -1,17 +1,17 @@
 """Closed-form nearest matrices and full critical-point enumerations for the
 orthogonal, special orthogonal, and unitary groups.
 
-Every critical point of the squared Frobenius distance from a data matrix u
-to one of these groups factors through a spectral decomposition of the Gram
-matrix u^t u: each of the 2^n sign choices on the square roots of its
-eigenvalues yields one critical point, and the all-positive choice is the
-global minimizer.  Distances for complex input are reported in the real
-metric (twice the complex squared norm).
+The critical points of the squared Frobenius distance from a data matrix
+u = U diag(sigma) V^* to one of these groups are x = U diag(eps) V^*, one
+per sign vector eps in {+1, -1}^n, and the all-positive one is the global
+minimizer.  One SVD of u gives all 2^n; the Gram matrix u^* u, which squares
+the condition number, is never formed.  Distances for complex input are
+reported in the real metric (twice the complex squared norm).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +19,14 @@ import numpy as np
 from .critsearch import (
     CriticalPoint,
     GroupSpec,
-    critical_point_from,
+    _certify_batch,
+    embed_complex,
     membership_violation,
 )
-from .errors import DegeneracyError, InputError, SingularityError
-from .matcore import as_square, det, frobenius_norm, herm_eig, inverse, sym_eig
+from .errors import ConvergenceError, DegeneracyError, InputError, SingularityError
+from .matcore import as_square, det, frobenius_norm, inverse
 
-# Minimum relative eigenvalue gap of the Gram matrix; below this the sign
+# Minimum relative gap between squared singular values; below this the sign
 # enumeration is ill-posed and we refuse rather than perturb.
 GAP_TOL = 1e-8
 
@@ -41,69 +42,73 @@ __all__ = [
 ]
 
 
-def _gram_spectrum(u: np.ndarray):
-    """Spectral data of the Gram matrix, rejecting degenerate or singular u."""
-    if np.iscomplexobj(u):
-        dec = herm_eig(np.conj(u).T @ u)
-    else:
-        dec = sym_eig(u.T @ u)
-    vals = dec.values
+def _svd_frame(u: np.ndarray):
+    """(U, sigma, Vh) of u, sigma descending, rejecting degenerate or
+    singular u by its squared singular values (the Gram spectrum)."""
+    try:
+        frame_u, sigma, vh = np.linalg.svd(u)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("SVD of the data matrix did not converge") from exc
+    vals = sigma**2
     scale = max(1.0, float(vals[0]))
     if float(vals[-1]) <= 0.0 or float(vals[-1]) < 1e-14 * scale:
         raise SingularityError("data matrix is singular to working precision")
     if vals.size > 1 and float(np.min(-np.diff(vals))) < GAP_TOL * scale:
         raise DegeneracyError("Gram matrix spectrum is too clustered to enumerate")
-    return dec.q, vals
+    return frame_u, sigma, vh
 
 
-def _signed_point(u, q, vals, signs) -> np.ndarray:
-    # s = q diag(eps * sqrt(lambda)) q^*, x = u s^{-1}
-    roots = np.asarray(signs, dtype=float) * np.sqrt(vals)
-    s_inv = (q / roots) @ np.conj(q).T
-    return u @ s_inv
+@functools.cache
+def _sign_table(n: int) -> np.ndarray:
+    """All 2^n sign vectors (2^n, n) in lexicographic order, +1 before -1;
+    cached per n, read-only."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    out = 1.0 - 2.0 * bits
+    out.flags.writeable = False
+    return out
+
+
+def _lift(frame, signs: np.ndarray) -> np.ndarray:
+    """The points U diag(eps) V^* (B, n, n) for the sign vectors signs (B, n)."""
+    frame_u, _, vh = frame
+    return np.matmul(frame_u[None, :, :] * signs[:, None, :], vh)
+
+
+def _real_input(u, name: str) -> np.ndarray:
+    u = as_square(u, "u")
+    if np.iscomplexobj(u):
+        raise InputError(f"{name}: real input required")
+    return u
 
 
 def nearest_orthogonal(u) -> CriticalPoint:
-    """Closest orthogonal matrix to u: the all-positive-root critical point."""
-    u = as_square(u, "u")
-    if np.iscomplexobj(u):
-        raise InputError("nearest_orthogonal: real input required")
-    q, vals = _gram_spectrum(u)
-    x = _signed_point(u, q, vals, np.ones(vals.size))
-    return critical_point_from(x, u, GroupSpec("orthogonal", u.shape[0]))
+    """Closest orthogonal matrix to u: the all-positive-sign critical point."""
+    u = _real_input(u, "nearest_orthogonal")
+    xs = _lift(_svd_frame(u), np.ones((1, u.shape[0])))
+    return _certify_batch(xs, u, GroupSpec("orthogonal", u.shape[0]))[0]
 
 
 def enumerate_orthogonal_critical(u) -> list[CriticalPoint]:
     """All 2^n critical points over the orthogonal group, one per sign vector,
     in lexicographic sign order (+1 before -1)."""
-    u = as_square(u, "u")
-    if np.iscomplexobj(u):
-        raise InputError("enumerate_orthogonal_critical: real input required")
-    q, vals = _gram_spectrum(u)
-    g = GroupSpec("orthogonal", u.shape[0])
-    out = []
-    for signs in itertools.product((1.0, -1.0), repeat=vals.size):
-        x = _signed_point(u, q, vals, signs)
-        out.append(critical_point_from(x, u, g))
-    return out
+    u = _real_input(u, "enumerate_orthogonal_critical")
+    xs = _lift(_svd_frame(u), _sign_table(u.shape[0]))
+    return _certify_batch(xs, u, GroupSpec("orthogonal", u.shape[0]))
 
 
 def nearest_special_orthogonal(u) -> CriticalPoint:
     """Closest rotation to u.
 
     For det(u) > 0 this is the plain polar factor; otherwise the sign of the
-    smallest square root flips, which is the cheapest determinant correction.
+    smallest singular value flips, the cheapest determinant correction.
     """
-    u = as_square(u, "u")
-    if np.iscomplexobj(u):
-        raise InputError("nearest_special_orthogonal: real input required")
-    q, vals = _gram_spectrum(u)
-    signs = np.ones(vals.size)
+    u = _real_input(u, "nearest_special_orthogonal")
+    signs = np.ones((1, u.shape[0]))
     # The polar factor inherits the determinant sign of u.
     if det(u) < 0.0:
-        signs[-1] = -1.0  # eigenvalues sorted descending, so last is smallest
-    x = _signed_point(u, q, vals, signs)
-    point = critical_point_from(x, u, GroupSpec("special_orthogonal", u.shape[0]))
+        signs[0, -1] = -1.0  # singular values sorted descending, so last is smallest
+    xs = _lift(_svd_frame(u), signs)
+    point = _certify_batch(xs, u, GroupSpec("special_orthogonal", u.shape[0]))[0]
     if point.det_sign != 1:
         raise DegeneracyError("special orthogonal branch selection failed")
     return point
@@ -112,21 +117,15 @@ def nearest_special_orthogonal(u) -> CriticalPoint:
 def nearest_unitary(u) -> CriticalPoint:
     """Closest unitary matrix to a complex square matrix."""
     u = as_square(u, "u").astype(np.complex128)
-    q, vals = _gram_spectrum(u)
-    x = _signed_point(u, q, vals, np.ones(vals.size))
-    return critical_point_from(x, u, GroupSpec("unitary_embedded", 2 * u.shape[0]))
+    xs = _lift(_svd_frame(u), np.ones((1, u.shape[0])))
+    return _certify_batch(xs, u, GroupSpec("unitary_embedded", 2 * u.shape[0]))[0]
 
 
 def enumerate_unitary_critical(u) -> list[CriticalPoint]:
     """All 2^m unitary critical points, lexicographic sign order."""
     u = as_square(u, "u").astype(np.complex128)
-    q, vals = _gram_spectrum(u)
-    g = GroupSpec("unitary_embedded", 2 * u.shape[0])
-    out = []
-    for signs in itertools.product((1.0, -1.0), repeat=vals.size):
-        x = _signed_point(u, q, vals, signs)
-        out.append(critical_point_from(x, u, g))
-    return out
+    xs = _lift(_svd_frame(u), _sign_table(u.shape[0]))
+    return _certify_batch(xs, u, GroupSpec("unitary_embedded", 2 * u.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,6 @@ def gperp_decompose(u, x, group: GroupSpec) -> GPerpDecomposition:
     check_x = x
     check_g = group
     if complex_mode:
-        from .critsearch import embed_complex
-
         check_x = embed_complex(x)
         check_g = GroupSpec("unitary_embedded", 2 * x.shape[0])
     if membership_violation(check_x, check_g) > 1e-7 * (1.0 + frobenius_norm(x)):

@@ -6,6 +6,7 @@ import pytest
 from groupnear.critsearch import (
     GroupSpec,
     _armijo,
+    _certify_batch,
     _merge_representatives,
     _orthonormal_basis,
     _System,
@@ -143,6 +144,83 @@ class TestCriticalPointFrom:
         assert critical_residual(x, u, GroupSpec("orthogonal", 2)) > 1e-4
 
 
+_ALL_KINDS = [
+    ("orthogonal", 3),
+    ("special_orthogonal", 3),
+    ("sl", 3),
+    ("sl_pm", 3),
+    ("symplectic", 4),
+    ("unitary_embedded", 4),
+]
+
+
+def _draws_and_perturbed(g, count=5, eps=1e-3):
+    """count group elements and a perturbed copy of each, stacked."""
+    rng = np.random.default_rng(3)
+    draws = np.stack([random_group_element(g, s) for s in range(count)])
+    return np.concatenate([draws, draws + eps * rng.standard_normal(draws.shape)])
+
+
+def _explicit_residual(x, u, g):
+    """Projection of x^t (u - x) onto the span of the raw Lie basis (least
+    squares), plus the defining-equation violation written out per kind."""
+    cols = np.stack([b.ravel() for b in lie_basis(g)], axis=1)
+    m = (x.T @ (u - x)).ravel()
+    coef, *_ = np.linalg.lstsq(cols, m, rcond=None)
+    lie = np.linalg.norm(cols @ coef)
+    n = g.n
+    gram = np.linalg.norm(x.T @ x - np.eye(n))
+    d = np.linalg.det(x)
+    if g.kind == "orthogonal":
+        member = gram
+    elif g.kind == "special_orthogonal":
+        member = gram + abs(d - 1.0)
+    elif g.kind == "sl":
+        member = abs(d - 1.0)
+    elif g.kind == "sl_pm":
+        member = abs(abs(d) - 1.0)
+    elif g.kind == "symplectic":
+        j = symplectic_form(n)
+        member = np.linalg.norm(x.T @ j @ x - j)
+    else:
+        k = embed_complex(1j * np.eye(n // 2))
+        member = gram + np.linalg.norm(x @ k - k @ x)
+    return lie + member
+
+
+def _fields(p):
+    return (p.x.tobytes(), p.distance_sq, p.det_sign, p.residual, p.c)
+
+
+class TestCertifyBatch:
+    @pytest.mark.parametrize("kind,n", _ALL_KINDS)
+    def test_rows_equal_one_row_certification_bitwise(self, kind, n):
+        g = GroupSpec(kind, n)
+        xs = _draws_and_perturbed(g)
+        u = random_general(n, 7)
+        batch = _certify_batch(xs, u, g)
+        assert len(batch) == len(xs)
+        for x, p in zip(xs, batch):
+            assert _fields(p) == _fields(critical_point_from(x, u, g))
+
+    def test_complex_rows_equal_one_row_certification_bitwise(self):
+        g = GroupSpec("unitary_embedded", 6)
+        xs = np.stack([unembed_complex(x) for x in _draws_and_perturbed(g)])
+        u = random_general(3, 8, complex_entries=True)
+        batch = _certify_batch(xs, u, g, c=[float(i) for i in range(len(xs))])
+        for i, (x, p) in enumerate(zip(xs, batch)):
+            assert _fields(p) == _fields(critical_point_from(x, u, g, c=float(i)))
+            assert p.det_sign == 1
+            assert p.distance_sq == pytest.approx(2.0 * np.sum(np.abs(u - x) ** 2), rel=1e-14)
+
+    @pytest.mark.parametrize("kind,n", _ALL_KINDS)
+    def test_residual_matches_explicit_formula(self, kind, n):
+        g = GroupSpec(kind, n)
+        u = random_general(n, 9)
+        for x in _draws_and_perturbed(g):
+            assert critical_residual(x, u, g) == pytest.approx(_explicit_residual(x, u, g), rel=1e-14)
+
+
 class TestCensus:
     def test_finds_all_orthogonal_points(self):
         u = random_general(2, 30)
@@ -172,6 +250,8 @@ class TestCensus:
         census = multistart_census(u, GroupSpec("orthogonal", 2), starts=200, seed=2)
         assert census.attempted == 200
         assert census.converged + census.failed == census.attempted
+        assert census.merge_radius == 1e-5 * (1.0 + frobenius_norm(u))
+        assert census.worst_residual == max(p.residual for p in census)
 
     def test_residuals_small(self):
         u = random_general(2, 34)

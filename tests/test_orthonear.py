@@ -104,6 +104,39 @@ class TestEnumerateOrthogonal:
             enumerate_orthogonal_critical(2.0 * np.eye(2))
 
 
+def _graded_inputs(complex_entries=False):
+    """20 draws of u = Q1 diag(1, ..., 1e-5) Q2^* for random orthogonal
+    (unitary) Q1, Q2: a condition number of 1e5, squared to 1e10 by the Gram
+    matrix u^* u."""
+    rng = np.random.default_rng(0)
+    sigma = np.geomspace(1.0, 1e-5, 4)
+    out = []
+    for _ in range(20):
+        factors = []
+        for _ in range(2):
+            a = rng.standard_normal((4, 4))
+            if complex_entries:
+                a = a + 1j * rng.standard_normal((4, 4))
+            factors.append(np.linalg.qr(a)[0])
+        q1, q2 = factors
+        out.append((q1 * sigma) @ np.conj(q2).T)
+    return out
+
+
+class TestIllConditionedInput:
+    def test_orthogonal_points_accurate(self):
+        for u in _graded_inputs():
+            points = enumerate_orthogonal_critical(u)
+            assert len(points) == 16
+            assert max(p.residual for p in points) < 1e-12
+
+    def test_unitary_points_accurate(self):
+        for u in _graded_inputs(complex_entries=True):
+            points = enumerate_unitary_critical(u)
+            assert len(points) == 16
+            assert max(p.residual for p in points) < 1e-12
+
+
 class TestNearestSpecialOrthogonal:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_rotation_scan(self, seed):
