@@ -54,7 +54,6 @@ from .polyres import (
     chain_degree,
     chain_value,
     distinct_root_count,
-    kernel_lift,
     poly_roots,
     resultant,
     resultant_chain,
@@ -109,7 +108,6 @@ __all__ = [
     "gperp_decompose",
     "herm_eig",
     "inverse",
-    "kernel_lift",
     "lie_basis",
     "matrix_from_json",
     "matrix_to_json",

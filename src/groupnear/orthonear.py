@@ -26,8 +26,8 @@ from .critsearch import (
 from .errors import ConvergenceError, DegeneracyError, InputError, SingularityError
 from .matcore import as_square, det, frobenius_norm, inverse
 
-# Minimum relative gap between squared singular values; below this the sign
-# enumeration is ill-posed and we refuse rather than perturb.
+# Minimum gap between singular values, relative to max(1, sigma_1); below
+# this the sign enumeration is ill-posed and we refuse rather than perturb.
 GAP_TOL = 1e-8
 
 __all__ = [
@@ -43,18 +43,19 @@ __all__ = [
 
 
 def _svd_frame(u: np.ndarray):
-    """(U, sigma, Vh) of u, sigma descending, rejecting degenerate or
-    singular u by its squared singular values (the Gram spectrum)."""
+    """(U, sigma, Vh) of u, sigma descending.  Refuses singular u by its
+    squared singular values (the Gram spectrum) and clustered u by the gaps
+    of sigma itself: a gap of sigma squared shrinks with sigma, so small
+    but well-separated singular values would otherwise count as clustered."""
     try:
         frame_u, sigma, vh = np.linalg.svd(u)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("SVD of the data matrix did not converge") from exc
     vals = sigma**2
-    scale = max(1.0, float(vals[0]))
-    if float(vals[-1]) <= 0.0 or float(vals[-1]) < 1e-14 * scale:
+    if float(vals[-1]) <= 0.0 or float(vals[-1]) < 1e-14 * max(1.0, float(vals[0])):
         raise SingularityError("data matrix is singular to working precision")
-    if vals.size > 1 and float(np.min(-np.diff(vals))) < GAP_TOL * scale:
-        raise DegeneracyError("Gram matrix spectrum is too clustered to enumerate")
+    if sigma.size > 1 and float(np.min(-np.diff(sigma))) < GAP_TOL * max(1.0, float(sigma[0])):
+        raise DegeneracyError("singular values are too clustered to enumerate")
     return frame_u, sigma, vh
 
 

@@ -1,11 +1,12 @@
 """Univariate polynomial tools: Sylvester resultants, an elimination chain
-for the determinant-one critical systems, and a simultaneous root finder.
+for the determinant-one critical systems, and companion-matrix roots.
 
 Polynomials are kept as dense ascending coefficient arrays (index equals
 degree).  The elimination chain never manipulates bivariate coefficients
 symbolically; it evaluates on Chebyshev grids and interpolates back at the
 known degree bounds, which keeps every inner step a small numeric
-determinant.
+determinant.  Roots are the eigenvalues of the companion matrix, computed
+by LAPACK.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ __all__ = [
     "chain_degree",
     "poly_roots",
     "distinct_root_count",
-    "kernel_lift",
 ]
 
-# Largest Gram-spectrum size the elimination chain accepts; degree grows as
-# n * 2**n so this already means a degree-160 resultant.
-CHAIN_MAX_N = 5
+# Largest Gram-spectrum size the elimination chain accepts (and the largest
+# size the determinant-one solver accepts); degree grows as n * 2**n, so
+# this already means a degree-64 resultant.
+CHAIN_MAX_N = 4
 
 
 def _as_coeffs(p) -> np.ndarray:
@@ -81,17 +82,6 @@ class UniPoly:
         if self.coeffs.size == 0:
             return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
         return _poly.polyval(x, self.coeffs)
-
-    def derivative(self) -> "UniPoly":
-        if self.coeffs.size <= 1:
-            return UniPoly(np.zeros(0), self.var)
-        return UniPoly(self.coeffs[1:] * np.arange(1, self.coeffs.size), self.var)
-
-    def normalized(self) -> "UniPoly":
-        """Scale so the largest absolute coefficient equals one."""
-        if self.coeffs.size == 0:
-            return self
-        return UniPoly(self.coeffs / np.max(np.abs(self.coeffs)), self.var)
 
 
 def sylvester(p, q) -> np.ndarray:
@@ -212,8 +202,8 @@ def _collapse_value(mu: np.ndarray, c: float) -> float:
 # Working precision for the wide-coefficient recovery below.  Recovering
 # monomial coefficient k from sampled values cancels roughly k*log10(2)
 # digits (the top Chebyshev-to-monomial weight is 2^(k-1)), so degree 64
-# burns ~19 digits and degree 160 ~48 before the answer starts.
-_MP_DPS = {4: 50, 5: 130}
+# burns ~19 digits before the answer starts.
+_MP_DPS = {4: 50}
 
 
 def _mp_cheb_nodes(count: int) -> list:
@@ -358,123 +348,29 @@ def resultant_chain(mu, interval_scale: float = 1.1) -> UniPoly:
     return UniPoly(coeffs[:top], "c")
 
 
-def _bini_start(coeffs: np.ndarray) -> np.ndarray:
-    """Initial root guesses from the upper hull of (degree, log|coeff|).
+def poly_roots(p) -> np.ndarray:
+    """All complex roots, as the eigenvalues of the companion matrix.
 
-    Radii follow the Newton polygon of the coefficient magnitudes, which
-    copes with the enormous dynamic range the elimination chain produces.
-    """
-    d = coeffs.size - 1
-    ks = [k for k in range(d + 1) if coeffs[k] != 0.0]
-    pts = [(k, math.log(abs(coeffs[k]))) for k in ks]
-    hull = []
-    for pt in pts:
-        # Upper hull: drop the last point whenever it falls on or below the
-        # segment from hull[-2] to the incoming point.
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (pt[1] - y1) >= (pt[0] - x1) * (y2 - y1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    radii = np.empty(d)
-    pos = 0
-    for (k1, h1), (k2, h2) in zip(hull[:-1], hull[1:]):
-        r = math.exp((h1 - h2) / (k2 - k1))
-        radii[pos : pos + (k2 - k1)] = r
-        pos += k2 - k1
-    angles = 2.0 * np.pi * np.arange(d) / d + 0.7
-    return radii * np.exp(1j * angles)
-
-
-def _fujiwara_bound(pc: np.ndarray) -> float:
-    """Upper bound on root moduli from coefficient ratios."""
-    d = pc.size - 1
-    lead = abs(pc[-1])
-    best = 0.0
-    for k in range(1, d + 1):
-        a = abs(pc[d - k])
-        if a == 0.0:
-            continue
-        if k == d:
-            a *= 0.5
-        best = max(best, (a / lead) ** (1.0 / k))
-    return 2.0 * best if best > 0.0 else 1.0
-
-
-def poly_roots(p, max_iter: int = 500) -> np.ndarray:
-    """All complex roots by simultaneous Aberth-Ehrlich iteration.
-
-    Coefficients are rescaled to unit max magnitude first.  A point freezes
-    once its residual drops below the attainable floating-point floor for
-    its modulus (it keeps repelling the others), and iterates are confined
-    to the Fujiwara root bound so no point can wander off.  After the
-    simultaneous phase each root gets three plain Newton steps.  Output is
-    sorted by (real, imaginary).  Raises ConvergenceError if the 500-sweep
-    budget runs out.
+    Coefficients are rescaled to unit max magnitude and exact zero roots
+    are deflated first; `numpy.polynomial.polynomial.polyroots` then hands
+    the companion matrix to LAPACK, which balances it before the QR
+    iteration (Edelman and Murakami, Math. Comp. 64, 1995, bound the
+    backward error of this method in the coefficients).  Output is sorted
+    by (real, imaginary).  Raises ConvergenceError if LAPACK does not
+    converge.
     """
     pc = _as_coeffs(p).astype(float)
-    while pc.size and pc[-1] == 0.0:
-        pc = pc[:-1]
-    if pc.size == 0:
+    nonzero = np.flatnonzero(pc)
+    if nonzero.size == 0:
         raise InputError("poly_roots: zero polynomial")
-    if pc.size == 1:
-        return np.zeros(0, dtype=complex)
-    pc = pc / np.max(np.abs(pc))
-    zero_roots = 0
-    while pc.size > 1 and pc[0] == 0.0:
-        pc = pc[1:]
-        zero_roots += 1
-    d = pc.size - 1
-    if d == 0:
-        return np.zeros(zero_roots, dtype=complex)
-    if d == 1:
-        root = np.array([-pc[0] / pc[1]], dtype=complex)
-        z = np.concatenate([np.zeros(zero_roots, dtype=complex), root])
-        order = np.lexsort((z.imag, z.real))
-        return z[order]
-
-    dpc = pc[1:] * np.arange(1, pc.size)
-    # Majorant for the smallest |p(z)| distinguishable from zero at modulus
-    # |z|; residuals below eps * this are backward-stable roots.
-    floor_pc = np.abs(pc) * (4.0 * np.arange(pc.size) + 3.0)
-    bound = _fujiwara_bound(pc)
-    z = _bini_start(pc)
-    frozen = np.zeros(d, dtype=bool)
-    done = False
-    for _ in range(max_iter):
-        pv = _poly.polyval(z, pc)
-        dv = _poly.polyval(z, dpc)
-        frozen |= np.abs(pv) <= 1e-16 * _poly.polyval(np.abs(z), floor_pc)
-        dv = np.where(dv == 0.0, 1e-300, dv)
-        w = pv / dv
-        w = np.where(np.isfinite(w), w, 1.0)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = np.sum(1.0 / diff, axis=1) - 1.0  # remove the diagonal's 1/1 term
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0.0, 1.0, denom)
-        corr = np.where(frozen, 0.0, w / denom)
-        z = z - corr
-        far = np.abs(z) > bound
-        if np.any(far):
-            z = np.where(far, z * (bound / np.abs(z)), z)
-        if np.all(frozen | (np.abs(corr) <= 1e-13 * (1.0 + np.abs(z)))):
-            done = True
-            break
-    if not done:
-        raise ConvergenceError("poly_roots: simultaneous iteration budget exhausted")
-
-    for _ in range(3):
-        pv = _poly.polyval(z, pc)
-        dv = _poly.polyval(z, dpc)
-        step = np.where(dv == 0.0, 0.0, pv / np.where(dv == 0.0, 1.0, dv))
-        z = z - step
-    if zero_roots:
-        z = np.concatenate([np.zeros(zero_roots, dtype=complex), z])
-    order = np.lexsort((z.imag, z.real))
-    return z[order]
+    zero_roots = int(nonzero[0])
+    pc = pc[zero_roots : nonzero[-1] + 1] / np.max(np.abs(pc))
+    try:
+        z = _poly.polyroots(pc).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("poly_roots: companion eigenvalues did not converge") from exc
+    z = np.concatenate([np.zeros(zero_roots, dtype=complex), z])
+    return z[np.lexsort((z.imag, z.real))]
 
 
 def distinct_root_count(roots, tol: float = 1e-7) -> int:
@@ -499,41 +395,3 @@ def distinct_root_count(roots, tol: float = 1e-7) -> int:
                 if ri != rj:
                     parent[ri] = rj
     return len({find(i) for i in range(k)})
-
-
-def kernel_lift(mu, c: float) -> np.ndarray:
-    """Recover the per-eigenvalue quadratic roots at a multiplier value by
-    Sylvester kernel vectors.
-
-    At a root of the eliminated polynomial each partial Sylvester matrix is
-    singular and its kernel is spanned by descending powers of the variable
-    being eliminated, so consecutive-entry ratios read the root off.  Slow
-    but independent of the quadratic-formula branch selection; used as a
-    cross-check.
-    """
-    mu = _check_spectrum(mu)
-    n = mu.size
-    lams = np.empty(n)
-    if n == 1:
-        lams[0] = 1.0
-        return lams
-    levels = _chain_levels(mu, float(c))
-    running = 1.0
-    for i in range(1, n):
-        cur = levels[n - 1 - i]  # eliminant still containing variable i
-        f = np.array([c * c, 2.0 * c - mu[i - 1], 1.0])
-        pc = cur * running ** np.arange(cur.size)
-        smat = sylvester(pc, f)
-        smat = smat / max(1e-300, float(np.max(np.abs(smat))))
-        _, _, vt = np.linalg.svd(smat)
-        v = vt[-1]
-        num = float(np.real(np.dot(v[:-1], np.conj(v[1:]))))
-        den = float(np.real(np.dot(v[1:], np.conj(v[1:]))))
-        if den < 1e-300:
-            raise DegeneracyError("kernel_lift: degenerate kernel vector")
-        lams[i - 1] = num / den
-        running *= lams[i - 1]
-    if abs(running) < 1e-300:
-        raise DegeneracyError("kernel_lift: vanishing partial product")
-    lams[n - 1] = 1.0 / running
-    return lams

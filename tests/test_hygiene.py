@@ -1,7 +1,8 @@
 """Import hygiene of the package sources, checked on their syntax trees.
 
 Every imported name must be used in its module or re-exported through
-`__all__`, and every `__all__` entry must name something the module binds.
+`__all__`, every `__all__` entry must name something the module binds, and
+every private top-level helper must be referenced somewhere in the package.
 """
 
 import ast
@@ -67,3 +68,46 @@ def test_imports_used_and_exports_resolve(path):
     assert not unused, f"{path.name}: unused imports {unused}"
     unresolved = sorted(set(exported) - _module_bindings(tree))
     assert not unresolved, f"{path.name}: __all__ names nothing bound: {unresolved}"
+
+
+def _private_definitions(tree):
+    """{name: line} for top-level `_`-prefixed functions, classes and
+    assigned constants (dunders excluded)."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                out |= {n.id: node.lineno for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return {
+        name: line
+        for name, line in out.items()
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
+def _references(tree):
+    """Names read as variables or attributes, or imported from elsewhere."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+def test_private_helpers_are_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    referenced = set().union(*(_references(tree) for tree in trees.values()))
+    dead = sorted(
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in referenced
+    )
+    assert not dead, f"private helpers nothing references: {dead}"

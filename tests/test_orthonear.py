@@ -100,16 +100,17 @@ class TestEnumerateOrthogonal:
                 assert frobenius_norm(points[i].x - points[j].x) > 1e-6
 
     def test_repeated_singular_values_rejected(self):
-        with pytest.raises(DegeneracyError):
-            enumerate_orthogonal_critical(2.0 * np.eye(2))
+        for u in (2.0 * np.eye(2), np.eye(3), np.diag([2.0, 2.0, 1.0])):
+            with pytest.raises(DegeneracyError):
+                enumerate_orthogonal_critical(u)
 
 
-def _graded_inputs(complex_entries=False):
-    """20 draws of u = Q1 diag(1, ..., 1e-5) Q2^* for random orthogonal
-    (unitary) Q1, Q2: a condition number of 1e5, squared to 1e10 by the Gram
-    matrix u^* u."""
+def _graded_inputs(complex_entries=False, smallest=1e-5):
+    """20 draws of u = Q1 diag(1, ..., smallest) Q2^* (geometric singular
+    values) for random orthogonal (unitary) Q1, Q2: by default a condition
+    number of 1e5, squared to 1e10 by the Gram matrix u^* u."""
     rng = np.random.default_rng(0)
-    sigma = np.geomspace(1.0, 1e-5, 4)
+    sigma = np.geomspace(1.0, smallest, 4)
     out = []
     for _ in range(20):
         factors = []
@@ -133,6 +134,15 @@ class TestIllConditionedInput:
     def test_unitary_points_accurate(self):
         for u in _graded_inputs(complex_entries=True):
             points = enumerate_unitary_critical(u)
+            assert len(points) == 16
+            assert max(p.residual for p in points) < 1e-12
+
+    def test_small_separated_singular_values_accepted(self):
+        # sigma = (1, 1e-2, 1e-4, 1e-6): the squared values 1e-8 and 1e-12
+        # lie within 1e-8 of each other, but sigma itself is a factor 100
+        # apart, so the clustered-spectrum rule must not refuse it.
+        for u in _graded_inputs(smallest=1e-6):
+            points = enumerate_orthogonal_critical(u)
             assert len(points) == 16
             assert max(p.residual for p in points) < 1e-12
 

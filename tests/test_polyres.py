@@ -3,25 +3,49 @@
 import numpy as np
 import pytest
 
-from groupnear.errors import DegeneracyError, InputError
+from groupnear.errors import ConvergenceError, DegeneracyError, InputError
 from groupnear.matcore import random_general, sym_eig
 from groupnear.polyres import (
     UniPoly,
     chain_degree,
     chain_value,
     distinct_root_count,
-    kernel_lift,
     poly_roots,
     resultant,
     resultant_chain,
     sylvester,
 )
+from groupnear.torused import WeightSet, random_rank1_coefficients
 
 
 def _spectrum(n, seed):
     u = random_general(n, seed)
     vals = sym_eig(u.T @ u).values
     return np.sort(vals)[::-1]
+
+
+def _torus_polynomial(seed):
+    """The rank-1 torus critical equation sum_k k a_k t^(k+13) for the
+    weights -13, -11, ..., 13 (degree 26), with the coefficient draw of the
+    `bkk` command."""
+    w = WeightSet(1, tuple((k,) for k in range(-13, 14, 2)), (1,) * 14)
+    draw = random_rank1_coefficients(w, seed)
+    dense = np.zeros(27)
+    for k, a in draw.items():
+        dense[k + 13] = k * a
+    return dense
+
+
+def _assert_roots_contract(coeffs):
+    """One root per degree, sorted by (real, imag), each with backward error
+    |p(z)| / sum_k |a_k| |z|^k below 1e-12."""
+    roots = poly_roots(coeffs)
+    assert roots.size == coeffs.size - 1
+    keys = list(zip(roots.real, roots.imag))
+    assert keys == sorted(keys)
+    value = np.polynomial.polynomial.polyval(roots, coeffs)
+    scale = np.polynomial.polynomial.polyval(np.abs(roots), np.abs(coeffs))
+    assert np.max(np.abs(value) / scale) < 1e-12
 
 
 class TestSylvester:
@@ -60,10 +84,6 @@ class TestUniPoly:
     def test_evaluation(self):
         p = UniPoly([1.0, 0.0, 1.0])  # 1 + x^2
         assert p(2.0) == pytest.approx(5.0)
-
-    def test_derivative(self):
-        p = UniPoly([1.0, 2.0, 3.0])
-        assert np.allclose(p.derivative().coeffs, [2.0, 6.0])
 
 
 class TestChain:
@@ -149,6 +169,28 @@ class TestPolyRoots:
         roots = poly_roots(resultant_chain(mu))
         assert roots.size == 24
 
+    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])
+    def test_chain_roots_contract(self, n, seed):
+        _assert_roots_contract(resultant_chain(_spectrum(n, seed)).coeffs)
+
+    def test_torus_roots_contract(self):
+        _assert_roots_contract(_torus_polynomial(11))
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(InputError):
+            poly_roots([0.0, 0.0])
+
+    def test_constant_has_no_roots(self):
+        assert poly_roots([3.0]).size == 0
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ConvergenceError):
+            poly_roots([1.0, 0.0, 1.0])
+
 
 class TestDistinctRootCount:
     def test_collapses_close_pairs(self):
@@ -162,24 +204,3 @@ class TestDistinctRootCount:
     def test_conjugate_pairs_distinct(self):
         roots = np.array([1j, -1j])
         assert distinct_root_count(roots, tol=1e-7) == 2
-
-
-class TestKernelLift:
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_lift_solves_the_quadratics(self, n):
-        # At a chain root the lift recovers multipliers satisfying
-        # c^2 + (2c - mu_i) t + t^2 = 0 with unit product.
-        mu = _spectrum(n, 900 + n)
-        roots = poly_roots(resultant_chain(mu))
-        real = roots[np.abs(roots.imag) < 1e-8].real
-        lifted = None
-        for c in real:
-            try:
-                lifted = (float(c), kernel_lift(mu, float(c)))
-                break
-            except Exception:
-                continue
-        assert lifted is not None
-        c, lam = lifted
-        for m_i, t in zip(mu, lam):
-            assert abs(c * c + (2 * c - m_i) * t + t * t) < 1e-5 * (1.0 + m_i * m_i)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from groupnear import slnear
 from groupnear.errors import DegeneracyError, InputError, UnsupportedError
 from groupnear.matcore import det, frobenius_norm, random_general, sym_eig
 from groupnear.slnear import (
@@ -87,14 +88,6 @@ class TestSolutionSystem:
         dists = [s.distance_sq for s in sols]
         assert dists == sorted(dists)
 
-    def test_cross_check_path_agrees(self):
-        u = random_general(2, 3)
-        plain = sl_critical_points(u)
-        checked = sl_critical_points(u, cross_check=True)
-        assert len(plain) == len(checked)
-        for a, b in zip(plain, checked):
-            assert a.c == pytest.approx(b.c, abs=1e-12)
-
     def test_four_by_four(self):
         u = random_general(4, 0)
         sols = sl_critical_points(u)
@@ -114,6 +107,29 @@ class TestSolutionSystem:
         u = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises((DegeneracyError, InputError)):
             sl_critical_points(u)
+
+
+class TestFiveRefused:
+    # n = 5 (a degree-160 chain) is not supported; every entry point must
+    # refuse it before the Gram spectrum or the chain is computed.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sl_critical_points(random_general(5, 0)),
+            lambda: nearest_sl(random_general(5, 0)),
+            lambda: smallest_c_check(random_general(5, 0)),
+            lambda: sl_ed_degree(5, 0),
+        ],
+        ids=["sl_critical_points", "nearest_sl", "smallest_c_check", "sl_ed_degree"],
+    )
+    def test_refused_before_any_work(self, monkeypatch, call):
+        def heavy(*args, **kwargs):
+            raise AssertionError("heavy work started before the size check")
+
+        monkeypatch.setattr(slnear, "sym_eig", heavy)
+        monkeypatch.setattr(slnear, "resultant_chain", heavy)
+        with pytest.raises(UnsupportedError):
+            call()
 
 
 class TestNearestSL:
