@@ -33,7 +33,6 @@ from .matcore import (
     det,
     det_mantissa_exp,
     frobenius_norm,
-    herm_eig,
     inverse,
     matrix_from_json,
     matrix_to_json,
@@ -106,7 +105,6 @@ __all__ = [
     "enumerate_unitary_critical",
     "frobenius_norm",
     "gperp_decompose",
-    "herm_eig",
     "inverse",
     "lie_basis",
     "matrix_from_json",

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError
-from .matcore import as_square, det, frobenius_norm, herm_eig, sym_eig
+from .errors import InputError
+from .matcore import as_square, det, frobenius_norm
 
 KINDS = ("orthogonal", "special_orthogonal", "unitary_embedded", "sl", "sl_pm", "symplectic")
 
@@ -95,14 +95,7 @@ class GroupSpec:
 
     @property
     def dim(self) -> int:
-        n = self.n
-        if self.kind in ("orthogonal", "special_orthogonal"):
-            return n * (n - 1) // 2
-        if self.kind in ("sl", "sl_pm"):
-            return n * n - 1
-        if self.kind == "symplectic":
-            return n * (n + 1) // 2
-        return (n // 2) ** 2  # unitary_embedded
+        return len(_stacked_basis(self))
 
     @property
     def form(self) -> np.ndarray:
@@ -127,105 +120,69 @@ class CriticalPoint:
     c: Optional[float] = None
 
 
-def _basis_orthogonal(n: int) -> list[np.ndarray]:
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = np.zeros((n, n))
-            b[i, j] = 1.0
-            b[j, i] = -1.0
-            out.append(b)
-    return out
+def _units(m: int) -> np.ndarray:
+    """The matrix units E_ij of gl(m), row-major, stacked (m^2, m, m)."""
+    return np.eye(m * m).reshape(m * m, m, m)
 
 
-def _basis_traceless(n: int) -> list[np.ndarray]:
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                b = np.zeros((n, n))
-                b[i, j] = 1.0
-                out.append(b)
-    for i in range(n - 1):
-        b = np.zeros((n, n))
-        b[i, i] = 1.0
-        b[i + 1, i + 1] = -1.0
-        out.append(b)
-    return out
+def _skew(m: int) -> np.ndarray:
+    """E_ij - E_ji for i < j, row-major: a basis of so(m), stacked."""
+    i, j = np.triu_indices(m, 1)
+    e = _units(m)
+    return e[i * m + j] - e[j * m + i]
 
 
-def _basis_symplectic(n: int) -> list[np.ndarray]:
-    # a = [[A, B], [C, -A^t]] with B, C symmetric solves a^t J + J a = 0.
-    m = n // 2
-    out = []
-    for i in range(m):
-        for j in range(m):
-            b = np.zeros((n, n))
-            b[i, j] = 1.0
-            b[m + j, m + i] = -1.0
-            out.append(b)
-    for i in range(m):
-        for j in range(i, m):
-            b = np.zeros((n, n))
-            b[i, m + j] = 1.0
-            b[j, m + i] = 1.0
-            out.append(b)
-    for i in range(m):
-        for j in range(i, m):
-            b = np.zeros((n, n))
-            b[m + i, j] = 1.0
-            b[m + j, i] = 1.0
-            out.append(b)
-    return out
+def _sym(m: int) -> np.ndarray:
+    """E_ij + E_ji for i < j and E_ii, row-major: a basis of the symmetric
+    m x m matrices, stacked."""
+    i, j = np.triu_indices(m)
+    e = _units(m)
+    return np.maximum(e[i * m + j], e[j * m + i])
 
 
-def _basis_unitary_embedded(n: int) -> list[np.ndarray]:
-    # Skew-Hermitian a + ib: a real skew, b real symmetric.
-    m = n // 2
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            a = np.zeros((m, m))
-            a[i, j] = 1.0
-            a[j, i] = -1.0
-            out.append(embed_complex(a.astype(complex)))
-    for i in range(m):
-        for j in range(i, m):
-            b = np.zeros((m, m))
-            b[i, j] = 1.0
-            b[j, i] = 1.0
-            out.append(embed_complex(1j * b))
-    return out
+def _lie_stack(g: GroupSpec) -> np.ndarray:
+    """Lie algebra basis of g, stacked (k, n, n)."""
+    n, m = g.n, g.n // 2
+    if g.kind in ("orthogonal", "special_orthogonal"):
+        return _skew(n)
+    if g.kind == "unitary_embedded":
+        # Skew-Hermitian a + ib: a real skew, b real symmetric.
+        return _embed(np.concatenate([_skew(m).astype(complex), 1j * _sym(m)]))
+    if g.kind == "symplectic":
+        # [[A, B], [C, -A^t]] with B, C symmetric solves a^t J + J a = 0.
+        # (o - e^t rather than -e^t keeps the zero entries +0.0.)
+        e, s = _units(m), _sym(m)
+        o, z = np.zeros_like(e), np.zeros_like(s)
+        return np.concatenate(
+            [
+                np.block([[e, o], [o, o - np.swapaxes(e, 1, 2)]]),
+                np.block([[z, s], [z, z]]),
+                np.block([[z, z], [s, z]]),
+            ]
+        )
+    # sl: off-diagonal units, then E_ii - E_(i+1)(i+1).
+    e = _units(n)
+    diag = np.arange(n) * (n + 1)
+    return np.concatenate([np.delete(e, diag, axis=0), e[diag[:-1]] - e[diag[1:]]])
 
 
 def lie_basis(g: GroupSpec) -> list[np.ndarray]:
     """Linearly independent spanning set of the Lie algebra of g."""
-    if g.kind in ("orthogonal", "special_orthogonal"):
-        return _basis_orthogonal(g.n)
-    if g.kind in ("sl", "sl_pm"):
-        return _basis_traceless(g.n)
-    if g.kind == "symplectic":
-        return _basis_symplectic(g.n)
-    return _basis_unitary_embedded(g.n)
+    return list(_lie_stack(g))
 
 
-def _orthonormal_columns(a: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    """Q of a = QR with R's diagonal real positive, so Q is what modified
-    Gram-Schmidt on the columns of a gives; None when a column's residual
-    norm |R_jj| falls below tol."""
+def _unit_frame(a: np.ndarray) -> np.ndarray:
+    """Q of a = QR (a matrix or a stack) with R's diagonal made real
+    positive, so Q is what modified Gram-Schmidt on the columns of a gives."""
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    mag = np.abs(d)
-    if np.any(mag < tol):
-        return None
-    return q * (d / mag)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 @functools.cache
 def _stacked_basis(g: GroupSpec) -> np.ndarray:
     """lie_basis(g) stacked to (k, n, n); cached per group, read-only."""
-    raw = lie_basis(g)
-    out = np.stack(raw) if raw else np.zeros((0, g.n, g.n))
+    out = _lie_stack(g)
     out.flags.writeable = False
     return out
 
@@ -235,10 +192,7 @@ def _orthonormal_basis(g: GroupSpec) -> np.ndarray:
     """Stacked Frobenius-orthonormal basis (k, n, n); cached per group, read-only."""
     raw = _stacked_basis(g)
     k = raw.shape[0]
-    q = _orthonormal_columns(raw.reshape(k, g.n * g.n).T, 1e-12)
-    if q is None:
-        raise DegeneracyError("lie basis not independent")
-    out = q.T.reshape(k, g.n, g.n)
+    out = _unit_frame(raw.reshape(k, g.n * g.n).T).T.reshape(k, g.n, g.n)
     out.flags.writeable = False
     return out
 
@@ -384,85 +338,82 @@ def _expm_batch(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_symplectic(g: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count symplectic elements (count, n, n): exponentials of random
-    algebra elements, mildly scaled.  Consumes the same stream as count
-    single draws."""
-    coeffs = rng.uniform(-1.0, 1.0, (count, g.dim))
-    a = np.tensordot(coeffs, _stacked_basis(g), axes=1)
-    nrm = _row_norms(a)
-    big = nrm > 1.5
-    a[big] *= (1.5 / nrm[big])[:, None, None]
-    return _expm_batch(a)
+def _draw(g: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count seeded random elements of g, stacked (count, n, n).
 
-
-def _draw_element(g: GroupSpec, rng: np.random.Generator) -> np.ndarray:
-    if g.kind == "symplectic":
-        return _draw_symplectic(g, rng, 1)[0]
+    Row i reads the stream values that the i-th of count single draws
+    would, and every kernel acts on one matrix at a time, so a larger draw
+    extends a smaller one bit for bit.  Nothing is redrawn (a redraw would
+    shift every later row):
+    - orthogonal / special orthogonal: Q of a uniform [-1, 1] matrix, with
+      R's diagonal positive (the last column flipped when det Q < 0 for SO);
+    - unitary: the same for re + i im, re and im uniform, then embedded;
+    - sl / sl_pm: a uniform matrix scaled to |det| = 1 (first column
+      flipped when det < 0 for sl);
+    - symplectic: the exponential of a uniform [-1, 1] combination of the
+      Lie basis, scaled to Frobenius norm at most 1.5.
+    """
     n = g.n
-    for _ in range(100):
-        if g.kind in ("orthogonal", "special_orthogonal"):
-            q = _orthonormal_columns(rng.uniform(-1.0, 1.0, (n, n)), 1e-10)
-            if q is None:
-                continue
-            if g.kind == "special_orthogonal" and det(q) < 0.0:
-                q = q.copy()
-                q[:, -1] *= -1.0
-            return q
-        if g.kind in ("sl", "sl_pm"):
-            a = rng.uniform(-1.0, 1.0, (n, n))
-            d = det(a)
-            if abs(d) < 1e-10:
-                continue
-            a = a / abs(d) ** (1.0 / n)
-            if g.kind == "sl" and d < 0.0:
-                a = a.copy()
-                a[:, 0] *= -1.0
-            return a
-        if g.kind == "unitary_embedded":
-            m = n // 2
-            z = rng.uniform(-1.0, 1.0, (m, m)) + 1j * rng.uniform(-1.0, 1.0, (m, m))
-            q = _orthonormal_columns(z, 1e-10)
-            if q is None:
-                continue
-            return embed_complex(q)
-    raise DegeneracyError(f"random_group_element: no usable draw for {g.kind}")
+    if g.kind == "symplectic":
+        a = np.tensordot(rng.uniform(-1.0, 1.0, (count, g.dim)), _stacked_basis(g), axes=1)
+        nrm = _row_norms(a)
+        big = nrm > 1.5
+        a[big] *= (1.5 / nrm[big])[:, None, None]
+        return _expm_batch(a)
+    if g.kind == "unitary_embedded":
+        z = rng.uniform(-1.0, 1.0, (count, 2, n // 2, n // 2))
+        return _embed(_unit_frame(z[:, 0] + 1j * z[:, 1]))
+    a = rng.uniform(-1.0, 1.0, (count, n, n))
+    if g.kind in ("orthogonal", "special_orthogonal"):
+        q = _unit_frame(a)
+        if g.kind == "special_orthogonal":
+            q[np.linalg.det(q) < 0.0, :, -1] *= -1.0
+        return q
+    dets = np.linalg.det(a)
+    # Python's float power per row, as a single draw computes it: numpy's
+    # vectorised power differs from it in the last bit on some rows.
+    a /= np.array([abs(d) ** (1.0 / n) for d in dets.tolist()])[:, None, None]
+    if g.kind == "sl":
+        a[dets < 0.0, :, 0] *= -1.0
+    return a
 
 
 def random_group_element(g: GroupSpec, seed: int) -> np.ndarray:
-    """Seeded random element of g with membership violation below 1e-9."""
-    return _draw_element(g, np.random.default_rng(seed))
+    """Seeded random element of g with membership violation below 1e-9: the
+    first row of the census draw on the same seed."""
+    return _draw(g, np.random.default_rng(seed), 1)[0]
 
 
 # ---------------------------------------------------------------------------
 # Membership-projection of the data matrix (start biasing only)
 
 
-def _polar_orthogonal(u: np.ndarray, special: bool) -> np.ndarray:
-    dec = sym_eig(u.T @ u)
-    vals = np.maximum(dec.values, 0.0)
-    if vals[-1] < 1e-12 * max(1.0, vals[0]):
-        return np.eye(u.shape[0])
-    inv_half = (dec.q / np.sqrt(vals)) @ dec.q.T
-    x = u @ inv_half
-    if special and det(x) < 0.0:
-        y = dec.q[:, -1]
-        x = x @ (np.eye(u.shape[0]) - 2.0 * np.outer(y, y))
-    return x
+def _form_jacobian(left: np.ndarray, right: np.ndarray, rows, cols) -> np.ndarray:
+    """Jacobian (B, T, n^2) of the entries (rows[t], cols[t]) of x^t M x
+    with respect to x, for a stack with left = M^t x and right = M x: the
+    entry (p, q) moves by H[:, p] . (M x)[:, q] + (M^t x)[:, p] . H[:, q]."""
+    bsz, n, _ = left.shape
+    t = np.arange(len(rows))
+    jac = np.zeros((bsz, t.size, n, n))
+    jac[:, t, :, rows] += np.moveaxis(right[:, :, cols], 2, 0)
+    jac[:, t, :, cols] += np.moveaxis(left[:, :, rows], 2, 0)
+    return jac.reshape(bsz, t.size, n * n)
 
 
 def _project_membership(u: np.ndarray, g: GroupSpec) -> np.ndarray:
+    """A point of g near u: the census anchor.  The identity when the
+    projection is not defined (u singular, or the symplectic Newton fails)."""
     n = g.n
-    if g.kind in ("orthogonal", "special_orthogonal"):
-        return _polar_orthogonal(u, g.kind == "special_orthogonal")
-    if g.kind == "unitary_embedded":
-        z = unembed_complex(u)
-        dec = herm_eig(np.conj(z).T @ z)
-        vals = np.maximum(dec.values, 0.0)
-        if vals[-1] < 1e-12 * max(1.0, vals[0]):
+    if g.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
+        # Polar factor from one SVD: the nearest orthogonal (unitary) matrix.
+        z = unembed_complex(u) if g.kind == "unitary_embedded" else u
+        w, sigma, vh = np.linalg.svd(z)
+        if sigma[-1] < 1e-6 * max(1.0, sigma[0]):
             return np.eye(n)
-        inv_half = (dec.q / np.sqrt(vals)) @ np.conj(dec.q).T
-        return embed_complex(z @ inv_half)
+        if g.kind == "special_orthogonal" and det(z) < 0.0:
+            w[:, -1] *= -1.0  # flip the smallest singular direction
+        x = w @ vh
+        return embed_complex(x) if g.kind == "unitary_embedded" else x
     if g.kind in ("sl", "sl_pm"):
         d = det(u)
         if abs(d) < 1e-10:
@@ -481,12 +432,8 @@ def _project_membership(u: np.ndarray, g: GroupSpec) -> np.ndarray:
         r = s[rows, cols]
         if float(np.max(np.abs(r))) < 1e-12 * (1.0 + frobenius_norm(x) ** 2):
             return x
-        jx = j @ x
-        jac = np.zeros((rows.size, n, n))
-        for t in range(rows.size):
-            jac[t, :, rows[t]] += jx[:, cols[t]]
-            jac[t, :, cols[t]] -= jx[:, rows[t]]
-        delta, *_ = np.linalg.lstsq(jac.reshape(rows.size, n * n), -r, rcond=None)
+        jac = _form_jacobian((j.T @ x)[None], (j @ x)[None], rows, cols)[0]
+        delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         x = x + delta.reshape(n, n)
         if frobenius_norm(delta.reshape(n, n)) < 1e-14 * (1.0 + frobenius_norm(x)):
             break
@@ -535,10 +482,14 @@ class _System:
         self.basis_cols = _basis_columns(g)
         self.kind = g.kind
         n = self.n
-        self.iu = np.triu_indices(n)
-        self.isu = np.triu_indices(n, 1)
+        # O, SO and U preserve the symmetric form I: x^t x - I is symmetric,
+        # so its equations are the upper triangle with the diagonal.  Sp
+        # preserves the skew form J: only the strict upper triangle counts.
+        self.form = None
+        if self.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
+            self.form, self.form_idx = np.eye(n), np.triu_indices(n)
         if self.kind == "symplectic":
-            self.jform = g.form
+            self.form, self.form_idx = g.form, np.triu_indices(n, 1)
         if self.kind == "unitary_embedded":
             self.K = complex_structure(n)
             # Constant Jacobian of the commutator x K - K x, flattened (a,b) x (i,j).
@@ -555,19 +506,14 @@ class _System:
         m = np.matmul(xt, u[None, :, :] - x)
         lie = np.matmul(m.reshape(-1, 1, n * n), self.basis_cols)[:, 0, :]
         parts = [lie]
-        if self.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
-            gram = np.matmul(xt, x) - np.eye(n)[None, :, :]
-            parts.append(gram[:, self.iu[0], self.iu[1]])
-        if self.kind == "special_orthogonal":
-            parts.append((np.linalg.det(x) - 1.0)[:, None])
-        if self.kind == "sl":
+        if self.form is not None:
+            s = np.matmul(xt, np.matmul(self.form, x)) - self.form[None, :, :]
+            parts.append(s[:, self.form_idx[0], self.form_idx[1]])
+        if self.kind in ("special_orthogonal", "sl"):
             parts.append((np.linalg.det(x) - 1.0)[:, None])
         if self.kind == "sl_pm":
             d = np.linalg.det(x)
             parts.append((d - np.sign(d))[:, None])
-        if self.kind == "symplectic":
-            s = np.matmul(xt, np.matmul(self.jform, x)) - self.jform[None, :, :]
-            parts.append(s[:, self.isu[0], self.isu[1]])
         if self.kind == "unitary_embedded":
             comm = np.matmul(x, self.K) - np.matmul(self.K, x)
             parts.append(comm.reshape(x.shape[0], n * n))
@@ -582,25 +528,13 @@ class _System:
         g1 = np.einsum("bij,klj->bkil", umx, self.basis)
         g2 = np.einsum("bij,kjl->bkil", x, self.basis)
         blocks = [(g1 - g2).reshape(bsz, -1, n * n)]
-        if self.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
-            rows, cols = self.iu
-            jg = np.zeros((bsz, rows.size, n, n))
-            for t in range(rows.size):
-                jg[:, t, :, rows[t]] += x[:, :, cols[t]]
-                jg[:, t, :, cols[t]] += x[:, :, rows[t]]
-            blocks.append(jg.reshape(bsz, rows.size, n * n))
+        if self.form is not None:
+            mtx, mx = np.matmul(self.form.T, x), np.matmul(self.form, x)
+            blocks.append(_form_jacobian(mtx, mx, *self.form_idx))
         if self.kind in ("special_orthogonal", "sl", "sl_pm"):
             dets = np.linalg.det(x)
             invt = np.transpose(np.linalg.inv(x), (0, 2, 1))
             blocks.append((dets[:, None, None] * invt).reshape(bsz, 1, n * n))
-        if self.kind == "symplectic":
-            rows, cols = self.isu
-            jx = np.einsum("ij,bjk->bik", self.jform, x)
-            js = np.zeros((bsz, rows.size, n, n))
-            for t in range(rows.size):
-                js[:, t, :, rows[t]] += jx[:, :, cols[t]]
-                js[:, t, :, cols[t]] -= jx[:, :, rows[t]]
-            blocks.append(js.reshape(bsz, rows.size, n * n))
         if self.kind == "unitary_embedded":
             blocks.append(np.broadcast_to(self.jcomm, (bsz, n * n, n * n)))
         return np.concatenate(blocks, axis=1)
@@ -681,9 +615,11 @@ def _merge_representatives(flat: np.ndarray, radius: float) -> np.ndarray:
 def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> CensusResult:
     """Seeded multistart Gauss-Newton census of real critical points.
 
-    Starts are random group elements, every other one pulled halfway toward
-    the membership-projected data matrix, then iterated on the stacked
-    system (budget 200 sweeps).  Each sweep's Armijo search tries the step
+    Starts are one batched draw of random group elements (see `_draw`),
+    every other one pulled halfway toward an anchor on the group near u
+    (the polar factor of u for O, SO and U; u scaled to unit |det| for SL;
+    a Newton projection onto x^t J x = J for Sp), then iterated on the
+    stacked system (budget 200 sweeps).  Each sweep's Armijo search tries the step
     lengths 2^-j, j = 0..29, in a few blocks of j at once and takes the
     largest passing length, as halving one length at a time would; a start
     with no passing length stops.  Converged points (residual below 1e-9)
@@ -705,10 +641,7 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     n = g.n
     rng = np.random.default_rng(seed)
     anchor = _project_membership(u, g)
-    if g.kind == "symplectic":
-        x0 = _draw_symplectic(g, rng, starts)
-    else:
-        x0 = np.stack([_draw_element(g, rng) for _ in range(starts)])
+    x0 = _draw(g, rng, starts)
     # Alternate biased and raw starts: pulling every start halfway toward
     # the projected data matrix starves the far basins and loses critical
     # points, while pure random starts waste sweeps near useless regions.

@@ -21,7 +21,7 @@ from .errors import (
     SingularityError,
 )
 
-# Relative symmetry slack accepted by sym_eig / herm_eig.
+# Relative symmetry slack accepted by sym_eig.
 SYMMETRY_TOL = 1e-12
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "frobenius_inner",
     "frobenius_norm",
     "sym_eig",
-    "herm_eig",
     "det",
     "inverse",
     "solve",
@@ -76,44 +75,28 @@ def frobenius_norm(a) -> float:
 class EigenDecomposition:
     """Spectral factorisation s = q diag(values) q^t.
 
-    q has orthonormal (unitary) columns; values are sorted descending.
+    q has orthonormal columns; values are sorted descending.
     """
 
     q: np.ndarray
     values: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.q * self.values) @ np.conj(self.q).T
-
-
-def _check_symmetric(s: np.ndarray, name: str) -> np.ndarray:
-    scale = max(1.0, frobenius_norm(s))
-    if frobenius_norm(s - np.conj(s).T) > SYMMETRY_TOL * scale:
-        raise InputError(f"{name}: matrix is not symmetric/Hermitian to tolerance")
-    return 0.5 * (s + np.conj(s).T)
-
-
-def _eigh_descending(a: np.ndarray, name: str) -> EigenDecomposition:
-    try:
-        values, q = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"{name}: eigensolver did not converge") from exc
-    return EigenDecomposition(q=q[:, ::-1], values=values[::-1])
+        return (self.q * self.values) @ self.q.T
 
 
 def sym_eig(s) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix (LAPACK via numpy.linalg.eigh)."""
     a = as_square(s, "sym_eig")
     if np.iscomplexobj(a):
-        raise InputError("sym_eig: real input required, use herm_eig")
-    return _eigh_descending(_check_symmetric(a, "sym_eig"), "sym_eig")
-
-
-def herm_eig(h) -> EigenDecomposition:
-    """Eigendecomposition of a complex Hermitian matrix (LAPACK via
-    numpy.linalg.eigh); q is unitary even across repeated eigenvalues."""
-    hm = as_square(h, "herm_eig").astype(np.complex128)
-    return _eigh_descending(_check_symmetric(hm, "herm_eig"), "herm_eig")
+        raise InputError("sym_eig: real input required")
+    if frobenius_norm(a - a.T) > SYMMETRY_TOL * max(1.0, frobenius_norm(a)):
+        raise InputError("sym_eig: matrix is not symmetric to tolerance")
+    try:
+        values, q = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("sym_eig: eigensolver did not converge") from exc
+    return EigenDecomposition(q=q[:, ::-1], values=values[::-1])
 
 
 def det_mantissa_exp(a) -> tuple[float, int]:
@@ -165,23 +148,22 @@ def inverse(a) -> np.ndarray:
 
 
 def random_general(n: int, seed: int, complex_entries: bool = False) -> np.ndarray:
-    """Seeded generic test matrix with i.i.d. uniform [-1, 1] entries.
+    """Seeded generic test matrix with i.i.d. uniform [-1, 1] entries
+    (real, or real plus i times imaginary parts).
 
-    Redraws until the matrix is invertible and the Gram matrix u^t u has
-    well-separated eigenvalues, so downstream sign enumerations and branch
-    selections never sit on a degeneracy.  Gives up after 100 attempts.
+    Redraws until the squared singular values of u (from one SVD, not from
+    the Gram matrix u^* u) are bounded away from zero and well separated,
+    so downstream sign enumerations and branch selections never sit on a
+    degeneracy.  Gives up after 100 attempts.
     """
     if n < 1:
         raise InputError("random_general: n must be positive")
     rng = np.random.default_rng(seed)
     for _ in range(100):
+        u = rng.uniform(-1.0, 1.0, (n, n))
         if complex_entries:
-            u = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
-            gram = np.conj(u).T @ u
-            vals = herm_eig(gram).values
-        else:
-            u = rng.uniform(-1.0, 1.0, (n, n))
-            vals = sym_eig(u.T @ u).values
+            u = u + 1j * rng.uniform(-1.0, 1.0, (n, n))
+        vals = np.linalg.svd(u, compute_uv=False) ** 2
         scale = max(1.0, float(vals[0]))
         if float(vals[-1]) < 1e-8 * scale:
             continue

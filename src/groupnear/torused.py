@@ -257,20 +257,17 @@ def _weight_key(chi) -> tuple[int, ...]:
     return tuple(_as_int(x, "weight entry") for x in chi)
 
 
-def torus_critical_count_rank1(w: WeightSet, coeffs, lattice_index: int | None = None) -> int:
+def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
     """Exact count of torus critical points for a rank-one weight set.
 
     The critical system collapses to one Laurent polynomial whose term at
     character χ is χ times the grouped data coefficient u'_χ, so the χ = 0
     term drops out.  Denominators are cleared and the distinct nonzero
-    complex roots are counted; with lattice_index 2 the parametrization is
-    two-to-one and the count is taken in the variable t².
+    complex roots are counted; when w.lattice_index is 2 the parametrization
+    is two-to-one and the count is taken in the variable t².
     """
     if w.m != 1:
         raise InputError("torus_critical_count_rank1 requires rank m = 1")
-    index = w.lattice_index if lattice_index is None else lattice_index
-    if index not in (1, 2):
-        raise InputError("lattice_index: must be 1 or 2")
     table = {}
     for chi, value in dict(coeffs).items():
         key = _weight_key(chi)
@@ -292,7 +289,7 @@ def torus_critical_count_rank1(w: WeightSet, coeffs, lattice_index: int | None =
     lo, hi = min(terms), max(terms)
     if terms[lo] == 0.0 or terms[hi] == 0.0:
         raise DegeneracyError("extreme coefficient vanished; draw is not generic")
-    if index == 2:
+    if w.lattice_index == 2:
         if any(k % 2 for k in terms):
             raise InputError("lattice_index 2 requires all characters even")
         dense = np.zeros((hi - lo) // 2 + 1)
@@ -322,7 +319,7 @@ def random_rank1_coefficients(w: WeightSet, seed: int) -> dict:
     return draw
 
 
-def bkk_tightness_experiment(w: WeightSet, seeds: int, lattice_index: int | None = None) -> dict:
+def bkk_tightness_experiment(w: WeightSet, seeds: int) -> dict:
     """Observed rank-1 counts over seeded generic draws next to the bound.
 
     Whether the bound is always attained is open; this gathers evidence
@@ -337,5 +334,5 @@ def bkk_tightness_experiment(w: WeightSet, seeds: int, lattice_index: int | None
     counts = []
     for seed in range(seeds):
         draw = random_rank1_coefficients(w, seed)
-        counts.append(torus_critical_count_rank1(w, draw, lattice_index))
+        counts.append(torus_critical_count_rank1(w, draw))
     return {"bound": bound, "counts": counts}

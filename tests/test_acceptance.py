@@ -5,7 +5,6 @@ after the run, so a plain pytest invocation shows the per-criterion results.
 """
 
 import numpy as np
-import pytest
 
 from groupnear.critsearch import GroupSpec, lie_basis, multistart_census
 from groupnear.matcore import det, frobenius_norm, random_general, sym_eig

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from test_acceptance import _match_sets
+from test_orthonear import _graded_inputs
+
 from groupnear.critsearch import (
+    KINDS,
     GroupSpec,
     _armijo,
     _certify_batch,
+    _draw,
     _merge_representatives,
     _orthonormal_basis,
+    _project_membership,
     _System,
     critical_point_from,
     critical_residual,
@@ -22,7 +28,13 @@ from groupnear.critsearch import (
 )
 from groupnear.errors import InputError
 from groupnear.matcore import det, frobenius_norm, random_general
-from groupnear.orthonear import enumerate_orthogonal_critical
+from groupnear.orthonear import (
+    enumerate_orthogonal_critical,
+    enumerate_unitary_critical,
+    nearest_orthogonal,
+    nearest_special_orthogonal,
+    nearest_unitary,
+)
 
 
 class TestGroupSpec:
@@ -46,7 +58,45 @@ class TestGroupSpec:
             _orthonormal_basis(a)[0, 0, 0] = 1.0
 
 
+def _entrywise_basis(g):
+    """The Lie basis of g written entry by entry, in its fixed order (the
+    symplectic census draw reads the coefficients in this order)."""
+    n, m = g.n, g.n // 2
+
+    def unit(size, *entries):
+        b = np.zeros((size, size))
+        for i, j, v in entries:
+            b[i, j] = v
+        return b
+
+    if g.kind in ("orthogonal", "special_orthogonal"):
+        return [unit(n, (i, j, 1.0), (j, i, -1.0)) for i in range(n) for j in range(i + 1, n)]
+    if g.kind in ("sl", "sl_pm"):
+        off = [unit(n, (i, j, 1.0)) for i in range(n) for j in range(n) if i != j]
+        return off + [unit(n, (i, i, 1.0), (i + 1, i + 1, -1.0)) for i in range(n - 1)]
+    upper = [(i, j) for i in range(m) for j in range(i, m)]
+    if g.kind == "symplectic":
+        gl = [unit(n, (i, j, 1.0), (m + j, m + i, -1.0)) for i in range(m) for j in range(m)]
+        b = [unit(n, (i, m + j, 1.0), (j, m + i, 1.0)) for i, j in upper]
+        c = [unit(n, (m + i, j, 1.0), (m + j, i, 1.0)) for i, j in upper]
+        return gl + b + c
+    skew = [unit(m, (i, j, 1.0), (j, i, -1.0)) for i in range(m) for j in range(i + 1, m)]
+    sym = [unit(m, (i, j, 1.0), (j, i, 1.0)) for i, j in upper]
+    return [embed_complex(a.astype(complex)) for a in skew] + [embed_complex(1j * b) for b in sym]
+
+
 class TestLieBasis:
+    def test_matches_entrywise_definition_bitwise(self):
+        for kind in KINDS:
+            for n in range(1, 9):
+                if kind in ("symplectic", "unitary_embedded") and n % 2:
+                    continue
+                got = lie_basis(GroupSpec(kind, n))
+                want = _entrywise_basis(GroupSpec(kind, n))
+                assert len(got) == len(want), f"{kind} n={n}"
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes(), f"{kind} n={n}"
+
     @pytest.mark.parametrize(
         "kind,n,dim",
         [
@@ -66,9 +116,16 @@ class TestLieBasis:
         assert len(lie_basis(GroupSpec(kind, n))) == dim
 
     def test_rank_matches_count(self):
-        basis = lie_basis(GroupSpec("symplectic", 4))
-        stacked = np.stack([b.ravel() for b in basis])
-        assert np.linalg.matrix_rank(stacked) == len(basis)
+        for kind in KINDS:
+            for n in range(1, 7):
+                if kind in ("symplectic", "unitary_embedded") and n % 2:
+                    continue
+                g = GroupSpec(kind, n)
+                basis = lie_basis(g)
+                assert len(basis) == g.dim
+                if basis:
+                    stacked = np.stack([b.ravel() for b in basis])
+                    assert np.linalg.matrix_rank(stacked) == len(basis), f"{kind} n={n}"
 
     def test_smallest_symplectic_equals_traceless(self):
         # In size two the form-preserving algebra and the traceless
@@ -192,6 +249,108 @@ def _fields(p):
     return (p.x.tobytes(), p.distance_sq, p.det_sign, p.residual, p.c)
 
 
+def _phase_qr(a):
+    """Q of a = QR with R's diagonal made real positive."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _reference_draw(g, rng):
+    """One start as the per-start draw made it before draws were batched
+    (its retry loop dropped: no draw is ever refused)."""
+    n = g.n
+    if g.kind == "symplectic":
+        return _draw(g, rng, 1)[0]
+    if g.kind in ("orthogonal", "special_orthogonal"):
+        q = _phase_qr(rng.uniform(-1.0, 1.0, (n, n)))
+        if g.kind == "special_orthogonal" and det(q) < 0.0:
+            q[:, -1] *= -1.0
+        return q
+    if g.kind in ("sl", "sl_pm"):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        d = det(a)
+        a = a / abs(d) ** (1.0 / n)
+        if g.kind == "sl" and d < 0.0:
+            a[:, 0] *= -1.0
+        return a
+    m = n // 2
+    z = rng.uniform(-1.0, 1.0, (m, m)) + 1j * rng.uniform(-1.0, 1.0, (m, m))
+    return embed_complex(_phase_qr(z))
+
+
+class TestDraw:
+    @pytest.mark.parametrize("kind,n", _ALL_KINDS)
+    def test_batch_equals_single_draws_bitwise(self, kind, n):
+        g = GroupSpec(kind, n)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            single = np.stack([_reference_draw(g, rng) for _ in range(50)])
+            batch = _draw(g, np.random.default_rng(seed), 50)
+            assert batch.tobytes() == single.tobytes(), f"{kind} seed={seed}"
+            prefix = _draw(g, np.random.default_rng(seed), 20)
+            assert prefix.tobytes() == batch[:20].tobytes()
+            assert random_group_element(g, seed).tobytes() == batch[0].tobytes()
+
+
+class TestAnchor:
+    # The census anchor is the polar factor of u: the nearest orthogonal
+    # (rotation, unitary) matrix, on the group to 1e-12 even when u is
+    # ill-conditioned.
+    @pytest.mark.parametrize("kind,n", [(k, n) for k in ("orthogonal", "special_orthogonal") for n in (3, 6)])
+    def test_orthogonal_anchor_is_nearest(self, kind, n):
+        g = GroupSpec(kind, n)
+        nearest = nearest_orthogonal if kind == "orthogonal" else nearest_special_orthogonal
+        for seed in range(300):
+            u = random_general(n, seed)
+            x = _project_membership(u, g)
+            assert membership_violation(x, g) < 1e-12, f"seed={seed}"
+            assert frobenius_norm(x - nearest(u).x) < 1e-12, f"seed={seed}"
+
+    def test_unitary_anchor_is_nearest(self):
+        g = GroupSpec("unitary_embedded", 4)
+        for seed in range(300):
+            z = random_general(2, seed, complex_entries=True)
+            x = _project_membership(embed_complex(z), g)
+            assert membership_violation(x, g) < 1e-12, f"seed={seed}"
+            assert frobenius_norm(x - embed_complex(nearest_unitary(z).x)) < 1e-12, f"seed={seed}"
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "special_orthogonal"])
+    def test_ill_conditioned_anchor(self, kind):
+        g = GroupSpec(kind, 4)
+        nearest = nearest_orthogonal if kind == "orthogonal" else nearest_special_orthogonal
+        for u in _graded_inputs():
+            x = _project_membership(u, g)
+            assert membership_violation(x, g) < 1e-12
+            assert frobenius_norm(x - nearest(u).x) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_symplectic_anchor_converges(self, n):
+        # Newton onto x^t J x = J reaches the group; the identity is only
+        # the fallback when it does not.
+        g = GroupSpec("symplectic", n)
+        for seed in range(20):
+            x = _project_membership(random_general(n, seed), g)
+            assert not np.array_equal(x, np.eye(n)), f"seed={seed}"
+            assert membership_violation(x, g) < 1e-10 * (1.0 + frobenius_norm(x) ** 2)
+
+
+class TestSystem:
+    @pytest.mark.parametrize("kind,n", _ALL_KINDS)
+    def test_jacobian_matches_central_differences(self, kind, n):
+        g = GroupSpec(kind, n)
+        sys_ = _System(random_general(n, 5), g)
+        x = _draws_and_perturbed(g, count=3)
+        jac = sys_.jacobian(x)
+        h = 1e-6
+        for k in range(n * n):
+            step = np.zeros(n * n)
+            step[k] = h
+            step = step.reshape(n, n)
+            diff = (sys_.residual(x + step) - sys_.residual(x - step)) / (2.0 * h)
+            assert np.max(np.abs(diff - jac[:, :, k])) < 1e-7 * (1.0 + np.max(np.abs(jac))), f"entry {k}"
+
+
 class TestCertifyBatch:
     @pytest.mark.parametrize("kind,n", _ALL_KINDS)
     def test_rows_equal_one_row_certification_bitwise(self, kind, n):
@@ -259,6 +418,21 @@ class TestCensus:
         assert len(census) >= 1
         for p in census:
             assert p.residual < 1e-9
+
+    @pytest.mark.parametrize("kind", ["special_orthogonal", "unitary_embedded"])
+    def test_matches_closed_form(self, kind):
+        # SO(3) has the four det +1 points of O(3); U(2) embedded has 2^2.
+        g = GroupSpec(kind, 3 if kind == "special_orthogonal" else 4)
+        for seed in range(5):
+            if kind == "special_orthogonal":
+                u = random_general(3, seed)
+                want = [p.x for p in enumerate_orthogonal_critical(u) if p.det_sign == 1]
+            else:
+                z = random_general(2, seed, complex_entries=True)
+                u = embed_complex(z)
+                want = [embed_complex(p.x) for p in enumerate_unitary_critical(z)]
+            got = [p.x for p in multistart_census(u, g, starts=200, seed=seed)]
+            assert _match_sets(got, want, 1e-5 * (1.0 + frobenius_norm(u))), f"seed={seed}"
 
     @pytest.mark.parametrize(
         "kind,n", [("symplectic", 4), ("sl_pm", 3), ("symplectic", 2), ("orthogonal", 3)]

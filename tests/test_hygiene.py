@@ -1,8 +1,10 @@
-"""Import hygiene of the package sources, checked on their syntax trees.
+"""Import hygiene of the package sources and the tests, checked on their
+syntax trees.
 
 Every imported name must be used in its module or re-exported through
 `__all__`, every `__all__` entry must name something the module binds, and
-every private top-level helper must be referenced somewhere in the package.
+every private top-level helper must be referenced somewhere in the package
+(for a package module) or in the tests (for a test module).
 """
 
 import ast
@@ -10,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "groupnear").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "groupnear").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported_names(tree):
@@ -55,7 +59,9 @@ def _dunder_all(tree):
     return []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS, ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_imports_used_and_exports_resolve(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     exported = _dunder_all(tree)
@@ -101,13 +107,24 @@ def _references(tree):
     return out
 
 
-def test_private_helpers_are_referenced():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+def _unreferenced_private_helpers(paths):
+    """Top-level private helpers of the modules at paths that none of them
+    references."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     referenced = set().union(*(_references(tree) for tree in trees.values()))
-    dead = sorted(
+    return sorted(
         f"{module}: {name} (line {line})"
         for module, tree in trees.items()
         for name, line in _private_definitions(tree).items()
         if name not in referenced
     )
+
+
+def test_private_helpers_are_referenced():
+    dead = _unreferenced_private_helpers(SOURCES)
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+def test_private_test_helpers_are_referenced():
+    dead = _unreferenced_private_helpers(TESTS)
+    assert not dead, f"private test helpers nothing references: {dead}"

@@ -10,7 +10,6 @@ from groupnear.matcore import (
     det_mantissa_exp,
     frobenius_inner,
     frobenius_norm,
-    herm_eig,
     inverse,
     matrix_from_json,
     matrix_to_json,
@@ -23,11 +22,6 @@ from groupnear.matcore import (
 def _random_symmetric(n, seed):
     a = random_general(n, seed)
     return a + a.T
-
-
-def _random_hermitian(n, seed):
-    a = random_general(n, seed, complex_entries=True)
-    return a + np.conj(a).T
 
 
 class TestSymEig:
@@ -56,29 +50,6 @@ class TestSymEig:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(InputError):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestHermEig:
-    @pytest.mark.parametrize("m", [1, 2, 4])
-    def test_reconstruction(self, m):
-        h = _random_hermitian(m, 200 + m)
-        e = herm_eig(h)
-        back = (e.q * e.values) @ np.conj(e.q).T
-        assert frobenius_norm(back - h) < 1e-11 * (1.0 + frobenius_norm(h))
-
-    def test_real_eigenvalues_match_reference(self):
-        h = _random_hermitian(3, 9)
-        ours = np.sort(herm_eig(h).values)
-        ref = np.sort(np.linalg.eigvalsh(h))
-        assert np.max(np.abs(ours - ref)) < 1e-10
-
-    def test_repeated_eigenvalue_keeps_unitary_frame(self):
-        u = random_general(3, 31, complex_entries=True)
-        w, _ = np.linalg.qr(u)
-        h = (w * np.array([2.0, 2.0, -1.0])) @ np.conj(w).T
-        e = herm_eig(h)
-        assert frobenius_norm(np.conj(e.q).T @ e.q - np.eye(3)) < 1e-12
-        assert frobenius_norm(e.reconstruct() - h) < 1e-12
 
 
 class TestLU:

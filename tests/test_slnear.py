@@ -7,7 +7,6 @@ from groupnear import slnear
 from groupnear.errors import DegeneracyError, InputError, UnsupportedError
 from groupnear.matcore import det, frobenius_norm, random_general, sym_eig
 from groupnear.slnear import (
-    SLSolution,
     nearest_sl,
     sl_critical_points,
     sl_ed_degree,
@@ -98,10 +97,6 @@ class TestSolutionSystem:
     def test_too_large_rejected(self):
         with pytest.raises(UnsupportedError):
             sl_critical_points(np.eye(6))
-
-    def test_five_needs_opt_in(self):
-        with pytest.raises(UnsupportedError):
-            sl_critical_points(np.eye(5))
 
     def test_singular_input_rejected(self):
         u = np.array([[1.0, 2.0], [2.0, 4.0]])

@@ -201,9 +201,9 @@ class TestRankOneCounts:
         assert torus_critical_count_rank1(w, _draw(w, 5)) == bkk_bound(w)
 
     def test_odd_weights_reject_halved_lattice(self):
-        w = _sym_line(3)
-        with pytest.raises(InputError):
-            torus_critical_count_rank1(w, _draw(w, 0), lattice_index=2)
+        w = _sym_line(3, index=2)
+        with pytest.raises(InputError, match="lattice_index 2 requires all characters even"):
+            torus_critical_count_rank1(w, _draw(w, 0))
 
     def test_planar_set_rejected(self):
         w = WeightSet(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), (1,) * 4)
