@@ -4,9 +4,10 @@ for the determinant-one critical systems, and companion-matrix roots.
 Polynomials are kept as dense ascending coefficient arrays (index equals
 degree).  The elimination chain never manipulates bivariate coefficients
 symbolically; it evaluates on Chebyshev grids and interpolates back at the
-known degree bounds, which keeps every inner step a small numeric
-determinant.  Roots are the eigenvalues of the companion matrix, computed
-by LAPACK.
+known degree bounds.  Every level is batched: the Sylvester matrices for all
+multiplier values and all grid nodes form one stack whose determinants come
+from one call, and one multi-column fit recovers every partial eliminant.
+Roots are the eigenvalues of the companion matrix, computed by LAPACK.
 """
 
 from __future__ import annotations
@@ -93,26 +94,41 @@ def sylvester(p, q) -> np.ndarray:
     lets callers keep vanishing leading coefficients on purpose (the
     determinant then continues the resultant polynomially).
     """
-    pc = _as_coeffs(p)
-    qc = _as_coeffs(q)
-    dp, dq = pc.size - 1, qc.size - 1
+    return _sylvester_stack(_as_coeffs(p), _as_coeffs(q))
+
+
+def _sylvester_stack(pc: np.ndarray, qc: np.ndarray) -> np.ndarray:
+    """`sylvester` of every coefficient row pc[..., :] against qc[..., :]
+    (leading axes broadcast), as one (..., k, k) stack."""
+    dp, dq = pc.shape[-1] - 1, qc.shape[-1] - 1
     if dp < 1 or dq < 1:
         raise InputError("sylvester: both polynomials need degree >= 1")
     size = dp + dq
-    mat = np.zeros((size, size))
-    pdesc = pc[::-1]
-    qdesc = qc[::-1]
+    mat = np.zeros(np.broadcast_shapes(pc.shape[:-1], qc.shape[:-1]) + (size, size))
+    pdesc = pc[..., ::-1]
+    qdesc = qc[..., ::-1]
     for row in range(dq):
-        mat[row, row : row + dp + 1] = pdesc
+        mat[..., row, row : row + dp + 1] = pdesc
     for row in range(dp):
-        mat[dq + row, row : row + dq + 1] = qdesc
+        mat[..., dq + row, row : row + dq + 1] = qdesc
     return mat
 
 
+def _det_values(mats: np.ndarray) -> np.ndarray:
+    """Determinants of a matrix or a stack by `det_mantissa_exp`; raises
+    ConditioningError when one leaves the double-precision range."""
+    mant, expo = det_mantissa_exp(mats)
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(mant, expo)
+    if not np.all(np.isfinite(vals)):
+        raise ConditioningError("determinant leaves the double-precision range")
+    return vals
+
+
 def resultant(p, q) -> float:
-    """Resultant as the Sylvester determinant, overflow-safe."""
-    mant, expo = det_mantissa_exp(sylvester(p, q))
-    return math.ldexp(mant, expo)
+    """Resultant as the Sylvester determinant, overflow-safe in between;
+    ConditioningError when the resultant itself exceeds the double range."""
+    return float(_det_values(sylvester(p, q)))
 
 
 def chain_degree(n: int) -> int:
@@ -125,25 +141,49 @@ def _cheb_nodes(count: int, halfwidth: float) -> np.ndarray:
     return halfwidth * np.cos(np.pi * (2 * j + 1) / (2 * count))
 
 
+def _cheb2poly_columns(cheb: np.ndarray) -> np.ndarray:
+    """numpy's `cheb2poly` recursion applied to every column of cheb at once.
+
+    The operations and their order are those of `cheb2poly`, so each column
+    is bitwise equal to converting it alone (up to the sign of exact zeros,
+    and with trailing zeros kept rather than trimmed).
+    """
+    count = cheb.shape[0]
+    if count < 3:
+        return cheb
+    c0, c1 = cheb[-2:-1], cheb[-1:]
+    for i in range(count - 1, 1, -1):
+        tmp = c0
+        c0 = -c1
+        c0[0] += cheb[i - 2]
+        c1 = 2 * np.concatenate((c1[:1] * 0, c1))
+        c1[: tmp.shape[0]] += tmp
+    out = np.concatenate((c1[:1] * 0, c1))
+    out[: c0.shape[0]] += c0
+    return out
+
+
 def _fit_monomial(nodes: np.ndarray, vals: np.ndarray, degree: int, halfwidth: float) -> np.ndarray:
     """Interpolate samples at Chebyshev nodes back to monomial coefficients.
 
-    Fits in the Chebyshev basis of the rescaled variable (well conditioned at
-    these nodes), converts to monomials, and verifies the result actually
-    reproduces the samples; a relative residual above 1e-6 means the degree
-    is too high for double precision and we refuse to continue.
+    vals holds one sample per node, or one column of samples per fitted
+    polynomial; the coefficients come back in the same layout (degree + 1
+    rows).  Fits in the Chebyshev basis of the rescaled variable (well
+    conditioned at these nodes), converts to monomials, and verifies that
+    every column actually reproduces its samples; a relative residual above
+    1e-6 means the degree is too high for double precision and we refuse
+    to continue.
     """
     z = nodes / halfwidth
     cheb_coeffs = _cheb.chebfit(z, vals, degree)
-    mono_z = _cheb.cheb2poly(cheb_coeffs)
-    if mono_z.size < degree + 1:
-        mono_z = np.pad(mono_z, (0, degree + 1 - mono_z.size))
-    coeffs = mono_z / halfwidth ** np.arange(degree + 1)
-    check = _poly.polyval(nodes, coeffs)
-    denom = float(np.max(np.abs(vals))) or 1.0
-    resid = float(np.max(np.abs(check - vals))) / denom
-    if resid > 1e-6:
-        raise ConditioningError(f"interpolation residual {resid:.3e} exceeds 1e-6")
+    mono_z = _cheb2poly_columns(cheb_coeffs)
+    coeffs = (mono_z.T / halfwidth ** np.arange(degree + 1)).T
+    cols = vals.reshape(nodes.size, -1)
+    check = _poly.polyval(nodes, coeffs.reshape(degree + 1, -1)).T
+    denom = np.max(np.abs(cols), axis=0)
+    resid = np.max(np.abs(check - cols), axis=0) / np.where(denom > 0.0, denom, 1.0)
+    if np.any(resid > 1e-6):
+        raise ConditioningError(f"interpolation residual {np.max(resid):.3e} exceeds 1e-6")
     return coeffs
 
 
@@ -162,41 +202,43 @@ def _check_spectrum(mu: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _syl_det_at(cur: np.ndarray, t: float, f: np.ndarray) -> float:
-    # cur holds R_{i+1} in the accumulated product variable; substituting the
-    # product = t * (elimination variable) turns coefficient k into cur_k t^k.
-    pc = cur * t ** np.arange(cur.size)
-    mant, expo = det_mantissa_exp(sylvester(pc, f))
-    return math.ldexp(mant, expo)
+def _syl_det_values(cur: np.ndarray, t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Sylvester determinants Res(cur(t * y), f) in y, for every row of cur
+    and f (one per multiplier value) and every node t: shape (len(f), len(t)).
+
+    cur holds R_{i+1} in the accumulated product variable; substituting the
+    product = t * (elimination variable) turns coefficient k into cur_k t^k.
+    """
+    tpow = t[:, None] ** np.arange(cur.shape[-1])
+    pc = cur[:, None, :] * tpow
+    return _det_values(_sylvester_stack(pc, f[:, None, :]))
 
 
-def _chain_levels(mu: np.ndarray, c: float) -> list[np.ndarray]:
-    """Coefficient arrays of the partial eliminants at one multiplier value.
+def _quadratics(mu_i: float, cs: np.ndarray) -> np.ndarray:
+    """Rows [c^2, 2c - mu_i, 1] of f_i for every multiplier value c."""
+    return np.stack((cs * cs, 2.0 * cs - mu_i, np.ones_like(cs)), axis=-1)
 
-    Entry j is the eliminant still containing the product of the first
-    (n - 1 - j) quadratic variables; entry 0 is the seed quadratic.  The
-    fully eliminated scalar is obtained by `_collapse_value`.
+
+def _collapse_values(mu: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """The fully eliminated polynomial at every multiplier value in cs.
+
+    Level by level, the partial eliminant in the product of the remaining
+    quadratic variables is sampled at Chebyshev nodes for all values at once
+    and refitted with one multi-column fit; the last level is a plain
+    determinant per value, free of interpolation error.  Raises
+    ConditioningError when a fit misses its samples or a determinant leaves
+    the double-precision range.
     """
     n = mu.size
-    cur = np.array([1.0, 2.0 * c - mu[n - 1], c * c])
-    levels = [cur]
+    cur = np.stack((np.ones_like(cs), 2.0 * cs - mu[n - 1], cs * cs), axis=-1)
     for i in range(n - 1, 1, -1):
-        f = np.array([c * c, 2.0 * c - mu[i - 1], 1.0])
         deg_i = 2 ** (n - i + 1)
         tnodes = _cheb_nodes(deg_i + 1, 1.0)
-        tvals = np.array([_syl_det_at(cur, t, f) for t in tnodes])
-        cur = _fit_monomial(tnodes, tvals, deg_i, 1.0)
-        levels.append(cur)
-    return levels
-
-
-def _collapse_value(mu: np.ndarray, c: float) -> float:
-    n = mu.size
-    cur = _chain_levels(mu, c)[-1]
+        tvals = _syl_det_values(cur, tnodes, _quadratics(mu[i - 1], cs))
+        cur = _fit_monomial(tnodes, tvals.T, deg_i, 1.0).T
     if n == 1:
-        return float(_poly.polyval(1.0, cur))
-    f = np.array([c * c, 2.0 * c - mu[0], 1.0])
-    return _syl_det_at(cur, 1.0, f)
+        return _poly.polyval(1.0, cur.T)
+    return _syl_det_values(cur, np.ones(1), _quadratics(mu[0], cs))[:, 0]
 
 
 # Working precision for the wide-coefficient recovery below.  Recovering
@@ -297,16 +339,19 @@ def _mp_chain_coeffs(mu: np.ndarray, halfwidth: float, target: int, dps: int) ->
     return coeffs
 
 
-def chain_value(mu, c: float) -> float:
-    """Evaluate the fully eliminated polynomial at one multiplier value.
+def chain_value(mu, c):
+    """Evaluate the fully eliminated polynomial at multiplier values.
 
     Collapses the elimination chain by direct determinant evaluation, so the
-    result is exact up to roundoff and free of interpolation error.  Useful
-    for back-substitution checks and for sharpening roots found on the
-    interpolated polynomial.
+    result is free of the final interpolation's error.  c is a scalar (a
+    float comes back) or an array (an array of its shape comes back, all
+    values collapsed in one batch).  Useful for back-substitution checks and
+    for sharpening roots found on the interpolated polynomial.
     """
     mu = _check_spectrum(mu)
-    return _collapse_value(mu, float(c))
+    cs = np.asarray(c, dtype=float)
+    vals = _collapse_values(mu, cs.reshape(-1))
+    return float(vals[0]) if cs.ndim == 0 else vals.reshape(cs.shape)
 
 
 def resultant_chain(mu, interval_scale: float = 1.1) -> UniPoly:
@@ -336,7 +381,7 @@ def resultant_chain(mu, interval_scale: float = 1.1) -> UniPoly:
         noise_floor = 1e-24
     else:
         nodes = _cheb_nodes(target + 1, halfwidth)
-        vals = np.array([_collapse_value(mu, c) for c in nodes])
+        vals = _collapse_values(mu, nodes)
         coeffs = _fit_monomial(nodes, vals, target, halfwidth)
         noise_floor = 1e-12
     coeffs = coeffs / np.max(np.abs(coeffs))

@@ -9,8 +9,9 @@ lambda_i of s solves the quadratic
 
 subject to lambda_1 ... lambda_n = 1.  Eliminating the lambda_i leaves a
 univariate polynomial in c of degree n 2^n whose real roots index the real
-critical points.  Its roots are companion-matrix eigenvalues; each real
-one is sharpened against the exact determinant collapse, lifted to the
+critical points.  Its roots are companion-matrix eigenvalues; the real
+ones are sharpened together against the exact determinant collapse (one
+batched Newton iteration for all of them), then each is lifted to the
 lambda_i by the quadratic formula and the unit-product branch, and
 Newton-polished on the full system; x is then recovered as
 u^{-t}(c I + s).  Sizes up to CHAIN_MAX_N = 4 (degree 64) are supported;
@@ -64,31 +65,42 @@ def _real_filter(roots: np.ndarray) -> list[float]:
     return out
 
 
-def _sharpen_root(mu: np.ndarray, c: float) -> float | None:
-    """Newton-correct a root of the interpolated eliminant against the exact
-    determinant collapse.  Roots of the degree-n*2^n fit inherit its
-    interpolation error, not the root finder's: over 300 seeded n = 3
-    inputs this correction moved them by 7e-8 relative in the median and by
-    up to 6e-3, which is too loose for branch selection.
+def _sharpen_roots(mu: np.ndarray, cs: list[float]) -> list[float]:
+    """Newton-correct roots of the interpolated eliminant against the exact
+    determinant collapse, all roots in one batch.  Roots of the
+    degree-n*2^n fit inherit its interpolation error, not the root
+    finder's: over 300 seeded n = 3 inputs this correction moved them by
+    7e-8 relative in the median and by up to 6e-3, which is too loose for
+    branch selection.
 
-    Returns None when the last Newton step is still above 1e-8 relative:
-    the interpolated root is then rounding noise, not a root of the
-    collapse.  Over 1000 seeded n = 3 inputs, true roots ended with steps
-    below 1e-11 and spurious ones above 1e-5.
+    Each iteration collapses the stacked values [c, c + h, c - h] of the
+    roots still moving in one `chain_value` call.  Every root keeps its own
+    rules: h = 1e-7 (1 + |c0|), and it stops when its derivative estimate
+    is exactly zero, when its step drops below 1e-13 (1 + |c0|), or after
+    8 iterations.  A root whose last Newton step is still above 1e-8
+    relative is dropped: the interpolated root is then rounding noise, not
+    a root of the collapse.  Over 1000 seeded n = 3 inputs, true roots
+    ended with steps below 1e-11 and spurious ones above 1e-5.  The kept
+    roots come back in input order.
     """
-    scale = 1.0 + abs(c)
-    step = 0.0
+    c = np.array(cs, dtype=float)
+    scale = 1.0 + np.abs(c)
+    h = 1e-7 * scale
+    step = np.zeros_like(c)
+    active = np.arange(c.size)
     for _ in range(8):
-        h = 1e-7 * scale
-        val = chain_value(mu, c)
-        deriv = (chain_value(mu, c + h) - chain_value(mu, c - h)) / (2.0 * h)
-        if deriv == 0.0:
+        if active.size == 0:
             break
-        step = val / deriv
-        c -= step
-        if abs(step) < 1e-13 * scale:
-            break
-    return None if abs(step) > 1e-8 * scale else c
+        ca, ha = c[active], h[active]
+        val, up, down = chain_value(mu, np.stack((ca, ca + ha, ca - ha)))
+        deriv = (up - down) / (2.0 * ha)
+        moving = deriv != 0.0
+        active, val, deriv = active[moving], val[moving], deriv[moving]
+        step[active] = val / deriv
+        c[active] -= step[active]
+        active = active[np.abs(step[active]) >= 1e-13 * scale[active]]
+    keep = np.abs(step) <= 1e-8 * scale
+    return [float(v) for v in c[keep]]
 
 
 def _lambda_candidates(mu: np.ndarray, c: float) -> list[tuple[float, float]] | None:
@@ -184,10 +196,7 @@ def sl_critical_points(u) -> list[SLSolution]:
     roots = poly_roots(chain)
     ident = np.eye(n)
     sols = []
-    for c in _real_filter(roots):
-        c = _sharpen_root(mu, c)
-        if c is None:
-            continue
+    for c in _sharpen_roots(mu, _real_filter(roots)):
         pairs = _lambda_candidates(mu, c)
         if pairs is None:
             continue

@@ -1,10 +1,13 @@
 """Resultants, the multiplier elimination chain, and the root finder."""
 
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
-from groupnear.errors import ConvergenceError, DegeneracyError, InputError
-from groupnear.matcore import random_general, sym_eig
+from groupnear.errors import ConditioningError, ConvergenceError, DegeneracyError, InputError
+from groupnear.matcore import det_mantissa_exp, random_general, sym_eig
 from groupnear.polyres import (
     UniPoly,
     chain_degree,
@@ -34,6 +37,27 @@ def _torus_polynomial(seed):
     for k, a in draw.items():
         dense[k + 13] = k * a
     return dense
+
+
+def _syl_det_reference(cur, t, f):
+    mant, expo = det_mantissa_exp(sylvester(cur * t ** np.arange(cur.size), f))
+    return math.ldexp(mant, expo)
+
+
+def _collapse_reference(mu, c):
+    """The chain collapse at one multiplier value, one Sylvester determinant
+    and one single-column fit at a time."""
+    n = mu.size
+    cur = np.array([1.0, 2.0 * c - mu[n - 1], c * c])
+    for i in range(n - 1, 1, -1):
+        f = np.array([c * c, 2.0 * c - mu[i - 1], 1.0])
+        deg = 2 ** (n - i + 1)
+        tnodes = np.cos(np.pi * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))
+        tvals = np.array([_syl_det_reference(cur, t, f) for t in tnodes])
+        mono = chebyshev.cheb2poly(chebyshev.chebfit(tnodes, tvals, deg))
+        cur = np.pad(mono, (0, deg + 1 - mono.size))
+    f = np.array([c * c, 2.0 * c - mu[0], 1.0])
+    return _syl_det_reference(cur, 1.0, f)
 
 
 def _assert_roots_contract(coeffs):
@@ -70,6 +94,11 @@ class TestSylvester:
         p = np.array([4.0, -5.0, 1.0])
         q = np.array([12.0, -8.0, 1.0])
         assert resultant(p, q) == pytest.approx(-20.0)
+
+    def test_beyond_float_range_is_a_conditioning_error(self):
+        # Both cubics carry 1e120 coefficients: the resultant is near 1e480.
+        with pytest.raises(ConditioningError, match="double-precision range"):
+            resultant([1.0, 1e120, 0.0, 1.0], [2.0, 0.0, 1e120, 1.0])
 
     def test_degree_zero_rejected(self):
         with pytest.raises(InputError):
@@ -116,6 +145,24 @@ class TestChain:
         direct = direct / np.max(np.abs(direct))
         fitted = fitted / np.max(np.abs(fitted))
         assert np.max(np.abs(direct - fitted)) < 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_collapse_equals_scalar_reference_bitwise(self, n, seed):
+        mu = _spectrum(n, seed)
+        halfwidth = 1.1 * (1.0 + np.sqrt(mu[0]))
+        cs = np.random.default_rng(seed).uniform(-halfwidth, halfwidth, size=(3, 5))
+        batched = chain_value(mu, cs)
+        assert batched.shape == cs.shape
+        reference = np.array([_collapse_reference(mu, c) for c in cs.ravel()])
+        assert np.array_equal(batched.ravel(), reference)
+        assert chain_value(mu, float(cs[1, 2])) == reference[7]
+
+    def test_collapse_beyond_float_range_is_a_conditioning_error(self):
+        # Spectrum of 1e14 * u: the last Sylvester determinant exceeds 1e308.
+        mu = _spectrum(3, 0) * 1e28
+        with pytest.raises(ConditioningError, match="double-precision range"):
+            chain_value(mu, 1e14)
 
     def test_roots_track_collapsed_determinant_zeros(self):
         # Each real root of the fitted polynomial must sit close to a zero
