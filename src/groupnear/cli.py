@@ -248,6 +248,7 @@ def cmd_critical(args) -> RunReport:
             failed=census.failed,
             merge_radius=census.merge_radius,
             worst_residual=census.worst_residual,
+            sweeps=census.sweeps,
         )
     results = [_point_summary(p, with_c) for p in points]
     return RunReport(

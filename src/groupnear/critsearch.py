@@ -460,6 +460,7 @@ class CensusResult:
     failed: int
     merge_radius: float
     worst_residual: Optional[float]  # largest residual among points; None if none
+    sweeps: int  # Gauss-Newton sweeps run (at most 200)
 
     def __iter__(self):
         return iter(self.points)
@@ -471,31 +472,73 @@ class CensusResult:
         return self.points[idx]
 
 
+def _form(g: GroupSpec):
+    """(M, (rows, cols)) for a group that preserves a bilinear form M, else
+    None.  O, SO and U preserve the symmetric form I: x^t x - I is
+    symmetric, so its equations are the upper triangle with the diagonal.
+    Sp preserves the skew form J: only the strict upper triangle counts."""
+    if g.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
+        return np.eye(g.n), np.triu_indices(g.n)
+    if g.kind == "symplectic":
+        return g.form, np.triu_indices(g.n, 1)
+    return None
+
+
+@functools.cache
+def _linear_tensor(g: GroupSpec) -> np.ndarray:
+    """T (n^2, P n^2) with J(x) = J0(u) + x_flat T on the P polynomial rows
+    of the census system (all rows but det): the Lie row k moves by
+    -x (B_k + B_k^t), a form row by the form Jacobian at x, and the
+    commutator rows of U are constant.  Row m of T is that linear part at
+    the matrix unit E_m.  Cached per group, read-only."""
+    n = g.n
+    e = _units(n)
+    basis = _orthonormal_basis(g)
+    blocks = [-np.matmul(e[:, None], basis + np.swapaxes(basis, 1, 2)).reshape(n * n, -1, n * n)]
+    form = _form(g)
+    if form is not None:
+        m, idx = form
+        blocks.append(_form_jacobian(np.matmul(m.T, e), np.matmul(m, e), *idx))
+    if g.kind == "unitary_embedded":
+        blocks.append(np.zeros((n * n, n * n, n * n)))
+    out = np.concatenate(blocks, axis=1).reshape(n * n, -1)
+    out.flags.writeable = False
+    return out
+
+
 class _System:
-    """Stacked residual/Jacobian evaluation for one (u, g) pair."""
+    """Stacked residual/Jacobian evaluation for one (u, g) pair.
+
+    Every row but the determinant row (SO, SL, SL^±) is a polynomial of
+    degree at most two in x: the Lie rows <x^t (u - x), B_k>, the form rows
+    of x^t M x - M and the commutator x K - K x of U.  So their Jacobian is
+    affine, J0(u) + x_flat T with T cached per group (`_linear_tensor`),
+    and along x + a d they are exactly f + a J d + a^2 (d_flat T) d / 2.
+    The determinant row is det(x) - 1 (det(x) - sign det(x) for SL^±),
+    with gradient det(x) x^-t.
+    """
 
     def __init__(self, u: np.ndarray, g: GroupSpec):
         self.u = u
-        self.g = g
-        self.n = g.n
-        self.basis = _orthonormal_basis(g)
-        self.basis_cols = _basis_columns(g)
+        self.n = n = g.n
         self.kind = g.kind
-        n = self.n
-        # O, SO and U preserve the symmetric form I: x^t x - I is symmetric,
-        # so its equations are the upper triangle with the diagonal.  Sp
-        # preserves the skew form J: only the strict upper triangle counts.
-        self.form = None
-        if self.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
-            self.form, self.form_idx = np.eye(n), np.triu_indices(n)
-        if self.kind == "symplectic":
-            self.form, self.form_idx = g.form, np.triu_indices(n, 1)
+        self.basis_cols = _basis_columns(g)
+        self.form = _form(g)
+        self.tensor = _linear_tensor(g)
+        self.has_det = g.kind in ("special_orthogonal", "sl", "sl_pm")
+        basis = _orthonormal_basis(g)
+        # Constant part of the Lie rows: d<x^t(u-x), B_k> = <H, u B_k^t> - <H, x (B_k + B_k^t)>.
+        j0 = [np.matmul(u, np.swapaxes(basis, 1, 2)).reshape(-1, n * n)]
+        if self.form is not None:
+            j0.append(np.zeros((len(self.form[1][0]), n * n)))
         if self.kind == "unitary_embedded":
             self.K = complex_structure(n)
             # Constant Jacobian of the commutator x K - K x, flattened (a,b) x (i,j).
             eye = np.eye(n)
             jc = np.einsum("ai,jb->abij", eye, self.K) - np.einsum("ai,jb->abij", self.K, eye)
-            self.jcomm = jc.reshape(n * n, n * n)
+            j0.append(jc.reshape(n * n, n * n))
+        self.j0 = np.concatenate(j0)
+        self.poly_rows = self.j0.shape[0]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """x: (B, n, n) -> stacked residual (B, R).  Every product is a
@@ -507,8 +550,9 @@ class _System:
         lie = np.matmul(m.reshape(-1, 1, n * n), self.basis_cols)[:, 0, :]
         parts = [lie]
         if self.form is not None:
-            s = np.matmul(xt, np.matmul(self.form, x)) - self.form[None, :, :]
-            parts.append(s[:, self.form_idx[0], self.form_idx[1]])
+            form, (rows, cols) = self.form
+            s = np.matmul(xt, np.matmul(form, x)) - form[None, :, :]
+            parts.append(s[:, rows, cols])
         if self.kind in ("special_orthogonal", "sl"):
             parts.append((np.linalg.det(x) - 1.0)[:, None])
         if self.kind == "sl_pm":
@@ -521,65 +565,110 @@ class _System:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """x: (B, n, n) -> Jacobian (B, R, n^2) matching `residual`."""
-        u, n = self.u, self.n
-        bsz = x.shape[0]
-        umx = u[None, :, :] - x
-        # d<x^t(u-x), B_k> = <H, (u-x) B_k^t - x B_k>
-        g1 = np.einsum("bij,klj->bkil", umx, self.basis)
-        g2 = np.einsum("bij,kjl->bkil", x, self.basis)
-        blocks = [(g1 - g2).reshape(bsz, -1, n * n)]
+        n, bsz = self.n, x.shape[0]
+        jac = self.j0 + np.matmul(x.reshape(bsz, 1, n * n), self.tensor).reshape(bsz, -1, n * n)
+        if not self.has_det:
+            return jac
+        dets = np.linalg.det(x)
+        invt = np.transpose(np.linalg.inv(x), (0, 2, 1))
+        return np.concatenate([jac, (dets[:, None, None] * invt).reshape(bsz, 1, n * n)], axis=1)
+
+    def quadratic(self, d: np.ndarray) -> np.ndarray:
+        """d: (B, n, n) -> (B, P): the a^2 coefficient of the polynomial
+        rows along x + a d, (d_flat T) d / 2 written out: minus the Lie
+        coordinates of d^t d, the form rows of d^t M d, zero commutator."""
+        n, bsz = self.n, d.shape[0]
+        dt = np.swapaxes(d, 1, 2)
+        gram = np.matmul(dt, d).reshape(bsz, 1, n * n)
+        parts = [-np.matmul(gram, self.basis_cols)[:, 0, :]]
         if self.form is not None:
-            mtx, mx = np.matmul(self.form.T, x), np.matmul(self.form, x)
-            blocks.append(_form_jacobian(mtx, mx, *self.form_idx))
-        if self.kind in ("special_orthogonal", "sl", "sl_pm"):
-            dets = np.linalg.det(x)
-            invt = np.transpose(np.linalg.inv(x), (0, 2, 1))
-            blocks.append((dets[:, None, None] * invt).reshape(bsz, 1, n * n))
+            form, (rows, cols) = self.form
+            parts.append(np.matmul(dt, np.matmul(form, d))[:, rows, cols])
         if self.kind == "unitary_embedded":
-            blocks.append(np.broadcast_to(self.jcomm, (bsz, n * n, n * n)))
-        return np.concatenate(blocks, axis=1)
+            parts.append(np.zeros((bsz, n * n)))
+        return np.concatenate(parts, axis=1)
+
+    def det_polynomial(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """(B, n + 1) coefficients of det(x + a d) = det(x) sum_k a^k e_k,
+        e_k the elementary symmetric functions of the eigenvalues of
+        x^-1 d, from the power traces tr((x^-1 d)^k) by Newton's identities."""
+        n = self.n
+        a = np.linalg.solve(x, d)
+        power, traces = a, [np.trace(a, axis1=1, axis2=2)]
+        for _ in range(n - 1):
+            power = np.matmul(power, a)
+            traces.append(np.trace(power, axis1=1, axis2=2))
+        e = [np.ones(x.shape[0])]
+        for k in range(1, n + 1):
+            e.append(sum((-1.0) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
+        return np.linalg.det(x)[:, None] * np.stack(e, axis=1)
 
 
-# Armijo step lengths 2^-j, j = 0..29, tried in blocks of j.  A start takes
-# the largest step of the first block that holds one passing the test, which
-# is the step that halving one length at a time would accept.
-_ARMIJO_BLOCKS = tuple(
-    np.ldexp(1.0, -np.arange(lo, hi)) for lo, hi in ((0, 1), (1, 3), (3, 10), (10, 30))
-)
+# Armijo step lengths 2^-j, j = 0..29.
+_ARMIJO_STEPS = np.ldexp(1.0, -np.arange(30))
 
-# Candidate rows per residual call in the line search, and frontier rows
-# per distance block in the merge: both bound the working arrays.
-_ARMIJO_ROWS = 4096
+# Frontier rows per distance block in the merge: bounds the working arrays.
 _MERGE_BLOCK = 128
 
 
-def _armijo(sys_: _System, x, step, fvals, phi):
+@functools.cache
+def _step_powers(count: int) -> np.ndarray:
+    """(count, 30) powers a^k, k < count, of the Armijo lengths (exact):
+    coefficients times these evaluate a polynomial at every length.
+    Cached per count, read-only."""
+    out = np.ldexp(1.0, -np.outer(np.arange(count), np.arange(_ARMIJO_STEPS.size)))
+    out.flags.writeable = False
+    return out
+
+
+def _armijo(sys_: _System, x, step, jac, fvals, phi):
     """Backtracking line search along x + 2^-j step for a stack of starts.
+
+    The squared residual along the step is a quartic in the length a from
+    the polynomial rows (f + a J step + a^2 q, q from `_System.quadratic`)
+    plus the square of the determinant row (`_System.det_polynomial`), so
+    all 30 lengths are tested from a few coefficients per start.  A start
+    takes the largest passing length, the one that halving one length at a
+    time would accept, and its residual is then evaluated directly.
 
     Returns the accepted x, residuals and squared residual norms (rows with
     no passing step are unchanged) and the indices of those rows.
     """
-    n = x.shape[1]
+    bsz, n = x.shape[0], x.shape[1]
+    p = sys_.poly_rows
+    f = fvals[:, :p]
+    lin = np.matmul(jac[:, :p], step.reshape(bsz, n * n, 1))[:, :, 0]
+    quad = sys_.quadratic(step)
+
+    def dot(a, b):
+        return np.einsum("br,br->b", a, b)
+
+    # |f + a lin + a^2 quad|^2, coefficients of a^0 .. a^4.
+    coef = np.stack(
+        [
+            dot(f, f),
+            2.0 * dot(f, lin),
+            dot(lin, lin) + 2.0 * dot(f, quad),
+            2.0 * dot(lin, quad),
+            dot(quad, quad),
+        ],
+        axis=1,
+    )
+    trial = np.matmul(coef[:, None, :], _step_powers(5))[:, 0, :]
+    if sys_.has_det:
+        dpoly = sys_.det_polynomial(x, step)
+        dets = np.matmul(dpoly[:, None, :], _step_powers(n + 1))[:, 0, :]
+        target = np.sign(dets) if sys_.kind == "sl_pm" else 1.0
+        trial = trial + (dets - target) ** 2
+    ok = trial <= (1.0 - 1e-4 * _ARMIJO_STEPS)[None, :] * phi[:, None]
+    hit = np.any(ok, axis=1)
+    rows = np.flatnonzero(hit)
+    alpha = _ARMIJO_STEPS[np.argmax(ok[rows], axis=1)]
     xnew, fnew, phinew = x.copy(), fvals.copy(), phi.copy()
-    todo = np.arange(x.shape[0])
-    for alpha in _ARMIJO_BLOCKS:
-        width = alpha.size
-        chunk = _ARMIJO_ROWS // width
-        missed = []
-        for lo in range(0, todo.size, chunk):
-            rows = todo[lo : lo + chunk]
-            cand = x[rows, None] + alpha[None, :, None, None] * step[rows, None]
-            cand = cand.reshape(-1, n, n)
-            fc = sys_.residual(cand)
-            pc = np.einsum("br,br->b", fc, fc)
-            ok = pc.reshape(-1, width) <= (1.0 - 1e-4 * alpha)[None, :] * phi[rows, None]
-            hit = np.any(ok, axis=1)
-            pick = np.flatnonzero(hit) * width + np.argmax(ok, axis=1)[hit]
-            xnew[rows[hit]], fnew[rows[hit]], phinew[rows[hit]] = cand[pick], fc[pick], pc[pick]
-            missed.append(rows[~hit])
-        if missed:
-            todo = np.concatenate(missed)
-    return xnew, fnew, phinew, todo
+    xnew[rows] = x[rows] + alpha[:, None, None] * step[rows]
+    fnew[rows] = sys_.residual(xnew[rows])
+    phinew[rows] = dot(fnew[rows], fnew[rows])
+    return xnew, fnew, phinew, np.flatnonzero(~hit)
 
 
 def _merge_representatives(flat: np.ndarray, radius: float) -> np.ndarray:
@@ -619,23 +708,34 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     every other one pulled halfway toward an anchor on the group near u
     (the polar factor of u for O, SO and U; u scaled to unit |det| for SL;
     a Newton projection onto x^t J x = J for Sp), then iterated on the
-    stacked system (budget 200 sweeps).  Each sweep's Armijo search tries the step
-    lengths 2^-j, j = 0..29, in a few blocks of j at once and takes the
-    largest passing length, as halving one length at a time would; a start
-    with no passing length stops.  Converged points (residual below 1e-9)
-    are merged by single linkage at radius 1e-5 * (1 + ||u||), one
-    representative (the lowest start index) per cluster, and returned sorted
-    by distance, then entries.
+    stacked system (budget 200 sweeps; `sweeps` counts those run).  The
+    Jacobian is affine in x apart from the det row, one cached tensor per
+    group (see `_System`).  Each sweep's Armijo search tests the step
+    lengths 2^-j, j = 0..29, all at once on the exact polynomial expansion
+    of the residual along the step (see `_armijo`) and takes the largest
+    passing length, as halving one length at a time would; a start with no
+    passing length stops.  Converged points (residual below 1e-9) are
+    merged by single linkage at radius 1e-5 * (1 + ||u||), one
+    representative (the lowest start index) per cluster, and returned
+    sorted by distance, then entries.
 
     Every kernel acts on one start at a time, so a start's trajectory does
     not depend on which other starts are in the batch (the one exception is
     the pseudo-inverse fallback, which the whole sweep takes when a normal
     matrix is exactly singular).  With the prefix-stable start sequence, a
     larger `starts` only ever adds points.
+
+    u must be real (a complex matrix enters the unitary census through
+    `embed_complex`) and starts a positive integer; anything else raises
+    InputError before any work.
     """
-    u = as_square(u, "u").astype(float)
+    u = as_square(u, "u")
+    if np.iscomplexobj(u):
+        raise InputError("multistart_census: u must be real (embed a complex u with embed_complex)")
     if u.shape[0] != g.n:
         raise InputError("multistart_census: size mismatch")
+    if isinstance(starts, bool) or not isinstance(starts, (int, np.integer)):
+        raise InputError("multistart_census: starts must be an integer")
     if starts < 1:
         raise InputError("multistart_census: starts must be >= 1")
     n = g.n
@@ -659,9 +759,9 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
 
     fvals = sys_.residual(x)
     phi = np.einsum("br,br->b", fvals, fvals)
-    for _ in range(200):
-        if active.size == 0:
-            break
+    sweeps = 0
+    while active.size and sweeps < 200:
+        sweeps += 1
         jac = sys_.jacobian(x)
         jact = np.swapaxes(jac, 1, 2)
         jtj = np.matmul(jact, jac)
@@ -674,7 +774,7 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
             delta = np.einsum(
                 "bnm,bm->bn", np.linalg.pinv(jtj, rcond=1e-12, hermitian=True), rhs
             )
-        x, fvals, phi, stalled = _armijo(sys_, x, delta.reshape(-1, n, n), fvals, phi)
+        x, fvals, phi, stalled = _armijo(sys_, x, delta.reshape(-1, n, n), jac, fvals, phi)
         normf = np.sqrt(phi)
         done = normf <= converge_tol
         done[stalled] = True
@@ -710,4 +810,5 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
         failed=n_fail,
         merge_radius=radius,
         worst_residual=max((p.residual for p in pts), default=None),
+        sweeps=sweeps,
     )

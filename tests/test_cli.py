@@ -142,6 +142,7 @@ class TestCritical:
         # antidiag is [[0, 2], [1, 0]], so ||u|| = sqrt(5).
         assert counts["merge_radius"] == pytest.approx(1e-5 * (1.0 + 5.0**0.5), rel=1e-15)
         assert counts["worst_residual"] <= 1e-9
+        assert 1 <= counts["sweeps"] <= 200
 
     def test_symplectic_size_refused_before_census(self, tmp_path, monkeypatch):
         assert _critical_symplectic_without_census(8, tmp_path, monkeypatch) == cli.EXIT_UNSUPPORTED

@@ -350,6 +350,29 @@ class TestSystem:
             diff = (sys_.residual(x + step) - sys_.residual(x - step)) / (2.0 * h)
             assert np.max(np.abs(diff - jac[:, :, k])) < 1e-7 * (1.0 + np.max(np.abs(jac))), f"entry {k}"
 
+    @pytest.mark.parametrize("kind,n", _ALL_KINDS)
+    def test_residual_along_a_step_is_its_polynomial_expansion(self, kind, n):
+        # Every row but det is quadratic in x, so along x + a d it is
+        # f + a J d + a^2 q; det(x + a d) is det(x) sum_k a^k e_k.
+        g = GroupSpec(kind, n)
+        sys_ = _System(random_general(n, 6), g)
+        x = _draws_and_perturbed(g, count=3)
+        d = np.random.default_rng(4).normal(size=x.shape)
+        f, jac = sys_.residual(x), sys_.jacobian(x)
+        p = sys_.poly_rows
+        lin = np.einsum("brk,bk->br", jac[:, :p], d.reshape(len(x), -1))
+        quad = sys_.quadratic(d)
+        for j in range(30):
+            a = 2.0**-j
+            want = sys_.residual(x + a * d)
+            got = f[:, :p] + a * lin + a * a * quad
+            if sys_.has_det:
+                dets = sys_.det_polynomial(x, d) @ a ** np.arange(n + 1)
+                target = np.sign(dets) if kind == "sl_pm" else 1.0
+                got = np.concatenate([got, (dets - target)[:, None]], axis=1)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want))), f"j={j}"
+
 
 class TestCertifyBatch:
     @pytest.mark.parametrize("kind,n", _ALL_KINDS)
@@ -411,6 +434,7 @@ class TestCensus:
         assert census.converged + census.failed == census.attempted
         assert census.merge_radius == 1e-5 * (1.0 + frobenius_norm(u))
         assert census.worst_residual == max(p.residual for p in census)
+        assert 1 <= census.sweeps <= 200
 
     def test_residuals_small(self):
         u = random_general(2, 34)
@@ -433,6 +457,23 @@ class TestCensus:
                 want = [embed_complex(p.x) for p in enumerate_unitary_critical(z)]
             got = [p.x for p in multistart_census(u, g, starts=200, seed=seed)]
             assert _match_sets(got, want, 1e-5 * (1.0 + frobenius_norm(u))), f"seed={seed}"
+
+    def test_refuses_complex_data_and_fractional_starts(self):
+        g = GroupSpec("unitary_embedded", 2)
+        with pytest.raises(InputError):
+            multistart_census(np.array([[1.0 + 0.5j, 0.0], [0.0, 1.0]]), g, starts=10)
+        with pytest.raises(InputError):
+            multistart_census(np.eye(2), g, starts=2.5)
+        with pytest.raises(InputError):
+            multistart_census(np.eye(2), g, starts=True)
+
+    def test_late_converger_kept(self):
+        # The fourth point of this census is reached by a single start, at
+        # sweep 41: a start that gains little over many sweeps can still
+        # converge, so no stagnation stop may drop it.
+        census = multistart_census(random_general(4, 23), GroupSpec("symplectic", 4), starts=1000, seed=23)
+        assert len(census) == 4
+        assert census.worst_residual < 1e-9
 
     @pytest.mark.parametrize(
         "kind,n", [("symplectic", 4), ("sl_pm", 3), ("symplectic", 2), ("orthogonal", 3)]
@@ -519,9 +560,10 @@ def _halving_reference(sys_, x, step, phi):
 
 
 class TestArmijo:
-    def test_blocks_match_sequential_halving(self):
-        g = GroupSpec("symplectic", 4)
-        u = random_general(4, 40)
+    @pytest.mark.parametrize("kind,n", [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3)])
+    def test_blocks_match_sequential_halving(self, kind, n):
+        g = GroupSpec(kind, n)
+        u = random_general(n, 40)
         sys_ = _System(u, g)
         rng = np.random.default_rng(3)
         x = np.stack([random_group_element(g, s) for s in range(60)])
@@ -535,7 +577,7 @@ class TestArmijo:
         step *= np.ldexp(1.0, np.arange(60) % 30 - 2)[:, None]
         step[::7] *= -1.0
         step = step.reshape(x.shape)
-        xnew, fnew, phinew, stalled = _armijo(sys_, x, step, fvals, phi)
+        xnew, fnew, phinew, stalled = _armijo(sys_, x, step, jac, fvals, phi)
         xref, phiref, stalled_ref = _halving_reference(sys_, x, step, phi)
         assert np.array_equal(xnew, xref)
         assert np.array_equal(phinew, phiref)
