@@ -28,18 +28,7 @@ from .errors import (
     SingularityError,
     UnsupportedError,
 )
-from .matcore import (
-    EigenDecomposition,
-    det,
-    det_mantissa_exp,
-    frobenius_norm,
-    inverse,
-    matrix_from_json,
-    matrix_to_json,
-    random_general,
-    solve,
-    sym_eig,
-)
+from .matcore import matrix_from_json, matrix_to_json, random_general
 from .orthonear import (
     enumerate_orthogonal_critical,
     enumerate_unitary_critical,
@@ -47,16 +36,6 @@ from .orthonear import (
     nearest_orthogonal,
     nearest_special_orthogonal,
     nearest_unitary,
-)
-from .polyres import (
-    UniPoly,
-    chain_degree,
-    chain_value,
-    distinct_root_count,
-    poly_roots,
-    resultant,
-    resultant_chain,
-    sylvester,
 )
 from .slnear import (
     SLSolution,
@@ -83,29 +62,20 @@ __all__ = [
     "ConvergenceError",
     "CriticalPoint",
     "DegeneracyError",
-    "EigenDecomposition",
     "GroupSpec",
     "GroupnearError",
     "InputError",
     "SLSolution",
     "SingularityError",
-    "UniPoly",
     "UnsupportedError",
     "WeightSet",
     "bkk_bound",
     "bkk_tightness_experiment",
-    "chain_degree",
-    "chain_value",
     "critical_point_from",
     "critical_residual",
-    "det",
-    "det_mantissa_exp",
-    "distinct_root_count",
     "enumerate_orthogonal_critical",
     "enumerate_unitary_critical",
-    "frobenius_norm",
     "gperp_decompose",
-    "inverse",
     "lie_basis",
     "matrix_from_json",
     "matrix_to_json",
@@ -115,17 +85,11 @@ __all__ = [
     "nearest_sl",
     "nearest_special_orthogonal",
     "nearest_unitary",
-    "poly_roots",
     "random_general",
     "random_group_element",
-    "resultant",
-    "resultant_chain",
     "sl_critical_points",
     "sl_ed_degree",
     "smallest_c_check",
-    "solve",
-    "sylvester",
-    "sym_eig",
     "symplectic_form",
     "torus_critical_count_rank1",
     "validate_weightset",

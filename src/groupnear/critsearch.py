@@ -8,6 +8,12 @@ runs a seeded multistart Gauss-Newton census over the augmented system
 {Lie-projected residual = 0, defining equations = 0}.  The census is the
 universal oracle: every closed-form route elsewhere in the package is
 checked against it, and for the symplectic groups it is the only tool.
+
+Each group's defining equations are written once, in `_equations`: a
+preserved form x^t M x = M, a det rule and a complex structure to commute
+with.  The certifier (`membership_violation`, `critical_residual`) sums
+the Frobenius norms of the full defects; the census system takes the
+independent entries of the same defects as its rows.
 """
 
 from __future__ import annotations
@@ -96,12 +102,6 @@ class GroupSpec:
     @property
     def dim(self) -> int:
         return len(_stacked_basis(self))
-
-    @property
-    def form(self) -> np.ndarray:
-        if self.kind != "symplectic":
-            raise InputError("form is only defined for symplectic groups")
-        return symplectic_form(self.n)
 
 
 @dataclass(frozen=True)
@@ -211,35 +211,87 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(a.reshape(a.shape[0], -1)) ** 2, axis=1))
 
 
-def _violations(x: np.ndarray, g: GroupSpec) -> np.ndarray:
-    """Defining-equation violation (B,) of each matrix of a real stack x."""
+@dataclass(frozen=True)
+class _Equations:
+    """The defining equations of a group; see `_equations`."""
+
+    form: Optional[tuple]  # (M, rows, cols): x^t M x = M on those entries
+    det_rule: Optional[str]  # "one": det x = 1; "unit": |det x| = 1
+    structure: Optional[np.ndarray]  # K: x K = K x
+
+
+@functools.cache
+def _equations(g: GroupSpec) -> _Equations:
+    """The defining equations of g, read by the certifier (`_violations`)
+    and by the census system (`_System`).  Cached per group, read-only.
+
+    O, SO and U preserve the symmetric form I: x^t x - I is symmetric, so
+    its independent entries are the upper triangle with the diagonal.  Sp
+    preserves the skew form J: only the strict upper triangle counts.  SO
+    and SL have det x = 1, SL^± |det x| = 1, and U commutes with the
+    complex structure K (x is C-linear).
+    """
     n = g.n
-    if g.kind in ("special_orthogonal", "sl", "sl_pm"):
-        dets = np.linalg.det(x)
-    if g.kind == "sl":
-        return np.abs(dets - 1.0)
-    if g.kind == "sl_pm":
-        return np.abs(np.abs(dets) - 1.0)
-    xt = np.swapaxes(x, 1, 2)
-    if g.kind == "symplectic":
-        j = g.form
-        return _row_norms(np.matmul(xt, np.matmul(j, x)) - j)
-    out = _row_norms(np.matmul(xt, x) - np.eye(n))
-    if g.kind == "special_orthogonal":
-        out = out + np.abs(dets - 1.0)
+    form = structure = None
+    if g.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
+        form = (np.eye(n), *np.triu_indices(n))
+    elif g.kind == "symplectic":
+        form = (symplectic_form(n), *np.triu_indices(n, 1))
     if g.kind == "unitary_embedded":
-        k = complex_structure(n)
-        out = out + _row_norms(np.matmul(x, k) - np.matmul(k, x))
+        structure = complex_structure(n)
+    for a in (*(form or ()), structure):
+        if a is not None:
+            a.flags.writeable = False
+    det_rule = {"special_orthogonal": "one", "sl": "one", "sl_pm": "unit"}.get(g.kind)
+    return _Equations(form=form, det_rule=det_rule, structure=structure)
+
+
+def _det_defect(dets: np.ndarray, rule: str) -> np.ndarray:
+    """det x minus its target: 1 under rule "one"; under "unit" the unit of
+    det's sign, +1 at det = 0 (so a singular x is off SL^± by 1)."""
+    return dets - (np.where(dets < 0.0, -1.0, 1.0) if rule == "unit" else 1.0)
+
+
+def _defects(x: np.ndarray, g: GroupSpec):
+    """The defining equations of g at each matrix of a real stack x:
+    (x^t M x - M as full matrices, the det defect, x K - K x), each None
+    when g has no such equation."""
+    eq = _equations(g)
+    form = dets = comm = None
+    if eq.form is not None:
+        m = eq.form[0]
+        form = np.matmul(np.swapaxes(x, 1, 2), np.matmul(m, x)) - m[None, :, :]
+    if eq.det_rule is not None:
+        dets = _det_defect(np.linalg.det(x), eq.det_rule)
+    if eq.structure is not None:
+        comm = np.matmul(x, eq.structure) - np.matmul(eq.structure, x)
+    return form, dets, comm
+
+
+def _violations(x: np.ndarray, g: GroupSpec) -> np.ndarray:
+    """Defining-equation violation (B,) of each matrix of a real stack x:
+    the sum of the Frobenius norms of its defects."""
+    form, dets, comm = _defects(x, g)
+    out = np.zeros(x.shape[0])
+    for part in (form, comm):
+        if part is not None:
+            out = out + _row_norms(part)
+    if dets is not None:
+        out = out + np.abs(dets)
     return out
+
+
+def _lie_coordinates(x: np.ndarray, u: np.ndarray, g: GroupSpec) -> np.ndarray:
+    """Coordinates (B, k) of x^t (u - x) in the orthonormal Lie basis of g,
+    for each matrix of a real stack x."""
+    m = np.matmul(np.swapaxes(x, 1, 2), u[None, :, :] - x)
+    return np.matmul(m.reshape(-1, 1, g.n * g.n), _basis_columns(g))[:, 0, :]
 
 
 def _residuals(x: np.ndarray, u: np.ndarray, g: GroupSpec) -> np.ndarray:
     """Criticality residual (B,) of each matrix of a real stack x: the norm
     of the Lie coordinates of x^t (u - x) plus the membership violation."""
-    n = g.n
-    m = np.matmul(np.swapaxes(x, 1, 2), u[None, :, :] - x)
-    coords = np.matmul(m.reshape(-1, 1, n * n), _basis_columns(g))[:, 0, :]
-    return np.sqrt(np.sum(coords**2, axis=1)) + _violations(x, g)
+    return np.sqrt(np.sum(_lie_coordinates(x, u, g) ** 2, axis=1)) + _violations(x, g)
 
 
 def _certify_batch(xs: np.ndarray, u: np.ndarray, g: GroupSpec, c=None) -> list[CriticalPoint]:
@@ -269,17 +321,27 @@ def _certify_batch(xs: np.ndarray, u: np.ndarray, g: GroupSpec, c=None) -> list[
 
 
 def _one_row(x, u, name: str):
-    """x and u validated as square and of one size; x as a (1, n, n) stack."""
+    """x and u validated as square, of one size and not complex u with real
+    x; x as a (1, n, n) stack."""
     x = as_square(x, "x")
     u = as_square(u, "u")
     if x.shape != u.shape:
         raise InputError(f"{name}: size mismatch")
+    if np.iscomplexobj(u) and not np.iscomplexobj(x):
+        raise InputError(f"{name}: u is complex but x is real (embed both with embed_complex)")
     return x[None], u
 
 
+def _require_real(a, name: str, what: str) -> None:
+    if np.iscomplexobj(a):
+        raise InputError(f"{name}: {what} must be real (embed a complex {what} with embed_complex)")
+
+
 def membership_violation(x, g: GroupSpec) -> float:
-    """Norm of the defining-equation violation of x for the group g."""
+    """Norm of the defining-equation violation of x for the group g.  x must
+    be real: a complex matrix enters through `embed_complex`."""
     x = as_square(x, "x")
+    _require_real(x, "membership_violation", "x")
     if x.shape[0] != g.n:
         raise InputError("membership_violation: size mismatch")
     return float(_violations(x[None], g)[0])
@@ -287,8 +349,10 @@ def membership_violation(x, g: GroupSpec) -> float:
 
 def critical_residual(x, u, g: GroupSpec) -> float:
     """Criticality measure: norm of the Lie-algebra component of x^t (u - x)
-    plus the membership violation.  Zero exactly at critical points on G."""
+    plus the membership violation.  Zero exactly at critical points on G.
+    x and u must be real: complex matrices enter through `embed_complex`."""
     xs, u = _one_row(x, u, "critical_residual")
+    _require_real(xs, "critical_residual", "x")
     if xs.shape[1] != g.n:
         raise InputError("critical_residual: size mismatch")
     return float(_residuals(xs, u, g)[0])
@@ -297,13 +361,12 @@ def critical_residual(x, u, g: GroupSpec) -> float:
 def critical_point_from(x, u, g: GroupSpec, c: Optional[float] = None) -> CriticalPoint:
     """Package a solution matrix as a CriticalPoint with consistent fields.
 
-    Complex inputs are measured in the real embedding: distances double and
-    the embedded determinant of a unimodular complex matrix is always +1.
+    A complex x is a point of U(m) and is measured in the real embedding:
+    distances double and the embedded determinant of a unimodular complex
+    matrix is always +1.  A complex u with a real x raises InputError.
     """
     xs, u = _one_row(x, u, "critical_point_from")
-    if np.iscomplexobj(xs):
-        g = GroupSpec("unitary_embedded", 2 * xs.shape[1])
-    elif xs.shape[1] != g.n:
+    if not np.iscomplexobj(xs) and xs.shape[1] != g.n:
         raise InputError("critical_point_from: size mismatch")
     return _certify_batch(xs, u, g, None if c is None else [c])[0]
 
@@ -424,8 +487,7 @@ def _project_membership(u: np.ndarray, g: GroupSpec) -> np.ndarray:
             x[:, 0] *= -1.0
         return x
     # symplectic: minimum-norm Newton onto x^t J x = J
-    j = g.form
-    rows, cols = np.triu_indices(n, 1)
+    j, rows, cols = _equations(g).form
     x = np.array(u, dtype=float)
     for _ in range(60):
         s = x.T @ j @ x - j
@@ -472,34 +534,22 @@ class CensusResult:
         return self.points[idx]
 
 
-def _form(g: GroupSpec):
-    """(M, (rows, cols)) for a group that preserves a bilinear form M, else
-    None.  O, SO and U preserve the symmetric form I: x^t x - I is
-    symmetric, so its equations are the upper triangle with the diagonal.
-    Sp preserves the skew form J: only the strict upper triangle counts."""
-    if g.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
-        return np.eye(g.n), np.triu_indices(g.n)
-    if g.kind == "symplectic":
-        return g.form, np.triu_indices(g.n, 1)
-    return None
-
-
 @functools.cache
 def _linear_tensor(g: GroupSpec) -> np.ndarray:
     """T (n^2, P n^2) with J(x) = J0(u) + x_flat T on the P polynomial rows
     of the census system (all rows but det): the Lie row k moves by
     -x (B_k + B_k^t), a form row by the form Jacobian at x, and the
-    commutator rows of U are constant.  Row m of T is that linear part at
-    the matrix unit E_m.  Cached per group, read-only."""
+    commutator rows are constant.  Row m of T is that linear part at the
+    matrix unit E_m.  Cached per group, read-only."""
     n = g.n
+    eq = _equations(g)
     e = _units(n)
     basis = _orthonormal_basis(g)
     blocks = [-np.matmul(e[:, None], basis + np.swapaxes(basis, 1, 2)).reshape(n * n, -1, n * n)]
-    form = _form(g)
-    if form is not None:
-        m, idx = form
-        blocks.append(_form_jacobian(np.matmul(m.T, e), np.matmul(m, e), *idx))
-    if g.kind == "unitary_embedded":
+    if eq.form is not None:
+        m, rows, cols = eq.form
+        blocks.append(_form_jacobian(np.matmul(m.T, e), np.matmul(m, e), rows, cols))
+    if eq.structure is not None:
         blocks.append(np.zeros((n * n, n * n, n * n)))
     out = np.concatenate(blocks, axis=1).reshape(n * n, -1)
     out.flags.writeable = False
@@ -509,34 +559,30 @@ def _linear_tensor(g: GroupSpec) -> np.ndarray:
 class _System:
     """Stacked residual/Jacobian evaluation for one (u, g) pair.
 
-    Every row but the determinant row (SO, SL, SL^±) is a polynomial of
-    degree at most two in x: the Lie rows <x^t (u - x), B_k>, the form rows
-    of x^t M x - M and the commutator x K - K x of U.  So their Jacobian is
-    affine, J0(u) + x_flat T with T cached per group (`_linear_tensor`),
+    The rows are the Lie coordinates <x^t (u - x), B_k> followed by the
+    defining equations of g from `_defects`: the independent entries of
+    x^t M x - M, the commutator x K - K x, then the det defect.  Every row
+    but det is a polynomial of degree at most two in x, so their Jacobian
+    is affine, J0(u) + x_flat T with T cached per group (`_linear_tensor`),
     and along x + a d they are exactly f + a J d + a^2 (d_flat T) d / 2.
-    The determinant row is det(x) - 1 (det(x) - sign det(x) for SL^±),
-    with gradient det(x) x^-t.
+    The det row (`_det_defect`) has gradient det(x) x^-t.
     """
 
     def __init__(self, u: np.ndarray, g: GroupSpec):
         self.u = u
+        self.g = g
         self.n = n = g.n
-        self.kind = g.kind
-        self.basis_cols = _basis_columns(g)
-        self.form = _form(g)
+        self.eq = eq = _equations(g)
         self.tensor = _linear_tensor(g)
-        self.has_det = g.kind in ("special_orthogonal", "sl", "sl_pm")
+        self.has_det = eq.det_rule is not None
         basis = _orthonormal_basis(g)
         # Constant part of the Lie rows: d<x^t(u-x), B_k> = <H, u B_k^t> - <H, x (B_k + B_k^t)>.
         j0 = [np.matmul(u, np.swapaxes(basis, 1, 2)).reshape(-1, n * n)]
-        if self.form is not None:
-            j0.append(np.zeros((len(self.form[1][0]), n * n)))
-        if self.kind == "unitary_embedded":
-            self.K = complex_structure(n)
-            # Constant Jacobian of the commutator x K - K x, flattened (a,b) x (i,j).
-            eye = np.eye(n)
-            jc = np.einsum("ai,jb->abij", eye, self.K) - np.einsum("ai,jb->abij", self.K, eye)
-            j0.append(jc.reshape(n * n, n * n))
+        if eq.form is not None:
+            j0.append(np.zeros((len(eq.form[1]), n * n)))
+        if eq.structure is not None:
+            # The commutator x K - K x is linear: column ij of its Jacobian is its value at E_ij.
+            j0.append(_defects(_units(n), g)[2].reshape(n * n, n * n).T)
         self.j0 = np.concatenate(j0)
         self.poly_rows = self.j0.shape[0]
 
@@ -544,23 +590,15 @@ class _System:
         """x: (B, n, n) -> stacked residual (B, R).  Every product is a
         stacked matmul, one matrix at a time, so a row never depends on the
         other rows of the batch."""
-        u, n = self.u, self.n
-        xt = np.swapaxes(x, 1, 2)
-        m = np.matmul(xt, u[None, :, :] - x)
-        lie = np.matmul(m.reshape(-1, 1, n * n), self.basis_cols)[:, 0, :]
-        parts = [lie]
-        if self.form is not None:
-            form, (rows, cols) = self.form
-            s = np.matmul(xt, np.matmul(form, x)) - form[None, :, :]
-            parts.append(s[:, rows, cols])
-        if self.kind in ("special_orthogonal", "sl"):
-            parts.append((np.linalg.det(x) - 1.0)[:, None])
-        if self.kind == "sl_pm":
-            d = np.linalg.det(x)
-            parts.append((d - np.sign(d))[:, None])
-        if self.kind == "unitary_embedded":
-            comm = np.matmul(x, self.K) - np.matmul(self.K, x)
-            parts.append(comm.reshape(x.shape[0], n * n))
+        form, dets, comm = _defects(x, self.g)
+        parts = [_lie_coordinates(x, self.u, self.g)]
+        if form is not None:
+            _, rows, cols = self.eq.form
+            parts.append(form[:, rows, cols])
+        if comm is not None:
+            parts.append(comm.reshape(x.shape[0], -1))
+        if dets is not None:
+            parts.append(dets[:, None])
         return np.concatenate(parts, axis=1)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -575,17 +613,15 @@ class _System:
 
     def quadratic(self, d: np.ndarray) -> np.ndarray:
         """d: (B, n, n) -> (B, P): the a^2 coefficient of the polynomial
-        rows along x + a d, (d_flat T) d / 2 written out: minus the Lie
-        coordinates of d^t d, the form rows of d^t M d, zero commutator."""
-        n, bsz = self.n, d.shape[0]
-        dt = np.swapaxes(d, 1, 2)
-        gram = np.matmul(dt, d).reshape(bsz, 1, n * n)
-        parts = [-np.matmul(gram, self.basis_cols)[:, 0, :]]
-        if self.form is not None:
-            form, (rows, cols) = self.form
-            parts.append(np.matmul(dt, np.matmul(form, d))[:, rows, cols])
-        if self.kind == "unitary_embedded":
-            parts.append(np.zeros((bsz, n * n)))
+        rows along x + a d, (d_flat T) d / 2 written out: the Lie rows at
+        u = 0 (minus the Lie coordinates of d^t d), the form rows of
+        d^t M d, zero commutator."""
+        parts = [_lie_coordinates(d, np.zeros_like(self.u), self.g)]
+        if self.eq.form is not None:
+            m, rows, cols = self.eq.form
+            parts.append(np.matmul(np.swapaxes(d, 1, 2), np.matmul(m, d))[:, rows, cols])
+        if self.eq.structure is not None:
+            parts.append(np.zeros((d.shape[0], self.n * self.n)))
         return np.concatenate(parts, axis=1)
 
     def det_polynomial(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -658,8 +694,7 @@ def _armijo(sys_: _System, x, step, jac, fvals, phi):
     if sys_.has_det:
         dpoly = sys_.det_polynomial(x, step)
         dets = np.matmul(dpoly[:, None, :], _step_powers(n + 1))[:, 0, :]
-        target = np.sign(dets) if sys_.kind == "sl_pm" else 1.0
-        trial = trial + (dets - target) ** 2
+        trial = trial + _det_defect(dets, sys_.eq.det_rule) ** 2
     ok = trial <= (1.0 - 1e-4 * _ARMIJO_STEPS)[None, :] * phi[:, None]
     hit = np.any(ok, axis=1)
     rows = np.flatnonzero(hit)
@@ -730,8 +765,7 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     InputError before any work.
     """
     u = as_square(u, "u")
-    if np.iscomplexobj(u):
-        raise InputError("multistart_census: u must be real (embed a complex u with embed_complex)")
+    _require_real(u, "multistart_census", "u")
     if u.shape[0] != g.n:
         raise InputError("multistart_census: size mismatch")
     if isinstance(starts, bool) or not isinstance(starts, (int, np.integer)):

@@ -128,3 +128,17 @@ def test_private_helpers_are_referenced():
 def test_private_test_helpers_are_referenced():
     dead = _unreferenced_private_helpers(TESTS)
     assert not dead, f"private test helpers nothing references: {dead}"
+
+
+def test_package_exports_no_kernels_or_chain():
+    # The public API is entry points, specs, results, errors and JSON I/O:
+    # the matrix kernels and the resultant chain stay in their modules.
+    import groupnear
+    from groupnear import matcore, polyres
+
+    def defined_in(module):
+        return {name for name, obj in vars(module).items() if getattr(obj, "__module__", None) == module.__name__}
+
+    exported = set(groupnear.__all__)
+    assert not exported & defined_in(polyres)
+    assert exported & defined_in(matcore) == {"random_general", "matrix_to_json", "matrix_from_json"}
