@@ -38,7 +38,6 @@ from .orthonear import (
     nearest_unitary,
 )
 from .slnear import (
-    SLSolution,
     nearest_sl,
     sl_critical_points,
     sl_ed_degree,
@@ -65,7 +64,6 @@ __all__ = [
     "GroupSpec",
     "GroupnearError",
     "InputError",
-    "SLSolution",
     "SingularityError",
     "UnsupportedError",
     "WeightSet",

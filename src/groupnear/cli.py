@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critsearch import (
-    CriticalPoint,
-    GroupSpec,
-    critical_point_from,
-    multistart_census,
-)
+from .critsearch import CriticalPoint, GroupSpec, multistart_census
 from .errors import (
     ConvergenceError,
     DegeneracyError,
@@ -125,13 +120,13 @@ def _load_json(raw: bytes):
         raise InputError(f"input is not valid JSON: {exc}") from exc
 
 
-def _point_summary(point: CriticalPoint, with_c: bool) -> dict:
+def _point_summary(point: CriticalPoint) -> dict:
     out = {
         "distance_sq": point.distance_sq,
         "det_sign": point.det_sign,
         "residual": point.residual,
     }
-    if with_c:
+    if point.c is not None:
         out["c"] = point.c
     return out
 
@@ -201,10 +196,8 @@ def cmd_nearest(args) -> RunReport:
     else:
         if component is None:
             component = "plus" if group == "sl" else "pm"
-        sol = nearest_sl(u, component)
-        kind = "sl" if component == "plus" else "sl_pm"
-        point = critical_point_from(sol.x, u, GroupSpec(kind, n), c=sol.c)
-    summary = _point_summary(point, with_c=group in ("sl", "sl-pm"))
+        point = nearest_sl(u, component)
+    summary = _point_summary(point)
     summary["x"] = matrix_to_json(point.x)
     return RunReport(
         command="nearest",
@@ -223,7 +216,6 @@ def cmd_critical(args) -> RunReport:
     n = u.shape[0]
     # Refuses unsupported sizes before any solver runs.
     counts = {"expected": _expected_count(group, n)}
-    with_c = group in ("sl", "sl-pm")
     if group == "orthogonal":
         points = enumerate_orthogonal_critical(u)
     elif group == "special-orthogonal":
@@ -231,11 +223,9 @@ def cmd_critical(args) -> RunReport:
     elif group == "unitary":
         points = enumerate_unitary_critical(u)
     elif group in ("sl", "sl-pm"):
-        sols = sl_critical_points(u)
+        points = sl_critical_points(u)
         if group == "sl":
-            sols = [s for s in sols if s.det_sign == 1]
-        kind = "sl" if group == "sl" else "sl_pm"
-        points = [critical_point_from(s.x, u, GroupSpec(kind, n), c=s.c) for s in sols]
+            points = [p for p in points if p.det_sign == 1]
     else:
         census = multistart_census(
             u, GroupSpec("symplectic", n), starts=args.starts, seed=args.seed
@@ -250,7 +240,7 @@ def cmd_critical(args) -> RunReport:
             worst_residual=census.worst_residual,
             sweeps=census.sweeps,
         )
-    results = [_point_summary(p, with_c) for p in points]
+    results = [_point_summary(p) for p in points]
     return RunReport(
         command="critical",
         group=_group_descriptor(group, n),

@@ -26,7 +26,6 @@ SYMMETRY_TOL = 1e-12
 __all__ = [
     "EigenDecomposition",
     "as_square",
-    "frobenius_inner",
     "frobenius_norm",
     "sym_eig",
     "det",
@@ -56,15 +55,6 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def frobenius_inner(a, b) -> float:
-    """Frobenius pairing tr(a^t b) of two real matrices of equal shape."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise InputError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
 def frobenius_norm(a) -> float:
     a = np.asarray(a)
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
@@ -79,9 +69,6 @@ class EigenDecomposition:
 
     q: np.ndarray
     values: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.q * self.values) @ self.q.T
 
 
 def sym_eig(s) -> EigenDecomposition:

@@ -56,14 +56,13 @@ def _as_coeffs(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense univariate polynomial, ascending coefficients, tagged variable.
+    """Dense univariate polynomial, ascending coefficients.
 
     Normal form: the leading stored coefficient is nonzero; the zero
     polynomial is the empty coefficient list.
     """
 
     coeffs: np.ndarray
-    var: str = "x"
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)
@@ -390,7 +389,7 @@ def resultant_chain(mu, interval_scale: float = 1.1) -> UniPoly:
     top = coeffs.size
     while top > 1 and abs(coeffs[top - 1]) <= noise_floor:
         top -= 1
-    return UniPoly(coeffs[:top], "c")
+    return UniPoly(coeffs[:top])
 
 
 def poly_roots(p) -> np.ndarray:

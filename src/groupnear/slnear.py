@@ -14,20 +14,23 @@ ones are sharpened together against the exact determinant collapse (one
 batched Newton iteration for all of them), then each is lifted to the
 lambda_i by the quadratic formula and the unit-product branch, and
 Newton-polished on the full system; x is then recovered as
-u^{-t}(c I + s).  Sizes up to CHAIN_MAX_N = 4 (degree 64) are supported;
-larger ones are refused before any work.
+u^{-t}(c I + s).  The lifted points are certified in one batch, as the
+orthogonal and unitary points are, so every point is a CriticalPoint with
+its multiplier c, distance, det sign and residual.  Sizes up to
+CHAIN_MAX_N = 4 (degree 64) are supported; larger ones are refused before
+any work.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .critsearch import CriticalPoint, GroupSpec, _certify_batch
 from .errors import DegeneracyError, InputError, UnsupportedError
-from .matcore import as_square, det, frobenius_norm, solve, sym_eig
+from .matcore import as_square, solve, sym_eig
 from .polyres import (
     CHAIN_MAX_N,
     chain_value,
@@ -39,22 +42,6 @@ from .polyres import (
 _BRANCH_TOL = 1e-5
 _BRANCH_MARGIN = 10.0
 _REAL_IM_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SLSolution:
-    """One real critical point of the squared distance on SL^pm."""
-
-    c: float
-    lambdas: tuple[float, ...]
-    s: np.ndarray
-    x: np.ndarray
-    distance_sq: float
-
-    @property
-    def det_sign(self) -> int:
-        # Sign read off the LU factorisation; |det x| = 1 up to roundoff.
-        return 1 if det(self.x) > 0.0 else -1
 
 
 def _real_filter(roots: np.ndarray) -> list[float]:
@@ -178,12 +165,13 @@ def _check_n(n: int) -> None:
         raise UnsupportedError(f"determinant-one pipeline supports n <= {CHAIN_MAX_N}")
 
 
-def sl_critical_points(u) -> list[SLSolution]:
+def sl_critical_points(u) -> list[CriticalPoint]:
     """All real critical points of the squared distance from u to SL^pm.
 
     Diagonalises u^t u, eliminates the lambda chain down to a single
-    polynomial in c, and lifts each real root back to a matrix.  Sizes
-    above CHAIN_MAX_N are refused before any work.
+    polynomial in c, and lifts each real root back to a matrix.  The points
+    are certified on SL^pm in one batch, with c set, and sorted by distance,
+    then c.  Sizes above CHAIN_MAX_N are refused before any work.
     """
     u = as_square(u, "u")
     n = u.shape[0]
@@ -195,7 +183,7 @@ def sl_critical_points(u) -> list[SLSolution]:
     chain = resultant_chain(mu)
     roots = poly_roots(chain)
     ident = np.eye(n)
-    sols = []
+    xs, cs = [], []
     for c in _sharpen_roots(mu, _real_filter(roots)):
         pairs = _lambda_candidates(mu, c)
         if pairs is None:
@@ -207,32 +195,25 @@ def sl_critical_points(u) -> list[SLSolution]:
                 f"non-positive lambda at real root c={c:.6g}"
             )
         s = eig.q @ np.diag(lam) @ eig.q.T
-        x = solve(u.T, c * ident + s)
-        sols.append(
-            SLSolution(
-                c=c,
-                lambdas=tuple(float(v) for v in lam),
-                s=s,
-                x=x,
-                distance_sq=float(frobenius_norm(u - x) ** 2),
-            )
-        )
-    if not sols:
+        xs.append(solve(u.T, c * ident + s))
+        cs.append(c)
+    if not xs:
         raise DegeneracyError("no real critical point recovered")
-    sols.sort(key=lambda sol: (sol.distance_sq, sol.c))
-    return sols
+    points = _certify_batch(np.stack(xs), u, GroupSpec("sl_pm", n), c=cs)
+    points.sort(key=lambda p: (p.distance_sq, p.c))
+    return points
 
 
-def nearest_sl(u, component: str = "pm") -> SLSolution:
-    """Minimum-distance solution over SL^pm ("pm") or det = +1 only ("plus")."""
+def nearest_sl(u, component: str = "pm") -> CriticalPoint:
+    """Minimum-distance critical point over SL^pm ("pm") or det = +1 only ("plus")."""
     if component not in ("pm", "plus"):
         raise InputError(f"component must be 'pm' or 'plus', got {component!r}")
-    sols = sl_critical_points(u)
+    points = sl_critical_points(u)
     if component == "plus":
-        sols = [sol for sol in sols if sol.det_sign == 1]
-        if not sols:
+        points = [p for p in points if p.det_sign == 1]
+        if not points:
             raise DegeneracyError("no det +1 critical point recovered")
-    return sols[0]
+    return points[0]
 
 
 def sl_ed_degree(n: int, seed: int) -> int:

@@ -299,7 +299,7 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
         dense = np.zeros(hi - lo + 1)
         for k, v in terms.items():
             dense[k - lo] = v
-    roots = poly_roots(UniPoly(dense, "t"))
+    roots = poly_roots(UniPoly(dense))
     nonzero = roots[np.abs(roots) > 1e-12 * max(1.0, float(np.max(np.abs(roots))))]
     return distinct_root_count(nonzero, tol=1e-7)
 

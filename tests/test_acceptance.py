@@ -98,9 +98,13 @@ def test_criterion_5_determinant_one_solution_identities(verdict):
     total = 0
     for n, seed in cases:
         u = random_general(n, seed)
-        mu = np.sort(sym_eig(u.T @ u).values)[::-1]
+        eig = sym_eig(u.T @ u)
+        mu = np.sort(eig.values)[::-1]
         for sol in sl_critical_points(u):
-            lam = np.asarray(sol.lambdas)
+            # lambda_i read off the point: x^t x in the eigenbasis of u^t u.
+            s = eig.q.T @ (sol.x.T @ sol.x) @ eig.q
+            lam = np.diag(s)
+            assert frobenius_norm(s - np.diag(lam)) < 1e-7 * (1.0 + frobenius_norm(u) ** 2)
             c = sol.c
             for m_i, l_i in zip(mu, lam):
                 assert abs(c * c + (2 * c - m_i) * l_i + l_i * l_i) < 1e-7 * (1.0 + m_i)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from groupnear import cli, slnear
+from groupnear.critsearch import GroupSpec, critical_point_from
 from groupnear.errors import ConditioningError, DegeneracyError, InputError, UnsupportedError
 from groupnear.matcore import det, frobenius_norm, matrix_to_json, random_general, sym_eig
 from groupnear.polyres import poly_roots, resultant_chain
@@ -18,10 +19,17 @@ from groupnear.slnear import (
 
 
 def _check_solution(u, sol, tol=1e-7):
-    """Every reported solution must satisfy the full critical system."""
+    """Every reported solution must satisfy the full critical system.
+
+    The lambda_i are read off the point: x^t x is diagonal in the
+    eigenbasis Q of u^t u, with lambda_i on the diagonal.
+    """
     n = u.shape[0]
-    mu = np.sort(sym_eig(u.T @ u).values)[::-1]
-    lam = np.asarray(sol.lambdas)
+    eig = sym_eig(u.T @ u)
+    mu = np.sort(eig.values)[::-1]
+    s = eig.q.T @ (sol.x.T @ sol.x) @ eig.q
+    lam = np.diag(s)
+    assert frobenius_norm(s - np.diag(lam)) < tol * (1.0 + frobenius_norm(u) ** 2)
     c = sol.c
     for m_i, l_i in zip(mu, lam):
         assert abs(c * c + (2 * c - m_i) * l_i + l_i * l_i) < tol * (1.0 + m_i)
@@ -105,6 +113,31 @@ class TestSolutionSystem:
         u = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises((DegeneracyError, InputError)):
             sl_critical_points(u)
+
+
+def _fields(p):
+    return (p.x.tobytes(), p.distance_sq, p.det_sign, p.residual, p.c)
+
+
+class TestCertifiedPoints:
+    # The points come out of one batch certification on SL^pm; each must
+    # equal the one-point certificate the CLI used to compute for it.
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_points_equal_one_point_certificates_bitwise(self, n, seed):
+        u = random_general(n, seed)
+        points = sl_critical_points(u)
+        for p in points:
+            assert _fields(p) == _fields(critical_point_from(p.x, u, GroupSpec("sl_pm", n), c=p.c))
+            if p.det_sign == 1:
+                assert _fields(p) == _fields(critical_point_from(p.x, u, GroupSpec("sl", n), c=p.c))
+        plus = nearest_sl(u, "plus")
+        assert _fields(plus) == _fields(critical_point_from(plus.x, u, GroupSpec("sl", n), c=plus.c))
+        assert [(p.distance_sq, p.c) for p in points] == sorted((p.distance_sq, p.c) for p in points)
+
+    def test_every_point_carries_its_residual(self):
+        for p in sl_critical_points(random_general(3, 0)):
+            assert p.c is not None and p.residual < 1e-9
 
 
 def _interpolated_real_roots(u):
