@@ -5,15 +5,17 @@ integer characters appearing in the complexified module, with their
 multiplicities.  Critical points of the squared distance correspond to
 solutions of a sparse Laurent system supported on those weights, so the
 solution count is bounded by the normalized volume of their convex hull.
-In rank one the system is a single Laurent polynomial and the count can
-be computed exactly.
+That volume is computed exactly, for every rank up to three, by one
+recursion: pyramids from one weight over the hull's facets, each facet's
+volume taken one dimension down in its own lattice.  In rank one the
+system is a single Laurent polynomial and the count can be computed
+exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -74,11 +76,13 @@ class WeightSet:
             raise InputError("mults: one multiplicity per weight required")
         if any(x < 1 for x in mults):
             raise InputError("mults: multiplicities must be positive")
-        if self.lattice_index not in (1, 2):
+        index = _as_int(self.lattice_index, "lattice_index")
+        if index not in (1, 2):
             raise InputError("lattice_index: must be 1 or 2")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "weights", tuple(ws))
         object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "lattice_index", index)
 
 
 def _integer_rank(rows: list[tuple[int, ...]]) -> int:
@@ -136,125 +140,93 @@ def weightset_from_json(obj) -> WeightSet:
     mults = obj.get("mults", [1] * len(weights))
     if not isinstance(mults, list):
         raise InputError("mults: expected a list of integers")
-    index = _as_int(obj.get("lattice_index", 1), "lattice_index")
-    return WeightSet(m=m, weights=weights, mults=tuple(_as_int(x, "multiplicity") for x in mults), lattice_index=index)
+    mults = tuple(_as_int(x, "multiplicity") for x in mults)
+    return WeightSet(m=m, weights=weights, mults=mults, lattice_index=obj.get("lattice_index", 1))
 
 
-def _hull_2d(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Monotone-chain convex hull, counterclockwise, no duplicates."""
-    pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+# Orientation values reach 48 * B**3 for entries bounded by B in rank 3,
+# which stays below 2**63 for B = 2**19, so the int64 tests are exact.
+_MAX_ENTRY = 2**19
+# Subsets tested at once; a block holds k * _BLOCK orientation values.
+_BLOCK = 4096
 
 
-def _shoelace_twice(hull: list[tuple[int, int]]) -> int:
+def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Primitive outward normals and offsets of every facet of the hull of
+    a full-dimensional (k, m) int64 point array, m = 2 or 3.
+
+    Every m-subset spans a candidate hyperplane; a block of subsets is
+    tested against all points at once, and a candidate with every point
+    weakly on one side supports a facet.
+    """
+    k, m = pts.shape
+    subsets = itertools.combinations(range(k), m)
+    found = []
+    while block := list(itertools.islice(subsets, _BLOCK)):
+        idx = np.array(block)
+        d = pts[idx[:, 1:]] - pts[idx[:, :1]]
+        if m == 2:
+            normals = d[:, 0, ::-1] * np.array([1, -1])
+        else:
+            normals = np.cross(d[:, 0], d[:, 1])
+        sides = pts @ normals.T - np.sum(normals * pts[idx[:, 0]], axis=1)
+        below = np.all(sides <= 0, axis=0)
+        above = np.all(sides >= 0, axis=0)
+        keep = (below | above) & np.any(normals != 0, axis=1)
+        found.append(np.where(below[keep, None], 1, -1) * normals[keep])
+    normals = np.concatenate(found)
+    normals //= np.gcd.reduce(normals, axis=1)[:, None]
+    normals = np.unique(normals, axis=0)
+    return normals, np.max(pts @ normals.T, axis=0)
+
+
+def _normalized_volume(pts: np.ndarray) -> int:
+    """m! times the Euclidean volume of the hull of a full-dimensional
+    (k, m) int64 point array, exactly.
+
+    The hull is cut into pyramids from pts[0] over its facets.  A pyramid's
+    normalized volume is its lattice height times its base's normalized
+    volume in the facet's own lattice, which is the volume of the base
+    projected along the normal's largest coordinate, divided by that
+    coordinate's absolute value.
+    """
+    if pts.shape[1] == 1:
+        return int(pts.max() - pts.min())
     total = 0
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
-        total += x1 * y2 - x2 * y1
-    return abs(total)
-
-
-def _sub3(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _cross3(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot3(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _det3(a, b, c):
-    return _dot3(a, _cross3(b, c))
-
-
-def _supporting_planes(pts: list[tuple[int, int, int]]) -> dict:
-    """All hull facet planes, keyed by primitive outward data, mapping to
-    the indices of points lying on the plane.  Every triple is tried; with
-    the handful of weights a torus module carries, simplicity beats an
-    output-sensitive wrap."""
-    planes = {}
-    k = len(pts)
-    for a, b, c in itertools.combinations(range(k), 3):
-        n = _cross3(_sub3(pts[b], pts[a]), _sub3(pts[c], pts[a]))
-        if n == (0, 0, 0):
+    for normal, offset in zip(*_facets(pts)):
+        height = int(offset - normal @ pts[0])
+        if height == 0:
             continue
-        offset = _dot3(n, pts[a])
-        sides = [_dot3(n, p) - offset for p in pts]
-        if all(s <= 0 for s in sides):
-            n, offset, sides = tuple(-x for x in n), -offset, [-s for s in sides]
-        elif not all(s >= 0 for s in sides):
-            continue
-        g = gcd(gcd(gcd(abs(n[0]), abs(n[1])), abs(n[2])), abs(offset))
-        key = (n[0] // g, n[1] // g, n[2] // g, offset // g)
-        planes.setdefault(key, tuple(i for i, s in enumerate(sides) if s == 0))
-    return planes
-
-
-def _hull_volume_sixfold(pts: list[tuple[int, int, int]]) -> int:
-    """Six times the Euclidean hull volume, exactly, by fanning facet
-    triangles from one hull vertex."""
-    apex = min(pts)
-    vol = 0
-    for (nx, ny, nz, off), members in _supporting_planes(pts).items():
-        if _dot3((nx, ny, nz), apex) == off:
-            continue
-        face = [pts[i] for i in members]
-        drop = max(range(3), key=lambda axis: abs((nx, ny, nz)[axis]))
-        keep = [axis for axis in range(3) if axis != drop]
-        flat = {(p[keep[0]], p[keep[1]]): p for p in face}
-        ring = [flat[q] for q in _hull_2d(list(flat))]
-        for p, q in zip(ring[1:], ring[2:]):
-            vol += abs(_det3(_sub3(ring[0], apex), _sub3(p, apex), _sub3(q, apex)))
-    return vol
+        axis = int(np.argmax(np.abs(normal)))
+        face = np.delete(pts[pts @ normal == offset], axis, axis=1)
+        total += height * (_normalized_volume(face) // abs(int(normal[axis])))
+    return total
 
 
 def bkk_bound(w: WeightSet) -> int:
     """Normalized volume of the weight hull: the upper bound for the number
     of torus critical points.  Normalization makes the standard simplex
     have volume one, so this is m! times the Euclidean volume.  Does not
-    depend on multiplicities."""
+    depend on multiplicities.  Weight entries are limited to 2**19 in
+    absolute value, where the exact int64 hull arithmetic ends."""
     if w.m > 3:
         raise UnsupportedError("bkk_bound supports torus rank m <= 3")
     if not validate_weightset(w):
         raise InputError("bkk_bound: weight set is not a valid torus weight set")
-    if w.m == 1:
-        vals = [chi[0] for chi in w.weights]
-        return max(vals) - min(vals)
-    if w.m == 2:
-        hull = _hull_2d([(chi[0], chi[1]) for chi in w.weights])
-        if len(hull) < 3:
-            return 0
-        return _shoelace_twice(hull)
-    pts = [(chi[0], chi[1], chi[2]) for chi in w.weights]
-    return _hull_volume_sixfold(pts)
+    if max(abs(x) for chi in w.weights for x in chi) > _MAX_ENTRY:
+        raise UnsupportedError(f"bkk_bound supports weight entries of absolute value <= {_MAX_ENTRY}")
+    return _normalized_volume(np.array(w.weights, dtype=np.int64))
 
 
 def _weight_key(chi) -> tuple[int, ...]:
     if isinstance(chi, (int, np.integer)) and not isinstance(chi, bool):
         return (int(chi),)
     return tuple(_as_int(x, "weight entry") for x in chi)
+
+
+# The companion matrix of a degree-d polynomial is d x d and its QR
+# iteration costs O(d**3): 2-4 s at d = 1024 on a 2-core x86 machine.
+_MAX_RANK1_DEGREE = 1024
 
 
 def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
@@ -264,7 +236,8 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
     character χ is χ times the grouped data coefficient u'_χ, so the χ = 0
     term drops out.  Denominators are cleared and the distinct nonzero
     complex roots are counted; when w.lattice_index is 2 the parametrization
-    is two-to-one and the count is taken in the variable t².
+    is two-to-one and the count is taken in the variable t².  Polynomial
+    degrees above 1024 are refused with UnsupportedError before any work.
     """
     if w.m != 1:
         raise InputError("torus_critical_count_rank1 requires rank m = 1")
@@ -289,16 +262,15 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
     lo, hi = min(terms), max(terms)
     if terms[lo] == 0.0 or terms[hi] == 0.0:
         raise DegeneracyError("extreme coefficient vanished; draw is not generic")
-    if w.lattice_index == 2:
-        if any(k % 2 for k in terms):
-            raise InputError("lattice_index 2 requires all characters even")
-        dense = np.zeros((hi - lo) // 2 + 1)
-        for k, v in terms.items():
-            dense[(k - lo) // 2] = v
-    else:
-        dense = np.zeros(hi - lo + 1)
-        for k, v in terms.items():
-            dense[k - lo] = v
+    if w.lattice_index == 2 and any(k % 2 for k in terms):
+        raise InputError("lattice_index 2 requires all characters even")
+    step = w.lattice_index
+    degree = (hi - lo) // step
+    if degree > _MAX_RANK1_DEGREE:
+        raise UnsupportedError(f"rank-1 count supports polynomial degree <= {_MAX_RANK1_DEGREE}, got {degree}")
+    dense = np.zeros(degree + 1)
+    for k, v in terms.items():
+        dense[(k - lo) // step] = v
     roots = poly_roots(UniPoly(dense))
     nonzero = roots[np.abs(roots) > 1e-12 * max(1.0, float(np.max(np.abs(roots))))]
     return distinct_root_count(nonzero, tol=1e-7)

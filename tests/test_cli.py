@@ -215,3 +215,19 @@ class TestBkk:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["counts"] == {"expected": 4}
+
+    def test_rank3_bound_without_count(self, tmp_path):
+        path = tmp_path / "cube.json"
+        corners = [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+        path.write_text(json.dumps({"m": 3, "weights": corners}))
+        proc = run_cli("bkk", str(path))
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["counts"] == {"expected": 48}
+
+    def test_oversized_rank1_count_unsupported(self, tmp_path):
+        # Degree 1026 is past the cap; the count is refused before any work.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"m": 1, "weights": [-513, 513]}))
+        proc = run_cli("bkk", str(path))
+        assert proc.returncode == 4

@@ -1,8 +1,11 @@
 """Weight sets, polytope volume bounds, and rank-one critical counts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from groupnear import torused
 from groupnear.errors import DegeneracyError, InputError, UnsupportedError
 from groupnear.torused import (
     WeightSet,
@@ -96,6 +99,11 @@ class TestWeightSet:
         with pytest.raises(InputError):
             WeightSet(1, ((-1,), (1,)), (1, 1), lattice_index=3)
 
+    @pytest.mark.parametrize("index", [True, 2.0])
+    def test_lattice_index_must_be_an_integer(self, index):
+        with pytest.raises(InputError, match="lattice_index: expected an integer"):
+            WeightSet(1, ((-2,), (2,)), (1, 1), lattice_index=index)
+
 
 class TestJson:
     def test_round_trip(self):
@@ -183,6 +191,57 @@ class TestBound:
         assert bkk_bound(w) == _hull_area_twice_bruteforce(pts)
 
 
+def _box(m, r, surface):
+    """Lattice points of [-r, r]^m, or only those on its boundary."""
+    pts = tuple(
+        p for p in itertools.product(range(-r, r + 1), repeat=m)
+        if not surface or max(map(abs, p)) == r
+    )
+    return WeightSet(m, pts, (1,) * len(pts))
+
+
+class TestHullVolume:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rank3_matches_convex_hull(self, seed):
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(seed)
+        box = (2, 5, 40, 1000)[seed % 4]
+        half = set()
+        while len(half) < 3 + seed:
+            p = tuple(int(x) for x in rng.integers(-box, box + 1, 3))
+            if any(p) and tuple(-x for x in p) not in half:
+                half.add(p)
+        pts = sorted(half | {tuple(-x for x in p) for p in half})
+        w = WeightSet(3, tuple(pts), (1,) * len(pts))
+        if not validate_weightset(w):
+            pytest.skip("degenerate draw")
+        hull = spatial.ConvexHull(np.array(pts, dtype=float))
+        assert bkk_bound(w) == round(6 * hull.volume)
+
+    @pytest.mark.parametrize(
+        "m,r,surface,expected",
+        [(3, 2, True, 384), (3, 2, False, 384), (2, 3, True, 72)],
+    )
+    def test_coplanar_boxes(self, m, r, surface, expected):
+        # Many subsets span each facet; every facet is counted once.
+        assert bkk_bound(_box(m, r, surface)) == expected
+
+    def test_entry_bound_is_exact(self):
+        big = 2**19
+        corners = tuple(
+            (a, b, c) for a in (-big, big) for b in (-big, big) for c in (-big, big)
+        )
+        assert bkk_bound(WeightSet(3, corners, (1,) * 8)) == 48 * 2**57
+
+    def test_entry_past_bound_unsupported(self):
+        corners = tuple(
+            (a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)
+        )
+        pts = corners + ((2**19 + 1, 0, 0), (-(2**19) - 1, 0, 0))
+        with pytest.raises(UnsupportedError):
+            bkk_bound(WeightSet(3, pts, (1,) * len(pts)))
+
+
 class TestRankOneCounts:
     @pytest.mark.parametrize("d,expected", [(1, 2), (3, 6), (5, 10), (7, 14)])
     def test_odd_weights_full_count(self, d, expected):
@@ -209,6 +268,20 @@ class TestRankOneCounts:
         w = WeightSet(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), (1,) * 4)
         with pytest.raises(InputError):
             torus_critical_count_rank1(w, {})
+
+    def test_degree_cap(self, monkeypatch):
+        # Degree 1024 reaches the root finder; past it the count is refused
+        # before the dense polynomial is built.
+        def refuse(_poly):
+            raise RuntimeError("poly_roots reached")
+
+        monkeypatch.setattr(torused, "poly_roots", refuse)
+        at_cap = _sym_line(1024, step=2048, index=2)
+        with pytest.raises(RuntimeError, match="poly_roots reached"):
+            torus_critical_count_rank1(at_cap, _draw(at_cap, 0))
+        for w in (_sym_line(513, step=1026), _sym_line(1026, step=2052, index=2)):
+            with pytest.raises(UnsupportedError, match="degree"):
+                torus_critical_count_rank1(w, _draw(w, 0))
 
     def test_zero_extreme_coefficient_degenerate(self):
         w = _sym_line(1)
