@@ -38,7 +38,6 @@ from .torused import (
     bkk_bound,
     random_rank1_coefficients,
     torus_critical_count_rank1,
-    validate_weightset,
     weightset_from_json,
 )
 
@@ -261,8 +260,6 @@ def cmd_bkk(args) -> RunReport:
             obj = dict(obj)
             obj["weights"] = [[v] for v in obj["weights"]]
     w = weightset_from_json(obj)
-    if not validate_weightset(w):
-        raise InputError("weight set is not centrally symmetric of full rank")
     bound = bkk_bound(w)
     counts = {"expected": bound}
     if w.m == 1:

@@ -338,21 +338,6 @@ def _mp_chain_coeffs(mu: np.ndarray, halfwidth: float, target: int, dps: int) ->
     return coeffs
 
 
-def chain_value(mu, c):
-    """Evaluate the fully eliminated polynomial at multiplier values.
-
-    Collapses the elimination chain by direct determinant evaluation, so the
-    result is free of the final interpolation's error.  c is a scalar (a
-    float comes back) or an array (an array of its shape comes back, all
-    values collapsed in one batch).  Useful for back-substitution checks and
-    for sharpening roots found on the interpolated polynomial.
-    """
-    mu = _check_spectrum(mu)
-    cs = np.asarray(c, dtype=float)
-    vals = _collapse_values(mu, cs.reshape(-1))
-    return float(vals[0]) if cs.ndim == 0 else vals.reshape(cs.shape)
-
-
 def resultant_chain(mu, interval_scale: float = 1.1) -> UniPoly:
     """Eliminate the per-eigenvalue quadratics down to one polynomial in the
     scalar multiplier.

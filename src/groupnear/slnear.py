@@ -1,163 +1,84 @@
 """Nearest matrices of determinant one, by eliminating the multiplier chain.
 
-For invertible real u the critical points of x -> |u - x|^2 on the
-determinant-one locus satisfy x^t(u - x) = c I for a scalar c.  Writing
-s = x^t x and diagonalising u^t u with eigenvalues mu_i, each eigenvalue
-lambda_i of s solves the quadratic
+For invertible real u = U diag(sigma) V^t the critical points of
+x -> |u - x|^2 on the determinant-one locus satisfy x^t(u - x) = c I for a
+scalar c, and every real one is x = U diag(z) V^t where z_i solves
 
-    f_i = c^2 + (2c - mu_i) lambda_i + lambda_i^2 = 0
+    z_i^2 - sigma_i z_i + c = 0,    |z_1 ... z_n| = 1.
 
-subject to lambda_1 ... lambda_n = 1.  Eliminating the lambda_i leaves a
-univariate polynomial in c of degree n 2^n whose real roots index the real
-critical points.  Its roots are companion-matrix eigenvalues; the real
-ones are sharpened together against the exact determinant collapse (one
-batched Newton iteration for all of them), then each is lifted to the
-lambda_i by the quadratic formula and the unit-product branch, and
-Newton-polished on the full system; x is then recovered as
-u^{-t}(c I + s).  The lifted points are certified in one batch, as the
-orthogonal and unitary points are, so every point is a CriticalPoint with
-its multiplier c, distance, det sign and residual.  Sizes up to
-CHAIN_MAX_N = 4 (degree 64) are supported; larger ones are refused before
-any work.
+The multipliers c are located as the real roots of one univariate
+polynomial of degree n 2^n, obtained by eliminating lambda_i = z_i^2 from
+the quadratics in the eigenvalues mu_i = sigma_i^2 of u^t u; its roots are
+companion-matrix eigenvalues.  Each real root is then refined on the
+branch equation: the sign vector eps picks the larger (+1) or smaller (-1)
+root z_i^eps(c), eps is the branch whose log |prod z_i| is nearest zero at
+the located root, and Newton in c on h(c) = sum log |z_i^eps(c)| runs for
+all roots at once.  The frame (U, sigma, V) comes from the same
+eigendecomposition of u^t u, so x = U diag(z) V^t is one stacked product.
+The lifted points are certified in one batch, as the orthogonal and
+unitary points are, so every point is a CriticalPoint with its multiplier
+c, distance, det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree
+64) are supported; larger ones are refused before any work.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
-from .critsearch import CriticalPoint, GroupSpec, _certify_batch
+from .critsearch import CriticalPoint, GroupSpec, _certify_batch, _merge_representatives
 from .errors import DegeneracyError, InputError, UnsupportedError
-from .matcore import as_square, solve, sym_eig
-from .polyres import (
-    CHAIN_MAX_N,
-    chain_value,
-    distinct_root_count,
-    poly_roots,
-    resultant_chain,
-)
+from .matcore import as_square, frobenius_norm, sym_eig
+from .orthonear import _lift, _sign_table
+from .polyres import CHAIN_MAX_N, distinct_root_count, poly_roots, resultant_chain
 
-_BRANCH_TOL = 1e-5
-_BRANCH_MARGIN = 10.0
 _REAL_IM_TOL = 1e-8
 
 
-def _real_filter(roots: np.ndarray) -> list[float]:
-    out = []
-    for z in roots:
-        if abs(z.imag) < _REAL_IM_TOL * (1.0 + abs(z.real)):
-            out.append(float(z.real))
-    return out
+def _quadratic_roots(sigma: np.ndarray, c: np.ndarray):
+    """Larger root, smaller root and sqrt(sigma_i^2 - 4c) of
+    z^2 - sigma_i z + c = 0 for rows c (R,), each (R, n); the smaller root
+    is taken as 2c / (sigma + sqrt), which does not cancel."""
+    root = np.sqrt(sigma * sigma - 4.0 * c[:, None])
+    return 0.5 * (sigma + root), 2.0 * c[:, None] / (sigma + root), root
 
 
-def _sharpen_roots(mu: np.ndarray, cs: list[float]) -> list[float]:
-    """Newton-correct roots of the interpolated eliminant against the exact
-    determinant collapse, all roots in one batch.  Roots of the
-    degree-n*2^n fit inherit its interpolation error, not the root
-    finder's: over 300 seeded n = 3 inputs this correction moved them by
-    7e-8 relative in the median and by up to 6e-3, which is too loose for
-    branch selection.
+def _branch_newton(sigma: np.ndarray, cs: np.ndarray):
+    """Refine located multipliers cs on the branch equation; returns the
+    converged (c, z) rows in input order.
 
-    Each iteration collapses the stacked values [c, c + h, c - h] of the
-    roots still moving in one `chain_value` call.  Every root keeps its own
-    rules: h = 1e-7 (1 + |c0|), and it stops when its derivative estimate
-    is exactly zero, when its step drops below 1e-13 (1 + |c0|), or after
-    8 iterations.  A root whose last Newton step is still above 1e-8
-    relative is dropped: the interpolated root is then rounding noise, not
-    a root of the collapse.  Over 1000 seeded n = 3 inputs, true roots
-    ended with steps below 1e-11 and spurious ones above 1e-5.  The kept
-    roots come back in input order.
+    Each c is first clamped just below sigma_n^2 / 4, where every z_i is
+    real.  Its branch eps minimises |sum log |z_i^eps(c)|| over all 2^n
+    sign vectors (a zero root counts as log 0 = -inf).  Newton in c on
+    h(c) = sum log |z_i|, with h' = sum -eps_i / (z_i sqrt(sigma_i^2 - 4c)),
+    then runs for the roots still moving; every root keeps its own
+    scale 1 + |c|, its stopping rules and its clamp, and all arithmetic is
+    per row, so a root refines to the same bits alone or in a batch.  A
+    root stops when its Newton step drops below 1e-13 of its scale; one
+    still moving after 30 steps is dropped.
     """
-    c = np.array(cs, dtype=float)
+    cap = 0.25 * float(sigma[-1] * sigma[-1]) * (1.0 - 1e-12)
+    c = np.minimum(cs, cap)
+    big, small, _ = _quadratic_roots(sigma, c)
+    logs = np.log(np.abs(small), out=np.full(small.shape, -np.inf), where=small != 0.0)
+    table = _sign_table(sigma.size)
+    h = np.where(table[None] > 0.0, np.log(big)[:, None, :], logs[:, None, :]).sum(axis=2)
+    eps = table[np.argmin(np.abs(h), axis=1)]
     scale = 1.0 + np.abs(c)
-    h = 1e-7 * scale
-    step = np.zeros_like(c)
+    done = np.zeros(c.size, dtype=bool)
     active = np.arange(c.size)
-    for _ in range(8):
+    for _ in range(30):
+        big, small, root = _quadratic_roots(sigma, c[active])
+        z = np.where(eps[active] > 0.0, big, small)
+        slope = -np.sum(eps[active] / (z * root), axis=1)
+        step = np.sum(np.log(np.abs(z)), axis=1) / slope
+        c[active] = np.minimum(c[active] - step, cap)
+        settled = np.abs(step) < 1e-13 * scale[active]
+        done[active[settled]] = True
+        active = active[~settled]
         if active.size == 0:
             break
-        ca, ha = c[active], h[active]
-        val, up, down = chain_value(mu, np.stack((ca, ca + ha, ca - ha)))
-        deriv = (up - down) / (2.0 * ha)
-        moving = deriv != 0.0
-        active, val, deriv = active[moving], val[moving], deriv[moving]
-        step[active] = val / deriv
-        c[active] -= step[active]
-        active = active[np.abs(step[active]) >= 1e-13 * scale[active]]
-    keep = np.abs(step) <= 1e-8 * scale
-    return [float(v) for v in c[keep]]
-
-
-def _lambda_candidates(mu: np.ndarray, c: float) -> list[tuple[float, float]] | None:
-    """Both quadratic roots of f_i per eigenvalue, or None when complex."""
-    pairs = []
-    for m in mu:
-        disc = m * (m - 4.0 * c)
-        if disc < -1e-9 * (1.0 + m * m):
-            return None
-        root = math.sqrt(max(disc, 0.0))
-        lo = ((m - 2.0 * c) - root) / 2.0
-        hi = ((m - 2.0 * c) + root) / 2.0
-        pairs.append((lo, hi))
-    return pairs
-
-
-def _select_branch(pairs: list[tuple[float, float]]) -> np.ndarray:
-    """Resolve the 2^n sign ambiguity by the product constraint."""
-    best = None
-    best_err = math.inf
-    runner = math.inf
-    for choice in itertools.product((0, 1), repeat=len(pairs)):
-        lam = [pairs[i][k] for i, k in enumerate(choice)]
-        prod = 1.0
-        for v in lam:
-            prod *= v
-        err = abs(prod - 1.0)
-        if err < best_err:
-            runner = best_err
-            best_err = err
-            best = lam
-        elif err < runner:
-            runner = err
-    if best_err >= _BRANCH_TOL:
-        raise DegeneracyError(
-            "no branch combination satisfies the unit-product constraint "
-            f"(best residual {best_err:.3e})"
-        )
-    if runner <= _BRANCH_MARGIN * best_err:
-        raise DegeneracyError(
-            "ambiguous branch selection: runner-up product residual "
-            f"{runner:.3e} within 10x of best {best_err:.3e}"
-        )
-    return np.asarray(best, dtype=float)
-
-
-def _newton_polish(mu: np.ndarray, c: float, lam: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sharpen (c, lambda) on {f_i = 0, prod lambda = 1}."""
-    n = mu.size
-    z = np.concatenate(([c], lam))
-    scale = 1.0 + float(np.max(mu))
-    for _ in range(25):
-        cc, ll = z[0], z[1:]
-        f = cc * cc + (2.0 * cc - mu) * ll + ll * ll
-        prod = float(np.prod(ll))
-        res = np.concatenate((f, [prod - 1.0]))
-        if float(np.max(np.abs(res))) < 1e-14 * scale:
-            break
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, 0] = 2.0 * cc + 2.0 * ll
-        jac[np.arange(n), np.arange(n) + 1] = 2.0 * cc - mu + 2.0 * ll
-        jac[n, 1:] = prod / ll
-        try:
-            step = solve(jac, res)
-        except DegeneracyError:
-            break
-        z = z - step
-        if float(np.max(np.abs(step))) < 1e-15 * scale:
-            break
-    return float(z[0]), z[1:]
+    big, small, _ = _quadratic_roots(sigma, c[done])
+    return c[done], np.where(eps[done] > 0.0, big, small)
 
 
 def _check_n(n: int) -> None:
@@ -169,9 +90,12 @@ def sl_critical_points(u) -> list[CriticalPoint]:
     """All real critical points of the squared distance from u to SL^pm.
 
     Diagonalises u^t u, eliminates the lambda chain down to a single
-    polynomial in c, and lifts each real root back to a matrix.  The points
-    are certified on SL^pm in one batch, with c set, and sorted by distance,
-    then c.  Sizes above CHAIN_MAX_N are refused before any work.
+    polynomial in c, and refines every real root on its branch equation
+    (one batched Newton in c); each converged (c, z) lifts to
+    x = U diag(z) V^t, and refinements that met at one point count once.
+    The points are certified on SL^pm in one batch, with c set, and sorted
+    by distance, then c.  Sizes above CHAIN_MAX_N are refused before any
+    work.
     """
     u = as_square(u, "u")
     n = u.shape[0]
@@ -180,26 +104,15 @@ def sl_critical_points(u) -> list[CriticalPoint]:
     mu = eig.values
     if float(mu[-1]) <= 0.0:
         raise DegeneracyError("u^t u must be positive definite")
-    chain = resultant_chain(mu)
-    roots = poly_roots(chain)
-    ident = np.eye(n)
-    xs, cs = [], []
-    for c in _sharpen_roots(mu, _real_filter(roots)):
-        pairs = _lambda_candidates(mu, c)
-        if pairs is None:
-            continue
-        lam = _select_branch(pairs)
-        c, lam = _newton_polish(mu, c, lam)
-        if float(np.min(lam)) <= 0.0:
-            raise DegeneracyError(
-                f"non-positive lambda at real root c={c:.6g}"
-            )
-        s = eig.q @ np.diag(lam) @ eig.q.T
-        xs.append(solve(u.T, c * ident + s))
-        cs.append(c)
-    if not xs:
+    roots = poly_roots(resultant_chain(mu))
+    real = roots.real[np.abs(roots.imag) < _REAL_IM_TOL * (1.0 + np.abs(roots.real))]
+    sigma = np.sqrt(mu)
+    cs, zs = _branch_newton(sigma, real)
+    if cs.size == 0:
         raise DegeneracyError("no real critical point recovered")
-    points = _certify_batch(np.stack(xs), u, GroupSpec("sl_pm", n), c=cs)
+    xs = _lift((u @ eig.q / sigma, sigma, eig.q.T), zs)
+    keep = _merge_representatives(xs.reshape(cs.size, -1), 1e-5 * (1.0 + frobenius_norm(u)))
+    points = _certify_batch(xs[keep], u, GroupSpec("sl_pm", n), c=cs[keep].tolist())
     points.sort(key=lambda p: (p.distance_sq, p.c))
     return points
 

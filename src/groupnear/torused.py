@@ -132,16 +132,13 @@ def weightset_from_json(obj) -> WeightSet:
     for key in ("m", "weights"):
         if key not in obj:
             raise InputError(f"weight set: missing field {key!r}")
-    m = _as_int(obj["m"], "m")
     raw = obj["weights"]
     if not isinstance(raw, list) or not all(isinstance(v, list) for v in raw):
         raise InputError("weights: expected a list of integer vectors")
-    weights = tuple(tuple(_as_int(x, "weight entry") for x in v) for v in raw)
-    mults = obj.get("mults", [1] * len(weights))
+    mults = obj.get("mults", [1] * len(raw))
     if not isinstance(mults, list):
         raise InputError("mults: expected a list of integers")
-    mults = tuple(_as_int(x, "multiplicity") for x in mults)
-    return WeightSet(m=m, weights=weights, mults=mults, lattice_index=obj.get("lattice_index", 1))
+    return WeightSet(m=obj["m"], weights=raw, mults=mults, lattice_index=obj.get("lattice_index", 1))
 
 
 # Orientation values reach 48 * B**3 for entries bounded by B in rank 3,

@@ -225,6 +225,15 @@ class TestBkk:
         report = json.loads(proc.stdout)
         assert report["counts"] == {"expected": 48}
 
+    def test_invalid_rank4_set_is_unsupported_before_validation(self, tmp_path):
+        # The rank limit is checked before the symmetry and rank test, so an
+        # asymmetric rank-4 set exits 4 (unsupported), not 2 (bad input).
+        path = tmp_path / "rank4.json"
+        path.write_text(json.dumps({"m": 4, "weights": [[1, 0, 0, 0], [0, 1, 0, 0]]}))
+        proc = run_cli("bkk", str(path))
+        assert proc.returncode == 4
+        assert "m <= 3" in proc.stderr
+
     def test_oversized_rank1_count_unsupported(self, tmp_path):
         # Degree 1026 is past the cap; the count is refused before any work.
         path = tmp_path / "wide.json"

@@ -10,8 +10,8 @@ from groupnear.errors import ConditioningError, ConvergenceError, DegeneracyErro
 from groupnear.matcore import det_mantissa_exp, random_general, sym_eig
 from groupnear.polyres import (
     UniPoly,
+    _collapse_values,
     chain_degree,
-    chain_value,
     distinct_root_count,
     poly_roots,
     resultant,
@@ -140,7 +140,7 @@ class TestChain:
         rng = np.random.default_rng(n)
         halfwidth = 1.1 * (1.0 + np.sqrt(mu[0]))
         cs = rng.uniform(-halfwidth, halfwidth, size=12)
-        direct = np.asarray([chain_value(mu, float(c)) for c in cs])
+        direct = np.asarray([_collapse_values(mu, np.array([c]))[0] for c in cs])
         fitted = np.asarray([poly(float(c)) for c in cs])
         direct = direct / np.max(np.abs(direct))
         fitted = fitted / np.max(np.abs(fitted))
@@ -152,17 +152,17 @@ class TestChain:
         mu = _spectrum(n, seed)
         halfwidth = 1.1 * (1.0 + np.sqrt(mu[0]))
         cs = np.random.default_rng(seed).uniform(-halfwidth, halfwidth, size=(3, 5))
-        batched = chain_value(mu, cs)
-        assert batched.shape == cs.shape
+        batched = _collapse_values(mu, cs.ravel())
+        assert batched.shape == (cs.size,)
         reference = np.array([_collapse_reference(mu, c) for c in cs.ravel()])
-        assert np.array_equal(batched.ravel(), reference)
-        assert chain_value(mu, float(cs[1, 2])) == reference[7]
+        assert np.array_equal(batched, reference)
+        assert _collapse_values(mu, cs[1, 2:3])[0] == reference[7]
 
     def test_collapse_beyond_float_range_is_a_conditioning_error(self):
         # Spectrum of 1e14 * u: the last Sylvester determinant exceeds 1e308.
         mu = _spectrum(3, 0) * 1e28
         with pytest.raises(ConditioningError, match="double-precision range"):
-            chain_value(mu, 1e14)
+            _collapse_values(mu, np.array([1e14]))
 
     def test_roots_track_collapsed_determinant_zeros(self):
         # Each real root of the fitted polynomial must sit close to a zero
@@ -175,8 +175,8 @@ class TestChain:
         for c0 in real:
             c, h = float(c0), 1e-7 * (1.0 + abs(float(c0)))
             for _ in range(8):
-                f = chain_value(mu, c)
-                d = (chain_value(mu, c + h) - chain_value(mu, c - h)) / (2 * h)
+                f, up, down = _collapse_values(mu, np.array([c, c + h, c - h]))
+                d = (up - down) / (2 * h)
                 if d == 0.0:
                     break
                 step = f / d

@@ -105,6 +105,16 @@ class TestSolutionSystem:
         for sol in sols:
             _check_solution(u, sol)
 
+    # Every real point must come back; seed 4 has two real multipliers
+    # 1.5e-4 apart.
+    @pytest.mark.parametrize("seed", [4, 20])
+    def test_four_by_four_all_sixteen_points(self, seed):
+        u = random_general(4, seed)
+        sols = sl_critical_points(u)
+        assert len(sols) == 16
+        for sol in sols:
+            _check_solution(u, sol)
+
     def test_too_large_rejected(self):
         with pytest.raises(UnsupportedError):
             sl_critical_points(np.eye(6))
@@ -140,28 +150,47 @@ class TestCertifiedPoints:
             assert p.c is not None and p.residual < 1e-9
 
 
-def _interpolated_real_roots(u):
+def _located_roots(u):
+    """sigma and the real roots of the interpolated chain, as
+    sl_critical_points locates them."""
     mu = sym_eig(u.T @ u).values
-    return mu, slnear._real_filter(poly_roots(resultant_chain(mu)))
+    roots = poly_roots(resultant_chain(mu))
+    real = np.abs(roots.imag) < slnear._REAL_IM_TOL * (1.0 + np.abs(roots.real))
+    return np.sqrt(mu), roots.real[real]
 
 
 class TestSharpenRoots:
+    # The located roots are sharpened by Newton in c on the branch
+    # equation sum log |z_i(c)| = 0, all roots in one batch.
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 5), (3, 0), (3, 150), (3, 122)])
     def test_batch_equals_each_root_alone_bitwise(self, n, seed):
-        mu, roots = _interpolated_real_roots(random_general(n, seed))
-        alone = [c for r in roots for c in slnear._sharpen_roots(mu, [r])]
-        assert slnear._sharpen_roots(mu, roots) == alone
-        assert slnear._sharpen_roots(mu, roots[::-1]) == alone[::-1]
+        sigma, roots = _located_roots(random_general(n, seed))
+        alone = [slnear._branch_newton(sigma, roots[i : i + 1]) for i in range(roots.size)]
+        c_alone = np.concatenate([c for c, _ in alone])
+        z_alone = np.concatenate([z for _, z in alone])
+        c, z = slnear._branch_newton(sigma, roots)
+        assert c.tobytes() == c_alone.tobytes() and z.tobytes() == z_alone.tobytes()
+        c, z = slnear._branch_newton(sigma, roots[::-1])
+        assert c.tobytes() == c_alone[::-1].tobytes() and z.tobytes() == z_alone[::-1].tobytes()
+        # Every refined root solves its quadratics with |prod z| = 1.
+        assert np.all(np.abs(z * z - sigma * z + c[:, None]) < 1e-12 * (1.0 + sigma * sigma))
+        assert np.all(np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12)
 
     def test_spurious_roots_rejected(self):
-        # n = 3, seed 150: the fit has 10 real roots, the collapse 8; the
-        # two extra ones keep Newton steps far above 1e-8 relative.
-        mu, roots = _interpolated_real_roots(random_general(3, 150))
-        kept = slnear._sharpen_roots(mu, roots)
-        assert len(roots) == 10 and len(kept) == 8
+        # n = 3, seed 150: the fit has 10 real roots, the input 8 real
+        # critical points; the two extra roots do not add points.
+        u = random_general(3, 150)
+        _, roots = _located_roots(u)
+        assert roots.size == 10 and len(sl_critical_points(u)) == 8
 
     def test_no_roots_no_work(self):
-        assert slnear._sharpen_roots(np.array([3.0, 2.0]), []) == []
+        c, z = slnear._branch_newton(np.array([3.0, 2.0]), np.array([]))
+        assert c.shape == (0,) and z.shape == (0, 2)
+
+    def test_no_real_root_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(slnear, "poly_roots", lambda p: np.array([], dtype=complex))
+        with pytest.raises(DegeneracyError, match="no real critical point"):
+            sl_critical_points(random_general(3, 0))
 
 
 class TestOutOfRange:
@@ -189,12 +218,16 @@ class TestKnownChainDefects:
     def test_all_eight_points_recovered(self, seed):
         assert len(sl_critical_points(random_general(3, seed))) == 8
 
-    # SL^pm is closed, so a nearest point always exists; at scale 100 the
-    # chain recovers none on 12 of seeds 0-19.
-    @pytest.mark.xfail(strict=True, raises=DegeneracyError, reason="no real root survives")
+    # SL^pm is closed, so a nearest point always exists.  At scale 100 the
+    # chain's real roots are mostly interpolation noise; refined on the
+    # branch equation they still reach genuine critical points.
     @pytest.mark.parametrize("seed", range(5))
     def test_scaled_input_has_a_nearest_point(self, seed):
-        assert sl_critical_points(100.0 * random_general(3, seed))
+        u = 100.0 * random_general(3, seed)
+        points = sl_critical_points(u)
+        assert points
+        for p in points:
+            assert p.residual < 1e-9 * (1.0 + frobenius_norm(u))
 
 
 class TestFiveRefused:
