@@ -11,10 +11,10 @@ polynomial of degree n 2^n, obtained by eliminating lambda_i = z_i^2 from
 the quadratics in the eigenvalues mu_i = sigma_i^2 of u^t u; its roots are
 companion-matrix eigenvalues.  Each real root is then refined on the
 branch equation: the sign vector eps picks the larger (+1) or smaller (-1)
-root z_i^eps(c), eps is the branch whose log |prod z_i| is nearest zero at
-the located root, and Newton in c on h(c) = sum log |z_i^eps(c)| runs for
-all roots at once.  The frame (U, sigma, V) comes from the same
-eigendecomposition of u^t u, so x = U diag(z) V^t is one stacked product.
+root z_i^eps(c), and Newton in c on h(c) = sum log |z_i^eps(c)| starts
+from every root on every branch, all at once.  The frame (U, sigma, V) is
+the SVD of u itself, so x = U diag(z) V^t is one stacked product and the
+frame's accuracy does not depend on the condition number of u^t u.
 The lifted points are certified in one batch, as the orthogonal and
 unitary points are, so every point is a CriticalPoint with its multiplier
 c, distance, det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree
@@ -44,35 +44,39 @@ def _quadratic_roots(sigma: np.ndarray, c: np.ndarray):
 
 def _branch_newton(sigma: np.ndarray, cs: np.ndarray):
     """Refine located multipliers cs on the branch equation; returns the
-    converged (c, z) rows in input order.
+    converged (c, z) rows, root by root and branch by branch.
 
-    Each c is first clamped just below sigma_n^2 / 4, where every z_i is
-    real.  Its branch eps minimises |sum log |z_i^eps(c)|| over all 2^n
-    sign vectors (a zero root counts as log 0 = -inf).  Newton in c on
-    h(c) = sum log |z_i|, with h' = sum -eps_i / (z_i sqrt(sigma_i^2 - 4c)),
-    then runs for the roots still moving; every root keeps its own
-    scale 1 + |c|, its stopping rules and its clamp, and all arithmetic is
-    per row, so a root refines to the same bits alone or in a batch.  A
-    root stops when its Newton step drops below 1e-13 of its scale; one
-    still moving after 30 steps is dropped.
+    Each c is clamped just below sigma_n^2 / 4, where every z_i is real,
+    and starts Newton on all 2^n sign vectors eps: a root the chain placed
+    far from its true value may lie nearest another branch's zero.  Newton
+    in c on h(c) = sum log |z_i^eps(c)|, with
+    h' = sum -eps_i / (z_i sqrt(sigma_i^2 - 4c)), runs for the rows still
+    moving; every row keeps its own scale 1 + |c|, its stopping rules and
+    its clamp, and all arithmetic is per row, so a root refines to the
+    same bits alone or in a batch.  A row converges when its Newton step is
+    below 1e-13 of its scale and |h| < 1e-12: a small step alone is not
+    enough, since h' grows without bound at the clamp.  A row with a zero
+    z_i or a flat h, or one not converged after 30 steps, is dropped.
     """
     cap = 0.25 * float(sigma[-1] * sigma[-1]) * (1.0 - 1e-12)
-    c = np.minimum(cs, cap)
-    big, small, _ = _quadratic_roots(sigma, c)
-    logs = np.log(np.abs(small), out=np.full(small.shape, -np.inf), where=small != 0.0)
     table = _sign_table(sigma.size)
-    h = np.where(table[None] > 0.0, np.log(big)[:, None, :], logs[:, None, :]).sum(axis=2)
-    eps = table[np.argmin(np.abs(h), axis=1)]
+    c = np.repeat(np.minimum(cs, cap), table.shape[0])
+    eps = np.tile(table, (cs.size, 1))
     scale = 1.0 + np.abs(c)
     done = np.zeros(c.size, dtype=bool)
     active = np.arange(c.size)
     for _ in range(30):
         big, small, root = _quadratic_roots(sigma, c[active])
         z = np.where(eps[active] > 0.0, big, small)
+        live = np.all(z != 0.0, axis=1)
+        active, z, root = active[live], z[live], root[live]
         slope = -np.sum(eps[active] / (z * root), axis=1)
-        step = np.sum(np.log(np.abs(z)), axis=1) / slope
+        live = slope != 0.0
+        active, z, slope = active[live], z[live], slope[live]
+        h = np.sum(np.log(np.abs(z)), axis=1)
+        step = h / slope
         c[active] = np.minimum(c[active] - step, cap)
-        settled = np.abs(step) < 1e-13 * scale[active]
+        settled = (np.abs(step) < 1e-13 * scale[active]) & (np.abs(h) < 1e-12)
         done[active[settled]] = True
         active = active[~settled]
         if active.size == 0:
@@ -89,10 +93,11 @@ def _check_n(n: int) -> None:
 def sl_critical_points(u) -> list[CriticalPoint]:
     """All real critical points of the squared distance from u to SL^pm.
 
-    Diagonalises u^t u, eliminates the lambda chain down to a single
-    polynomial in c, and refines every real root on its branch equation
-    (one batched Newton in c); each converged (c, z) lifts to
-    x = U diag(z) V^t, and refinements that met at one point count once.
+    Eliminates the lambda chain on the eigenvalues of u^t u down to a
+    single polynomial in c, and refines every real root on all 2^n branch
+    equations (one batched Newton in c); each converged (c, z) lifts to
+    x = U diag(z) V^t on the SVD of u, and refinements that met at one
+    point count once.
     The points are certified on SL^pm in one batch, with c set, and sorted
     by distance, then c.  Sizes above CHAIN_MAX_N are refused before any
     work.
@@ -100,17 +105,16 @@ def sl_critical_points(u) -> list[CriticalPoint]:
     u = as_square(u, "u")
     n = u.shape[0]
     _check_n(n)
-    eig = sym_eig(u.T @ u)
-    mu = eig.values
-    if float(mu[-1]) <= 0.0:
+    mu = sym_eig(u.T @ u).values
+    frame = np.linalg.svd(u)
+    if float(mu[-1]) <= 0.0 or float(frame[1][-1]) <= 0.0:
         raise DegeneracyError("u^t u must be positive definite")
     roots = poly_roots(resultant_chain(mu))
     real = roots.real[np.abs(roots.imag) < _REAL_IM_TOL * (1.0 + np.abs(roots.real))]
-    sigma = np.sqrt(mu)
-    cs, zs = _branch_newton(sigma, real)
+    cs, zs = _branch_newton(frame[1], real)
     if cs.size == 0:
         raise DegeneracyError("no real critical point recovered")
-    xs = _lift((u @ eig.q / sigma, sigma, eig.q.T), zs)
+    xs = _lift(frame, zs)
     keep = _merge_representatives(xs.reshape(cs.size, -1), 1e-5 * (1.0 + frobenius_norm(u)))
     points = _certify_batch(xs[keep], u, GroupSpec("sl_pm", n), c=cs[keep].tolist())
     points.sort(key=lambda p: (p.distance_sq, p.c))

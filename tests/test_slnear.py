@@ -161,19 +161,31 @@ def _located_roots(u):
 
 class TestSharpenRoots:
     # The located roots are sharpened by Newton in c on the branch
-    # equation sum log |z_i(c)| = 0, all roots in one batch.
+    # equation sum log |z_i(c)| = 0, all roots on all branches in one batch.
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 5), (3, 0), (3, 150), (3, 122)])
     def test_batch_equals_each_root_alone_bitwise(self, n, seed):
         sigma, roots = _located_roots(random_general(n, seed))
         alone = [slnear._branch_newton(sigma, roots[i : i + 1]) for i in range(roots.size)]
-        c_alone = np.concatenate([c for c, _ in alone])
-        z_alone = np.concatenate([z for _, z in alone])
-        c, z = slnear._branch_newton(sigma, roots)
-        assert c.tobytes() == c_alone.tobytes() and z.tobytes() == z_alone.tobytes()
-        c, z = slnear._branch_newton(sigma, roots[::-1])
-        assert c.tobytes() == c_alone[::-1].tobytes() and z.tobytes() == z_alone[::-1].tobytes()
+        for order in (alone, alone[::-1]):
+            c_alone = np.concatenate([c for c, _ in order])
+            z_alone = np.concatenate([z for _, z in order])
+            c, z = slnear._branch_newton(sigma, roots if order is alone else roots[::-1])
+            assert c.tobytes() == c_alone.tobytes() and z.tobytes() == z_alone.tobytes()
         # Every refined root solves its quadratics with |prod z| = 1.
         assert np.all(np.abs(z * z - sigma * z + c[:, None]) < 1e-12 * (1.0 + sigma * sigma))
+        assert np.all(np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12)
+
+    def test_root_stalled_at_the_clamp_is_dropped(self):
+        # sigma_2 is chosen so that the all-larger branch has h = 1e-5 at the
+        # clamp just below sigma_3^2 / 4.  There h' is about 2e8, so Newton
+        # stalls after a 5e-14 step; a small step alone must not count as
+        # convergence while |prod z| != 1.
+        cap = 0.25 * 0.1**2 * (1.0 - 1e-12)
+        big, _, _ = slnear._quadratic_roots(np.array([5.0, 0.1]), np.array([cap]))
+        z2 = np.exp(1e-5) / (big[0, 0] * big[0, 1])
+        sigma = np.array([5.0, z2 + cap / z2, 0.1])
+        c, z = slnear._branch_newton(sigma, np.array([1.0]))
+        assert c.size > 0 and np.all(c < cap)
         assert np.all(np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12)
 
     def test_spurious_roots_rejected(self):
@@ -214,9 +226,19 @@ class TestKnownChainDefects:
     # solve flips them.  A 2000-start sl_pm census finds 8 real critical
     # points for each of these n = 3 inputs.
     @pytest.mark.xfail(strict=True, reason="chain fit loses real roots")
-    @pytest.mark.parametrize("seed", [122, 351, 561, 1094])
+    @pytest.mark.parametrize("seed", [561, 1094])
     def test_all_eight_points_recovered(self, seed):
         assert len(sl_critical_points(random_general(3, seed))) == 8
+
+    # Here the chain loses the same roots, but Newton on another branch of
+    # a neighbouring root reaches the missing points.
+    @pytest.mark.parametrize("seed", [122, 351])
+    def test_missed_roots_recovered_on_other_branches(self, seed):
+        u = random_general(3, seed)
+        points = sl_critical_points(u)
+        assert len(points) == 8
+        for p in points:
+            _check_solution(u, p)
 
     # SL^pm is closed, so a nearest point always exists.  At scale 100 the
     # chain's real roots are mostly interpolation noise; refined on the
@@ -226,6 +248,17 @@ class TestKnownChainDefects:
         u = 100.0 * random_general(3, seed)
         points = sl_critical_points(u)
         assert points
+        for p in points:
+            assert p.residual < 1e-9 * (1.0 + frobenius_norm(u))
+
+    # For these inputs the chain places the root of the multiplier c far
+    # from its value, nearest the zero of another sign branch; Newton from
+    # every branch must still reach it.
+    @pytest.mark.parametrize("scale,c", [(5.0, -0.0742521350776179), (100.0, -9.376391865498164)])
+    def test_scaled_seed_seven_keeps_its_point(self, scale, c):
+        u = scale * random_general(3, 7)
+        points = sl_critical_points(u)
+        assert any(abs(p.c - c) < 1e-9 * (1.0 + abs(c)) for p in points)
         for p in points:
             assert p.residual < 1e-9 * (1.0 + frobenius_norm(u))
 
