@@ -85,6 +85,21 @@ def _branch_newton(sigma: np.ndarray, cs: np.ndarray):
     return c[done], np.where(eps[done] > 0.0, big, small)
 
 
+def _fold_points(sigma: np.ndarray):
+    """The (c, z) rows on the fold c = sigma_n^2 / 4 whose |prod z_i| is 1.
+
+    There z_n = sigma_n / 2 is a double root and h' is infinite, so Newton
+    from the clamp stalls short of such a point (u = [[2]] has one); it is
+    tested on every branch directly instead.
+    """
+    table = _sign_table(sigma.size)
+    c = np.full(table.shape[0], 0.25 * float(sigma[-1] * sigma[-1]))
+    big, small, _ = _quadratic_roots(sigma, c)
+    z = np.where(table > 0.0, big, small)
+    on = np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12
+    return c[on], z[on]
+
+
 def _check_n(n: int) -> None:
     if n > CHAIN_MAX_N:
         raise UnsupportedError(f"determinant-one pipeline supports n <= {CHAIN_MAX_N}")
@@ -95,7 +110,8 @@ def sl_critical_points(u) -> list[CriticalPoint]:
 
     Eliminates the lambda chain on the eigenvalues of u^t u down to a
     single polynomial in c, and refines every real root on all 2^n branch
-    equations (one batched Newton in c); each converged (c, z) lifts to
+    equations (one batched Newton in c), where the fold c = sigma_n^2 / 4
+    is tested directly; each converged (c, z) lifts to
     x = U diag(z) V^t on the SVD of u, and refinements that met at one
     point count once.
     The points are certified on SL^pm in one batch, with c set, and sorted
@@ -112,6 +128,8 @@ def sl_critical_points(u) -> list[CriticalPoint]:
     roots = poly_roots(resultant_chain(mu))
     real = roots.real[np.abs(roots.imag) < _REAL_IM_TOL * (1.0 + np.abs(roots.real))]
     cs, zs = _branch_newton(frame[1], real)
+    fold_c, fold_z = _fold_points(frame[1])
+    cs, zs = np.concatenate([cs, fold_c]), np.concatenate([zs, fold_z])
     if cs.size == 0:
         raise DegeneracyError("no real critical point recovered")
     xs = _lift(frame, zs)

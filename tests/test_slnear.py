@@ -52,6 +52,13 @@ class TestOneByOne:
         assert sols[1].x[0, 0] == pytest.approx(-1.0)
         assert sols[1].distance_sq == pytest.approx(16.0)
 
+    def test_point_on_the_fold(self):
+        # u = 2: x = 1 has c = 1 = sigma^2 / 4, where z^2 - 2z + c has a
+        # double root; it is the nearest point and must not be lost.
+        sols = sl_critical_points(np.array([[2.0]]))
+        got = [(s.x[0, 0], s.c, s.distance_sq) for s in sols]
+        assert got == [pytest.approx((1.0, 1.0, 1.0)), pytest.approx((-1.0, -3.0, 9.0))]
+
 
 class TestDiagonalTwoByTwo:
     def test_input_on_group_is_fixed(self):
@@ -70,6 +77,14 @@ class TestDiagonalTwoByTwo:
         for s, c, d in zip(sols, want_c, want_d):
             assert s.c == pytest.approx(c, abs=1e-9)
             assert s.distance_sq == pytest.approx(d, abs=1e-9)
+
+    def test_nearest_point_on_the_fold(self):
+        # sigma = (17/8, 1): at c = 1/4 = sigma_2^2 / 4, z = (2, 1/2) has
+        # product 1 with z_2 a double root.
+        sols = sl_critical_points(np.diag([2.125, 1.0]))
+        assert len(sols) == 4
+        assert (sols[0].c, sols[0].distance_sq) == pytest.approx((0.25, 0.265625))
+        assert np.allclose(sols[0].x, np.diag([2.0, 0.5]), atol=1e-15)
 
     def test_negative_determinant_side(self):
         u = np.diag([-3.0, 1.0])
