@@ -23,7 +23,8 @@ class SingularityError(DegeneracyError):
 
 
 class ConditioningError(DegeneracyError):
-    """An interpolation or solve step lost too much accuracy to continue."""
+    """A computation left the double-precision range or lost too much
+    accuracy to continue."""
 
 
 class ConvergenceError(GroupnearError):

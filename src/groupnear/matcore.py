@@ -85,33 +85,6 @@ def sym_eig(s) -> EigenDecomposition:
     return EigenDecomposition(q=q[:, ::-1], values=values[::-1])
 
 
-def det_mantissa_exp(a):
-    """Determinant as (mantissa, exponent) with value = mantissa * 2**exponent.
-
-    Keeps huge Sylvester determinants representable without intermediate
-    overflow: each row is scaled by an exact power of two so that its largest
-    entry lies in [1, 2), and the determinant of the scaled matrix carries
-    the mantissa.  The mantissa is in the frexp normal form [0.5, 1) up to
-    sign (0 for singular input).  A square matrix gives (float, int); a
-    (..., k, k) stack gives a float and an integer array of shape (...),
-    each entry equal to the single-matrix call on that matrix.
-    """
-    arr = as_square(a, "det") if np.ndim(a) == 2 else np.asarray(a)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
-        raise InputError(f"det: expected square matrices, got shape {arr.shape}")
-    if arr.dtype.kind not in "biuf" or not np.all(np.isfinite(arr)):
-        raise InputError("det: entries must be finite real numbers")
-    row_max = np.max(np.abs(arr), axis=-1)
-    row_exp = np.where(row_max > 0.0, np.frexp(row_max)[1] - 1, 0)
-    mant, expo = np.frexp(np.linalg.det(np.ldexp(arr, -row_exp[..., None])))
-    singular = mant == 0.0
-    mant = np.where(singular, 0.0, mant)
-    expo = np.where(singular, 0, expo + np.sum(row_exp, axis=-1))
-    if arr.ndim == 2:
-        return float(mant), int(expo)
-    return mant, expo
-
-
 def det(a) -> float:
     """Determinant by LU factorisation (LAPACK via numpy.linalg.det)."""
     arr = as_square(a, "det")

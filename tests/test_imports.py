@@ -10,3 +10,11 @@ def test_import_loads_no_scipy():
     code = "import sys, groupnear; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_mpmath():
+    # The elimination chain runs in double precision; mpmath would add
+    # resident memory and import time to every run for nothing.
+    code = "import sys, groupnear; print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -7,7 +7,6 @@ from groupnear.errors import InputError, SingularityError
 from groupnear.matcore import (
     as_square,
     det,
-    det_mantissa_exp,
     frobenius_norm,
     inverse,
     matrix_from_json,
@@ -59,42 +58,6 @@ class TestLU:
 
     def test_det_of_identity(self):
         assert det(np.eye(4)) == 1.0
-
-    def test_det_mantissa_exp_reassembles(self):
-        a = random_general(5, 11)
-        mant, expo = det_mantissa_exp(a)
-        assert mant * 2.0**expo == pytest.approx(np.linalg.det(a), rel=1e-10)
-
-    def test_det_mantissa_exp_beyond_float_range(self):
-        # 2^300 per diagonal entry; the plain determinant would overflow.
-        a = np.diag([2.0**300] * 4)
-        mant, expo = det_mantissa_exp(a)
-        # frexp normal form: mantissa in [0.5, 1)
-        assert mant == pytest.approx(0.5)
-        assert expo == 1201
-
-    def test_det_mantissa_exp_stack_equals_single_calls_bitwise(self):
-        # Random 6 x 6 matrices, rows spread over 2^-40..2^40, plus a
-        # singular matrix (repeated row) and one with an all-zero row.
-        rng = np.random.default_rng(5)
-        stack = rng.uniform(-1.0, 1.0, size=(2, 4, 6, 6))
-        stack *= np.ldexp(1.0, rng.integers(-40, 41, size=(2, 4, 6, 1)))
-        stack[0, 1, 3] = stack[0, 1, 0]
-        stack[1, 2, 4] = 0.0
-        mant, expo = det_mantissa_exp(stack)
-        assert mant.shape == expo.shape == (2, 4)
-        for idx in np.ndindex(2, 4):
-            assert (mant[idx], expo[idx]) == det_mantissa_exp(stack[idx])
-        assert mant[1, 2] == 0.0 and expo[1, 2] == 0
-        row_scale = np.prod(np.max(np.abs(stack[0, 1]), axis=1))
-        assert abs(np.ldexp(mant[0, 1], expo[0, 1])) < 1e-12 * row_scale
-
-    @pytest.mark.parametrize(
-        "bad", [np.ones((3, 2, 4)), np.ones(4), 1j * np.eye(2), np.full((2, 3, 3), np.nan)]
-    )
-    def test_det_mantissa_exp_rejects_bad_input(self, bad):
-        with pytest.raises(InputError):
-            det_mantissa_exp(bad)
 
     def test_solve_matches_reference(self):
         a = random_general(4, 12)

@@ -1,22 +1,18 @@
-"""Resultants, the multiplier elimination chain, and the root finder."""
+"""The multiplier elimination chain and the root finder."""
 
-import math
+import itertools
 
 import numpy as np
 import pytest
-from numpy.polynomial import chebyshev
 
 from groupnear.errors import ConditioningError, ConvergenceError, DegeneracyError, InputError
-from groupnear.matcore import det_mantissa_exp, random_general, sym_eig
+from groupnear.matcore import random_general, sym_eig
 from groupnear.polyres import (
     UniPoly,
-    _collapse_values,
     chain_degree,
     distinct_root_count,
     poly_roots,
-    resultant,
     resultant_chain,
-    sylvester,
 )
 from groupnear.torused import WeightSet, random_rank1_coefficients
 
@@ -39,25 +35,19 @@ def _torus_polynomial(seed):
     return dense
 
 
-def _syl_det_reference(cur, t, f):
-    mant, expo = det_mantissa_exp(sylvester(cur * t ** np.arange(cur.size), f))
-    return math.ldexp(mant, expo)
+def _eliminant_by_roots(mu, c):
+    """prod over sign vectors eps of (prod_i lambda_i^eps_i(c) - 1), with
+    lambda_i^+- the two complex roots of lambda^2 - (mu_i - 2c) lambda + c^2.
 
-
-def _collapse_reference(mu, c):
-    """The chain collapse at one multiplier value, one Sylvester determinant
-    and one single-column fit at a time."""
-    n = mu.size
-    cur = np.array([1.0, 2.0 * c - mu[n - 1], c * c])
-    for i in range(n - 1, 1, -1):
-        f = np.array([c * c, 2.0 * c - mu[i - 1], 1.0])
-        deg = 2 ** (n - i + 1)
-        tnodes = np.cos(np.pi * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))
-        tvals = np.array([_syl_det_reference(cur, t, f) for t in tnodes])
-        mono = chebyshev.cheb2poly(chebyshev.chebfit(tnodes, tvals, deg))
-        cur = np.pad(mono, (0, deg + 1 - mono.size))
-    f = np.array([c * c, 2.0 * c - mu[0], 1.0])
-    return _syl_det_reference(cur, 1.0, f)
+    The larger root comes from the quadratic formula with the sign that does
+    not cancel, the smaller one as c^2 over it."""
+    e1 = mu - 2.0 * c
+    disc = np.sqrt(e1 * e1 - 4.0 * c * c + 0j)
+    big = 0.5 * (e1 + np.where((e1 * disc.conjugate()).real >= 0.0, disc, -disc))
+    pairs = np.stack((big, c * c / big), axis=1)
+    return np.prod(
+        [np.prod(pairs[np.arange(mu.size), eps]) - 1.0 for eps in itertools.product((0, 1), repeat=mu.size)]
+    )
 
 
 def _assert_roots_contract(coeffs):
@@ -70,39 +60,6 @@ def _assert_roots_contract(coeffs):
     value = np.polynomial.polynomial.polyval(roots, coeffs)
     scale = np.polynomial.polynomial.polyval(np.abs(roots), np.abs(coeffs))
     assert np.max(np.abs(value) / scale) < 1e-12
-
-
-class TestSylvester:
-    def test_linear_pair(self):
-        # Res(x - a, x - b) = a - b with p-rows stacked above q-rows.
-        a, b = 5.0, 2.0
-        assert resultant([-a, 1.0], [-b, 1.0]) == pytest.approx(a - b)
-
-    def test_shared_root_vanishes(self):
-        # (x-1)(x-2) and (x-1)(x+3) share the root 1.
-        p = np.array([2.0, -3.0, 1.0])
-        q = np.array([-3.0, 2.0, 1.0])
-        assert abs(resultant(p, q)) < 1e-12
-
-    def test_matrix_shape(self):
-        m = sylvester([1.0, 2.0, 3.0], [4.0, 5.0])
-        assert m.shape == (3, 3)
-
-    def test_product_of_differences(self):
-        # Res(p, q) = lead(p)^deg(q) * lead(q)^deg(p) * prod (pi - qj)
-        # for p = (x-1)(x-4), q = (x-2)(x-6): (1-2)(1-6)(4-2)(4-6) = -20.
-        p = np.array([4.0, -5.0, 1.0])
-        q = np.array([12.0, -8.0, 1.0])
-        assert resultant(p, q) == pytest.approx(-20.0)
-
-    def test_beyond_float_range_is_a_conditioning_error(self):
-        # Both cubics carry 1e120 coefficients: the resultant is near 1e480.
-        with pytest.raises(ConditioningError, match="double-precision range"):
-            resultant([1.0, 1e120, 0.0, 1.0], [2.0, 0.0, 1e120, 1.0])
-
-    def test_degree_zero_rejected(self):
-        with pytest.raises(InputError):
-            sylvester([1.0], [1.0, 2.0])
 
 
 class TestUniPoly:
@@ -130,60 +87,45 @@ class TestChain:
         assert resultant_chain(mu).degree == chain_degree(n)
         assert chain_degree(n) == n * 2**n
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_fit_agrees_with_direct_evaluation(self, n):
-        # The interpolated polynomial must reproduce the collapsed
-        # determinant away from the sample nodes, up to the global
-        # normalization applied to the returned coefficients.
-        mu = _spectrum(n, 600 + n)
-        poly = resultant_chain(mu)
-        rng = np.random.default_rng(n)
-        halfwidth = 1.1 * (1.0 + np.sqrt(mu[0]))
-        cs = rng.uniform(-halfwidth, halfwidth, size=12)
-        direct = np.asarray([_collapse_values(mu, np.array([c]))[0] for c in cs])
-        fitted = np.asarray([poly(float(c)) for c in cs])
-        direct = direct / np.max(np.abs(direct))
-        fitted = fitted / np.max(np.abs(fitted))
-        assert np.max(np.abs(direct - fitted)) < 1e-6
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_batched_collapse_equals_scalar_reference_bitwise(self, n, seed):
+    # The chain has leading coefficient 1 before normalisation, so the
+    # returned polynomial divided by its leading coefficient must equal the
+    # product over the quadratics' roots, up to rounding of the terms.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_product_over_quadratic_roots(self, n, seed):
         mu = _spectrum(n, seed)
+        poly = resultant_chain(mu)
         halfwidth = 1.1 * (1.0 + np.sqrt(mu[0]))
-        cs = np.random.default_rng(seed).uniform(-halfwidth, halfwidth, size=(3, 5))
-        batched = _collapse_values(mu, cs.ravel())
-        assert batched.shape == (cs.size,)
-        reference = np.array([_collapse_reference(mu, c) for c in cs.ravel()])
-        assert np.array_equal(batched, reference)
-        assert _collapse_values(mu, cs[1, 2:3])[0] == reference[7]
+        rng = np.random.default_rng(seed)
+        real = rng.uniform(-halfwidth, halfwidth, size=5)
+        cplx = halfwidth * rng.uniform(0.1, 1.0, size=5) * np.exp(2j * np.pi * rng.uniform(size=5))
+        coeffs = poly.coeffs / poly.coeffs[-1]
+        for c in np.concatenate([real, cplx]):
+            scale = np.polynomial.polynomial.polyval(abs(c), np.abs(coeffs))
+            assert abs(np.polynomial.polynomial.polyval(c, coeffs) - _eliminant_by_roots(mu, c)) < 1e-11 * scale
 
-    def test_collapse_beyond_float_range_is_a_conditioning_error(self):
-        # Spectrum of 1e14 * u: the last Sylvester determinant exceeds 1e308.
-        mu = _spectrum(3, 0) * 1e28
-        with pytest.raises(ConditioningError, match="double-precision range"):
-            _collapse_values(mu, np.array([1e14]))
-
-    def test_roots_track_collapsed_determinant_zeros(self):
-        # Each real root of the fitted polynomial must sit close to a zero
-        # of the directly evaluated determinant: a few Newton steps on the
-        # exact evaluation should barely move it.
-        mu = _spectrum(3, 77)
+    # Newton on the product itself, from each real root of the chain,
+    # must barely move it: only rounding separates the two.
+    @pytest.mark.parametrize("n,seed", [(3, 77), (4, 3)])
+    def test_real_roots_are_zeros_of_the_product(self, n, seed):
+        mu = _spectrum(n, seed)
         roots = poly_roots(resultant_chain(mu))
         real = roots[np.abs(roots.imag) < 1e-8].real
         assert real.size > 0
         for c0 in real:
-            c, h = float(c0), 1e-7 * (1.0 + abs(float(c0)))
+            c, h = float(c0), 1e-6 * (1.0 + abs(float(c0)))
             for _ in range(8):
-                f, up, down = _collapse_values(mu, np.array([c, c + h, c - h]))
-                d = (up - down) / (2 * h)
-                if d == 0.0:
-                    break
-                step = f / d
+                f, up, down = (_eliminant_by_roots(mu, x).real for x in (c, c + h, c - h))
+                step = f / ((up - down) / (2 * h))
                 c -= step
-                if abs(step) < 1e-13 * (1.0 + abs(c)):
+                if abs(step) < 1e-14 * (1.0 + abs(c)):
                     break
-            assert abs(c - float(c0)) < 1e-4 * (1.0 + abs(c))
+            assert abs(c - float(c0)) < 1e-8 * (1.0 + abs(c))
+
+    def test_beyond_float_range_is_a_conditioning_error(self):
+        # Spectrum of 1e14 u: the chain exceeds 1e308 on its root enclosure.
+        with pytest.raises(ConditioningError, match="double-precision range"):
+            resultant_chain(_spectrum(3, 0) * 1e28)
 
     def test_rejects_nonpositive_spectrum(self):
         with pytest.raises(DegeneracyError):

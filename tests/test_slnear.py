@@ -98,8 +98,9 @@ class TestDiagonalTwoByTwo:
 
 
 class TestSolutionSystem:
-    # (3, 150): the interpolated eliminant has spurious real roots whose
-    # Newton correction wanders off; they must be skipped, not reported.
+    # (3, 150): the interpolated chain of earlier versions had spurious
+    # real roots here; whatever the chain returns, every point reported
+    # must solve the full system.
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 150)])
     def test_full_system_satisfied(self, n, seed):
         u = random_general(n, seed)
@@ -129,6 +130,16 @@ class TestSolutionSystem:
         assert len(sols) == 16
         for sol in sols:
             _check_solution(u, sol)
+
+    # At scale 100 the size-4 chain stays inside the double range, and every
+    # point it yields is certified.
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_four_by_four_at_scale_100(self, seed):
+        u = 100.0 * random_general(4, seed)
+        points = sl_critical_points(u)
+        assert len(points) == 26
+        for p in points:
+            assert p.residual < 1e-9 * (1.0 + frobenius_norm(u))
 
     def test_too_large_rejected(self):
         with pytest.raises(UnsupportedError):
@@ -166,8 +177,8 @@ class TestCertifiedPoints:
 
 
 def _located_roots(u):
-    """sigma and the real roots of the interpolated chain, as
-    sl_critical_points locates them."""
+    """sigma and the real roots of the chain, as sl_critical_points
+    locates them."""
     mu = sym_eig(u.T @ u).values
     roots = poly_roots(resultant_chain(mu))
     real = np.abs(roots.imag) < slnear._REAL_IM_TOL * (1.0 + np.abs(roots.real))
@@ -203,12 +214,26 @@ class TestSharpenRoots:
         assert c.size > 0 and np.all(c < cap)
         assert np.all(np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12)
 
-    def test_spurious_roots_rejected(self):
-        # n = 3, seed 150: the fit has 10 real roots, the input 8 real
-        # critical points; the two extra roots do not add points.
+    def test_spurious_roots_rejected(self, monkeypatch):
+        # n = 3, seed 150: the chain has 8 real roots and the input 8 real
+        # critical points.  Spurious real roots next to the true ones must
+        # not add points: the same 8 come back.
         u = random_general(3, 150)
         _, roots = _located_roots(u)
-        assert roots.size == 10 and len(sl_critical_points(u)) == 8
+        points = sl_critical_points(u)
+        assert roots.size == 8 and len(points) == 8
+        true_roots = slnear.poly_roots
+
+        def with_spurious(p):
+            z = true_roots(p)
+            return np.concatenate([z, z.real * (1.0 + 1e-3) + 1e-3])
+
+        monkeypatch.setattr(slnear, "poly_roots", with_spurious)
+        noisy = sl_critical_points(u)
+        assert len(noisy) == 8
+        for p, q in zip(points, noisy):
+            assert abs(p.c - q.c) < 1e-9 * (1.0 + abs(p.c))
+            assert frobenius_norm(p.x - q.x) < 1e-9 * (1.0 + frobenius_norm(p.x))
 
     def test_no_roots_no_work(self):
         c, z = slnear._branch_newton(np.array([3.0, 2.0]), np.array([]))
@@ -221,12 +246,24 @@ class TestSharpenRoots:
 
 
 class TestOutOfRange:
-    # The spectrum of 1e14 u sits near 1e28, so the chain's determinants
-    # leave the double range: a typed error, not a bare OverflowError.
+    # The spectrum of 1e14 u sits near 1e28, so the chain leaves the double
+    # range on its root enclosure: a typed error, not a bare OverflowError.
     @pytest.mark.parametrize("scale", [1e14, 1e17, 1e20])
     def test_typed_error(self, scale):
         with pytest.raises(ConditioningError):
             sl_critical_points(scale * random_general(3, 0))
+
+    # At n = 4 the degree-64 chain leaves the range from smaller scales on;
+    # a valid matrix is a conditioning refusal, never an input error.
+    @pytest.mark.parametrize("scale", [1e11, 1e12])
+    def test_four_by_four_typed_error(self, scale, tmp_path, capsys):
+        u = scale * random_general(4, 0)
+        with pytest.raises(ConditioningError, match="double-precision range"):
+            sl_critical_points(u)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(matrix_to_json(u)))
+        assert cli.main(["critical", "sl-pm", str(path)]) == cli.EXIT_DEGENERATE == 3
+        assert "double-precision range" in capsys.readouterr().err
 
     def test_cli_exits_degenerate(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -237,16 +274,19 @@ class TestOutOfRange:
 
 
 class TestKnownChainDefects:
-    # Defects of the interpolated chain, pinned so that a better multiplier
-    # solve flips them.  A 2000-start sl_pm census finds 8 real critical
-    # points for each of these n = 3 inputs.
-    @pytest.mark.xfail(strict=True, reason="chain fit loses real roots")
+    # Inputs where the interpolated chain of earlier versions lost real
+    # roots.  A 2000-start sl_pm census finds 8 real critical points for
+    # each of these n = 3 inputs.
     @pytest.mark.parametrize("seed", [561, 1094])
     def test_all_eight_points_recovered(self, seed):
-        assert len(sl_critical_points(random_general(3, seed))) == 8
+        u = random_general(3, seed)
+        points = sl_critical_points(u)
+        assert len(points) == 8
+        for p in points:
+            _check_solution(u, p)
 
-    # Here the chain loses the same roots, but Newton on another branch of
-    # a neighbouring root reaches the missing points.
+    # Here the interpolated chain lost the same roots, and Newton on
+    # another branch of a neighbouring root reached the missing points.
     @pytest.mark.parametrize("seed", [122, 351])
     def test_missed_roots_recovered_on_other_branches(self, seed):
         u = random_general(3, seed)
@@ -256,8 +296,9 @@ class TestKnownChainDefects:
             _check_solution(u, p)
 
     # SL^pm is closed, so a nearest point always exists.  At scale 100 the
-    # chain's real roots are mostly interpolation noise; refined on the
-    # branch equation they still reach genuine critical points.
+    # chain's coefficients carry less accuracy than at unit scale; refined
+    # on the branch equation its real roots still reach genuine critical
+    # points.
     @pytest.mark.parametrize("seed", range(5))
     def test_scaled_input_has_a_nearest_point(self, seed):
         u = 100.0 * random_general(3, seed)
@@ -266,9 +307,9 @@ class TestKnownChainDefects:
         for p in points:
             assert p.residual < 1e-9 * (1.0 + frobenius_norm(u))
 
-    # For these inputs the chain places the root of the multiplier c far
-    # from its value, nearest the zero of another sign branch; Newton from
-    # every branch must still reach it.
+    # For these inputs the interpolated chain of earlier versions placed the
+    # root of the multiplier c far from its value, nearest the zero of
+    # another sign branch; the point must come back.
     @pytest.mark.parametrize("scale,c", [(5.0, -0.0742521350776179), (100.0, -9.376391865498164)])
     def test_scaled_seed_seven_keeps_its_point(self, scale, c):
         u = scale * random_general(3, 7)
