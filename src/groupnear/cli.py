@@ -411,12 +411,23 @@ def cmd_verify(args) -> RunReport:
     )
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, refused at parse time."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupnear",
         description="Nearest matrices and critical-point counts over matrix groups.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+    parser.add_argument("--seed", type=_seed, default=0, help="seed for all randomized steps")
     parser.add_argument("--tol", type=float, default=1e-7, help="residual threshold for checks")
     parser.add_argument("--starts", type=int, default=1000, help="multistart attempts for censuses")
     sub = parser.add_subparsers(dest="command", required=True)

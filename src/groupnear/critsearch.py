@@ -94,6 +94,9 @@ class GroupSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown group kind {self.kind!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise InputError(f"group size must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise InputError("group size must be positive")
         if self.kind in ("symplectic", "unitary_embedded") and self.n % 2 != 0:
@@ -761,8 +764,8 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     larger `starts` only ever adds points.
 
     u must be real (a complex matrix enters the unitary census through
-    `embed_complex`) and starts a positive integer; anything else raises
-    InputError before any work.
+    `embed_complex`), starts a positive integer and seed a non-negative
+    integer; anything else raises InputError before any work.
     """
     u = as_square(u, "u")
     _require_real(u, "multistart_census", "u")
@@ -772,6 +775,8 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
         raise InputError("multistart_census: starts must be an integer")
     if starts < 1:
         raise InputError("multistart_census: starts must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError("multistart_census: seed must be a non-negative integer")
     n = g.n
     rng = np.random.default_rng(seed)
     anchor = _project_membership(u, g)

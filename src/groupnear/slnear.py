@@ -10,11 +10,15 @@ The multipliers c are located as the real roots of one univariate
 polynomial of degree n 2^n, obtained by eliminating lambda_i = z_i^2 from
 the quadratics in the eigenvalues mu_i = sigma_i^2 of u^t u; its roots are
 companion-matrix eigenvalues.  Each real root is then refined on the
-branch equation: the sign vector eps picks the larger (+1) or smaller (-1)
-root z_i^eps(c), and Newton in c on h(c) = sum log |z_i^eps(c)| starts
-from every root on every branch, all at once.  The frame (U, sigma, V) is
-the SVD of u itself, so x = U diag(z) V^t is one stacked product and the
-frame's accuracy does not depend on the condition number of u^t u.
+branch equation h = sum log |z_i^eps| = 0, where the sign vector eps picks
+the larger (+1) or smaller (-1) root z_i^eps, from every root on every
+branch, all at once.  The unknown is not c but s, a root of the last
+quadratic, with c = s (sigma_n - s): z_n(c) has a square-root branch
+point at the fold c = sigma_n^2 / 4, while z_n(s) is s or sigma_n - s, so
+the fold is an ordinary point of the Newton iteration.  The frame
+(U, sigma, V) is the SVD of u itself, so x = U diag(z) V^t is one stacked
+product and the frame's accuracy does not depend on the condition number
+of u^t u.
 The lifted points are certified in one batch, as the orthogonal and
 unitary points are, so every point is a CriticalPoint with its multiplier
 c, distance, det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree
@@ -34,70 +38,60 @@ from .polyres import CHAIN_MAX_N, distinct_root_count, poly_roots, resultant_cha
 _REAL_IM_TOL = 1e-8
 
 
-def _quadratic_roots(sigma: np.ndarray, c: np.ndarray):
-    """Larger root, smaller root and sqrt(sigma_i^2 - 4c) of
-    z^2 - sigma_i z + c = 0 for rows c (R,), each (R, n); the smaller root
-    is taken as 2c / (sigma + sqrt), which does not cancel."""
-    root = np.sqrt(sigma * sigma - 4.0 * c[:, None])
-    return 0.5 * (sigma + root), 2.0 * c[:, None] / (sigma + root), root
+def _branch_values(sigma: np.ndarray, s: np.ndarray, eps: np.ndarray):
+    """c (R,), z (R, n) and sqrt(sigma_i^2 - 4c) for i < n (R, n - 1) at
+    rows s on sign vectors eps: z_n is s on eps_n = -1 and sigma_n - s on
+    eps_n = +1, c = s (sigma_n - s), and the smaller root of the other
+    quadratics is taken as 2c / (sigma_i + sqrt), which does not cancel."""
+    c = s * (sigma[-1] - s)
+    root = np.sqrt(sigma[:-1] * sigma[:-1] - 4.0 * c[:, None])
+    head = np.where(eps[:, :-1] > 0.0, 0.5 * (sigma[:-1] + root), 2.0 * c[:, None] / (sigma[:-1] + root))
+    tail = np.where(eps[:, -1] > 0.0, sigma[-1] - s, s)
+    return c, np.column_stack([head, tail]), root
 
 
 def _branch_newton(sigma: np.ndarray, cs: np.ndarray):
     """Refine located multipliers cs on the branch equation; returns the
     converged (c, z) rows, root by root and branch by branch.
 
-    Each c is clamped just below sigma_n^2 / 4, where every z_i is real,
-    and starts Newton on all 2^n sign vectors eps: a root the chain placed
-    far from its true value may lie nearest another branch's zero.  Newton
-    in c on h(c) = sum log |z_i^eps(c)|, with
-    h' = sum -eps_i / (z_i sqrt(sigma_i^2 - 4c)), runs for the rows still
-    moving; every row keeps its own scale 1 + |c|, its stopping rules and
-    its clamp, and all arithmetic is per row, so a root refines to the
-    same bits alone or in a batch.  A row converges when its Newton step is
-    below 1e-13 of its scale and |h| < 1e-12: a small step alone is not
-    enough, since h' grows without bound at the clamp.  A row with a zero
+    Each root starts Newton on all 2^n sign vectors eps: a root the chain
+    placed far from its true value may lie nearest another branch's zero.
+    The unknown is s, started at the smaller root of z^2 - sigma_n z + c
+    (its square root clipped at 0 beyond the fold).  Every real s gives
+    c = s (sigma_n - s) <= sigma_n^2 / 4, so every z_i stays real
+    (sigma_i > sigma_n for i < n), and the slope of h = sum log |z_i^eps|,
+    h' = -eps_n / z_n - (sigma_n - 2s) sum_{i<n} eps_i / (z_i sqrt(sigma_i^2 - 4c)),
+    is finite on the fold.  Every row keeps its own scale 1 + |c_0| and
+    its stopping rules, and all arithmetic is per row, so a root refines to
+    the same bits alone or in a batch.  A row converges when its Newton
+    step is below 1e-13 of its scale and |h| < 1e-12.  A row with a zero
     z_i or a flat h, or one not converged after 30 steps, is dropped.
     """
-    cap = 0.25 * float(sigma[-1] * sigma[-1]) * (1.0 - 1e-12)
     table = _sign_table(sigma.size)
-    c = np.repeat(np.minimum(cs, cap), table.shape[0])
+    c0 = np.repeat(cs, table.shape[0])
+    s = 2.0 * c0 / (sigma[-1] + np.sqrt(np.maximum(sigma[-1] * sigma[-1] - 4.0 * c0, 0.0)))
     eps = np.tile(table, (cs.size, 1))
-    scale = 1.0 + np.abs(c)
-    done = np.zeros(c.size, dtype=bool)
-    active = np.arange(c.size)
+    scale = 1.0 + np.abs(c0)
+    done = np.zeros(s.size, dtype=bool)
+    active = np.arange(s.size)
     for _ in range(30):
-        big, small, root = _quadratic_roots(sigma, c[active])
-        z = np.where(eps[active] > 0.0, big, small)
+        _, z, root = _branch_values(sigma, s[active], eps[active])
         live = np.all(z != 0.0, axis=1)
         active, z, root = active[live], z[live], root[live]
-        slope = -np.sum(eps[active] / (z * root), axis=1)
+        e = eps[active]
+        head = np.sum(e[:, :-1] / (z[:, :-1] * root), axis=1)
+        slope = -e[:, -1] / z[:, -1] - (sigma[-1] - 2.0 * s[active]) * head
         live = slope != 0.0
         active, z, slope = active[live], z[live], slope[live]
         h = np.sum(np.log(np.abs(z)), axis=1)
         step = h / slope
-        c[active] = np.minimum(c[active] - step, cap)
+        s[active] -= step
         settled = (np.abs(step) < 1e-13 * scale[active]) & (np.abs(h) < 1e-12)
         done[active[settled]] = True
         active = active[~settled]
         if active.size == 0:
             break
-    big, small, _ = _quadratic_roots(sigma, c[done])
-    return c[done], np.where(eps[done] > 0.0, big, small)
-
-
-def _fold_points(sigma: np.ndarray):
-    """The (c, z) rows on the fold c = sigma_n^2 / 4 whose |prod z_i| is 1.
-
-    There z_n = sigma_n / 2 is a double root and h' is infinite, so Newton
-    from the clamp stalls short of such a point (u = [[2]] has one); it is
-    tested on every branch directly instead.
-    """
-    table = _sign_table(sigma.size)
-    c = np.full(table.shape[0], 0.25 * float(sigma[-1] * sigma[-1]))
-    big, small, _ = _quadratic_roots(sigma, c)
-    z = np.where(table > 0.0, big, small)
-    on = np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12
-    return c[on], z[on]
+    return _branch_values(sigma, s[done], eps[done])[:2]
 
 
 def _check_n(n: int) -> None:
@@ -110,10 +104,10 @@ def sl_critical_points(u) -> list[CriticalPoint]:
 
     Eliminates the lambda chain on the eigenvalues of u^t u down to a
     single polynomial in c, and refines every real root on all 2^n branch
-    equations (one batched Newton in c), where the fold c = sigma_n^2 / 4
-    is tested directly; each converged (c, z) lifts to
-    x = U diag(z) V^t on the SVD of u, and refinements that met at one
-    point count once.
+    equations (one batched Newton in the smaller root s of the last
+    quadratic, which crosses the fold c = sigma_n^2 / 4 like any other
+    point); each converged (c, z) lifts to x = U diag(z) V^t on the SVD of
+    u, and refinements that met at one point count once.
     The points are certified on SL^pm in one batch, with c set, and sorted
     by distance, then c.  Sizes above CHAIN_MAX_N are refused before any
     work.
@@ -128,8 +122,6 @@ def sl_critical_points(u) -> list[CriticalPoint]:
     roots = poly_roots(resultant_chain(mu))
     real = roots.real[np.abs(roots.imag) < _REAL_IM_TOL * (1.0 + np.abs(roots.real))]
     cs, zs = _branch_newton(frame[1], real)
-    fold_c, fold_z = _fold_points(frame[1])
-    cs, zs = np.concatenate([cs, fold_c]), np.concatenate([zs, fold_z])
     if cs.size == 0:
         raise DegeneracyError("no real critical point recovered")
     xs = _lift(frame, zs)

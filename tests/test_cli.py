@@ -192,6 +192,21 @@ class TestVerify:
         assert proc.returncode == 2
 
 
+class TestSeed:
+    # A negative seed is refused at parse time on every command, with an
+    # error line and the input exit code, before any file is read.
+    @pytest.mark.parametrize(
+        "args",
+        [("critical", "symplectic", "x.json"), ("verify", "all"), ("bkk", "w.json")],
+        ids=["critical", "verify", "bkk"],
+    )
+    def test_negative_seed_refused(self, args):
+        proc = run_cli("--seed", "-1", *args)
+        assert proc.returncode == cli.EXIT_INPUT == 2
+        assert "--seed: must be a non-negative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 class TestBkk:
     def test_bound_and_count(self, odd_weights):
         proc = run_cli("bkk", odd_weights)

@@ -51,6 +51,15 @@ class TestGroupSpec:
         with pytest.raises(InputError):
             GroupSpec("unitary_embedded", 3)
 
+    @pytest.mark.parametrize("n", [2.0, True, "2", 2.5])
+    def test_non_integer_size_refused(self, n):
+        with pytest.raises(InputError, match="integer"):
+            GroupSpec("orthogonal", n)
+
+    def test_numpy_integer_size_stored_as_int(self):
+        g = GroupSpec("orthogonal", np.int64(3))
+        assert type(g.n) is int and g == GroupSpec("orthogonal", 3) and g.dim == 3
+
     def test_hashable_with_one_cached_basis(self):
         a, b = GroupSpec("symplectic", 4), GroupSpec("symplectic", 4)
         assert hash(a) == hash(b)
@@ -501,6 +510,11 @@ class TestCensus:
             multistart_census(np.eye(2), g, starts=2.5)
         with pytest.raises(InputError):
             multistart_census(np.eye(2), g, starts=True)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_refuses_negative_and_non_integer_seeds(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            multistart_census(np.eye(2), GroupSpec("sl", 2), starts=10, seed=seed)
 
     def test_late_converger_kept(self):
         # The fourth point of this census is reached by a single start, at

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from groupnear import cli, slnear
-from groupnear.critsearch import GroupSpec, critical_point_from
+from groupnear.critsearch import GroupSpec, critical_point_from, multistart_census
 from groupnear.errors import ConditioningError, DegeneracyError, InputError, UnsupportedError
 from groupnear.matcore import det, frobenius_norm, matrix_to_json, random_general, sym_eig
 from groupnear.polyres import poly_roots, resultant_chain
@@ -95,6 +95,17 @@ class TestDiagonalTwoByTwo:
         assert plus.det_sign == 1
         assert plus.distance_sq == pytest.approx(1.75793072577526, abs=1e-9)
         assert plus.distance_sq > pm.distance_sq
+
+
+class TestThreeByThree:
+    def test_nearest_point_on_the_fold(self):
+        # sigma = (17/8, 5/4, 1): at c = 1/4 = sigma_3^2 / 4, z = (2, 1, 1/2)
+        # has product 1 with z_3 a double root, in a rotated frame.
+        rng = np.random.default_rng(3)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+        points = sl_critical_points(q1 @ np.diag([2.125, 1.25, 1.0]) @ q2)
+        assert (points[0].c, points[0].distance_sq) == pytest.approx((0.25, 0.328125))
+        assert np.allclose(points[0].x, q1 @ np.diag([2.0, 1.0, 0.5]) @ q2, atol=1e-14)
 
 
 class TestSolutionSystem:
@@ -201,18 +212,46 @@ class TestSharpenRoots:
         assert np.all(np.abs(z * z - sigma * z + c[:, None]) < 1e-12 * (1.0 + sigma * sigma))
         assert np.all(np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12)
 
-    def test_root_stalled_at_the_clamp_is_dropped(self):
-        # sigma_2 is chosen so that the all-larger branch has h = 1e-5 at the
-        # clamp just below sigma_3^2 / 4.  There h' is about 2e8, so Newton
-        # stalls after a 5e-14 step; a small step alone must not count as
-        # convergence while |prod z| != 1.
+    def test_point_next_to_the_fold(self):
+        # sigma_2 is chosen so that the all-larger branch has h = 1e-5 at
+        # c = sigma_3^2 / 4 (1 - 1e-12); its zero lies 2e-13 below the fold,
+        # where h'(c) is about 2e8, and is the nearest point.  A 4000-start
+        # census finds the same 8 points.
         cap = 0.25 * 0.1**2 * (1.0 - 1e-12)
-        big, _, _ = slnear._quadratic_roots(np.array([5.0, 0.1]), np.array([cap]))
-        z2 = np.exp(1e-5) / (big[0, 0] * big[0, 1])
+        head = np.array([5.0, 0.1])
+        big = 0.5 * (head + np.sqrt(head * head - 4.0 * cap))
+        z2 = np.exp(1e-5) / (big[0] * big[1])
         sigma = np.array([5.0, z2 + cap / z2, 0.1])
-        c, z = slnear._branch_newton(sigma, np.array([1.0]))
-        assert c.size > 0 and np.all(c < cap)
+        u = np.diag(sigma)
+        points = sl_critical_points(u)
+        assert len(points) == 8
+        assert points[0].c == pytest.approx(0.0024999999997975, abs=1e-16)
+        assert points[0].distance_sq == pytest.approx(0.00250069, abs=1e-8)
+        census = multistart_census(u, GroupSpec("sl_pm", 3), starts=4000, seed=0)
+        assert len(census.points) == 8
+        for p in points:
+            assert min(np.max(np.abs(p.x - q.x)) for q in census.points) < 1e-8
+        # Every returned row solves the branch equation.
+        c, z = slnear._branch_newton(sigma, _located_roots(u)[1])
+        assert c.size > 0
         assert np.all(np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12)
+
+    def test_newton_stops_before_its_step_budget(self, monkeypatch):
+        # Newton in s has no clamp to bounce against: every row settles or
+        # is dropped before the 30-step budget runs out.  Each step and the
+        # final lift evaluate _branch_values once.
+        calls = []
+        values = slnear._branch_values
+
+        def counted(*args):
+            calls[-1] += 1
+            return values(*args)
+
+        monkeypatch.setattr(slnear, "_branch_values", counted)
+        for seed in range(11, 31):
+            calls.append(0)
+            sl_critical_points(random_general(3, seed))
+        assert max(calls) - 1 < 30
 
     def test_spurious_roots_rejected(self, monkeypatch):
         # n = 3, seed 150: the chain has 8 real roots and the input 8 real
