@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -422,13 +423,24 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _tol(text: str) -> float:
+    """A --tol value: a finite positive number, refused at parse time."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupnear",
         description="Nearest matrices and critical-point counts over matrix groups.",
     )
     parser.add_argument("--seed", type=_seed, default=0, help="seed for all randomized steps")
-    parser.add_argument("--tol", type=float, default=1e-7, help="residual threshold for checks")
+    parser.add_argument("--tol", type=_tol, default=1e-7, help="residual threshold for checks")
     parser.add_argument("--starts", type=int, default=1000, help="multistart attempts for censuses")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .matcore import as_square, det, frobenius_norm
+from .matcore import _check_seed, as_square, det, frobenius_norm
 
 KINDS = ("orthogonal", "special_orthogonal", "unitary_embedded", "sl", "sl_pm", "symplectic")
 
@@ -447,6 +447,7 @@ def _draw(g: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
 def random_group_element(g: GroupSpec, seed: int) -> np.ndarray:
     """Seeded random element of g with membership violation below 1e-9: the
     first row of the census draw on the same seed."""
+    _check_seed(seed, "random_group_element")
     return _draw(g, np.random.default_rng(seed), 1)[0]
 
 
@@ -716,7 +717,9 @@ def _merge_representatives(flat: np.ndarray, radius: float) -> np.ndarray:
     A cluster is grown from the lowest unassigned row: each round links every
     unassigned row within radius of the current frontier, with squared
     distances in the Gram form |a|^2 + |b|^2 - 2 a.b on frontier x unassigned
-    blocks, and the newly linked rows become the next frontier.
+    blocks, and the newly linked rows become the next frontier.  The Gram
+    form rounds at about 1e-16 |x|^2, so the radius must exceed about
+    1e-7 |x| to be resolved; the census merges at 1e-5 (1 + |u|).
     """
     sq = np.einsum("kn,kn->k", flat, flat)
     r2 = radius * radius
@@ -775,8 +778,7 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
         raise InputError("multistart_census: starts must be an integer")
     if starts < 1:
         raise InputError("multistart_census: starts must be >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError("multistart_census: seed must be a non-negative integer")
+    _check_seed(seed, "multistart_census")
     n = g.n
     rng = np.random.default_rng(seed)
     anchor = _project_membership(u, g)

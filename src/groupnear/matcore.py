@@ -1,10 +1,9 @@
-"""Dense matrix kernel: Frobenius geometry, eigensolvers, LU, seeded inputs.
+"""Dense matrix kernel: Frobenius geometry, eigensolvers, seeded inputs.
 
-Every eigenproblem, determinant and linear solve goes to LAPACK through
-numpy.linalg; this module adds the package's contracts on top: input
-validation, descending eigenvalue order, typed errors, and an
-overflow-safe determinant.  scipy is deliberately not imported (see the
-README's numerical notes).
+Every eigenproblem and determinant goes to LAPACK through numpy.linalg;
+this module adds the package's contracts on top: input validation,
+descending eigenvalue order, typed errors and seed checks.  scipy is
+deliberately not imported (see the README's numerical notes).
 """
 
 from __future__ import annotations
@@ -13,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegeneracyError,
-    InputError,
-    SingularityError,
-)
+from .errors import ConvergenceError, DegeneracyError, InputError
 
 # Relative symmetry slack accepted by sym_eig.
 SYMMETRY_TOL = 1e-12
@@ -29,8 +23,6 @@ __all__ = [
     "frobenius_norm",
     "sym_eig",
     "det",
-    "inverse",
-    "solve",
     "random_general",
     "matrix_to_json",
     "matrix_from_json",
@@ -93,26 +85,10 @@ def det(a) -> float:
     return float(np.linalg.det(arr))
 
 
-def solve(a, b) -> np.ndarray:
-    """Solve a x = b (LAPACK via numpy.linalg.solve).
-
-    Raises SingularityError when the smallest singular value of a is below
-    1e-12 * max(1, largest singular value).
-    """
-    arr = as_square(a, "solve")
-    rhs = np.asarray(b, dtype=arr.dtype)
-    if rhs.shape[0] != arr.shape[0]:
-        raise InputError("solve: shape mismatch")
-    sv = np.linalg.svd(arr, compute_uv=False)
-    if sv[-1] < 1e-12 * max(1.0, sv[0]):
-        raise SingularityError("solve: matrix is singular to working precision")
-    return np.linalg.solve(arr, rhs)
-
-
-def inverse(a) -> np.ndarray:
-    """Matrix inverse via solve; raises SingularityError when a is singular."""
-    arr = as_square(a, "inverse")
-    return solve(arr, np.eye(arr.shape[0], dtype=arr.dtype))
+def _check_seed(seed, name: str) -> None:
+    """Raise InputError unless seed is a non-negative integer (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"{name}: seed must be a non-negative integer")
 
 
 def random_general(n: int, seed: int, complex_entries: bool = False) -> np.ndarray:
@@ -122,10 +98,12 @@ def random_general(n: int, seed: int, complex_entries: bool = False) -> np.ndarr
     Redraws until the squared singular values of u (from one SVD, not from
     the Gram matrix u^* u) are bounded away from zero and well separated,
     so downstream sign enumerations and branch selections never sit on a
-    degeneracy.  Gives up after 100 attempts.
+    degeneracy.  Gives up after 100 attempts.  n must be a positive
+    integer and seed a non-negative one.
     """
-    if n < 1:
-        raise InputError("random_general: n must be positive")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputError("random_general: n must be a positive integer")
+    _check_seed(seed, "random_general")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         u = rng.uniform(-1.0, 1.0, (n, n))

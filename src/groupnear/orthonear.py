@@ -24,7 +24,7 @@ from .critsearch import (
     membership_violation,
 )
 from .errors import ConvergenceError, DegeneracyError, InputError, SingularityError
-from .matcore import as_square, det, frobenius_norm, inverse
+from .matcore import as_square, det, frobenius_norm
 
 # Minimum gap between singular values, relative to max(1, sigma_1); below
 # this the sign enumeration is ill-posed and we refuse rather than perturb.
@@ -161,7 +161,7 @@ def gperp_decompose(u, x, group: GroupSpec) -> GPerpDecomposition:
         check_g = GroupSpec("unitary_embedded", 2 * x.shape[0])
     if membership_violation(check_x, check_g) > 1e-7 * (1.0 + frobenius_norm(x)):
         raise InputError("gperp_decompose: x is not a group element")
-    s = inverse(x) @ u.astype(x.dtype)
+    s = np.linalg.solve(x, u.astype(x.dtype))
     dev = frobenius_norm(s - np.conj(s).T)
     in_perp = dev <= 1e-7 * (1.0 + frobenius_norm(s))
     tr = np.trace(s)

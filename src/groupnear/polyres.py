@@ -171,24 +171,20 @@ def poly_roots(p) -> np.ndarray:
 
 
 def distinct_root_count(roots, tol: float = 1e-7) -> int:
-    """Number of single-linkage clusters at radius tol * max(1, |root|max)."""
+    """Number of single-linkage clusters at radius tol * max(1, |root|max).
+
+    Each root repeatedly takes the smallest label among the roots within
+    the radius (itself included) until no label changes; a cluster then
+    carries one label, its lowest index.
+    """
     rs = np.asarray(roots, dtype=complex)
-    k = rs.size
-    if k == 0:
+    if rs.size == 0:
         return 0
     radius = tol * max(1.0, float(np.max(np.abs(rs))))
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(rs[i] - rs[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(k)})
+    linked = np.abs(rs[:, None] - rs[None, :]) <= radius
+    labels = np.arange(rs.size)
+    while True:
+        spread = np.min(np.where(linked, labels, rs.size), axis=1)
+        if np.array_equal(spread, labels):
+            return int(np.unique(labels).size)
+        labels = spread

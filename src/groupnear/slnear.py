@@ -19,19 +19,22 @@ the fold is an ordinary point of the Newton iteration.  The frame
 (U, sigma, V) is the SVD of u itself, so x = U diag(z) V^t is one stacked
 product and the frame's accuracy does not depend on the condition number
 of u^t u.
-The lifted points are certified in one batch, as the orthogonal and
-unitary points are, so every point is a CriticalPoint with its multiplier
-c, distance, det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree
-64) are supported; larger ones are refused before any work.
+Each critical point has its own multiplier c, so rows that reached one
+point are told apart by c alone, before any lift: distinct points can lie
+closer in x than any merge radius that is safe at unit scale.  The kept
+points are certified in one batch, as the orthogonal and unitary points
+are, so every point is a CriticalPoint with its multiplier c, distance,
+det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree 64) are
+supported; larger ones are refused before any work.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .critsearch import CriticalPoint, GroupSpec, _certify_batch, _merge_representatives
+from .critsearch import CriticalPoint, GroupSpec, _certify_batch
 from .errors import DegeneracyError, InputError, UnsupportedError
-from .matcore import as_square, frobenius_norm, sym_eig
+from .matcore import as_square, random_general, sym_eig
 from .orthonear import _lift, _sign_table
 from .polyres import CHAIN_MAX_N, distinct_root_count, poly_roots, resultant_chain
 
@@ -106,8 +109,9 @@ def sl_critical_points(u) -> list[CriticalPoint]:
     single polynomial in c, and refines every real root on all 2^n branch
     equations (one batched Newton in the smaller root s of the last
     quadratic, which crosses the fold c = sigma_n^2 / 4 like any other
-    point); each converged (c, z) lifts to x = U diag(z) V^t on the SVD of
-    u, and refinements that met at one point count once.
+    point).  Converged rows are sorted by c and split wherever the next c
+    is more than 1e-12 (1 + |c|) away; each run keeps its lowest row, which
+    lifts to x = U diag(z) V^t on the SVD of u.
     The points are certified on SL^pm in one batch, with c set, and sorted
     by distance, then c.  Sizes above CHAIN_MAX_N are refused before any
     work.
@@ -124,9 +128,11 @@ def sl_critical_points(u) -> list[CriticalPoint]:
     cs, zs = _branch_newton(frame[1], real)
     if cs.size == 0:
         raise DegeneracyError("no real critical point recovered")
-    xs = _lift(frame, zs)
-    keep = _merge_representatives(xs.reshape(cs.size, -1), 1e-5 * (1.0 + frobenius_norm(u)))
-    points = _certify_batch(xs[keep], u, GroupSpec("sl_pm", n), c=cs[keep].tolist())
+    order = np.argsort(cs, kind="stable")
+    ordered = cs[order]
+    runs = np.flatnonzero(np.r_[True, np.diff(ordered) > 1e-12 * (1.0 + np.abs(ordered[1:]))])
+    keep = np.sort(np.minimum.reduceat(order, runs))
+    points = _certify_batch(_lift(frame, zs[keep]), u, GroupSpec("sl_pm", n), c=cs[keep].tolist())
     points.sort(key=lambda p: (p.distance_sq, p.c))
     return points
 
@@ -148,8 +154,6 @@ def sl_ed_degree(n: int, seed: int) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError("n must be a positive integer")
     _check_n(n)
-    from .matcore import random_general
-
     u = random_general(n, seed)
     mu = sym_eig(u.T @ u).values
     roots = poly_roots(resultant_chain(mu))

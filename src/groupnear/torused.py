@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError, UnsupportedError
+from .matcore import _check_seed
 from .polyres import UniPoly, distinct_root_count, poly_roots
 
 __all__ = [
@@ -279,6 +280,7 @@ def random_rank1_coefficients(w: WeightSet, seed: int) -> dict:
     Per weight, in order: a magnitude uniform in [0.2, 1.5), then a fair
     sign.  The draw order is fixed, so seeded reports stay reproducible.
     """
+    _check_seed(seed, "random_rank1_coefficients")
     rng = np.random.default_rng(seed)
     draw = {}
     for chi in w.weights:

@@ -207,6 +207,18 @@ class TestSeed:
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+class TestTol:
+    # --tol must be a finite positive number: nan and -1 used to fail every
+    # check (exit 1), inf to pass every residual check vacuously.
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "x"])
+    def test_bad_tol_refused_at_parse_time(self, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--tol", tol, "verify", "orthogonal"])
+        assert exc.value.code == cli.EXIT_INPUT == 2
+        captured = capsys.readouterr()
+        assert "--tol: must be a finite positive number" in captured.err and captured.out == ""
+
+
 class TestBkk:
     def test_bound_and_count(self, odd_weights):
         proc = run_cli("bkk", odd_weights)

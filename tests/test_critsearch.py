@@ -325,6 +325,11 @@ class TestDraw:
             assert prefix.tobytes() == batch[:20].tobytes()
             assert random_group_element(g, seed).tobytes() == batch[0].tobytes()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_single_draw_refuses_bad_seeds(self, seed):
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            random_group_element(GroupSpec("sl", 3), seed)
+
 
 class TestAnchor:
     # The census anchor is the polar factor of u: the nearest orthogonal

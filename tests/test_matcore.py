@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from groupnear.errors import InputError, SingularityError
+from groupnear.errors import InputError
 from groupnear.matcore import (
     as_square,
     det,
     frobenius_norm,
-    inverse,
     matrix_from_json,
     matrix_to_json,
     random_general,
-    solve,
     sym_eig,
 )
 
@@ -59,24 +57,6 @@ class TestLU:
     def test_det_of_identity(self):
         assert det(np.eye(4)) == 1.0
 
-    def test_solve_matches_reference(self):
-        a = random_general(4, 12)
-        b = random_general(4, 13)
-        x = solve(a, b)
-        assert frobenius_norm(a @ x - b) < 1e-11 * frobenius_norm(b)
-
-    def test_inverse(self):
-        a = random_general(3, 14)
-        assert frobenius_norm(a @ inverse(a) - np.eye(3)) < 1e-11
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularityError):
-            inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-    def test_solve_nearly_singular_raises(self):
-        with pytest.raises(SingularityError):
-            solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), np.array([1.0, 2.0]))
-
 
 class TestShapeChecks:
     def test_as_square_rejects_rectangular(self):
@@ -102,6 +82,19 @@ class TestRandomGeneral:
     def test_complex_entries(self):
         a = random_general(2, 5, complex_entries=True)
         assert np.iscomplexobj(a)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_refuses_bad_seeds(self, seed):
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            random_general(3, seed)
+
+    @pytest.mark.parametrize("n", [0, 2.0, True])
+    def test_refuses_bad_sizes(self, n):
+        with pytest.raises(InputError, match="n must be a positive integer"):
+            random_general(n, 0)
+
+    def test_numpy_integers_accepted(self):
+        assert np.array_equal(random_general(np.int64(3), np.int64(5)), random_general(3, 5))
 
 
 class TestMatrixJson:

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from test_critsearch import _union_find_representatives
 
 from groupnear.errors import ConditioningError, ConvergenceError, DegeneracyError, InputError
 from groupnear.matcore import random_general, sym_eig
@@ -193,3 +194,20 @@ class TestDistinctRootCount:
     def test_conjugate_pairs_distinct(self):
         roots = np.array([1j, -1j])
         assert distinct_root_count(roots, tol=1e-7) == 2
+
+    def test_matches_reference_union_find(self):
+        # Random complex walks in the unit disc (radius tol) with steps near
+        # the radius: clusters that are chains, some of them broken where a
+        # step exceeds it.
+        rng = np.random.default_rng(3)
+        tol = 1e-7
+        for _ in range(20):
+            walks = []
+            for centre in rng.uniform(-0.7, 0.7, (8, 2)):
+                steps = rng.normal(size=(rng.integers(1, 10), 2))
+                steps *= (tol * rng.uniform(0.3, 1.2, len(steps)) / np.linalg.norm(steps, axis=1))[:, None]
+                walks.append(centre + np.cumsum(steps, axis=0))
+            points = np.concatenate(walks)[rng.permutation(sum(len(w) for w in walks))]
+            roots = points[:, 0] + 1j * points[:, 1]
+            expected = len(_union_find_representatives(points, tol))
+            assert distinct_root_count(roots, tol=tol) == expected

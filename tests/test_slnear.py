@@ -148,9 +148,12 @@ class TestSolutionSystem:
     def test_four_by_four_at_scale_100(self, seed):
         u = 100.0 * random_general(4, seed)
         points = sl_critical_points(u)
-        assert len(points) == 26
+        assert len(points) == 30
         for p in points:
             assert p.residual < 1e-9 * (1.0 + frobenius_norm(u))
+        xs = np.array([p.x for p in points])
+        gaps = np.sqrt(np.sum((xs[:, None] - xs[None, :]) ** 2, axis=(2, 3)))
+        assert np.min(gaps[~np.eye(len(points), dtype=bool)]) > 9e-7
 
     def test_too_large_rejected(self):
         with pytest.raises(UnsupportedError):
@@ -357,6 +360,45 @@ class TestKnownChainDefects:
         for p in points:
             assert p.residual < 1e-9 * (1.0 + frobenius_norm(u))
 
+    # At scale 100 distinct points lie closer together than any x-space merge
+    # radius safe at unit scale; counted by their multiplier c, none is lost.
+    # For c < 0 each of the 2^n - 1 mixed sign branches has exactly one root
+    # (here |det u| > 1); the points with c > 0 are counted independently of
+    # the chain by the sign changes of h on a geometric grid of (0, sigma_n^2 / 4].
+    def test_scaled_sets_have_every_point(self):
+        total = 0
+        for seed in range(20):
+            u = 100.0 * random_general(3, seed)
+            assert abs(det(u)) > 1.0
+            points = sl_critical_points(u)
+            assert sum(p.c < 0 for p in points) == 7
+            assert sum(p.c > 0 for p in points) == _positive_c_count(np.linalg.svd(u, compute_uv=False))
+            total += len(points)
+        assert total == 268
+
+    # On seed 0 these two points lie about 2e-4 from neighbouring points,
+    # well inside the x-space merge radius 1e-5 (1 + |u|) = 1.9e-3.
+    def test_scaled_seed_zero_keeps_its_pair(self):
+        u = 100.0 * random_general(3, 0)
+        points = sl_critical_points(u)
+        for c in (-0.0034257033424587714, 0.009804258425639138):
+            found = [p for p in points if abs(p.c - c) < 1e-9 * (1.0 + abs(c))]
+            assert len(found) == 1
+            assert found[0].residual < 1e-9 * (1.0 + frobenius_norm(u))
+
+
+def _positive_c_count(sigma, m=20001):
+    """Sign changes of h = sum log z_i^eps over all sign vectors eps on m
+    geometric points of [1e-12, 1] sigma_n^2 / 4, where every z_i is real."""
+    c = np.geomspace(1e-12, 1.0, m) * 0.25 * sigma[-1] ** 2
+    root = np.sqrt(np.maximum(sigma * sigma - 4.0 * c[:, None], 0.0))
+    big, small = 0.5 * (sigma + root), 2.0 * c[:, None] / (sigma + root)
+    count = 0
+    for eps in slnear._sign_table(sigma.size):
+        h = np.sum(np.log(np.where(eps > 0, big, small)), axis=1)
+        count += int(np.count_nonzero(np.diff(np.sign(h))))
+    return count
+
 
 class TestFiveRefused:
     # n = 5 (a degree-160 chain) is not supported; every entry point must
@@ -408,6 +450,11 @@ class TestCounting:
     def test_rejects_bad_size(self):
         with pytest.raises(InputError):
             sl_ed_degree(0, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            sl_ed_degree(3, seed)
 
 
 class TestSmallestC:

@@ -310,3 +310,9 @@ class TestTightnessExperiment:
 def test_random_rank1_coefficients_match_reference_draw(seed):
     w = _sym_line(7)
     assert random_rank1_coefficients(w, seed) == _draw(w, seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_random_rank1_coefficients_refuse_bad_seeds(seed):
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        random_rank1_coefficients(_sym_line(7), seed)
