@@ -19,12 +19,13 @@ the fold is an ordinary point of the Newton iteration.  The frame
 (U, sigma, V) is the SVD of u itself, so x = U diag(z) V^t is one stacked
 product and the frame's accuracy does not depend on the condition number
 of u^t u.
-Each critical point has its own multiplier c, so rows that reached one
-point are told apart by c alone, before any lift: distinct points can lie
-closer in x than any merge radius that is safe at unit scale.  The kept
-points are certified in one batch, as the orthogonal and unitary points
-are, so every point is a CriticalPoint with its multiplier c, distance,
-det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree 64) are
+Rows that reached one point are told apart before any lift, by c and the
+branch bits z_i > sigma_i / 2 (i < n): off the unit scale distinct points
+lie closer in x than any merge radius safe at unit scale, and c alone is
+not enough (z_i^+ z_i^- = c, so on |c| = 1 the sign vectors eps and -eps
+can both give |z_1 ... z_n| = 1), while c and the bits fix z_n.  The kept
+points are certified in one batch, so every point is a CriticalPoint with
+its multiplier c, distance, det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree 64) are
 supported; larger ones are refused before any work.
 """
 
@@ -109,9 +110,10 @@ def sl_critical_points(u) -> list[CriticalPoint]:
     single polynomial in c, and refines every real root on all 2^n branch
     equations (one batched Newton in the smaller root s of the last
     quadratic, which crosses the fold c = sigma_n^2 / 4 like any other
-    point).  Converged rows are sorted by c and split wherever the next c
-    is more than 1e-12 (1 + |c|) away; each run keeps its lowest row, which
-    lifts to x = U diag(z) V^t on the SVD of u.
+    point).  Converged rows are grouped by their branch bits
+    z_i > sigma_i / 2 (i < n), sorted by c within a group and split
+    wherever the next c is more than 1e-12 (1 + |c|) away; each run keeps
+    its lowest row, which lifts to x = U diag(z) V^t on the SVD of u.
     The points are certified on SL^pm in one batch, with c set, and sorted
     by distance, then c.  Sizes above CHAIN_MAX_N are refused before any
     work.
@@ -128,9 +130,10 @@ def sl_critical_points(u) -> list[CriticalPoint]:
     cs, zs = _branch_newton(frame[1], real)
     if cs.size == 0:
         raise DegeneracyError("no real critical point recovered")
-    order = np.argsort(cs, kind="stable")
-    ordered = cs[order]
-    runs = np.flatnonzero(np.r_[True, np.diff(ordered) > 1e-12 * (1.0 + np.abs(ordered[1:]))])
+    bits = (zs[:, :-1] > 0.5 * frame[1][:-1]) @ (1 << np.arange(n - 1))
+    order = np.lexsort((cs, bits))
+    gap = np.diff(cs[order]) > 1e-12 * (1.0 + np.abs(cs[order][1:]))
+    runs = np.flatnonzero(np.r_[True, gap | (np.diff(bits[order]) != 0)])
     keep = np.sort(np.minimum.reduceat(order, runs))
     points = _certify_batch(_lift(frame, zs[keep]), u, GroupSpec("sl_pm", n), c=cs[keep].tolist())
     points.sort(key=lambda p: (p.distance_sq, p.c))

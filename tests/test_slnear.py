@@ -107,6 +107,24 @@ class TestThreeByThree:
         assert (points[0].c, points[0].distance_sq) == pytest.approx((0.25, 0.328125))
         assert np.allclose(points[0].x, q1 @ np.diag([2.0, 1.0, 0.5]) @ q2, atol=1e-14)
 
+    # z_i^+ z_i^- = c, so on |c| = 1 the sign vectors eps and -eps both give
+    # |z_1 z_2 z_3| = 1: two distinct points share one multiplier c.
+    @pytest.mark.parametrize(
+        "sigma,c,pair",
+        [
+            ([35 / 6, 8 / 3, 3 / 2], -1.0, ([6.0, -1 / 3, -1 / 2], [-1 / 6, 3.0, 2.0])),
+            ([37 / 6, 10 / 3, 5 / 2], 1.0, ([6.0, 1 / 3, 1 / 2], [1 / 6, 3.0, 2.0])),
+        ],
+    )
+    def test_two_points_share_one_multiplier(self, sigma, c, pair):
+        u = np.diag(sigma)
+        points = [p for p in sl_critical_points(u) if abs(p.c - c) < 1e-9]
+        assert len(points) == 2
+        for p, z in zip(sorted(points, key=lambda p: p.distance_sq), pair):
+            assert np.allclose(p.x, np.diag(z), atol=1e-12)
+            assert p.residual < 1e-9 * (1.0 + frobenius_norm(u))
+            _check_solution(u, p)
+
 
 class TestSolutionSystem:
     # (3, 150): the interpolated chain of earlier versions had spurious
