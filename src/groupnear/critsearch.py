@@ -102,10 +102,6 @@ class GroupSpec:
         if self.kind in ("symplectic", "unitary_embedded") and self.n % 2 != 0:
             raise InputError(f"{self.kind} requires even n")
 
-    @property
-    def dim(self) -> int:
-        return len(_stacked_basis(self))
-
 
 @dataclass(frozen=True)
 class CriticalPoint:
@@ -183,17 +179,9 @@ def _unit_frame(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _stacked_basis(g: GroupSpec) -> np.ndarray:
-    """lie_basis(g) stacked to (k, n, n); cached per group, read-only."""
-    out = _lie_stack(g)
-    out.flags.writeable = False
-    return out
-
-
-@functools.cache
 def _orthonormal_basis(g: GroupSpec) -> np.ndarray:
     """Stacked Frobenius-orthonormal basis (k, n, n); cached per group, read-only."""
-    raw = _stacked_basis(g)
+    raw = _lie_stack(g)
     k = raw.shape[0]
     out = _unit_frame(raw.reshape(k, g.n * g.n).T).T.reshape(k, g.n, g.n)
     out.flags.writeable = False
@@ -378,32 +366,6 @@ def critical_point_from(x, u, g: GroupSpec, c: Optional[float] = None) -> Critic
 # Random group elements
 
 
-# Taylor degree of the batched exponential.  Each matrix is first scaled to
-# Frobenius norm at most 0.5, so the first omitted term has norm below
-# 0.5^19 / 19! < 1e-22.  A fixed degree (rather than stopping once the terms
-# of the whole batch are small) keeps every row independent of the others.
-_EXPM_DEGREE = 18
-
-
-def _expm_batch(a: np.ndarray) -> np.ndarray:
-    """Matrix exponentials of a stack (B, n, n) by scaling, a truncated
-    series and squaring; every product is one stacked matmul per matrix."""
-    nrm = _row_norms(a)
-    squarings = np.zeros(a.shape[0], dtype=int)
-    big = nrm > 0.5
-    squarings[big] = np.ceil(np.log2(nrm[big] / 0.5))
-    b = a / (2.0**squarings)[:, None, None]
-    out = np.broadcast_to(np.eye(a.shape[1]), a.shape).copy()
-    term = out
-    for k in range(1, _EXPM_DEGREE + 1):
-        term = np.matmul(term, b) / k
-        out = out + term
-    for s in range(int(squarings.max(initial=0))):
-        rows = squarings > s
-        out[rows] = np.matmul(out[rows], out[rows])
-    return out
-
-
 def _draw(g: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """count seeded random elements of g, stacked (count, n, n).
 
@@ -416,17 +378,12 @@ def _draw(g: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     - unitary: the same for re + i im, re and im uniform, then embedded;
     - sl / sl_pm: a uniform matrix scaled to |det| = 1 (first column
       flipped when det < 0 for sl);
-    - symplectic: the exponential of a uniform [-1, 1] combination of the
-      Lie basis, scaled to Frobenius norm at most 1.5.
+    - symplectic: the unitary draw.  Under J = [[0, I], [-I, 0]] the
+      embedded U(m) is Sp(2m) intersected with O(2m), the maximal compact
+      subgroup of Sp(2m), and it contains -I.
     """
     n = g.n
-    if g.kind == "symplectic":
-        a = np.tensordot(rng.uniform(-1.0, 1.0, (count, g.dim)), _stacked_basis(g), axes=1)
-        nrm = _row_norms(a)
-        big = nrm > 1.5
-        a[big] *= (1.5 / nrm[big])[:, None, None]
-        return _expm_batch(a)
-    if g.kind == "unitary_embedded":
+    if g.kind in ("symplectic", "unitary_embedded"):
         z = rng.uniform(-1.0, 1.0, (count, 2, n // 2, n // 2))
         return _embed(_unit_frame(z[:, 0] + 1j * z[:, 1]))
     a = rng.uniform(-1.0, 1.0, (count, n, n))
@@ -446,7 +403,8 @@ def _draw(g: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
 
 def random_group_element(g: GroupSpec, seed: int) -> np.ndarray:
     """Seeded random element of g with membership violation below 1e-9: the
-    first row of the census draw on the same seed."""
+    first row of the census draw on the same seed (see `_draw`; for Sp an
+    element of its compact part U(m))."""
     _check_seed(seed, "random_group_element")
     return _draw(g, np.random.default_rng(seed), 1)[0]
 
@@ -455,21 +413,9 @@ def random_group_element(g: GroupSpec, seed: int) -> np.ndarray:
 # Membership-projection of the data matrix (start biasing only)
 
 
-def _form_jacobian(left: np.ndarray, right: np.ndarray, rows, cols) -> np.ndarray:
-    """Jacobian (B, T, n^2) of the entries (rows[t], cols[t]) of x^t M x
-    with respect to x, for a stack with left = M^t x and right = M x: the
-    entry (p, q) moves by H[:, p] . (M x)[:, q] + (M^t x)[:, p] . H[:, q]."""
-    bsz, n, _ = left.shape
-    t = np.arange(len(rows))
-    jac = np.zeros((bsz, t.size, n, n))
-    jac[:, t, :, rows] += np.moveaxis(right[:, :, cols], 2, 0)
-    jac[:, t, :, cols] += np.moveaxis(left[:, :, rows], 2, 0)
-    return jac.reshape(bsz, t.size, n * n)
-
-
 def _project_membership(u: np.ndarray, g: GroupSpec) -> np.ndarray:
-    """A point of g near u: the census anchor.  The identity when the
-    projection is not defined (u singular, or the symplectic Newton fails)."""
+    """A point of g near u: the census anchor.  The identity for Sp, and
+    when the projection is not defined (u singular)."""
     n = g.n
     if g.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
         # Polar factor from one SVD: the nearest orthogonal (unitary) matrix.
@@ -489,21 +435,6 @@ def _project_membership(u: np.ndarray, g: GroupSpec) -> np.ndarray:
         if g.kind == "sl" and d < 0.0:
             x = x.copy()
             x[:, 0] *= -1.0
-        return x
-    # symplectic: minimum-norm Newton onto x^t J x = J
-    j, rows, cols = _equations(g).form
-    x = np.array(u, dtype=float)
-    for _ in range(60):
-        s = x.T @ j @ x - j
-        r = s[rows, cols]
-        if float(np.max(np.abs(r))) < 1e-12 * (1.0 + frobenius_norm(x) ** 2):
-            return x
-        jac = _form_jacobian((j.T @ x)[None], (j @ x)[None], rows, cols)[0]
-        delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        x = x + delta.reshape(n, n)
-        if frobenius_norm(delta.reshape(n, n)) < 1e-14 * (1.0 + frobenius_norm(x)):
-            break
-    if frobenius_norm(x.T @ j @ x - j) < 1e-9 * (1.0 + frobenius_norm(x) ** 2):
         return x
     return np.eye(n)
 
@@ -536,6 +467,18 @@ class CensusResult:
 
     def __getitem__(self, idx):
         return self.points[idx]
+
+
+def _form_jacobian(left: np.ndarray, right: np.ndarray, rows, cols) -> np.ndarray:
+    """Jacobian (B, T, n^2) of the entries (rows[t], cols[t]) of x^t M x
+    with respect to x, for a stack with left = M^t x and right = M x: the
+    entry (p, q) moves by H[:, p] . (M x)[:, q] + (M^t x)[:, p] . H[:, q]."""
+    bsz, n, _ = left.shape
+    t = np.arange(len(rows))
+    jac = np.zeros((bsz, t.size, n, n))
+    jac[:, t, :, rows] += np.moveaxis(right[:, :, cols], 2, 0)
+    jac[:, t, :, cols] += np.moveaxis(left[:, :, rows], 2, 0)
+    return jac.reshape(bsz, t.size, n * n)
 
 
 @functools.cache
@@ -748,7 +691,7 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     Starts are one batched draw of random group elements (see `_draw`),
     every other one pulled halfway toward an anchor on the group near u
     (the polar factor of u for O, SO and U; u scaled to unit |det| for SL;
-    a Newton projection onto x^t J x = J for Sp), then iterated on the
+    the identity for Sp), then iterated on the
     stacked system (budget 200 sweeps; `sweeps` counts those run).  The
     Jacobian is affine in x apart from the det row, one cached tensor per
     group (see `_System`).  Each sweep's Armijo search tests the step
