@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -359,6 +360,17 @@ def _suite_torus(seed: int, tol: float, starts: int) -> list[dict]:
         checks.append(
             _check(f"torus d={d} lattice_index={index} count", expected, torus_critical_count_rank1(w, draw))
         )
+    # Bounds at ranks 2 and 3 against volumes computed from the shape: the
+    # lattice points of the box [-r, r]^m (with interior and edge points on
+    # its faces) give m! (2r)^m, the cross-polytope conv(±e_i) gives 2^m.
+    for m, r in ((2, 3), (3, 2)):
+        box = tuple(itertools.product(range(-r, r + 1), repeat=m))
+        w = WeightSet(m, box, (1,) * len(box))
+        checks.append(_check(f"torus box [-{r}, {r}]^{m} bound", math.factorial(m) * (2 * r) ** m, bkk_bound(w)))
+    for m in (2, 3):
+        cross = tuple(tuple(s * (i == j) for j in range(m)) for i in range(m) for s in (1, -1))
+        w = WeightSet(m, cross, (1,) * len(cross))
+        checks.append(_check(f"torus cross-polytope m={m} bound", 2**m, bkk_bound(w)))
     return checks
 
 

@@ -5,9 +5,9 @@ integer characters appearing in the complexified module, with their
 multiplicities.  Critical points of the squared distance correspond to
 solutions of a sparse Laurent system supported on those weights, so the
 solution count is bounded by the normalized volume of their convex hull.
-That volume is computed exactly, for every rank up to three, by one
-recursion: pyramids from one weight over the hull's facets, each facet's
-volume taken one dimension down in its own lattice.  In rank one the
+That volume is computed exactly up to rank three: rank 2 is a monotone-chain
+hull and the shoelace sum, and rank 3 sums pyramids from one weight over the
+hull's facets, each facet's area taken in its own lattice.  In rank one the
 system is a single Laurent polynomial and the count can be computed
 exactly.
 """
@@ -142,8 +142,9 @@ def weightset_from_json(obj) -> WeightSet:
     return WeightSet(m=obj["m"], weights=raw, mults=mults, lattice_index=obj.get("lattice_index", 1))
 
 
-# Orientation values reach 48 * B**3 for entries bounded by B in rank 3,
-# which stays below 2**63 for B = 2**19, so the int64 tests are exact.
+# The rank-3 facet search's orientation values reach 48 * B**3 for entries
+# bounded by B, which stays below 2**63 for B = 2**19, so its int64 tests are
+# exact.  Ranks 1 and 2 are exact at any size but share the limit.
 _MAX_ENTRY = 2**19
 # Subsets tested at once; a block holds k * _BLOCK orientation values.
 _BLOCK = 4096
@@ -151,22 +152,17 @@ _BLOCK = 4096
 
 def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Primitive outward normals and offsets of every facet of the hull of
-    a full-dimensional (k, m) int64 point array, m = 2 or 3.
+    a full-dimensional (k, 3) int64 point array.
 
-    Every m-subset spans a candidate hyperplane; a block of subsets is
-    tested against all points at once, and a candidate with every point
-    weakly on one side supports a facet.
+    Every 3-subset spans a candidate plane; a block of subsets is tested
+    against all points at once, and a candidate with every point weakly on
+    one side supports a facet.
     """
-    k, m = pts.shape
-    subsets = itertools.combinations(range(k), m)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(len(pts)), 3))
     found = []
-    while block := list(itertools.islice(subsets, _BLOCK)):
-        idx = np.array(block)
+    while (idx := np.fromiter(itertools.islice(subsets, 3 * _BLOCK), np.intp).reshape(-1, 3)).size:
         d = pts[idx[:, 1:]] - pts[idx[:, :1]]
-        if m == 2:
-            normals = d[:, 0, ::-1] * np.array([1, -1])
-        else:
-            normals = np.cross(d[:, 0], d[:, 1])
+        normals = np.cross(d[:, 0], d[:, 1])
         sides = pts @ normals.T - np.sum(normals * pts[idx[:, 0]], axis=1)
         below = np.all(sides <= 0, axis=0)
         above = np.all(sides >= 0, axis=0)
@@ -178,26 +174,50 @@ def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals, np.max(pts @ normals.T, axis=0)
 
 
+def _twice_area(points) -> int:
+    """Twice the area of the hull of distinct planar integer points,
+    exactly: Andrew's monotone chain on Python ints, which pops collinear
+    points, then the shoelace sum over the counterclockwise vertices."""
+    pts = sorted(map(tuple, points))
+    hull = []
+    for chain in (pts, pts[::-1]):
+        base = len(hull)
+        for x, y in chain:
+            while len(hull) > base + 1:
+                (ax, ay), (bx, by) = hull[-2:]
+                if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                    break
+                hull.pop()
+            hull.append((x, y))
+        hull.pop()
+    return sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(hull, hull[1:] + hull[:1]))
+
+
 def _normalized_volume(pts: np.ndarray) -> int:
     """m! times the Euclidean volume of the hull of a full-dimensional
-    (k, m) int64 point array, exactly.
+    (k, m) int64 point array, m <= 3, exactly.
 
-    The hull is cut into pyramids from pts[0] over its facets.  A pyramid's
+    Rank 1 is max minus min, rank 2 twice the hull's area.  A rank-3 hull
+    is cut into pyramids from pts[0] over its facets.  A pyramid's
     normalized volume is its lattice height times its base's normalized
-    volume in the facet's own lattice, which is the volume of the base
-    projected along the normal's largest coordinate, divided by that
-    coordinate's absolute value.
+    area in the facet's own lattice: twice the area of the base projected
+    along the normal's largest coordinate, divided by that coordinate's
+    absolute value.
     """
     if pts.shape[1] == 1:
         return int(pts.max() - pts.min())
+    if pts.shape[1] == 2:
+        return _twice_area(pts.tolist())
+    normals, offsets = _facets(pts)
+    heights = (offsets - normals @ pts[0]).tolist()
+    members = (pts @ normals.T == offsets).T.tolist()
+    axes = np.argmax(np.abs(normals), axis=1).tolist()
+    rows = pts.tolist()
     total = 0
-    for normal, offset in zip(*_facets(pts)):
-        height = int(offset - normal @ pts[0])
-        if height == 0:
-            continue
-        axis = int(np.argmax(np.abs(normal)))
-        face = np.delete(pts[pts @ normal == offset], axis, axis=1)
-        total += height * (_normalized_volume(face) // abs(int(normal[axis])))
+    for normal, height, on_face, axis in zip(normals.tolist(), heights, members, axes):
+        if height:
+            face = [p[:axis] + p[axis + 1 :] for p, on in zip(rows, on_face) if on]
+            total += height * (_twice_area(face) // abs(normal[axis]))
     return total
 
 
@@ -206,7 +226,7 @@ def bkk_bound(w: WeightSet) -> int:
     of torus critical points.  Normalization makes the standard simplex
     have volume one, so this is m! times the Euclidean volume.  Does not
     depend on multiplicities.  Weight entries are limited to 2**19 in
-    absolute value, where the exact int64 hull arithmetic ends."""
+    absolute value, where the exact int64 facet search of rank 3 ends."""
     if w.m > 3:
         raise UnsupportedError("bkk_bound supports torus rank m <= 3")
     if not validate_weightset(w):

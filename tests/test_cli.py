@@ -182,6 +182,8 @@ class TestVerify:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["counts"]["observed"] == report["counts"]["expected"]
+        names = {c["name"] for c in report["checks"]}
+        assert {"torus box [-2, 2]^3 bound", "torus cross-polytope m=2 bound"} <= names
 
     def test_orthogonal_suite(self):
         proc = run_cli("verify", "orthogonal")

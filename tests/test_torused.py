@@ -228,10 +228,39 @@ class TestHullVolume:
 
     def test_entry_bound_is_exact(self):
         big = 2**19
-        corners = tuple(
-            (a, b, c) for a in (-big, big) for b in (-big, big) for c in (-big, big)
-        )
-        assert bkk_bound(WeightSet(3, corners, (1,) * 8)) == 48 * 2**57
+        for m, expected in ((3, 48 * 2**57), (2, 2**41)):
+            corners = tuple(itertools.product((-big, big), repeat=m))
+            assert bkk_bound(WeightSet(m, corners, (1,) * len(corners))) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planar_boundary_points_in_any_order(self, seed):
+        # Every edge of the square carries five lattice points besides its
+        # corners; the area depends neither on them nor on the input order.
+        pts = list(_box(2, 3, True).weights)
+        np.random.default_rng(seed).shuffle(pts)
+        assert bkk_bound(WeightSet(2, tuple(pts), (1,) * len(pts))) == 72
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_workload_distribution(self, seed):
+        # The torus benchmark's inputs: ten symmetric pairs of nonzero
+        # weights in [-4, 4]^3, and their nonzero projections to the plane.
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(seed)
+        while True:
+            half = set()
+            while len(half) < 10:
+                p = tuple(int(x) for x in rng.integers(-4, 5, 3))
+                if any(p) and tuple(-x for x in p) not in half:
+                    half.add(p)
+            pts = sorted(half | {tuple(-x for x in p) for p in half})
+            planar = sorted({p[:2] for p in pts if any(p[:2])})
+            w3 = WeightSet(3, tuple(pts), (1,) * len(pts))
+            w2 = WeightSet(2, tuple(planar), (1,) * len(planar))
+            if validate_weightset(w3) and validate_weightset(w2):
+                break
+        hull = spatial.ConvexHull(np.array(pts, dtype=float))
+        assert bkk_bound(w3) == round(6 * hull.volume)
+        assert bkk_bound(w2) == _hull_area_twice_bruteforce(planar)
 
     def test_entry_past_bound_unsupported(self):
         corners = tuple(
