@@ -532,6 +532,7 @@ class _System:
             j0.append(_defects(_units(n), g)[2].reshape(n * n, n * n).T)
         self.j0 = np.concatenate(j0)
         self.poly_rows = self.j0.shape[0]
+        self.zero = np.zeros_like(u)  # u = 0 in `quadratic`
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """x: (B, n, n) -> stacked residual (B, R).  Every product is a
@@ -543,7 +544,7 @@ class _System:
             _, rows, cols = self.eq.form
             parts.append(form[:, rows, cols])
         if comm is not None:
-            parts.append(comm.reshape(x.shape[0], -1))
+            parts.append(comm.reshape(x.shape[0], self.n * self.n))
         if dets is not None:
             parts.append(dets[:, None])
         return np.concatenate(parts, axis=1)
@@ -551,7 +552,8 @@ class _System:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """x: (B, n, n) -> Jacobian (B, R, n^2) matching `residual`."""
         n, bsz = self.n, x.shape[0]
-        jac = self.j0 + np.matmul(x.reshape(bsz, 1, n * n), self.tensor).reshape(bsz, -1, n * n)
+        jac = np.matmul(x.reshape(bsz, 1, n * n), self.tensor).reshape(bsz, -1, n * n)
+        jac += self.j0
         if not self.has_det:
             return jac
         dets = np.linalg.det(x)
@@ -563,7 +565,7 @@ class _System:
         rows along x + a d, (d_flat T) d / 2 written out: the Lie rows at
         u = 0 (minus the Lie coordinates of d^t d), the form rows of
         d^t M d, zero commutator."""
-        parts = [_lie_coordinates(d, np.zeros_like(self.u), self.g)]
+        parts = [_lie_coordinates(d, self.zero, self.g)]
         if self.eq.form is not None:
             m, rows, cols = self.eq.form
             parts.append(np.matmul(np.swapaxes(d, 1, 2), np.matmul(m, d))[:, rows, cols])
@@ -587,11 +589,16 @@ class _System:
         return np.linalg.det(x)[:, None] * np.stack(e, axis=1)
 
 
-# Armijo step lengths 2^-j, j = 0..29.
+# Armijo step lengths 2^-j, j = 0..29, and the factor of phi that each must reach.
 _ARMIJO_STEPS = np.ldexp(1.0, -np.arange(30))
+_ARMIJO_DECREASE = 1.0 - 1e-4 * _ARMIJO_STEPS
 
 # Frontier rows per distance block in the merge: bounds the working arrays.
 _MERGE_BLOCK = 128
+# Smallest merge radius, relative to the largest row norm, that the merge
+# accepts: its Gram-form squared distances round at a few 1e-16 |x|^2, so
+# radius^2 = 1e-14 |x|^2 sits well clear of the rounding.
+_MERGE_RESOLUTION = 1e-7
 
 
 @functools.cache
@@ -612,45 +619,48 @@ def _armijo(sys_: _System, x, step, jac, fvals, phi):
     plus the square of the determinant row (`_System.det_polynomial`), so
     all 30 lengths are tested from a few coefficients per start.  A start
     takes the largest passing length, the one that halving one length at a
-    time would accept, and its residual is then evaluated directly.
+    time would accept (the first passing one, found by one argmax), and its
+    residual is then evaluated directly.  The coefficients' six row dot
+    products are one stacked einsum, which sums each row exactly as six
+    separate "br,br->b" calls would.
 
     Returns the accepted x, residuals and squared residual norms (rows with
-    no passing step are unchanged) and the indices of those rows.
+    no passing step are unchanged) and the indices of those rows.  The
+    inputs are never written: when every row passes, the results are new
+    arrays formed directly, otherwise copies of the inputs updated on the
+    passing rows.
     """
     bsz, n = x.shape[0], x.shape[1]
     p = sys_.poly_rows
     f = fvals[:, :p]
     lin = np.matmul(jac[:, :p], step.reshape(bsz, n * n, 1))[:, :, 0]
     quad = sys_.quadratic(step)
-
-    def dot(a, b):
-        return np.einsum("br,br->b", a, b)
-
-    # |f + a lin + a^2 quad|^2, coefficients of a^0 .. a^4.
-    coef = np.stack(
-        [
-            dot(f, f),
-            2.0 * dot(f, lin),
-            dot(lin, lin) + 2.0 * dot(f, quad),
-            2.0 * dot(lin, quad),
-            dot(quad, quad),
-        ],
-        axis=1,
+    # |f + a lin + a^2 quad|^2, coefficients of a^0 .. a^4, from the six
+    # row dot products in one reduction (each row summed as "br,br->b" would).
+    ff, fl, ll, fq, lq, qq = np.einsum(
+        "kbr,kbr->kb", np.array([f, f, lin, f, lin, quad]), np.array([f, lin, lin, quad, quad, quad])
     )
+    coef = np.array([ff, 2.0 * fl, ll + 2.0 * fq, 2.0 * lq, qq]).T
     trial = np.matmul(coef[:, None, :], _step_powers(5))[:, 0, :]
     if sys_.has_det:
         dpoly = sys_.det_polynomial(x, step)
         dets = np.matmul(dpoly[:, None, :], _step_powers(n + 1))[:, 0, :]
         trial = trial + _det_defect(dets, sys_.eq.det_rule) ** 2
-    ok = trial <= (1.0 - 1e-4 * _ARMIJO_STEPS)[None, :] * phi[:, None]
-    hit = np.any(ok, axis=1)
+    ok = trial <= _ARMIJO_DECREASE[None, :] * phi[:, None]
+    first = np.argmax(ok, axis=1)
+    hit = ok[np.arange(bsz), first]
+    alpha = _ARMIJO_STEPS[first]
+    stalled = np.flatnonzero(~hit)
+    if not stalled.size:
+        xnew = x + alpha[:, None, None] * step
+        fnew = sys_.residual(xnew)
+        return xnew, fnew, np.einsum("br,br->b", fnew, fnew), stalled
     rows = np.flatnonzero(hit)
-    alpha = _ARMIJO_STEPS[np.argmax(ok[rows], axis=1)]
     xnew, fnew, phinew = x.copy(), fvals.copy(), phi.copy()
-    xnew[rows] = x[rows] + alpha[:, None, None] * step[rows]
+    xnew[rows] = x[rows] + alpha[rows, None, None] * step[rows]
     fnew[rows] = sys_.residual(xnew[rows])
-    phinew[rows] = dot(fnew[rows], fnew[rows])
-    return xnew, fnew, phinew, np.flatnonzero(~hit)
+    phinew[rows] = np.einsum("br,br->b", fnew[rows], fnew[rows])
+    return xnew, fnew, phinew, stalled
 
 
 def _merge_representatives(flat: np.ndarray, radius: float) -> np.ndarray:
@@ -661,10 +671,17 @@ def _merge_representatives(flat: np.ndarray, radius: float) -> np.ndarray:
     unassigned row within radius of the current frontier, with squared
     distances in the Gram form |a|^2 + |b|^2 - 2 a.b on frontier x unassigned
     blocks, and the newly linked rows become the next frontier.  The Gram
-    form rounds at about 1e-16 |x|^2, so the radius must exceed about
-    1e-7 |x| to be resolved; the census merges at 1e-5 (1 + |u|).
+    form rounds at about 1e-16 |x|^2, so a radius below 1e-7 times the
+    largest row norm (`_MERGE_RESOLUTION`) cannot be resolved and raises
+    InputError before any distance is formed; the census merges at
+    1e-5 (1 + |u|).
     """
     sq = np.einsum("kn,kn->k", flat, flat)
+    largest = float(np.sqrt(np.max(sq, initial=0.0)))
+    if not radius >= _MERGE_RESOLUTION * largest:
+        raise InputError(
+            f"merge radius {radius:.3g} is below {_MERGE_RESOLUTION:g} times the largest row norm {largest:.3g}"
+        )
     r2 = radius * radius
     free = np.ones(flat.shape[0], dtype=bool)
     reps = []
@@ -707,7 +724,12 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     not depend on which other starts are in the batch (the one exception is
     the pseudo-inverse fallback, which the whole sweep takes when a normal
     matrix is exactly singular).  With the prefix-stable start sequence, a
-    larger `starts` only ever adds points.
+    larger `starts` only ever adds points.  A sweep adds its Jacobian's
+    constant part and the normal equations' 1e-13 floor regularisation in
+    place and negates their right-hand side in place (no second
+    Jacobian-sized or (B, n^2, n^2) array), and `_armijo` keeps its numpy
+    calls few for the many late sweeps with a handful of active starts;
+    none of this changes a bit of any start's arithmetic.
 
     u must be real (a complex matrix enters the unitary census through
     `embed_complex`), starts a positive integer and seed a non-negative
@@ -749,14 +771,16 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
         jac = sys_.jacobian(x)
         jact = np.swapaxes(jac, 1, 2)
         jtj = np.matmul(jact, jac)
-        rhs = -np.matmul(jact, fvals[:, :, None])[:, :, 0]
+        rhs = np.matmul(jact, fvals[:, :, None])
+        np.negative(rhs, out=rhs)
         reg = 1e-13 * np.maximum(1.0, np.einsum("bnn->b", jtj) / (n * n))
-        jtj += reg[:, None, None] * np.eye(n * n)[None, :, :]
+        diag = np.einsum("bii->bi", jtj)  # a writeable view
+        diag += reg[:, None]
         try:
-            delta = np.linalg.solve(jtj, rhs[:, :, None])[:, :, 0]
+            delta = np.linalg.solve(jtj, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
             delta = np.einsum(
-                "bnm,bm->bn", np.linalg.pinv(jtj, rcond=1e-12, hermitian=True), rhs
+                "bnm,bm->bn", np.linalg.pinv(jtj, rcond=1e-12, hermitian=True), rhs[:, :, 0]
             )
         x, fvals, phi, stalled = _armijo(sys_, x, delta.reshape(-1, n, n), jac, fvals, phi)
         normf = np.sqrt(phi)

@@ -263,6 +263,16 @@ class TestBkk:
         assert proc.returncode == 4
         assert "m <= 3" in proc.stderr
 
+    def test_oversized_rank3_set_unsupported(self, tmp_path):
+        # 2000 rank-3 weights would keep the facet search busy for hours;
+        # they are refused (exit 4) before it starts.
+        path = tmp_path / "big.json"
+        line = [[k, 0, 0] for k in range(-997, 998) if k] + [[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+        path.write_text(json.dumps({"m": 3, "weights": line + [[998, 0, 0], [-998, 0, 0]]}))
+        proc = subprocess.run(CLI + ["bkk", str(path)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert "at most 150 rank-3 weights" in proc.stderr
+
     def test_oversized_rank1_count_unsupported(self, tmp_path):
         # Degree 1026 is past the cap; the count is refused before any work.
         path = tmp_path / "wide.json"

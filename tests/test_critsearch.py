@@ -597,6 +597,33 @@ class TestMerge:
             assert list(_merge_representatives(flat, r)) == _union_find_representatives(flat, r)
 
 
+    def test_radius_below_resolution_refused(self):
+        # Unit-norm rows: the Gram form cannot resolve a radius of 1e-9.
+        flat = np.eye(16)[:4]
+        with pytest.raises(InputError, match="largest row norm"):
+            _merge_representatives(flat, 1e-9)
+        assert list(_merge_representatives(flat, 1e-7)) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "kind,n,scale,seed",
+        [("sl_pm", 3, 100.0, s) for s in (0, 1, 2, 3, 4, 7)]
+        + [("sl_pm", 3, 5.0, 7), ("sl_pm", 4, 100.0, 0), ("sl_pm", 4, 100.0, 1)],
+    )
+    def test_census_radius_resolved_on_scaled_inputs(self, kind, n, scale, seed):
+        # The scaled inputs of the SL tests: the census radius
+        # 1e-5 (1 + |u|) stays above the merge's resolution.
+        u = scale * random_general(n, seed)
+        census = multistart_census(u, GroupSpec(kind, n), starts=100, seed=0)
+        assert len(census) > 0
+        assert census.merge_radius >= 1e-7 * max(frobenius_norm(p.x) for p in census)
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "sl_pm", "symplectic"])
+    def test_census_radius_resolved_on_graded_inputs(self, kind):
+        for u in _graded_inputs()[:4]:
+            census = multistart_census(u, GroupSpec(kind, 4), starts=100, seed=0)
+            assert len(census) > 0
+
+
 def _halving_reference(sys_, x, step, phi):
     """Reference Armijo search: halve one step length at a time, 30 tries."""
     alpha = np.ones(len(x))
@@ -616,28 +643,90 @@ def _halving_reference(sys_, x, step, phi):
     return xnew, phinew, np.flatnonzero(~accepted)
 
 
-class TestArmijo:
-    @pytest.mark.parametrize("kind,n", [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3)])
-    def test_blocks_match_sequential_halving(self, kind, n):
-        g = GroupSpec(kind, n)
-        u = random_general(n, 40)
-        sys_ = _System(u, g)
-        rng = np.random.default_rng(3)
-        x = np.stack([random_group_element(g, s) for s in range(60)])
-        x += 0.05 * rng.normal(size=x.shape)
-        fvals = sys_.residual(x)
-        phi = np.einsum("br,br->b", fvals, fvals)
-        jac = sys_.jacobian(x)
-        step = np.stack([np.linalg.lstsq(j, -f, rcond=None)[0] for j, f in zip(jac, fvals)])
-        # Overlong Gauss-Newton steps need 0 to 29 halvings; uphill ones
-        # (every seventh) pass at no length.
-        step *= np.ldexp(1.0, np.arange(60) % 30 - 2)[:, None]
+def _armijo_case(kind, n, uphill=True):
+    """60 perturbed draws of g, their system data and overlong Gauss-Newton
+    steps.  With uphill the steps need 0 to 29 halvings and every seventh
+    is reversed, passing at no length; without, they need 0 to 21 and all
+    pass."""
+    g = GroupSpec(kind, n)
+    sys_ = _System(random_general(n, 40), g)
+    rng = np.random.default_rng(3)
+    x = np.stack([random_group_element(g, s) for s in range(60)])
+    x += 0.05 * rng.normal(size=x.shape)
+    fvals = sys_.residual(x)
+    phi = np.einsum("br,br->b", fvals, fvals)
+    jac = sys_.jacobian(x)
+    step = np.stack([np.linalg.lstsq(j, -f, rcond=None)[0] for j, f in zip(jac, fvals)])
+    step *= np.ldexp(1.0, np.arange(60) % (30 if uphill else 22) - 2)[:, None]
+    if uphill:
         step[::7] *= -1.0
-        step = step.reshape(x.shape)
-        xnew, fnew, phinew, stalled = _armijo(sys_, x, step, jac, fvals, phi)
-        xref, phiref, stalled_ref = _halving_reference(sys_, x, step, phi)
-        assert np.array_equal(xnew, xref)
-        assert np.array_equal(phinew, phiref)
-        assert np.array_equal(np.sort(stalled), stalled_ref)
-        assert np.array_equal(fnew, sys_.residual(xnew))
+    return sys_, x, step.reshape(x.shape), jac, fvals, phi
+
+
+def _armijo_matches_halving(sys_, x, step, jac, fvals, phi):
+    """_armijo against `_halving_reference`, its inputs left unchanged;
+    returns the stalled rows."""
+    inputs = [a.copy() for a in (x, step, jac, fvals, phi)]
+    xnew, fnew, phinew, stalled = _armijo(sys_, x, step, jac, fvals, phi)
+    for before, after in zip(inputs, (x, step, jac, fvals, phi)):
+        assert before.tobytes() == after.tobytes()
+    xref, phiref, stalled_ref = _halving_reference(sys_, x, step, phi)
+    assert np.array_equal(xnew, xref)
+    assert np.array_equal(phinew, phiref)
+    assert np.array_equal(np.sort(stalled), stalled_ref)
+    assert np.array_equal(fnew, sys_.residual(xnew))
+    return stalled
+
+
+_ARMIJO_KINDS = [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3)]
+
+
+class TestArmijo:
+    @pytest.mark.parametrize("kind,n", _ARMIJO_KINDS)
+    def test_blocks_match_sequential_halving(self, kind, n):
+        stalled = _armijo_matches_halving(*_armijo_case(kind, n))
         assert 0 < len(stalled) < 60
+
+    @pytest.mark.parametrize("kind,n", _ARMIJO_KINDS)
+    def test_every_row_passing_matches_sequential_halving(self, kind, n):
+        # With no stalled row the accepted points are formed directly,
+        # without copying the inputs first.
+        stalled = _armijo_matches_halving(*_armijo_case(kind, n, uphill=False))
+        assert len(stalled) == 0
+
+
+_KERNEL_KINDS = [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3), ("unitary_embedded", 4)]
+
+
+class TestSweepKernelsRowwise:
+    # A start's trajectory must not depend on the other starts of its batch:
+    # every sweep kernel gives each row the bits it gives that row alone.
+    @pytest.mark.parametrize("kind,n", _KERNEL_KINDS)
+    def test_system_rows_equal_single_rows(self, kind, n):
+        sys_, x, step, _, _, _ = _armijo_case(kind, n)
+        batch = {"residual": sys_.residual(x), "jacobian": sys_.jacobian(x), "quadratic": sys_.quadratic(step)}
+        for i in range(len(x)):
+            alone = {
+                "residual": sys_.residual(x[i : i + 1]),
+                "jacobian": sys_.jacobian(x[i : i + 1]),
+                "quadratic": sys_.quadratic(step[i : i + 1]),
+            }
+            for name, rows in batch.items():
+                assert rows[i].tobytes() == alone[name][0].tobytes(), f"{name} row {i}"
+        # A sweep whose every row stalls evaluates an empty batch.
+        assert sys_.residual(x[:0]).shape == (0, batch["residual"].shape[1])
+
+    @pytest.mark.parametrize("kind,n", _KERNEL_KINDS)
+    def test_armijo_rows_equal_single_rows(self, kind, n):
+        # The batch has stalled rows; a passing row alone takes the branch
+        # where every row passes, so both branches give the same bits.
+        sys_, x, step, jac, fvals, phi = _armijo_case(kind, n)
+        xnew, fnew, phinew, stalled = _armijo(sys_, x, step, jac, fvals, phi)
+        assert 0 < len(stalled) < len(x)
+        for i in range(len(x)):
+            one = slice(i, i + 1)
+            x1, f1, phi1, stalled1 = _armijo(sys_, x[one], step[one], jac[one], fvals[one], phi[one])
+            assert x1[0].tobytes() == xnew[i].tobytes(), f"row {i}"
+            assert f1[0].tobytes() == fnew[i].tobytes(), f"row {i}"
+            assert phi1[0].tobytes() == phinew[i].tobytes(), f"row {i}"
+            assert (len(stalled1) == 1) == (i in stalled), f"row {i}"

@@ -262,6 +262,23 @@ class TestHullVolume:
         assert bkk_bound(w3) == round(6 * hull.volume)
         assert bkk_bound(w2) == _hull_area_twice_bruteforce(planar)
 
+    def test_weight_count_cap(self, monkeypatch):
+        # 150 rank-3 weights reach the facet search; 152 (and the 343-point
+        # box [-3, 3]^3) are refused before it, at once.
+        def refuse(_pts):
+            raise RuntimeError("_facets reached")
+
+        monkeypatch.setattr(torused, "_facets", refuse)
+        line = [(k, 0, 0) for k in range(-73, 74) if k] + [(0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        at_cap = WeightSet(3, tuple(line), (1,) * len(line))
+        assert len(line) == 150
+        with pytest.raises(RuntimeError, match="_facets reached"):
+            bkk_bound(at_cap)
+        past = line + [(74, 0, 0), (-74, 0, 0)]
+        for w in (WeightSet(3, tuple(past), (1,) * len(past)), _box(3, 3, False)):
+            with pytest.raises(UnsupportedError, match="at most 150 rank-3 weights"):
+                bkk_bound(w)
+
     def test_entry_past_bound_unsupported(self):
         corners = tuple(
             (a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)
