@@ -6,15 +6,16 @@ multiplicities.  Critical points of the squared distance correspond to
 solutions of a sparse Laurent system supported on those weights, so the
 solution count is bounded by the normalized volume of their convex hull.
 That volume is computed exactly up to rank three: rank 2 is a monotone-chain
-hull and the shoelace sum, and rank 3 sums pyramids from one weight over the
-hull's facets, each facet's area taken in its own lattice.  In rank one the
+hull and the shoelace sum, and rank 3, where the set is centrally symmetric,
+sums pyramids from the origin over one facet of each opposite pair and
+doubles the sum, each facet's area taken in its own lattice.  In rank one the
 system is a single Laurent polynomial and the count can be computed
 exactly.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,40 +143,66 @@ def weightset_from_json(obj) -> WeightSet:
     return WeightSet(m=obj["m"], weights=raw, mults=mults, lattice_index=obj.get("lattice_index", 1))
 
 
-# The rank-3 facet search's orientation values reach 48 * B**3 for entries
-# bounded by B, which stays below 2**63 for B = 2**19, so its int64 tests are
-# exact.  Ranks 1 and 2 are exact at any size but share the limit.
+# The rank-3 facet search's int64 values (normals and their products with the
+# weights) reach 24 * B**3 for entries bounded by B, which stays below 2**63
+# for B = 2**19, so its tests are exact.  Ranks 1 and 2 are exact at any size
+# but share the limit.
 _MAX_ENTRY = 2**19
-# Subsets tested at once; a block holds k * _BLOCK orientation values.
+# Subsets tested at once; a block holds k * _BLOCK int64 products.
 _BLOCK = 4096
-# The facet search tests all C(k, 3) subsets against all k weights, O(k**4):
-# on a 2-core x86 machine 150 rank-3 weights take about 1 s and 200 about
-# 3 s, so larger rank-3 sets are refused before any work.
+# The facet search tests C(k, 3) / 2 subsets against all k weights, O(k**4):
+# on a 2-core x86 machine 150 rank-3 weights take about 0.2 s and 200 about
+# 0.5 s, so larger rank-3 sets are refused before any work.
 _MAX_RANK3_WEIGHTS = 150
 
 
-def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Primitive outward normals and offsets of every facet of the hull of
-    a full-dimensional (k, 3) int64 point array.
+@functools.lru_cache(maxsize=4)
+def _triples(n: int) -> tuple[np.ndarray, ...]:
+    """Index columns (i, j, l) of the 3-subsets i < j < l of range(2 * n)
+    with j < n, that is with at most one index >= n.  Mirroring every index
+    (i <-> i + n) maps a subset with t indices >= n to one with 3 - t, so
+    the table holds exactly one subset of each mirror pair."""
+    r = np.arange(2 * n)
+    table = np.nonzero((r[:n, None, None] < r[:n, None]) & (r[:n, None] < r))
+    for column in table:
+        column.flags.writeable = False
+    return table
 
-    Every 3-subset spans a candidate plane; a block of subsets is tested
-    against all points at once, and a candidate with every point weakly on
-    one side supports a facet.
+
+def _leading_sign(x, y, z):
+    """Sign of the first nonzero of (x, y, z), elementwise; 0 for zero."""
+    return np.sign(np.where(x != 0, x, np.where(y != 0, y, z)))
+
+
+def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One facet of each opposite pair of the hull of a full-rank (2n, 3)
+    int64 point array with pts[n:] == -pts[:n]: unreduced normals whose
+    first nonzero entry is positive, offsets, and (f, 2n) member masks.
+
+    Every 3-subset spans a candidate plane with normal v; its mirror image
+    spans the mirrored plane, which supports a facet iff the first does, so
+    only the subsets of _triples are tried.  By symmetry max(pts @ v) >= |h|,
+    where h = v . a for a weight a of the subset, and the plane supports a
+    facet iff equality holds with h != 0 (the origin is interior); that
+    facet, v . x == max, is the pair's one with the positive leading entry.
+    Facets spanned by several subsets are told apart by their member sets.
     """
-    subsets = itertools.chain.from_iterable(itertools.combinations(range(len(pts)), 3))
-    found = []
-    while (idx := np.fromiter(itertools.islice(subsets, 3 * _BLOCK), np.intp).reshape(-1, 3)).size:
-        d = pts[idx[:, 1:]] - pts[idx[:, :1]]
-        normals = np.cross(d[:, 0], d[:, 1])
-        sides = pts @ normals.T - np.sum(normals * pts[idx[:, 0]], axis=1)
-        below = np.all(sides <= 0, axis=0)
-        above = np.all(sides >= 0, axis=0)
-        keep = (below | above) & np.any(normals != 0, axis=1)
-        found.append(np.where(below[keep, None], 1, -1) * normals[keep])
-    normals = np.concatenate(found)
-    normals //= np.gcd.reduce(normals, axis=1)[:, None]
-    normals = np.unique(normals, axis=0)
-    return normals, np.max(pts @ normals.T, axis=0)
+    x = np.ascontiguousarray(pts.T)
+    found = {}
+    table = _triples(len(pts) // 2)
+    for start in range(0, table[0].size, _BLOCK):
+        a, b, c = (x.take(col[start : start + _BLOCK], axis=1) for col in table)
+        d, e = b - a, c - a
+        normals = np.stack([d[1] * e[2] - d[2] * e[1], d[2] * e[0] - d[0] * e[2], d[0] * e[1] - d[1] * e[0]])
+        normals *= _leading_sign(*normals)
+        sides = pts @ normals
+        top = sides.max(axis=0)
+        keep = np.flatnonzero((top == np.abs(np.sum(normals * a, axis=0))) & (top > 0))
+        members = (sides[:, keep] == top[keep]).T
+        for on_face, normal, offset in zip(members, normals[:, keep].T, top[keep]):
+            found.setdefault(on_face.tobytes(), (normal, offset, on_face))
+    normals, offsets, members = map(np.array, zip(*found.values()))
+    return normals, offsets, members
 
 
 def _twice_area(points) -> int:
@@ -199,30 +226,33 @@ def _twice_area(points) -> int:
 
 def _normalized_volume(pts: np.ndarray) -> int:
     """m! times the Euclidean volume of the hull of a full-dimensional
-    (k, m) int64 point array, m <= 3, exactly.
+    (k, m) int64 point array, m <= 3, exactly.  Rank 3 requires a centrally
+    symmetric, full-rank set.
 
     Rank 1 is max minus min, rank 2 twice the hull's area.  A rank-3 hull
-    is cut into pyramids from pts[0] over its facets.  A pyramid's
-    normalized volume is its lattice height times its base's normalized
-    area in the facet's own lattice: twice the area of the base projected
-    along the normal's largest coordinate, divided by that coordinate's
-    absolute value.
+    is cut into pyramids from the origin, its centre, over its facets, and
+    opposite facets give equal pyramids, so one of each pair is summed and
+    the sum doubled.  A pyramid's normalized volume is its base's offset h
+    times twice the area of the base projected along the normal's largest
+    coordinate, divided by that coordinate's absolute value; with the
+    unreduced normal the common factor cancels.  A triangle facet's normal
+    is the cross product of its own edges (or its mirror's), so there the
+    quotient is 1 and the pyramid is h alone.
     """
     if pts.shape[1] == 1:
         return int(pts.max() - pts.min())
     if pts.shape[1] == 2:
         return _twice_area(pts.tolist())
-    normals, offsets = _facets(pts)
-    heights = (offsets - normals @ pts[0]).tolist()
-    members = (pts @ normals.T == offsets).T.tolist()
-    axes = np.argmax(np.abs(normals), axis=1).tolist()
-    rows = pts.tolist()
-    total = 0
-    for normal, height, on_face, axis in zip(normals.tolist(), heights, members, axes):
-        if height:
-            face = [p[:axis] + p[axis + 1 :] for p, on in zip(rows, on_face) if on]
-            total += height * (_twice_area(face) // abs(normal[axis]))
-    return total
+    half = pts[_leading_sign(*pts.T) > 0]
+    pts = np.concatenate([half, -half])
+    normals, offsets, members = _facets(pts)
+    larger = members.sum(axis=1) > 3
+    total = sum(offsets[~larger].tolist())
+    for normal, offset, on_face in zip(normals[larger].tolist(), offsets[larger].tolist(), members[larger]):
+        axis = max(range(3), key=lambda col: abs(normal[col]))
+        face = np.delete(pts[on_face], axis, axis=1).tolist()
+        total += offset * _twice_area(face) // abs(normal[axis])
+    return 2 * total
 
 
 def bkk_bound(w: WeightSet) -> int:
@@ -231,7 +261,8 @@ def bkk_bound(w: WeightSet) -> int:
     have volume one, so this is m! times the Euclidean volume.  Does not
     depend on multiplicities.  Weight entries are limited to 2**19 in
     absolute value, where the exact int64 facet search of rank 3 ends, and
-    rank-3 sets to 150 weights, where that search passes about a second."""
+    rank-3 sets to 150 weights, where that O(k**4) search takes about 0.2 s
+    on a 2-core x86 machine."""
     if w.m > 3:
         raise UnsupportedError("bkk_bound supports torus rank m <= 3")
     if w.m == 3 and len(w.weights) > _MAX_RANK3_WEIGHTS:

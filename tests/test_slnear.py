@@ -405,6 +405,29 @@ class TestKnownChainDefects:
             assert found[0].residual < 1e-9 * (1.0 + frobenius_norm(u))
 
 
+class TestRealCountLaws:
+    # Real points of SL^pm by the sign of their multiplier c.  Proved: c < 0
+    # holds one point per mixed sign vector eps (2^n - 1 of them) and one
+    # more, on the all-plus branch, iff |det u| < 1; there is no point at
+    # c > 0 when |det u| < 1, and an odd number when |det u| > 1 (the
+    # all-plus path runs from -inf to log |det u|, each mixed path from
+    # -inf to -inf).  Observed, not proved: at most 2^n - 1 at c > 0, since
+    # each mixed path has held 0 or 2 roots there and the all-plus path 0
+    # or 1.
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 5.0, 100.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_counts_by_sign_of_c(self, n, scale):
+        for seed in range(60):
+            u = scale * random_general(n, seed)
+            inside = abs(det(u)) < 1.0
+            points = sl_critical_points(u)
+            below = sum(p.c < 0 for p in points)
+            above = sum(p.c > 0 for p in points)
+            assert below == 2**n - 1 + inside, seed
+            assert (above == 0) if inside else (above % 2 == 1), seed
+            assert above <= 2**n - 1, seed
+
+
 def _positive_c_count(sigma, m=20001):
     """Sign changes of h = sum log z_i^eps over all sign vectors eps on m
     geometric points of [1e-12, 1] sigma_n^2 / 4, where every z_i is real."""

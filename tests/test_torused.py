@@ -200,6 +200,21 @@ def _box(m, r, surface):
     return WeightSet(m, pts, (1,) * len(pts))
 
 
+def _random_symmetric(rng, half, box):
+    """A full-rank set of `half` random nonzero weights in [-box, box]^3
+    and their negatives."""
+    while True:
+        chosen = set()
+        while len(chosen) < half:
+            p = tuple(int(x) for x in rng.integers(-box, box + 1, 3))
+            if any(p) and tuple(-x for x in p) not in chosen:
+                chosen.add(p)
+        pts = sorted(chosen | {tuple(-x for x in p) for p in chosen})
+        w = WeightSet(3, tuple(pts), (1,) * len(pts))
+        if validate_weightset(w):
+            return w
+
+
 class TestHullVolume:
     @pytest.mark.parametrize("seed", range(8))
     def test_rank3_matches_convex_hull(self, seed):
@@ -261,6 +276,53 @@ class TestHullVolume:
         hull = spatial.ConvexHull(np.array(pts, dtype=float))
         assert bkk_bound(w3) == round(6 * hull.volume)
         assert bkk_bound(w2) == _hull_area_twice_bruteforce(planar)
+
+    @pytest.mark.parametrize("a,b,c", [(1, 1, 1), (1, 2, 3), (3, 2, 1), (2, 2, 2), (1, 1, 7)])
+    def test_lattice_box(self, a, b, c):
+        # Every lattice point of [-a, a] x [-b, b] x [-c, c]: each facet
+        # carries a grid of coplanar weights, and the volume is 48abc.
+        pts = tuple(itertools.product(range(-a, a + 1), range(-b, b + 1), range(-c, c + 1)))
+        assert bkk_bound(WeightSet(3, pts, (1,) * len(pts))) == 48 * a * b * c
+
+    @pytest.mark.parametrize("b,c", [(1, 1), (3, 5), (1, 2**19), (2**19, 2**19)])
+    def test_axis_octahedron(self, b, c):
+        # +-a e1, +-b e2, +-c e3 at the entry bound a = 2**19: 8abc.
+        a = 2**19
+        axes = ((a, 0, 0), (0, b, 0), (0, 0, c))
+        pts = axes + tuple(tuple(-x for x in p) for p in axes)
+        assert bkk_bound(WeightSet(3, pts, (1,) * 6)) == 8 * a * b * c
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unimodular_invariance(self, seed):
+        # An integer map of determinant +-1 preserves lattice volume; the
+        # image keeps every entry within the bound 2**19.
+        rng = np.random.default_rng(seed)
+        base = _random_symmetric(rng, int(rng.integers(3, 16)), int(rng.choice([2, 5, 50, 2000])))
+        while True:
+            u = np.eye(3, dtype=np.int64)
+            for _ in range(5):
+                i, j = rng.choice(3, 2, replace=False)
+                u[i] += int(rng.integers(-3, 4)) * u[j]
+            u = u[rng.permutation(3)] * rng.choice((-1, 1), 3)[:, None]
+            image = np.array(base.weights) @ u.T
+            if np.abs(image).max() <= 2**19:
+                break
+        assert round(abs(np.linalg.det(u))) == 1
+        mapped = WeightSet(3, tuple(map(tuple, image.tolist())), base.mults)
+        assert bkk_bound(mapped) == bkk_bound(base)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weight_order_invariance(self, seed):
+        # Reordering the weights flips the orientation of the subsets that
+        # span each facet; neither a random set's bound nor that of the
+        # surface of [-2, 2]^3 moves.
+        rng = np.random.default_rng(seed)
+        for w in (_random_symmetric(rng, 12, 6), _box(3, 2, True)):
+            expected = bkk_bound(w)
+            for _ in range(3):
+                order = rng.permutation(len(w.weights))
+                shuffled = WeightSet(3, tuple(w.weights[i] for i in order), (1,) * len(order))
+                assert bkk_bound(shuffled) == expected
 
     def test_weight_count_cap(self, monkeypatch):
         # 150 rank-3 weights reach the facet search; 152 (and the 343-point
