@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .matcore import _check_seed, as_square, det, frobenius_norm
+from .matcore import _check_positive_int, _check_seed, as_square, det, frobenius_norm
 
 KINDS = ("orthogonal", "special_orthogonal", "unitary_embedded", "sl", "sl_pm", "symplectic")
 
@@ -94,11 +94,8 @@ class GroupSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown group kind {self.kind!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise InputError(f"group size must be an integer, got {self.n!r}")
+        _check_positive_int(self.n, "group size")
         object.__setattr__(self, "n", int(self.n))
-        if self.n < 1:
-            raise InputError("group size must be positive")
         if self.kind in ("symplectic", "unitary_embedded") and self.n % 2 != 0:
             raise InputError(f"{self.kind} requires even n")
 
@@ -739,10 +736,7 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     _require_real(u, "multistart_census", "u")
     if u.shape[0] != g.n:
         raise InputError("multistart_census: size mismatch")
-    if isinstance(starts, bool) or not isinstance(starts, (int, np.integer)):
-        raise InputError("multistart_census: starts must be an integer")
-    if starts < 1:
-        raise InputError("multistart_census: starts must be >= 1")
+    _check_positive_int(starts, "multistart_census: starts")
     _check_seed(seed, "multistart_census")
     n = g.n
     rng = np.random.default_rng(seed)

@@ -91,6 +91,13 @@ def _check_seed(seed, name: str) -> None:
         raise InputError(f"{name}: seed must be a non-negative integer")
 
 
+def _check_positive_int(value, what: str) -> None:
+    """Raise InputError unless value is a positive integer, Python or numpy
+    (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InputError(f"{what} must be a positive integer, got {value!r}")
+
+
 def random_general(n: int, seed: int, complex_entries: bool = False) -> np.ndarray:
     """Seeded generic test matrix with i.i.d. uniform [-1, 1] entries
     (real, or real plus i times imaginary parts).
@@ -101,8 +108,7 @@ def random_general(n: int, seed: int, complex_entries: bool = False) -> np.ndarr
     degeneracy.  Gives up after 100 attempts.  n must be a positive
     integer and seed a non-negative one.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError("random_general: n must be a positive integer")
+    _check_positive_int(n, "random_general: n")
     _check_seed(seed, "random_general")
     rng = np.random.default_rng(seed)
     for _ in range(100):

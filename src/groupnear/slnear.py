@@ -35,7 +35,7 @@ import numpy as np
 
 from .critsearch import CriticalPoint, GroupSpec, _certify_batch
 from .errors import DegeneracyError, InputError, UnsupportedError
-from .matcore import as_square, random_general, sym_eig
+from .matcore import _check_positive_int, as_square, random_general, sym_eig
 from .orthonear import _lift, _sign_table
 from .polyres import CHAIN_MAX_N, distinct_root_count, poly_roots, resultant_chain
 
@@ -154,8 +154,7 @@ def nearest_sl(u, component: str = "pm") -> CriticalPoint:
 
 def sl_ed_degree(n: int, seed: int) -> int:
     """Distinct complex critical multipliers for a random u; expect n 2^n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError("n must be a positive integer")
+    _check_positive_int(n, "sl_ed_degree: n")
     _check_n(n)
     u = random_general(n, seed)
     mu = sym_eig(u.T @ u).values

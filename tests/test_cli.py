@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from groupnear import cli
+from groupnear import cli, orthonear
 from groupnear.matcore import matrix_to_json, random_general
+from groupnear.orthonear import nearest_orthogonal
+from groupnear.slnear import sl_critical_points
 
 CLI = [sys.executable, "-m", "groupnear.cli"]
 
@@ -150,18 +152,37 @@ class TestCritical:
     def test_odd_symplectic_size_refused_before_census(self, tmp_path, monkeypatch):
         assert _critical_symplectic_without_census(3, tmp_path, monkeypatch) == cli.EXIT_UNSUPPORTED
 
+    @pytest.mark.parametrize(
+        "group,n", [("orthogonal", 15), ("special-orthogonal", 30), ("unitary", 13)]
+    )
+    def test_oversized_enumeration_refused_before_work(self, group, n, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("enumeration ran for a refused size")
+
+        monkeypatch.setattr(orthonear, "_svd_frame", must_not_run)
+        monkeypatch.setattr(orthonear, "_sign_table", must_not_run)
+        u = random_general(n, 0, complex_entries=group == "unitary")
+        assert cli.main(["critical", group, _write_matrix(tmp_path, u)]) == cli.EXIT_UNSUPPORTED
+        captured = capsys.readouterr()
+        assert "supports n <=" in captured.err and captured.out == ""
+
+
+def _write_matrix(tmp_path, u, name="u.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(matrix_to_json(u)))
+    return str(path)
+
 
 def _critical_symplectic_without_census(n, tmp_path, monkeypatch):
     """Exit code of `critical symplectic` on a random n x n input, with a
     census that fails the test if it is ever called."""
-    path = tmp_path / f"u{n}.json"
-    path.write_text(json.dumps(matrix_to_json(random_general(n, 0))))
+    path = _write_matrix(tmp_path, random_general(n, 0), f"u{n}.json")
 
     def census_must_not_run(*args, **kwargs):
         raise AssertionError("census ran for an unsupported size")
 
     monkeypatch.setattr(cli, "multistart_census", census_must_not_run)
-    return cli.main(["critical", "symplectic", str(path)])
+    return cli.main(["critical", "symplectic", path])
 
 
 class TestVerify:
@@ -219,6 +240,96 @@ class TestTol:
         assert exc.value.code == cli.EXIT_INPUT == 2
         captured = capsys.readouterr()
         assert "--tol: must be a finite positive number" in captured.err and captured.out == ""
+
+
+class TestStarts:
+    # --starts must be a positive integer no larger than the cap set from the
+    # census's memory per start: 0 used to be accepted silently, and a million
+    # starts would need tens of GB.
+    @pytest.mark.parametrize("starts", ["0", "-5", "1.5", "x", str(cli._MAX_STARTS + 1), "1000000"])
+    def test_bad_starts_refused_at_parse_time(self, starts, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--starts", starts, "verify", "orthogonal"])
+        assert exc.value.code == cli.EXIT_INPUT == 2
+        captured = capsys.readouterr()
+        assert f"--starts: must be an integer from 1 to {cli._MAX_STARTS}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("starts", [1, cli._MAX_STARTS])
+    def test_bounds_accepted(self, starts):
+        args = cli._build_parser().parse_args(["--starts", str(starts), "verify", "orthogonal"])
+        assert args.starts == starts
+
+
+def _hex(values) -> list[str]:
+    """The exact bits of each float in a nested list; an int fails."""
+    if isinstance(values, list):
+        return [h for v in values for h in _hex(v)]
+    return [values.hex()]
+
+
+def _plain(value) -> bool:
+    """True if value is built from dicts, lists and plain Python scalars only."""
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _plain(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_plain(v) for v in value)
+    return type(value) in (str, int, float, bool, type(None))
+
+
+class TestReportEncoding:
+    # Reports go through the standard JSON encoder, which spells each float
+    # as its shortest round-trip repr: it parses back to the same double.
+    def test_nearest_orthogonal_round_trips(self, tmp_path, capsys):
+        u = random_general(3, 0)
+        assert cli.main(["nearest", "orthogonal", _write_matrix(tmp_path, u)]) == 0
+        printed = json.loads(capsys.readouterr().out)["results"][0]
+        point = nearest_orthogonal(u)
+        assert _hex(printed["x"]["data"]) == _hex(point.x.tolist())
+        assert _hex([printed["distance_sq"], printed["residual"]]) == _hex(
+            [point.distance_sq, point.residual]
+        )
+
+    def test_critical_sl_pm_round_trips(self, tmp_path, capsys):
+        u = random_general(3, 0)
+        assert cli.main(["critical", "sl-pm", _write_matrix(tmp_path, u)]) == 0
+        printed = json.loads(capsys.readouterr().out)["results"]
+        points = sl_critical_points(u)
+        assert len(printed) == len(points) > 0
+        for row, point in zip(printed, points):
+            assert _hex([row["distance_sq"], row["residual"], row["c"]]) == _hex(
+                [point.distance_sq, point.residual, point.c]
+            )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["nearest", group, "@real"] for group in ("orthogonal", "special-orthogonal", "sl", "sl-pm")),
+            ["nearest", "unitary", "@complex"],
+            *(["critical", group, "@real"] for group in ("orthogonal", "special-orthogonal", "sl", "sl-pm")),
+            ["critical", "unitary", "@complex"],
+            ["--starts", "50", "critical", "symplectic", "@real2"],
+            ["bkk", "@rank1"],
+            ["bkk", "@rank3"],
+            ["verify", "all"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_report_is_plain_finite_json(self, argv, tmp_path, odd_weights):
+        corners = [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+        cube = tmp_path / "cube.json"
+        cube.write_text(json.dumps({"m": 3, "weights": corners}))
+        files = {
+            "@real": _write_matrix(tmp_path, random_general(3, 0)),
+            "@real2": _write_matrix(tmp_path, random_general(2, 0), "u2.json"),
+            "@complex": _write_matrix(tmp_path, random_general(2, 0, complex_entries=True), "c.json"),
+            "@rank1": odd_weights,
+            "@rank3": str(cube),
+        }
+        args = cli._build_parser().parse_args([files.get(a, a) for a in argv])
+        report = args.func(args).to_json()
+        json.dumps(report, allow_nan=False)  # a NaN or an unencodable scalar raises
+        assert _plain(report)
 
 
 class TestBkk:

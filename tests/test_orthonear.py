@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from groupnear import orthonear
 from groupnear.critsearch import GroupSpec, membership_violation
-from groupnear.errors import DegeneracyError, InputError
+from groupnear.errors import DegeneracyError, InputError, UnsupportedError
 from groupnear.matcore import det, frobenius_norm, random_general
 from groupnear.orthonear import (
     enumerate_orthogonal_critical,
@@ -202,6 +203,39 @@ class TestUnitary:
         best = nearest_unitary(u).distance_sq
         dists = [p.distance_sq for p in enumerate_unitary_critical(u)]
         assert best == pytest.approx(min(dists), abs=1e-12)
+
+
+class _SignTableReached(Exception):
+    pass
+
+
+def _reach_sign_table(n):
+    raise _SignTableReached(n)
+
+
+def _svd_must_not_run(*args, **kwargs):
+    raise AssertionError("SVD ran for a refused size")
+
+
+class TestEnumerationLimits:
+    # The 2^n-point stacks grow as 2^n n^2, so sizes above the limits are
+    # refused before the SVD.  At the limit the call passes the check and
+    # reaches the sign table, which here stops it before any point is built.
+    @pytest.mark.parametrize(
+        "enumerate_points,limit,complex_entries",
+        [
+            (enumerate_orthogonal_critical, orthonear._MAX_ORTHOGONAL_N, False),
+            (enumerate_unitary_critical, orthonear._MAX_UNITARY_M, True),
+        ],
+        ids=["orthogonal", "unitary"],
+    )
+    def test_refused_above_limit_before_svd(self, monkeypatch, enumerate_points, limit, complex_entries):
+        monkeypatch.setattr(orthonear, "_sign_table", _reach_sign_table)
+        with pytest.raises(_SignTableReached):
+            enumerate_points(random_general(limit, 0, complex_entries=complex_entries))
+        monkeypatch.setattr(orthonear, "_svd_frame", _svd_must_not_run)
+        with pytest.raises(UnsupportedError, match=f"supports n <= {limit}"):
+            enumerate_points(random_general(limit + 1, 0, complex_entries=complex_entries))
 
 
 class TestGPerpDecompose:

@@ -492,6 +492,9 @@ class TestCounting:
         with pytest.raises(InputError):
             sl_ed_degree(0, 1)
 
+    def test_numpy_integer_size_accepted(self):
+        assert sl_ed_degree(np.int64(2), np.int64(0)) == sl_ed_degree(2, 0) == 8
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(InputError, match="seed must be a non-negative integer"):
