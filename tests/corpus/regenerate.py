@@ -1,0 +1,81 @@
+"""Regenerate the CLI corpus: the input files and the expected reports.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/corpus/regenerate.py
+
+Each case runs `groupnear.cli.main` in-process and records its argv, exit
+code and parsed stdout report (None for a refusal, which prints nothing
+on stdout) in `expected.json`.  Arguments ending in `.json` name files in
+this directory.  `tests/test_corpus.py` replays every case and compares.
+A change that rewrites `expected.json` says which values moved, and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from groupnear import cli
+from groupnear.matcore import matrix_to_json, random_general
+
+HERE = Path(__file__).resolve().parent
+
+INPUTS = {
+    "random_general_3_0.json": matrix_to_json(random_general(3, 0)),
+    "antidiag.json": {"n": 2, "data": [[0, 2], [1, 0]]},
+    "diag.json": {"n": 2, "data": [[2, 0], [0, 0.5]]},
+    "scaled_identity.json": {"n": 2, "data": [[2, 0], [0, 2]]},
+    "rank1.json": {"m": 1, "weights": [-3, -1, 1, 3]},
+    "cube.json": {
+        "m": 3,
+        "weights": [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)],
+    },
+}
+
+MATRICES = ("random_general_3_0.json", "antidiag.json", "diag.json")
+GROUPS = ("orthogonal", "special-orthogonal", "unitary", "sl", "sl-pm")
+
+CASES = [
+    *([command, group, matrix] for command in ("nearest", "critical") for group in GROUPS for matrix in MATRICES),
+    *(["nearest", group, matrix, "--component", component]
+      for group in ("sl", "sl-pm") for component in ("plus", "pm") for matrix in MATRICES),
+    ["bkk", "rank1.json"],
+    ["bkk", "cube.json"],
+    # One refusal per nonzero exit code.
+    ["--tol", "1e-300", "verify", "orthogonal"],  # 1: verification failed
+    ["nearest", "orthogonal", "missing.json"],  # 2: unreadable input
+    ["nearest", "orthogonal", "scaled_identity.json"],  # 3: degenerate input
+    ["nearest", "symplectic", "antidiag.json"],  # 4: unsupported
+]
+
+
+def resolve(argv: list[str], directory: Path) -> list[str]:
+    """argv with every `.json` argument made a path in directory."""
+    return [str(directory / a) if a.endswith(".json") else a for a in argv]
+
+
+def run(argv: list[str]) -> tuple[int, dict | None]:
+    """(exit code, parsed stdout report or None) of one in-process run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(resolve(argv, HERE))
+    text = out.getvalue()
+    return code, json.loads(text) if text else None
+
+
+def main() -> None:
+    for name, obj in INPUTS.items():
+        (HERE / name).write_text(json.dumps(obj) + "\n")
+    cases = []
+    for argv in CASES:
+        code, report = run(argv)
+        cases.append({"argv": argv, "exit_code": code, "report": report})
+    (HERE / "expected.json").write_text(json.dumps(cases, indent=1) + "\n")
+    print(f"wrote {len(cases)} cases to {HERE / 'expected.json'}")
+
+
+if __name__ == "__main__":
+    main()
