@@ -31,6 +31,7 @@ from .errors import (
 from .matcore import matrix_from_json, matrix_to_json, random_general
 from .orthonear import (
     enumerate_orthogonal_critical,
+    enumerate_special_orthogonal_critical,
     enumerate_unitary_critical,
     gperp_decompose,
     nearest_orthogonal,
@@ -41,6 +42,7 @@ from .slnear import (
     nearest_sl,
     sl_critical_points,
     sl_ed_degree,
+    sl_plus_critical_points,
     smallest_c_check,
 )
 from .torused import (
@@ -72,6 +74,7 @@ __all__ = [
     "critical_point_from",
     "critical_residual",
     "enumerate_orthogonal_critical",
+    "enumerate_special_orthogonal_critical",
     "enumerate_unitary_critical",
     "gperp_decompose",
     "lie_basis",
@@ -87,6 +90,7 @@ __all__ = [
     "random_group_element",
     "sl_critical_points",
     "sl_ed_degree",
+    "sl_plus_critical_points",
     "smallest_c_check",
     "symplectic_form",
     "torus_critical_count_rank1",

@@ -34,12 +34,13 @@ from .errors import (
 from .matcore import matrix_from_json, matrix_to_json, random_general
 from .orthonear import (
     enumerate_orthogonal_critical,
+    enumerate_special_orthogonal_critical,
     enumerate_unitary_critical,
     nearest_orthogonal,
     nearest_special_orthogonal,
     nearest_unitary,
 )
-from .slnear import nearest_sl, sl_critical_points, sl_ed_degree
+from .slnear import nearest_sl, sl_critical_points, sl_ed_degree, sl_plus_critical_points
 from .torused import (
     WeightSet,
     bkk_bound,
@@ -120,10 +121,6 @@ def _symplectic_count(n: int) -> int:
     return _SYMPLECTIC_COUNTS[n]
 
 
-def _det_plus(points) -> list:
-    return [p for p in points if p.det_sign == 1]
-
-
 class _Group(NamedTuple):
     """A CLI group: its ED degree at size n (reported as `expected`), its
     solver for all real critical points and its nearest-point solver.
@@ -138,14 +135,12 @@ class _Group(NamedTuple):
 _GROUPS = {
     "orthogonal": _Group(lambda n: 2**n, enumerate_orthogonal_critical, nearest_orthogonal),
     "special-orthogonal": _Group(
-        lambda n: 2 ** (n - 1),
-        lambda u: _det_plus(enumerate_orthogonal_critical(u)),
-        nearest_special_orthogonal,
+        lambda n: 2 ** (n - 1), enumerate_special_orthogonal_critical, nearest_special_orthogonal
     ),
     "unitary": _Group(lambda m: 2**m, enumerate_unitary_critical, nearest_unitary),
     "sl": _Group(
         lambda n: n * 2 ** (n - 1),
-        lambda u: _det_plus(sl_critical_points(u)),
+        sl_plus_critical_points,
         functools.partial(nearest_sl, component="plus"),
     ),
     "sl-pm": _Group(lambda n: n * 2**n, sl_critical_points, nearest_sl),
@@ -240,7 +235,7 @@ def _suite_orthogonal(seed: int, tol: float, starts: int) -> list[dict]:
         rotations = _GROUPS["special-orthogonal"].expected(n)
         checks.append(_check(f"orthogonal n={n} critical count", expected, len(points)))
         checks.append(_check(f"orthogonal n={n} residuals under tol", expected, under_tol))
-        checks.append(_check(f"orthogonal n={n} det +1 count", rotations, len(_det_plus(points))))
+        checks.append(_check(f"orthogonal n={n} det +1 count", rotations, sum(p.det_sign == 1 for p in points)))
     return checks
 
 

@@ -24,7 +24,7 @@ from .critsearch import (
     membership_violation,
 )
 from .errors import ConvergenceError, DegeneracyError, InputError, SingularityError, UnsupportedError
-from .matcore import as_square, det, frobenius_norm
+from .matcore import as_square, frobenius_norm
 
 # Minimum gap between singular values, relative to max(1, sigma_1); below
 # this the sign enumeration is ill-posed and we refuse rather than perturb.
@@ -43,6 +43,7 @@ __all__ = [
     "nearest_orthogonal",
     "enumerate_orthogonal_critical",
     "nearest_special_orthogonal",
+    "enumerate_special_orthogonal_critical",
     "nearest_unitary",
     "enumerate_unitary_critical",
     "gperp_decompose",
@@ -82,68 +83,70 @@ def _lift(frame, signs: np.ndarray) -> np.ndarray:
     return np.matmul(frame_u[None, :, :] * signs[:, None, :], vh)
 
 
-def _check_enumerable(n: int, limit: int, name: str) -> None:
-    """Refuse a full enumeration of 2^n points above limit, before any work."""
-    if n > limit:
-        raise UnsupportedError(f"{name} supports n <= {limit} ({2**limit} points), got n = {n}")
+def _det_plus_rows(frame, rows: np.ndarray) -> np.ndarray:
+    """Mask (B,) of the rows r (B, n) whose lift U diag(r) V^* has det +1,
+    by det(U diag(r) V^*) = det U det V^* prod sign(r_i): the one det-sign
+    rule for SO and SL, read from the frame before any point is built."""
+    frame_u, _, vh = frame
+    return np.prod(np.sign(rows), axis=1) * np.linalg.det(frame_u @ vh) > 0.0
 
 
-def _real_input(u, name: str) -> np.ndarray:
+def _closed_form(u, name: str, kind: str, limit: int | None = None) -> list[CriticalPoint]:
+    """The certified points U diag(eps) V^* on GroupSpec(kind, .), eps in
+    lexicographic order, on SO only the det +1 rows (`_det_plus_rows`).
+    With a limit, all of `_sign_table` after refusing sizes above it; without,
+    the nearest point: the first kept of the table's first two rows, built
+    alone.  Unitary input is read as complex, any other must be real."""
     u = as_square(u, "u")
-    if np.iscomplexobj(u):
+    if kind == "unitary_embedded":
+        u = u.astype(np.complex128)
+    elif np.iscomplexobj(u):
         raise InputError(f"{name}: real input required")
-    return u
+    n = u.shape[0]
+    if limit is not None and n > limit:
+        raise UnsupportedError(f"{name} supports n <= {limit} ({2**limit} points), got n = {n}")
+    frame = _svd_frame(u)
+    # Sigma is descending, so the second row flips the smallest singular value.
+    rows = np.c_[np.ones((2, n - 1)), [1.0, -1.0]] if limit is None else _sign_table(n)
+    if kind == "special_orthogonal":
+        rows = rows[_det_plus_rows(frame, rows)]
+    xs = _lift(frame, rows[:1] if limit is None else rows)
+    return _certify_batch(xs, u, GroupSpec(kind, 2 * n if kind == "unitary_embedded" else n))
 
 
 def nearest_orthogonal(u) -> CriticalPoint:
     """Closest orthogonal matrix to u: the all-positive-sign critical point."""
-    u = _real_input(u, "nearest_orthogonal")
-    xs = _lift(_svd_frame(u), np.ones((1, u.shape[0])))
-    return _certify_batch(xs, u, GroupSpec("orthogonal", u.shape[0]))[0]
+    return _closed_form(u, "nearest_orthogonal", "orthogonal")[0]
 
 
 def enumerate_orthogonal_critical(u) -> list[CriticalPoint]:
     """All 2^n critical points over the orthogonal group, one per sign vector,
     in lexicographic sign order (+1 before -1).  Sizes above
     _MAX_ORTHOGONAL_N are refused before any work."""
-    u = _real_input(u, "enumerate_orthogonal_critical")
-    _check_enumerable(u.shape[0], _MAX_ORTHOGONAL_N, "enumerate_orthogonal_critical")
-    xs = _lift(_svd_frame(u), _sign_table(u.shape[0]))
-    return _certify_batch(xs, u, GroupSpec("orthogonal", u.shape[0]))
+    return _closed_form(u, "enumerate_orthogonal_critical", "orthogonal", _MAX_ORTHOGONAL_N)
+
+
+def enumerate_special_orthogonal_critical(u) -> list[CriticalPoint]:
+    """The 2^(n-1) det +1 points of `enumerate_orthogonal_critical`, in its order,
+    certified on SO_n.  Sizes above _MAX_ORTHOGONAL_N are refused before any work."""
+    return _closed_form(u, "enumerate_special_orthogonal_critical", "special_orthogonal", _MAX_ORTHOGONAL_N)
 
 
 def nearest_special_orthogonal(u) -> CriticalPoint:
-    """Closest rotation to u.
-
-    For det(u) > 0 this is the plain polar factor; otherwise the sign of the
-    smallest singular value flips, the cheapest determinant correction.
-    """
-    u = _real_input(u, "nearest_special_orthogonal")
-    signs = np.ones((1, u.shape[0]))
-    # The polar factor inherits the determinant sign of u.
-    if det(u) < 0.0:
-        signs[0, -1] = -1.0  # singular values sorted descending, so last is smallest
-    xs = _lift(_svd_frame(u), signs)
-    point = _certify_batch(xs, u, GroupSpec("special_orthogonal", u.shape[0]))[0]
-    if point.det_sign != 1:
-        raise DegeneracyError("special orthogonal branch selection failed")
-    return point
+    """Closest rotation to u: the polar factor when it has det +1, else the
+    point with the smallest singular value's sign flipped."""
+    return _closed_form(u, "nearest_special_orthogonal", "special_orthogonal")[0]
 
 
 def nearest_unitary(u) -> CriticalPoint:
     """Closest unitary matrix to a complex square matrix."""
-    u = as_square(u, "u").astype(np.complex128)
-    xs = _lift(_svd_frame(u), np.ones((1, u.shape[0])))
-    return _certify_batch(xs, u, GroupSpec("unitary_embedded", 2 * u.shape[0]))[0]
+    return _closed_form(u, "nearest_unitary", "unitary_embedded")[0]
 
 
 def enumerate_unitary_critical(u) -> list[CriticalPoint]:
     """All 2^m unitary critical points, lexicographic sign order.  Sizes
     above _MAX_UNITARY_M are refused before any work."""
-    u = as_square(u, "u").astype(np.complex128)
-    _check_enumerable(u.shape[0], _MAX_UNITARY_M, "enumerate_unitary_critical")
-    xs = _lift(_svd_frame(u), _sign_table(u.shape[0]))
-    return _certify_batch(xs, u, GroupSpec("unitary_embedded", 2 * u.shape[0]))
+    return _closed_form(u, "enumerate_unitary_critical", "unitary_embedded", _MAX_UNITARY_M)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,15 @@ Rows that reached one point are told apart before any lift, by c and the
 branch bits z_i > sigma_i / 2 (i < n): off the unit scale distinct points
 lie closer in x than any merge radius safe at unit scale, and c alone is
 not enough (z_i^+ z_i^- = c, so on |c| = 1 the sign vectors eps and -eps
-can both give |z_1 ... z_n| = 1), while c and the bits fix z_n.  The kept
-points are certified in one batch, so every point is a CriticalPoint with
-its multiplier c, distance, det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree 64) are
-supported; larger ones are refused before any work.
+can both give |z_1 ... z_n| = 1), while c and the bits fix z_n.  The rows
+are sorted by (bits, c), split wherever the next c is more than
+1e-12 (1 + |c|) away, and each run keeps its lowest row.  For SL_n the
+kept rows are narrowed to det +1 before the lift, by the frame's sign
+rule det(U diag(z) V^t) = det U det V^t prod sign(z_i) (`_det_plus_rows`,
+shared with SO_n).  The kept points are certified in one batch, on SL^pm
+or SL_n, so every point is a CriticalPoint with its multiplier c,
+distance, det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree 64)
+are supported; larger ones are refused before any work.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 from .critsearch import CriticalPoint, GroupSpec, _certify_batch
 from .errors import DegeneracyError, InputError, UnsupportedError
 from .matcore import _check_positive_int, as_square, random_general, sym_eig
-from .orthonear import _lift, _sign_table
+from .orthonear import _det_plus_rows, _lift, _sign_table
 from .polyres import CHAIN_MAX_N, distinct_root_count, poly_roots, resultant_chain
 
 _REAL_IM_TOL = 1e-8
@@ -103,21 +108,9 @@ def _check_n(n: int) -> None:
         raise UnsupportedError(f"determinant-one pipeline supports n <= {CHAIN_MAX_N}")
 
 
-def sl_critical_points(u) -> list[CriticalPoint]:
-    """All real critical points of the squared distance from u to SL^pm.
-
-    Eliminates the lambda chain on the eigenvalues of u^t u down to a
-    single polynomial in c, and refines every real root on all 2^n branch
-    equations (one batched Newton in the smaller root s of the last
-    quadratic, which crosses the fold c = sigma_n^2 / 4 like any other
-    point).  Converged rows are grouped by their branch bits
-    z_i > sigma_i / 2 (i < n), sorted by c within a group and split
-    wherever the next c is more than 1e-12 (1 + |c|) away; each run keeps
-    its lowest row, which lifts to x = U diag(z) V^t on the SVD of u.
-    The points are certified on SL^pm in one batch, with c set, and sorted
-    by distance, then c.  Sizes above CHAIN_MAX_N are refused before any
-    work.
-    """
+def _sl_points(u, plus: bool) -> list[CriticalPoint]:
+    """`sl_critical_points`, or with plus its det +1 rows, selected by
+    `_det_plus_rows` before the lift and certified on SL."""
     u = as_square(u, "u")
     n = u.shape[0]
     _check_n(n)
@@ -135,21 +128,36 @@ def sl_critical_points(u) -> list[CriticalPoint]:
     gap = np.diff(cs[order]) > 1e-12 * (1.0 + np.abs(cs[order][1:]))
     runs = np.flatnonzero(np.r_[True, gap | (np.diff(bits[order]) != 0)])
     keep = np.sort(np.minimum.reduceat(order, runs))
-    points = _certify_batch(_lift(frame, zs[keep]), u, GroupSpec("sl_pm", n), c=cs[keep].tolist())
+    if plus:
+        keep = keep[_det_plus_rows(frame, zs[keep])]
+        if keep.size == 0:
+            raise DegeneracyError("no det +1 critical point recovered")
+    g = GroupSpec("sl" if plus else "sl_pm", n)
+    points = _certify_batch(_lift(frame, zs[keep]), u, g, c=cs[keep].tolist())
     points.sort(key=lambda p: (p.distance_sq, p.c))
     return points
+
+
+def sl_critical_points(u) -> list[CriticalPoint]:
+    """All real critical points of the squared distance from u to SL^pm,
+    found as the module docstring describes, certified on SL^pm with c set
+    and sorted by distance, then c.  Sizes above CHAIN_MAX_N are refused
+    before any work."""
+    return _sl_points(u, plus=False)
+
+
+def sl_plus_critical_points(u) -> list[CriticalPoint]:
+    """The real critical points over SL_n: the det +1 points of
+    `sl_critical_points`, in its order, certified on SL_n.  Finding none
+    raises DegeneracyError, as SL^pm does."""
+    return _sl_points(u, plus=True)
 
 
 def nearest_sl(u, component: str = "pm") -> CriticalPoint:
     """Minimum-distance critical point over SL^pm ("pm") or det = +1 only ("plus")."""
     if component not in ("pm", "plus"):
         raise InputError(f"component must be 'pm' or 'plus', got {component!r}")
-    points = sl_critical_points(u)
-    if component == "plus":
-        points = [p for p in points if p.det_sign == 1]
-        if not points:
-            raise DegeneracyError("no det +1 critical point recovered")
-    return points[0]
+    return _sl_points(u, plus=component == "plus")[0]
 
 
 def sl_ed_degree(n: int, seed: int) -> int:

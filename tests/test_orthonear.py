@@ -9,6 +9,7 @@ from groupnear.errors import DegeneracyError, InputError, UnsupportedError
 from groupnear.matcore import det, frobenius_norm, random_general
 from groupnear.orthonear import (
     enumerate_orthogonal_critical,
+    enumerate_special_orthogonal_critical,
     enumerate_unitary_critical,
     gperp_decompose,
     nearest_orthogonal,
@@ -172,6 +173,47 @@ class TestNearestSpecialOrthogonal:
         same = nearest_orthogonal(u)
         special = nearest_special_orthogonal(u)
         assert special.distance_sq == pytest.approx(same.distance_sq, abs=1e-12)
+
+
+def _with_row_negated(u):
+    v = u.copy()
+    v[0] = -v[0]
+    return v
+
+
+class TestSpecialOrthogonalSelection:
+    # SO's points are chosen from the sign table before the lift, by the
+    # frame's det sign; they must be the det +1 half of O's points, bit for
+    # bit and in O's order, on both sides of det u = 0.
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_enumeration_is_the_det_plus_half_of_orthogonal_bitwise(self, n):
+        for seed in range(6):
+            for u in (random_general(n, seed), _with_row_negated(random_general(n, seed))):
+                want = [p for p in enumerate_orthogonal_critical(u) if p.det_sign == 1]
+                got = enumerate_special_orthogonal_critical(u)
+                assert len(got) == len(want) == 2 ** (n - 1)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g.x, w.x)
+                    assert (g.distance_sq, g.det_sign) == (w.distance_sq, w.det_sign)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_nearest_is_the_first_enumerated_point_bitwise(self, n):
+        for seed in range(6):
+            for u in (random_general(n, seed), _with_row_negated(random_general(n, seed))):
+                first = enumerate_special_orthogonal_critical(u)[0]
+                best = nearest_special_orthogonal(u)
+                assert np.array_equal(best.x, first.x)
+                assert (best.distance_sq, best.det_sign, best.residual) == (
+                    first.distance_sq,
+                    first.det_sign,
+                    first.residual,
+                )
+
+    def test_residual_includes_the_det_defect(self):
+        u = random_general(4, 3)
+        for p in enumerate_special_orthogonal_critical(u):
+            assert p.residual < 1e-12
+            assert p.residual >= abs(det(p.x) - 1.0)
 
 
 class TestUnitary:

@@ -14,6 +14,7 @@ from groupnear.slnear import (
     nearest_sl,
     sl_critical_points,
     sl_ed_degree,
+    sl_plus_critical_points,
     smallest_c_check,
 )
 
@@ -481,6 +482,40 @@ class TestNearestSL:
             pm = nearest_sl(u, "pm")
             plus = nearest_sl(u, "plus")
             assert pm.distance_sq <= plus.distance_sq + 1e-12
+
+
+class TestPlusSelection:
+    # SL's points are chosen from the kept rows before the lift, by the
+    # frame's det sign; they must be the det +1 points of SL^pm, bit for
+    # bit and in the same order, and nearest_sl must pick the first of each.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [0.3, 1.0, -1.0, 5.0, 100.0])
+    def test_plus_points_are_the_filtered_pm_points_bitwise(self, n, scale):
+        for seed in range(8):
+            u = scale * random_general(n, seed)
+            pm = sl_critical_points(u)
+            want = [p for p in pm if p.det_sign == 1]
+            got = sl_plus_critical_points(u)
+            assert len(got) == len(want) >= 1
+            for g, w in zip(got, want):
+                assert np.array_equal(g.x, w.x)
+                assert (g.distance_sq, g.det_sign, g.c, g.residual) == (
+                    w.distance_sq,
+                    w.det_sign,
+                    w.c,
+                    w.residual,
+                )
+            for component, points in (("pm", pm), ("plus", got)):
+                best = nearest_sl(u, component)
+                assert np.array_equal(best.x, points[0].x) and best.c == points[0].c
+
+    def test_no_det_plus_point_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(slnear, "_det_plus_rows", lambda frame, rows: np.zeros(len(rows), dtype=bool))
+        u = random_general(2, 0)
+        for call in (sl_plus_critical_points, lambda u: nearest_sl(u, "plus")):
+            with pytest.raises(DegeneracyError, match="det \\+1"):
+                call(u)
+        assert nearest_sl(u, "pm").det_sign in (1, -1)
 
 
 class TestCounting:
