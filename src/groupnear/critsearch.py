@@ -195,8 +195,9 @@ def _basis_columns(g: GroupSpec) -> np.ndarray:
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack (B, n, n)."""
-    return np.sqrt(np.sum(np.abs(a.reshape(a.shape[0], -1)) ** 2, axis=1))
+    """Frobenius norm of each matrix of a real stack (B, n, n)."""
+    flat = a.reshape(a.shape[0], -1)
+    return np.sqrt(np.sum(flat * flat, axis=1))
 
 
 @dataclass(frozen=True)
@@ -276,10 +277,38 @@ def _lie_coordinates(x: np.ndarray, u: np.ndarray, g: GroupSpec) -> np.ndarray:
     return np.matmul(m.reshape(-1, 1, g.n * g.n), _basis_columns(g))[:, 0, :]
 
 
+def _lie_part(m: np.ndarray, g: GroupSpec) -> np.ndarray:
+    """Orthogonal projection of each matrix of a real stack m onto the Lie
+    algebra of g, written over m: (m - m^t)/2 for O and SO, then
+    (p - K p K)/2 for U; (m + J m^t J)/2 for Sp; m - tr(m)/n I for SL and
+    SL^±.  In place, so the certificate holds at most two stacks beside m."""
+    eq = _equations(g)
+    if eq.form is None:
+        i = np.arange(g.n)
+        m[:, i, i] -= (np.trace(m, axis1=1, axis2=2) / g.n)[:, None]
+        return m
+    if g.kind == "symplectic":
+        j = eq.form[0]
+        m += np.matmul(j, np.matmul(np.swapaxes(m, 1, 2), j))
+    else:
+        m -= np.swapaxes(m, 1, 2)
+    m *= 0.5
+    if eq.structure is not None:
+        k = eq.structure
+        m -= np.matmul(k, np.matmul(m, k))
+        m *= 0.5
+    return m
+
+
 def _residuals(x: np.ndarray, u: np.ndarray, g: GroupSpec) -> np.ndarray:
     """Criticality residual (B,) of each matrix of a real stack x: the norm
-    of the Lie coordinates of x^t (u - x) plus the membership violation."""
-    return np.sqrt(np.sum(_lie_coordinates(x, u, g) ** 2, axis=1)) + _violations(x, g)
+    of the Lie-algebra component of x^t (u - x) plus the membership
+    violation.  The component is the orthogonal projection `_lie_part`,
+    whose norm equals that of the coordinates in the orthonormal Lie basis
+    but costs O(n^2) memory per point, not the basis' O(n^4)."""
+    violation = _violations(x, g)  # first, so its temporaries never meet m
+    m = np.matmul(np.swapaxes(x, 1, 2), u[None, :, :] - x)
+    return _row_norms(_lie_part(m, g)) + violation
 
 
 def _certify_batch(xs: np.ndarray, u: np.ndarray, g: GroupSpec, c=None) -> list[CriticalPoint]:
@@ -291,8 +320,7 @@ def _certify_batch(xs: np.ndarray, u: np.ndarray, g: GroupSpec, c=None) -> list[
     per-matrix matmul, so a row's fields do not depend on the other rows.
     """
     count = xs.shape[0]
-    diff = np.abs(u[None, :, :] - xs).reshape(count, -1)
-    dist = np.sum(diff**2, axis=1)
+    dist = np.sum(np.abs(u[None, :, :] - xs).reshape(count, -1) ** 2, axis=1)
     if np.iscomplexobj(xs):
         dist = dist * 2.0
         signs = [1] * count

@@ -13,6 +13,8 @@ from groupnear.critsearch import (
     _armijo,
     _certify_batch,
     _draw,
+    _lie_coordinates,
+    _lie_part,
     _merge_representatives,
     _orthonormal_basis,
     _project_membership,
@@ -29,6 +31,7 @@ from groupnear.critsearch import (
 )
 from groupnear.errors import InputError
 from groupnear.matcore import det, frobenius_norm, random_general
+from groupnear import orthonear
 from groupnear.orthonear import (
     enumerate_orthogonal_critical,
     enumerate_unitary_critical,
@@ -437,6 +440,44 @@ class TestCertifyBatch:
         u = random_general(n, 9)
         for x in _draws_and_perturbed(g):
             assert critical_residual(x, u, g) == pytest.approx(_explicit_residual(x, u, g), rel=1e-14)
+
+
+class TestLieProjection:
+    # The certifier projects x^t (u - x) onto the Lie algebra by formula;
+    # the census keeps coordinates in the orthonormal basis.  Both must
+    # measure the same component.
+    @pytest.mark.parametrize("kind,n", _ALL_KINDS)
+    def test_projection_norm_equals_basis_coordinate_norm(self, kind, n):
+        g = GroupSpec(kind, n)
+        u = random_general(n, 11)
+        xs = _draws_and_perturbed(g)
+        coords = _lie_coordinates(xs, u, g)
+        m = np.matmul(np.swapaxes(xs, 1, 2), u[None, :, :] - xs)
+        part = _lie_part(m.copy(), g)
+        scale = np.linalg.norm(m.reshape(len(m), -1), axis=1)
+        assert np.linalg.norm(part.reshape(len(m), -1), axis=1) == pytest.approx(
+            np.linalg.norm(coords, axis=1), abs=1e-14 * scale.max()
+        )
+        # The projection is idempotent: it lands in the algebra.
+        assert np.allclose(_lie_part(part.copy(), g), part, rtol=0.0, atol=1e-14 * scale.max())
+
+    @pytest.mark.parametrize(
+        "nearest,complex_entries",
+        [(nearest_orthogonal, False), (nearest_special_orthogonal, False), (nearest_unitary, True)],
+        ids=["orthogonal", "special_orthogonal", "unitary"],
+    )
+    def test_nearest_builds_no_sign_table_or_lie_basis(self, monkeypatch, nearest, complex_entries):
+        # Nearest sizes have no limit: at n = 40 the sign table would have
+        # 2^40 rows and the Lie basis (n^2, k) about 10 MB; neither is built.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a nearest query built a size-limited table")
+
+        monkeypatch.setattr(orthonear, "_sign_table", must_not_run)
+        monkeypatch.setattr(critsearch, "_basis_columns", must_not_run)
+        monkeypatch.setattr(critsearch, "_orthonormal_basis", must_not_run)
+        point = nearest(random_general(40, 0, complex_entries=complex_entries))
+        assert point.residual < 1e-10
+        assert point.det_sign == 1 or nearest is nearest_orthogonal
 
 
 class TestCensus:
