@@ -13,7 +13,10 @@ Each group's defining equations are written once, in `_equations`: a
 preserved form x^t M x = M, a det rule and a complex structure to commute
 with.  The certifier (`membership_violation`, `critical_residual`) sums
 the Frobenius norms of the full defects; the census system takes the
-independent entries of the same defects as its rows.
+independent entries of the same defects as its rows.  Likewise the
+certifier measures the Lie-algebra component by each group's orthogonal
+projection (`_lie_part`, O(n^2) memory per point), and the census takes
+its coordinates in the orthonormal basis as rows.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def _basis_columns(g: GroupSpec) -> np.ndarray:
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a real stack (B, n, n)."""
     flat = a.reshape(a.shape[0], -1)
-    return np.sqrt(np.sum(flat * flat, axis=1))
+    return np.sqrt((flat * flat).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -282,18 +285,18 @@ def _lie_part(m: np.ndarray, g: GroupSpec) -> np.ndarray:
     algebra of g, written over m: (m - m^t)/2 for O and SO, then
     (p - K p K)/2 for U; (m + J m^t J)/2 for Sp; m - tr(m)/n I for SL and
     SL^±.  In place, so the certificate holds at most two stacks beside m."""
-    eq = _equations(g)
-    if eq.form is None:
-        i = np.arange(g.n)
-        m[:, i, i] -= (np.trace(m, axis1=1, axis2=2) / g.n)[:, None]
+    if g.kind in ("sl", "sl_pm"):
+        diag = np.einsum("bii->bi", m)  # a writeable view of the diagonals
+        diag -= (diag.sum(axis=1) / g.n)[:, None]
         return m
+    eq = _equations(g)
     if g.kind == "symplectic":
         j = eq.form[0]
         m += np.matmul(j, np.matmul(np.swapaxes(m, 1, 2), j))
     else:
         m -= np.swapaxes(m, 1, 2)
     m *= 0.5
-    if eq.structure is not None:
+    if g.kind == "unitary_embedded":
         k = eq.structure
         m -= np.matmul(k, np.matmul(m, k))
         m *= 0.5

@@ -7,6 +7,11 @@ per sign vector eps in {+1, -1}^n, and the all-positive one is the global
 minimizer.  One SVD of u gives all 2^n; the Gram matrix u^* u, which squares
 the condition number, is never formed.  Distances for complex input are
 reported in the real metric (twice the complex squared norm).
+
+The special orthogonal points are the eps with det(U diag(eps) V^t) =
+det U det V^t prod eps_i = +1, chosen before the lift by `_det_plus_rows`;
+the determinant-one pipeline (`slnear`) selects its det +1 rows by the
+same rule.  Every solver here runs one body, `_closed_form`.
 """
 
 from __future__ import annotations
@@ -31,9 +36,12 @@ from .matcore import as_square, frobenius_norm
 GAP_TOL = 1e-8
 
 # Largest sizes the full enumerations accept.  Their (2^n, n, n) stacks grow
-# as 2^n n^2: with BLAS at 1 thread, n = 14 orthogonal took 0.43 s and 161 MB
-# peak (n = 12: 0.06 s, 60 MB) and m = 12 unitary, which certifies 2m x 2m
-# real embeddings, 0.30 s and 133 MB (m = 13: 0.78 s, 272 MB).
+# as 2^n n^2: with BLAS at 1 thread, n = 14 orthogonal took 0.24-0.27 s and
+# 113-137 MB peak (n = 12: 0.04 s, 55 MB) and m = 12 unitary, which
+# certifies 2m x 2m real embeddings, 0.12-0.16 s and 119 MB.  Special
+# orthogonal lifts only its 2^(n-1) rotations: n = 14 took 0.14 s and 79 MB
+# (n = 12: 0.03 s, 44 MB), but n = 15 took 0.31 s and 132 MB, as much as
+# orthogonal at its limit, so it keeps the same limit.
 _MAX_ORTHOGONAL_N = 14
 _MAX_UNITARY_M = 12
 
@@ -104,10 +112,10 @@ def _closed_form(u, name: str, kind: str, limit: int | None = None) -> list[Crit
         raise InputError(f"{name}: real input required")
     n = u.shape[0]
     if limit is not None and n > limit:
-        raise UnsupportedError(f"{name} supports n <= {limit} ({2**limit} points), got n = {n}")
+        raise UnsupportedError(f"{name} supports n <= {limit}, got n = {n}")
     frame = _svd_frame(u)
     # Sigma is descending, so the second row flips the smallest singular value.
-    rows = np.c_[np.ones((2, n - 1)), [1.0, -1.0]] if limit is None else _sign_table(n)
+    rows = np.array([[1.0] * n, [1.0] * (n - 1) + [-1.0]]) if limit is None else _sign_table(n)
     if kind == "special_orthogonal":
         rows = rows[_det_plus_rows(frame, rows)]
     xs = _lift(frame, rows[:1] if limit is None else rows)

@@ -267,9 +267,10 @@ class TestEnumerationLimits:
         "enumerate_points,limit,complex_entries",
         [
             (enumerate_orthogonal_critical, orthonear._MAX_ORTHOGONAL_N, False),
+            (enumerate_special_orthogonal_critical, orthonear._MAX_ORTHOGONAL_N, False),
             (enumerate_unitary_critical, orthonear._MAX_UNITARY_M, True),
         ],
-        ids=["orthogonal", "unitary"],
+        ids=["orthogonal", "special_orthogonal", "unitary"],
     )
     def test_refused_above_limit_before_svd(self, monkeypatch, enumerate_points, limit, complex_entries):
         monkeypatch.setattr(orthonear, "_sign_table", _reach_sign_table)
