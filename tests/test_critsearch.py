@@ -6,7 +6,7 @@ import pytest
 from test_acceptance import _match_sets
 from test_orthonear import _graded_inputs
 
-from groupnear import critsearch
+from groupnear import critsearch, orthonear
 from groupnear.critsearch import (
     KINDS,
     GroupSpec,
@@ -31,7 +31,6 @@ from groupnear.critsearch import (
 )
 from groupnear.errors import InputError
 from groupnear.matcore import det, frobenius_norm, random_general
-from groupnear import orthonear
 from groupnear.orthonear import (
     enumerate_orthogonal_critical,
     enumerate_unitary_critical,
