@@ -264,10 +264,23 @@ def _suite_unitary(seed: int, tol: float, starts: int) -> list[dict]:
 
 def _suite_sl(seed: int, tol: float, starts: int) -> list[dict]:
     # The distinct complex multipliers number the ED degree of SL^pm.
-    return [
+    checks = [
         _check(f"sl n={n} distinct multiplier count", _GROUPS["sl-pm"].expected(n), sl_ed_degree(n, seed))
         for n in (1, 2, 3)
     ]
+    # Real points, by the sign of c: proved 2^n in all when |det u| < 1;
+    # when |det u| > 1, 2^n - 1 at c < 0 and, for generic u, an odd number
+    # at c > 0.
+    for n in (1, 2, 3, 4):
+        u = random_general(n, seed)
+        unit = u / abs(np.linalg.det(u)) ** (1.0 / n)
+        inside = sl_critical_points(0.5 * unit)
+        checks.append(_check(f"sl n={n} real count at |det u| = 2^-n", 2**n, len(inside)))
+        outside = [p.c for p in sl_critical_points(2.0 * unit)]
+        checks.append(_check(f"sl n={n} real count at c < 0, |det u| = 2^n", 2**n - 1, sum(c < 0 for c in outside)))
+        odd = sum(c > 0 for c in outside) % 2
+        checks.append(_check(f"sl n={n} odd real count at c > 0, |det u| = 2^n (proved for generic u)", 1, odd))
+    return checks
 
 
 def _suite_torus(seed: int, tol: float, starts: int) -> list[dict]:

@@ -9,25 +9,38 @@ scalar c, and every real one is x = U diag(z) V^t where z_i solves
 The multipliers c are located as the real roots of one univariate
 polynomial of degree n 2^n, obtained by eliminating lambda_i = z_i^2 from
 the quadratics in the eigenvalues mu_i = sigma_i^2 of u^t u; its roots are
-companion-matrix eigenvalues.  Each real root is then refined on the
-branch equation h = sum log |z_i^eps| = 0, where the sign vector eps picks
-the larger (+1) or smaller (-1) root z_i^eps, from every root on every
-branch, all at once.  The unknown is not c but s, a root of the last
-quadratic, with c = s (sigma_n - s): z_n(c) has a square-root branch
-point at the fold c = sigma_n^2 / 4, while z_n(s) is s or sigma_n - s, so
-the fold is an ordinary point of the Newton iteration.  The frame
-(U, sigma, V) is the SVD of u itself, so x = U diag(z) V^t is one stacked
-product and the frame's accuracy does not depend on the condition number
-of u^t u.
-Rows that reached one point are told apart before any lift, by c and the
-branch bits z_i > sigma_i / 2 (i < n): off the unit scale distinct points
-lie closer in x than any merge radius safe at unit scale, and c alone is
-not enough (z_i^+ z_i^- = c, so on |c| = 1 the sign vectors eps and -eps
-can both give |z_1 ... z_n| = 1), while c and the bits fix z_n.  The rows
-are sorted by (bits, c), split wherever the next c is more than
-1e-12 (1 + |c|) away, and each run keeps its lowest row.  For SL_n the
-kept rows are narrowed to det +1 before the lift, by the frame's sign
-rule det(U diag(z) V^t) = det U det V^t prod sign(z_i) (`_det_plus_rows`,
+companion-matrix eigenvalues.  They are refined on the branch equation
+h_eps = sum log |z_i^eps| = 0, where the sign vector eps picks the larger
+(+1) or smaller (-1) root z_i^eps.  The unknown is not c but s, a root of
+the last quadratic, with c = s (sigma_n - s): z_n(c) has a square-root
+branch point at the fold c = sigma_n^2 / 4, while z_n(s) is s or
+sigma_n - s, so the fold is an ordinary point of the Newton iteration,
+and s < 0 is the same as c < 0.
+
+The real points split at c = 0, and on c < 0 a proved law fixes them:
+there z_i^+ falls and |z_i^-| grows in c, so h_eps is monotone, and it runs
+from +inf to -inf on every mixed eps and from +inf to log |det u| on the
+all-plus one as c rises from -inf to 0.  So each mixed eps has exactly one root at c < 0, the
+all-plus eps one iff |det u| = prod sigma < 1, and when |det u| <= 1 no
+point has c > 0.  Each of these roots is refined by one Newton row kept in
+its bracket (`_negative_rows`), started from the nearest located root.  A
+row that does not settle, or a count at c < 0 other than 2^n - 1 plus
+[|det u| < 1], raises DegeneracyError.  Only when |det u| >= 1 (within
+1e-9) can there be points at c > 0; no law counts those, so every located
+root is also refined on every branch (`_branch_newton`), and the rows of
+both kinds that reached one point are told apart before any lift, by c and
+the branch bits z_i > sigma_i / 2 (i < n): off the unit scale distinct
+points lie closer in x than any merge radius safe at unit scale, and c
+alone is not enough (z_i^+ z_i^- = c, so on |c| = 1 the sign vectors eps
+and -eps can both give |z_1 ... z_n| = 1), while c and the bits fix z_n.
+The rows are sorted by (bits, c), split wherever the next c is more than
+1e-12 (1 + |c|) away, and each run keeps its lowest row.
+
+The frame (U, sigma, V) is the SVD of u itself, so x = U diag(z) V^t is
+one stacked product and the frame's accuracy does not depend on the
+condition number of u^t u.  For SL_n the kept rows are narrowed to det +1
+before the lift, by the frame's sign rule
+det(U diag(z) V^t) = det U det V^t prod sign(z_i) (`_det_plus_rows`,
 shared with SO_n).  The kept points are certified in one batch, on SL^pm
 or SL_n, so every point is a CriticalPoint with its multiplier c,
 distance, det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree 64)
@@ -59,22 +72,36 @@ def _branch_values(sigma: np.ndarray, s: np.ndarray, eps: np.ndarray):
     return c, np.column_stack([head, tail]), root
 
 
+def _newton_step(sigma: np.ndarray, s: np.ndarray, eps: np.ndarray):
+    """h = sum log |z_i| (R,) at rows s on sign vectors eps, and the Newton
+    step h / h'(s), not finite where a z_i is zero or h is flat.  The
+    slope h' = -eps_n / z_n - (sigma_n - 2s) sum_{i<n} eps_i / (z_i sqrt(sigma_i^2 - 4c))
+    is finite on the fold, and all arithmetic is per row."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, z, root = _branch_values(sigma, s, eps)
+        head = np.sum(eps[:, :-1] / (z[:, :-1] * root), axis=1)
+        slope = -eps[:, -1] / z[:, -1] - (sigma[-1] - 2.0 * s) * head
+        h = np.sum(np.log(np.abs(z)), axis=1)
+        return h, h / slope
+
+
 def _branch_newton(sigma: np.ndarray, cs: np.ndarray):
     """Refine located multipliers cs on the branch equation; returns the
     converged (c, z) rows, root by root and branch by branch.
 
-    Each root starts Newton on all 2^n sign vectors eps: a root the chain
-    placed far from its true value may lie nearest another branch's zero.
-    The unknown is s, started at the smaller root of z^2 - sigma_n z + c
-    (its square root clipped at 0 beyond the fold).  Every real s gives
-    c = s (sigma_n - s) <= sigma_n^2 / 4, so every z_i stays real
-    (sigma_i > sigma_n for i < n), and the slope of h = sum log |z_i^eps|,
-    h' = -eps_n / z_n - (sigma_n - 2s) sum_{i<n} eps_i / (z_i sqrt(sigma_i^2 - 4c)),
-    is finite on the fold.  Every row keeps its own scale 1 + |c_0| and
-    its stopping rules, and all arithmetic is per row, so a root refines to
-    the same bits alone or in a batch.  A row converges when its Newton
-    step is below 1e-13 of its scale and |h| < 1e-12.  A row with a zero
-    z_i or a flat h, or one not converged after 30 steps, is dropped.
+    This tiling serves the c > 0 piece only (`_sl_points` calls it when
+    prod sigma >= 1 - 1e-9): there no law says how many roots a branch has, so
+    each root starts Newton on all 2^n sign vectors eps, because a root
+    the chain placed far from its true value may lie nearest another
+    branch's zero.  The unknown is s, started at the smaller root of
+    z^2 - sigma_n z + c (its square root clipped at 0 beyond the fold).
+    Every real s gives c = s (sigma_n - s) <= sigma_n^2 / 4, so every z_i
+    stays real (sigma_i > sigma_n for i < n), and `_newton_step`'s slope is
+    finite on the fold.  Every row keeps its own scale 1 + |c_0| and its
+    stopping rules, so a root refines to the same bits alone or in a batch.
+    A row converges when its Newton step is below 1e-13 of its scale and
+    |h| < 1e-12.  A row with a zero z_i or a flat h, or one not converged
+    after 30 steps, is dropped.
     """
     table = _sign_table(sigma.size)
     c0 = np.repeat(cs, table.shape[0])
@@ -84,16 +111,9 @@ def _branch_newton(sigma: np.ndarray, cs: np.ndarray):
     done = np.zeros(s.size, dtype=bool)
     active = np.arange(s.size)
     for _ in range(30):
-        _, z, root = _branch_values(sigma, s[active], eps[active])
-        live = np.all(z != 0.0, axis=1)
-        active, z, root = active[live], z[live], root[live]
-        e = eps[active]
-        head = np.sum(e[:, :-1] / (z[:, :-1] * root), axis=1)
-        slope = -e[:, -1] / z[:, -1] - (sigma[-1] - 2.0 * s[active]) * head
-        live = slope != 0.0
-        active, z, slope = active[live], z[live], slope[live]
-        h = np.sum(np.log(np.abs(z)), axis=1)
-        step = h / slope
+        h, step = _newton_step(sigma, s[active], eps[active])
+        live = np.isfinite(step)
+        active, h, step = active[live], h[live], step[live]
         s[active] -= step
         settled = (np.abs(step) < 1e-13 * scale[active]) & (np.abs(h) < 1e-12)
         done[active[settled]] = True
@@ -101,6 +121,49 @@ def _branch_newton(sigma: np.ndarray, cs: np.ndarray):
         if active.size == 0:
             break
     return _branch_values(sigma, s[done], eps[done])[:2]
+
+
+def _negative_rows(sigma: np.ndarray, cs: np.ndarray, table: np.ndarray):
+    """The root at c < 0 of each sign vector in table, as (c, z) rows in
+    table order; none when cs holds no negative located root.
+
+    On s < 0 every |z_i| grows as s falls, so h = sum log |z_i| decreases
+    in s: each branch has at most one root there, and it lies in
+    [s_lo, 0), where c(s_lo) = -(1 + sigma_1).  That bounds every root's
+    |c|: some |z_i| <= 1 as the product is 1, and |c| = |z_i| |sigma_i - z_i|.
+    Each row starts at the negative located root with the least |h| on its
+    branch, and takes Newton steps inside its bracket: h > 0 raises the
+    lower end, h < 0 lowers the upper one, and a step that leaves the
+    bracket bisects instead.  The stopping rules and the 30-step budget are
+    `_branch_newton`'s; all arithmetic is per row, so a branch refines to
+    the same bits alone or in a batch.  A row that does not settle raises
+    DegeneracyError naming its branch.
+    """
+    neg = cs[cs < 0.0]
+    if neg.size == 0:
+        return np.zeros(0), np.zeros((0, sigma.size))
+    k = table.shape[0]
+    s0 = 2.0 * neg / (sigma[-1] + np.sqrt(sigma[-1] * sigma[-1] - 4.0 * neg))
+    h = np.abs(_newton_step(sigma, np.repeat(s0, k), np.tile(table, (neg.size, 1)))[0]).reshape(neg.size, k)
+    s = s0[np.argmin(np.where(np.isnan(h), np.inf, h), axis=0)]
+    scale = 1.0 + np.abs(s * (sigma[-1] - s))
+    r = 1.0 + sigma[0]
+    lo = np.minimum(-2.0 * r / (sigma[-1] + np.sqrt(sigma[-1] * sigma[-1] + 4.0 * r)), s)
+    hi = np.zeros(k)
+    active = np.arange(k)
+    for _ in range(30):
+        h, step = _newton_step(sigma, s[active], table[active])
+        lo[active] = np.where(h > 0.0, s[active], lo[active])
+        hi[active] = np.where(h < 0.0, s[active], hi[active])
+        settled = (np.abs(step) < 1e-13 * scale[active]) & (np.abs(h) < 1e-12)
+        new = s[active] - step
+        inside = settled | ((new >= lo[active]) & (new < hi[active]))
+        s[active] = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
+        active = active[~settled]
+        if active.size == 0:
+            return _branch_values(sigma, s, table)[:2]
+    signs = "".join("+" if e > 0 else "-" for e in table[active[0]])
+    raise DegeneracyError(f"branch {signs} did not settle on c < 0")
 
 
 def _check_n(n: int) -> None:
@@ -116,18 +179,36 @@ def _sl_points(u, plus: bool) -> list[CriticalPoint]:
     _check_n(n)
     mu = sym_eig(u.T @ u).values
     frame = np.linalg.svd(u)
-    if float(mu[-1]) <= 0.0 or float(frame[1][-1]) <= 0.0:
+    sigma = frame[1]
+    if float(mu[-1]) <= 0.0 or float(sigma[-1]) <= 0.0:
         raise DegeneracyError("u^t u must be positive definite")
     roots = poly_roots(resultant_chain(mu))
     real = roots.real[np.abs(roots.imag) < _REAL_IM_TOL * (1.0 + np.abs(roots.real))]
-    cs, zs = _branch_newton(frame[1], real)
-    if cs.size == 0:
+    volume = float(np.prod(sigma))
+    # The all-plus branch (the table's first row) has a root at c < 0 iff
+    # |det u| = prod sigma < 1.
+    table = _sign_table(n)[0 if volume < 1.0 else 1 :]
+    cs, zs = _negative_rows(sigma, real, table)
+    keep = np.arange(cs.size)
+    if volume >= 1.0 - 1e-9:
+        # Points at c > 0 exist only when |det u| > 1; the margin keeps
+        # |det u| = 1 (x = u at c = 0) on this path.  The tiling's rows come
+        # first, so a point it shares with a row at c < 0 keeps its bits.
+        c_pos, z_pos = _branch_newton(sigma, real)
+        cs, zs = np.r_[c_pos, cs], np.vstack([z_pos, zs])
+        bits = (zs[:, :-1] > 0.5 * sigma[:-1]) @ (1 << np.arange(n - 1))
+        order = np.lexsort((cs, bits))
+        gap = np.diff(cs[order]) > 1e-12 * (1.0 + np.abs(cs[order][1:]))
+        runs = np.flatnonzero(np.r_[True, gap | (np.diff(bits[order]) != 0)])
+        keep = np.sort(np.minimum.reduceat(order, runs))
+    if keep.size == 0:
         raise DegeneracyError("no real critical point recovered")
-    bits = (zs[:, :-1] > 0.5 * frame[1][:-1]) @ (1 << np.arange(n - 1))
-    order = np.lexsort((cs, bits))
-    gap = np.diff(cs[order]) > 1e-12 * (1.0 + np.abs(cs[order][1:]))
-    runs = np.flatnonzero(np.r_[True, gap | (np.diff(bits[order]) != 0)])
-    keep = np.sort(np.minimum.reduceat(order, runs))
+    below = int(np.count_nonzero(cs[keep] < 0.0))
+    # Within 1e-9 of |det u| = 1 the all-plus root has |c| near rounding, so
+    # it may fall on either side of c = 0.
+    law = {2**n - 1 + (volume < 1.0 - 1e-9), 2**n - 1 + (volume < 1.0 + 1e-9)}
+    if below not in law:
+        raise DegeneracyError(f"{below} real critical points at c < 0, the proved count is {max(law)}")
     if plus:
         keep = keep[_det_plus_rows(frame, zs[keep])]
         if keep.size == 0:

@@ -191,10 +191,16 @@ class TestVerify:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         expected = {c["name"]: c["expected"] for c in report["checks"]}
+        laws = {}
+        for n in (1, 2, 3, 4):
+            laws[f"sl n={n} real count at |det u| = 2^-n"] = 2**n
+            laws[f"sl n={n} real count at c < 0, |det u| = 2^n"] = 2**n - 1
+            laws[f"sl n={n} odd real count at c > 0, |det u| = 2^n (proved for generic u)"] = 1
         assert expected == {
             "sl n=1 distinct multiplier count": 2,
             "sl n=2 distinct multiplier count": 8,
             "sl n=3 distinct multiplier count": 24,
+            **laws,
         }
         assert all(c["pass"] for c in report["checks"])
 

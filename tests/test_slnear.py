@@ -260,8 +260,9 @@ class TestSharpenRoots:
 
     def test_newton_stops_before_its_step_budget(self, monkeypatch):
         # Newton in s has no clamp to bounce against: every row settles or
-        # is dropped before the 30-step budget runs out.  Each step and the
-        # final lift evaluate _branch_values once.
+        # is dropped before the 30-step budget runs out.  Each step, the
+        # choice of starts on c < 0 and each final lift evaluate
+        # _branch_values once.
         calls = []
         values = slnear._branch_values
 
@@ -427,6 +428,86 @@ class TestRealCountLaws:
             assert below == 2**n - 1 + inside, seed
             assert (above == 0) if inside else (above % 2 == 1), seed
             assert above <= 2**n - 1, seed
+
+
+def _tiled_points(u, tiling):
+    """The points as the all-branch tiling finds them: every located root
+    refined on every sign vector, rows told apart by (c, branch bits)."""
+    frame = np.linalg.svd(u)
+    sigma = frame[1]
+    c, z = tiling(sigma, _located_roots(u)[1])
+    bits = (z[:, :-1] > 0.5 * sigma[:-1]) @ (1 << np.arange(sigma.size - 1))
+    order = np.lexsort((c, bits))
+    gap = np.diff(c[order]) > 1e-12 * (1.0 + np.abs(c[order][1:]))
+    runs = np.flatnonzero(np.r_[True, gap | (np.diff(bits[order]) != 0)])
+    keep = np.sort(np.minimum.reduceat(order, runs))
+    return c[keep], slnear._lift(frame, z[keep])
+
+
+class TestNegativePiece:
+    # On c < 0 each branch holds at most one root (h is monotone there), so
+    # one bracketed Newton row per sign vector replaces the tiling of every
+    # located root on every branch.
+    @pytest.mark.parametrize("scale", [0.3, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_inside_unit_volume_the_tiling_never_runs(self, n, scale, monkeypatch):
+        tiling = slnear._branch_newton
+
+        def refused(*args):
+            raise AssertionError("the tiling ran with |det u| < 1")
+
+        monkeypatch.setattr(slnear, "_branch_newton", refused)
+        checked = 0
+        for seed in range(60):
+            u = scale * random_general(n, seed)
+            frame = np.linalg.svd(u)
+            if np.prod(frame[1]) >= 1.0:
+                continue
+            points = sl_critical_points(u)
+            assert len(points) == 2**n and all(p.c < 0 for p in points), seed
+            z = np.array([np.diag(frame[0].T @ p.x @ frame[2].T) for p in points])
+            assert {tuple(r) for r in np.sign(z)} == {tuple(r) for r in slnear._sign_table(n)}, seed
+            want_c, want_x = _tiled_points(u, tiling)
+            assert want_c.size == len(points), seed
+            for c, x in zip(want_c, want_x):
+                hits = [p for p in points if abs(p.c - c) <= 1e-12 * abs(c)]
+                assert len(hits) == 1 and np.max(np.abs(hits[0].x - x)) <= 1e-12, seed
+            checked += 1
+        assert checked >= 20
+
+    def test_scaled_four_by_four_has_every_point_below_zero(self):
+        # The tiling alone returned 12 of these 15 points; 2^4 - 1 is proved.
+        points = sl_critical_points(1e4 * random_general(4, 15))
+        assert sum(p.c < 0 for p in points) == 15
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 100.0])
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 0), (2, 5), (3, 0), (3, 122), (4, 1)])
+    def test_batch_equals_each_branch_alone_bitwise(self, n, seed, scale):
+        u = scale * random_general(n, seed)
+        sigma = np.linalg.svd(u, compute_uv=False)
+        roots = _located_roots(u)[1]
+        table = slnear._sign_table(n)[0 if np.prod(sigma) < 1.0 else 1 :]
+        c, z = slnear._negative_rows(sigma, roots, table)
+        assert c.size == table.shape[0] and np.all(c < 0)
+        alone = [slnear._negative_rows(sigma, roots, table[i : i + 1]) for i in range(table.shape[0])]
+        assert c.tobytes() == np.concatenate([a for a, _ in alone]).tobytes()
+        assert z.tobytes() == np.concatenate([b for _, b in alone]).tobytes()
+        back_c, back_z = slnear._negative_rows(sigma, roots, table[::-1])
+        assert back_c[::-1].tobytes() == c.tobytes() and back_z[::-1].tobytes() == z.tobytes()
+        assert np.all(np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12)
+
+    def test_row_that_does_not_settle_names_its_branch(self, monkeypatch):
+        monkeypatch.setattr(slnear, "_newton_step", lambda sigma, s, eps: (np.ones(s.size), np.zeros(s.size)))
+        with pytest.raises(DegeneracyError, match=r"branch [+-]{3} did not settle on c < 0"):
+            sl_critical_points(random_general(3, 0))
+
+    def test_short_count_below_zero_is_degenerate(self, monkeypatch):
+        rows = slnear._negative_rows
+        monkeypatch.setattr(slnear, "_negative_rows", lambda *args: tuple(a[1:] for a in rows(*args)))
+        u = 0.3 * random_general(3, 0)
+        assert abs(det(u)) < 1.0
+        with pytest.raises(DegeneracyError, match="7 real critical points at c < 0, the proved count is 8"):
+            sl_critical_points(u)
 
 
 def _positive_c_count(sigma, m=20001):
