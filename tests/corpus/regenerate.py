@@ -49,6 +49,10 @@ CASES = [
     ["nearest", "orthogonal", "missing.json"],  # 2: unreadable input
     ["nearest", "orthogonal", "scaled_identity.json"],  # 3: degenerate input
     ["nearest", "symplectic", "antidiag.json"],  # 4: unsupported
+    # The self-checks: every suite, and the SL suite on two more seeds.
+    ["verify", "all"],
+    ["--seed", "3", "verify", "sl"],
+    ["--seed", "11", "verify", "sl"],
 ]
 
 
