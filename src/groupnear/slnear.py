@@ -1,4 +1,4 @@
-"""Nearest matrices of determinant one, by eliminating the multiplier chain.
+"""Nearest matrices of determinant one, by isolating the branch equations.
 
 For invertible real u = U diag(sigma) V^t the critical points of
 x -> |u - x|^2 on the determinant-one locus satisfy x^t(u - x) = c I for a
@@ -6,45 +6,32 @@ scalar c, and every real one is x = U diag(z) V^t where z_i solves
 
     z_i^2 - sigma_i z_i + c = 0,    |z_1 ... z_n| = 1.
 
-The multipliers c are located as the real roots of one univariate
-polynomial of degree n 2^n, obtained by eliminating lambda_i = z_i^2 from
-the quadratics in the eigenvalues mu_i = sigma_i^2 of u^t u; its roots are
-companion-matrix eigenvalues.  They are refined on the branch equation
-h_eps = sum log |z_i^eps| = 0, where the sign vector eps picks the larger
-(+1) or smaller (-1) root z_i^eps.  The unknown is not c but s, a root of
-the last quadratic, with c = s (sigma_n - s): z_n(c) has a square-root
-branch point at the fold c = sigma_n^2 / 4, while z_n(s) is s or
-sigma_n - s, so the fold is an ordinary point of the Newton iteration,
-and s < 0 is the same as c < 0.
+A sign vector eps picks the larger (+1) or smaller (-1) root z_i^eps, and
+each real point is one root of h_eps = sum log |z_i^eps| = 0.  The unknown
+is s, a root of the last quadratic, with c = s (sigma_n - s): z_n(s) is s
+or sigma_n - s, so the fold c = sigma_n^2 / 4, a branch point of z_n(c),
+is an ordinary point, and s < 0 is the same as c < 0.
 
-The real points split at c = 0, and on c < 0 a proved law fixes them:
-there z_i^+ falls and |z_i^-| grows in c, so h_eps is monotone, and it runs
-from +inf to -inf on every mixed eps and from +inf to log |det u| on the
-all-plus one as c rises from -inf to 0.  So each mixed eps has exactly one root at c < 0, the
-all-plus eps one iff |det u| = prod sigma < 1, and when |det u| <= 1 no
-point has c > 0.  Each of these roots is refined by one Newton row kept in
-its bracket (`_negative_rows`), started from the nearest located root.  A
-row that does not settle, or a count at c < 0 other than 2^n - 1 plus
-[|det u| < 1], raises DegeneracyError.  Only when |det u| >= 1 (within
-1e-9) can there be points at c > 0; no law counts those, so every located
-root is also refined on every branch (`_branch_newton`), and the rows of
-both kinds that reached one point are told apart before any lift, by c and
-the branch bits z_i > sigma_i / 2 (i < n): off the unit scale distinct
-points lie closer in x than any merge radius safe at unit scale, and c
-alone is not enough (z_i^+ z_i^- = c, so on |c| = 1 the sign vectors eps
-and -eps can both give |z_1 ... z_n| = 1), while c and the bits fix z_n.
-The rows are sorted by (bits, c), split wherever the next c is more than
-1e-12 (1 + |c|) away, and each run keeps its lowest row.
+On c < 0, z_i^+ falls and |z_i^-| grows in c, so h_eps falls in s: from
++inf to -inf on every mixed eps, and to log |det u| on the all-plus one.
+So each mixed eps has one root at c < 0, the all-plus one iff
+|det u| = prod sigma < 1, and when |det u| <= 1 no point has c > 0.  These
+rows start near real roots of the chain, a polynomial of degree n 2^n in c
+that eliminates lambda_i = z_i^2 from the quadratics in the eigenvalues
+mu_i = sigma_i^2 of u^t u (`_real_rows`).  On c > 0 every point is isolated
+in a bracket of s (`_positive_brackets`), and for generic u with
+|det u| > 1 their count is odd: the all-plus h falls from log |det u| > 0,
+each mixed h runs from -inf to -inf.  Every row is refined by one bracketed
+Newton loop (`_bracketed_newton`).
 
 The frame (U, sigma, V) is the SVD of u itself, so x = U diag(z) V^t is
-one stacked product and the frame's accuracy does not depend on the
-condition number of u^t u.  For SL_n the kept rows are narrowed to det +1
-before the lift, by the frame's sign rule
-det(U diag(z) V^t) = det U det V^t prod sign(z_i) (`_det_plus_rows`,
-shared with SO_n).  The kept points are certified in one batch, on SL^pm
-or SL_n, so every point is a CriticalPoint with its multiplier c,
-distance, det sign and residual.  Sizes up to CHAIN_MAX_N = 4 (degree 64)
-are supported; larger ones are refused before any work.
+one stacked product, as accurate whatever the condition of u^t u.  For
+SL_n the rows are narrowed to det +1 before the lift, by the sign rule
+det(U diag(z) V^t) = det U det V^t prod sign(z_i) (`_det_plus_rows`, shared
+with SO_n).  The points are certified in one batch, on SL^pm or SL_n, as
+CriticalPoints with multiplier c, distance, det sign and residual.  Sizes
+up to CHAIN_MAX_N = 4 (degree 64) are supported; larger ones are refused
+before any work.
 """
 
 from __future__ import annotations
@@ -85,85 +72,110 @@ def _newton_step(sigma: np.ndarray, s: np.ndarray, eps: np.ndarray):
         return h, h / slope
 
 
-def _branch_newton(sigma: np.ndarray, cs: np.ndarray):
-    """Refine located multipliers cs on the branch equation; returns the
-    converged (c, z) rows, root by root and branch by branch.
+def _bracketed_newton(sigma, s, eps, lo, hi, falls):
+    """(c, z), in row order, of the one root of h_eps in each row's bracket
+    [lo, hi), started at s; falls is +1 where h falls in s, -1 where it rises.
 
-    This tiling serves the c > 0 piece only (`_sl_points` calls it when
-    prod sigma >= 1 - 1e-9): there no law says how many roots a branch has, so
-    each root starts Newton on all 2^n sign vectors eps, because a root
-    the chain placed far from its true value may lie nearest another
-    branch's zero.  The unknown is s, started at the smaller root of
-    z^2 - sigma_n z + c (its square root clipped at 0 beyond the fold).
-    Every real s gives c = s (sigma_n - s) <= sigma_n^2 / 4, so every z_i
-    stays real (sigma_i > sigma_n for i < n), and `_newton_step`'s slope is
-    finite on the fold.  Every row keeps its own scale 1 + |c_0| and its
-    stopping rules, so a root refines to the same bits alone or in a batch.
-    A row converges when its Newton step is below 1e-13 of its scale and
-    |h| < 1e-12.  A row with a zero z_i or a flat h, or one not converged
-    after 30 steps, is dropped.
+    A point below the root raises the lower end, one above it lowers the
+    upper end, and a Newton step that leaves the bracket bisects instead.
+    A row settles when its step is below 1e-13 (1 + |c_0|) and |h| < 1e-12,
+    within 30 steps, or raises DegeneracyError naming its branch and side
+    of c = 0.  All arithmetic is per row: alone or in a batch, same bits.
     """
-    table = _sign_table(sigma.size)
-    c0 = np.repeat(cs, table.shape[0])
-    s = 2.0 * c0 / (sigma[-1] + np.sqrt(np.maximum(sigma[-1] * sigma[-1] - 4.0 * c0, 0.0)))
-    eps = np.tile(table, (cs.size, 1))
-    scale = 1.0 + np.abs(c0)
-    done = np.zeros(s.size, dtype=bool)
+    scale = 1.0 + np.abs(s * (sigma[-1] - s))
+    s, lo, hi = s.copy(), lo.copy(), hi.copy()
     active = np.arange(s.size)
     for _ in range(30):
         h, step = _newton_step(sigma, s[active], eps[active])
-        live = np.isfinite(step)
-        active, h, step = active[live], h[live], step[live]
-        s[active] -= step
-        settled = (np.abs(step) < 1e-13 * scale[active]) & (np.abs(h) < 1e-12)
-        done[active[settled]] = True
-        active = active[~settled]
-        if active.size == 0:
-            break
-    return _branch_values(sigma, s[done], eps[done])[:2]
-
-
-def _negative_rows(sigma: np.ndarray, cs: np.ndarray, table: np.ndarray):
-    """The root at c < 0 of each sign vector in table, as (c, z) rows in
-    table order; none when cs holds no negative located root.
-
-    On s < 0 every |z_i| grows as s falls, so h = sum log |z_i| decreases
-    in s: each branch has at most one root there, and it lies in
-    [s_lo, 0), where c(s_lo) = -(1 + sigma_1).  That bounds every root's
-    |c|: some |z_i| <= 1 as the product is 1, and |c| = |z_i| |sigma_i - z_i|.
-    Each row starts at the negative located root with the least |h| on its
-    branch, and takes Newton steps inside its bracket: h > 0 raises the
-    lower end, h < 0 lowers the upper one, and a step that leaves the
-    bracket bisects instead.  The stopping rules and the 30-step budget are
-    `_branch_newton`'s; all arithmetic is per row, so a branch refines to
-    the same bits alone or in a batch.  A row that does not settle raises
-    DegeneracyError naming its branch.
-    """
-    neg = cs[cs < 0.0]
-    if neg.size == 0:
-        return np.zeros(0), np.zeros((0, sigma.size))
-    k = table.shape[0]
-    s0 = 2.0 * neg / (sigma[-1] + np.sqrt(sigma[-1] * sigma[-1] - 4.0 * neg))
-    h = np.abs(_newton_step(sigma, np.repeat(s0, k), np.tile(table, (neg.size, 1)))[0]).reshape(neg.size, k)
-    s = s0[np.argmin(np.where(np.isnan(h), np.inf, h), axis=0)]
-    scale = 1.0 + np.abs(s * (sigma[-1] - s))
-    r = 1.0 + sigma[0]
-    lo = np.minimum(-2.0 * r / (sigma[-1] + np.sqrt(sigma[-1] * sigma[-1] + 4.0 * r)), s)
-    hi = np.zeros(k)
-    active = np.arange(k)
-    for _ in range(30):
-        h, step = _newton_step(sigma, s[active], table[active])
-        lo[active] = np.where(h > 0.0, s[active], lo[active])
-        hi[active] = np.where(h < 0.0, s[active], hi[active])
+        below = falls[active] * h
+        lo[active] = np.where(below > 0.0, s[active], lo[active])
+        hi[active] = np.where(below < 0.0, s[active], hi[active])
         settled = (np.abs(step) < 1e-13 * scale[active]) & (np.abs(h) < 1e-12)
         new = s[active] - step
         inside = settled | ((new >= lo[active]) & (new < hi[active]))
         s[active] = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
         active = active[~settled]
         if active.size == 0:
-            return _branch_values(sigma, s, table)[:2]
-    signs = "".join("+" if e > 0 else "-" for e in table[active[0]])
-    raise DegeneracyError(f"branch {signs} did not settle on c < 0")
+            return _branch_values(sigma, s, eps)[:2]
+    signs = "".join("+" if e > 0 else "-" for e in eps[active[0]])
+    raise DegeneracyError(f"branch {signs} did not settle on c {'<' if lo[active[0]] < 0.0 else '>'} 0")
+
+
+def _positive_brackets(sigma: np.ndarray):
+    """Every root at c > 0, isolated on boxes of s in [0, sigma_n / 2]: as
+    Newton rows (s, eps, lo, hi, falls) from the midpoints of brackets with
+    one root strictly inside, and as (c, z) rows at box ends, one per z.
+
+    Each t_i = log z_i is monotone in s here, so h lies between the sums of
+    min and of max(t_i(a), t_i(b)).  The slope of h has the sign of
+    c dh/dc = (n - sum eps_i psi_i) / 2, psi_i = sigma_i / sqrt(sigma_i^2 - 4c)
+    and psi_n = sigma_n / (sigma_n - 2s) rising, so the box ends bound it;
+    the all-plus h, a sum of falling terms, falls.  A box whose h bounds
+    exclude 0 is dropped; with a one-signed slope and finite ends it is a
+    bracket iff h changes sign strictly between them and neither is a root,
+    |h| <= 16 eps (sum |t_i| + n): that covers the fold, where eps_n = +-1
+    meet, and x = u at c = 0 when |det u| = 1.  Any other box is split at
+    its midpoint, or at b / 256 for [0, b] on a branch with a minus sign,
+    where h(0) = -inf.  Boxes left after 200 levels, or more than 64 per
+    sign vector (a root h barely crosses makes them double at every level
+    once they are as narrow as rounding), raise DegeneracyError.
+    """
+    n, eps = sigma.size, _sign_table(sigma.size)
+    a, b = np.zeros(eps.shape[0]), np.full(eps.shape[0], 0.5 * sigma[-1])
+    rows, ends = [], []
+    for _ in range(200):
+        if a.size == 0 or a.size > 64 * 2**n:
+            break
+        m, s, table, plus = a.size, np.r_[a, b], np.vstack([eps, eps]), eps > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, z, root = _branch_values(sigma, s, table)
+            t = np.log(z)
+            psi = np.column_stack([sigma[:-1] / root, sigma[-1] / (sigma[-1] - 2.0 * s)])
+            falls = np.all(plus, axis=1) | (n - np.sum(np.where(plus, psi[:m], -psi[m:]), axis=1) < 0.0)
+            monotone = falls | (n - np.sum(np.where(plus, psi[m:], -psi[:m]), axis=1) > 0.0)
+        h = np.sum(t, axis=1)
+        at_root = np.isfinite(h) & (np.abs(h) <= 16.0 * np.finfo(float).eps * (np.sum(np.abs(t), axis=1) + n))
+        ends.append((s[at_root], table[at_root]))
+        decided = monotone & np.isfinite(h[:m]) & np.isfinite(h[m:])
+        found = decided & ((h[:m] > 0.0) != (h[m:] > 0.0)) & ~at_root[:m] & ~at_root[m:]
+        rows.append((0.5 * (a[found] + b[found]), eps[found], a[found], b[found], np.where(falls[found], 1.0, -1.0)))
+        low, high = np.sum(np.sort([t[:m], t[m:]], axis=0), axis=2)
+        split = (low <= 0.0) & (high >= 0.0) & ~decided
+        a, b, eps = a[split], b[split], eps[split]
+        mid = np.where((a == 0.0) & np.any(eps < 0.0, axis=1), b / 256.0, 0.5 * (a + b))
+        a, b, eps = np.r_[a, mid], np.r_[mid, b], np.vstack([eps, eps])
+    if a.size:
+        raise DegeneracyError(f"the points at c > 0 were not isolated: {a.size} boxes left")
+    c, z, _ = _branch_values(sigma, *(np.concatenate(part) for part in zip(*ends)))
+    _, first = np.unique(z, axis=0, return_index=True)
+    return [np.concatenate(part) for part in zip(*rows)], (c[first], z[first])
+
+
+def _real_rows(sigma: np.ndarray, located: np.ndarray, volume: float):
+    """(c, z) of every real point: the c < 0 rows in `_sign_table` order
+    (all-plus only when volume = prod sigma < 1), then the c > 0 rows.
+
+    Each root at c < 0 lies in [s_lo, 0), c(s_lo) = -(1 + sigma_1), as some
+    |z_i| <= 1 and |c| = |z_i| |sigma_i - z_i|.  Its row starts at the
+    negative located root with the least |h| on its branch (s_lo drops to
+    it if below), or at s_lo / 2 if there is none.
+    """
+    table = _sign_table(sigma.size)[0 if volume < 1.0 else 1 :]
+    k, r = table.shape[0], 1.0 + sigma[0]
+    s_lo = -2.0 * r / (sigma[-1] + np.sqrt(sigma[-1] * sigma[-1] + 4.0 * r))
+    neg = located[located < 0.0]
+    if neg.size:
+        s0 = 2.0 * neg / (sigma[-1] + np.sqrt(sigma[-1] * sigma[-1] - 4.0 * neg))
+        h = np.abs(_newton_step(sigma, np.repeat(s0, k), np.tile(table, (neg.size, 1)))[0]).reshape(neg.size, k)
+        s = s0[np.argmin(np.where(np.isnan(h), np.inf, h), axis=0)]
+    else:
+        s = np.full(k, 0.5 * s_lo)
+    rows = (s, table, np.minimum(s_lo, s), np.zeros(k), np.ones(k))
+    if volume < 1.0:
+        return _bracketed_newton(sigma, *rows)
+    positive, (c_end, z_end) = _positive_brackets(sigma)
+    c, z = _bracketed_newton(sigma, *(np.concatenate([x, y]) for x, y in zip(rows, positive)))
+    return np.r_[c, c_end], np.vstack([z, z_end])
 
 
 def _check_n(n: int) -> None:
@@ -185,36 +197,22 @@ def _sl_points(u, plus: bool) -> list[CriticalPoint]:
     roots = poly_roots(resultant_chain(mu))
     real = roots.real[np.abs(roots.imag) < _REAL_IM_TOL * (1.0 + np.abs(roots.real))]
     volume = float(np.prod(sigma))
-    # The all-plus branch (the table's first row) has a root at c < 0 iff
-    # |det u| = prod sigma < 1.
-    table = _sign_table(n)[0 if volume < 1.0 else 1 :]
-    cs, zs = _negative_rows(sigma, real, table)
-    keep = np.arange(cs.size)
-    if volume >= 1.0 - 1e-9:
-        # Points at c > 0 exist only when |det u| > 1; the margin keeps
-        # |det u| = 1 (x = u at c = 0) on this path.  The tiling's rows come
-        # first, so a point it shares with a row at c < 0 keeps its bits.
-        c_pos, z_pos = _branch_newton(sigma, real)
-        cs, zs = np.r_[c_pos, cs], np.vstack([z_pos, zs])
-        bits = (zs[:, :-1] > 0.5 * sigma[:-1]) @ (1 << np.arange(n - 1))
-        order = np.lexsort((cs, bits))
-        gap = np.diff(cs[order]) > 1e-12 * (1.0 + np.abs(cs[order][1:]))
-        runs = np.flatnonzero(np.r_[True, gap | (np.diff(bits[order]) != 0)])
-        keep = np.sort(np.minimum.reduceat(order, runs))
-    if keep.size == 0:
-        raise DegeneracyError("no real critical point recovered")
-    below = int(np.count_nonzero(cs[keep] < 0.0))
+    cs, zs = _real_rows(sigma, real, volume)
+    below, above = int(np.count_nonzero(cs < 0.0)), int(np.count_nonzero(cs > 0.0))
     # Within 1e-9 of |det u| = 1 the all-plus root has |c| near rounding, so
-    # it may fall on either side of c = 0.
+    # it may fall on either side of c = 0; the c > 0 parity holds outside.
     law = {2**n - 1 + (volume < 1.0 - 1e-9), 2**n - 1 + (volume < 1.0 + 1e-9)}
     if below not in law:
         raise DegeneracyError(f"{below} real critical points at c < 0, the proved count is {max(law)}")
+    if volume > 1.0 + 1e-9 and above % 2 == 0:
+        raise DegeneracyError(f"{above} real critical points at c > 0, the proved count is odd")
     if plus:
-        keep = keep[_det_plus_rows(frame, zs[keep])]
-        if keep.size == 0:
+        keep = _det_plus_rows(frame, zs)
+        cs, zs = cs[keep], zs[keep]
+        if cs.size == 0:
             raise DegeneracyError("no det +1 critical point recovered")
     g = GroupSpec("sl" if plus else "sl_pm", n)
-    points = _certify_batch(_lift(frame, zs[keep]), u, g, c=cs[keep].tolist())
+    points = _certify_batch(_lift(frame, zs), u, g, c=cs.tolist())
     points.sort(key=lambda p: (p.distance_sq, p.c))
     return points
 

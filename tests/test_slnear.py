@@ -69,6 +69,13 @@ class TestDiagonalTwoByTwo:
         assert abs(best.c) < 1e-10
         assert np.allclose(best.x, u, atol=1e-8)
 
+    def test_input_on_group_has_multiplier_zero(self):
+        # |det u| = 1: x = u is the root at the end s = 0 of the c > 0
+        # search, where c is 0 exactly, not a rounding-sized value below 0.
+        points = sl_critical_points(np.diag([2.0, 0.5]))
+        assert points[0].c == 0.0 and points[0].distance_sq < 1e-15
+        assert [p.c < 0 for p in points] == [False, True, True, True]
+
     def test_four_real_points(self):
         sols = sl_critical_points(np.diag([3.0, 1.0]))
         assert len(sols) == 4
@@ -218,23 +225,50 @@ def _located_roots(u):
     return np.sqrt(mu), roots.real[real]
 
 
+def _newton_rows(u, monkeypatch):
+    """sigma and the rows (s, eps, lo, hi, falls) that sl_critical_points
+    hands to its bracketed Newton loop for u."""
+    calls = []
+    refine = slnear._bracketed_newton
+
+    def spy(sigma, *rows):
+        calls.append((sigma, rows))
+        return refine(sigma, *rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(slnear, "_bracketed_newton", spy)
+        sl_critical_points(u)
+    ((sigma, rows),) = calls
+    return sigma, rows
+
+
+def _refined_alone_and_in_batch(sigma, rows):
+    """(c, z) of the rows refined in one batch, checked bitwise against each
+    row refined alone and against the batch in reverse order."""
+    c, z = slnear._bracketed_newton(sigma, *rows)
+    alone = [slnear._bracketed_newton(sigma, *(x[i : i + 1] for x in rows)) for i in range(c.size)]
+    assert c.tobytes() == np.concatenate([a for a, _ in alone]).tobytes()
+    assert z.tobytes() == np.concatenate([b for _, b in alone]).tobytes()
+    back_c, back_z = slnear._bracketed_newton(sigma, *(x[::-1] for x in rows))
+    assert back_c[::-1].tobytes() == c.tobytes() and back_z[::-1].tobytes() == z.tobytes()
+    return c, z
+
+
 class TestSharpenRoots:
-    # The located roots are sharpened by Newton in c on the branch
-    # equation sum log |z_i(c)| = 0, all roots on all branches in one batch.
+    # Every point is the root of one branch equation sum log |z_i| = 0 in a
+    # bracket of s, refined with the rows of both pieces in one batch.  At
+    # scale 100 these inputs have |det u| > 1, so the batch holds rows from
+    # the c > 0 isolation as well as from c < 0.
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 5), (3, 0), (3, 150), (3, 122)])
-    def test_batch_equals_each_root_alone_bitwise(self, n, seed):
-        sigma, roots = _located_roots(random_general(n, seed))
-        alone = [slnear._branch_newton(sigma, roots[i : i + 1]) for i in range(roots.size)]
-        for order in (alone, alone[::-1]):
-            c_alone = np.concatenate([c for c, _ in order])
-            z_alone = np.concatenate([z for _, z in order])
-            c, z = slnear._branch_newton(sigma, roots if order is alone else roots[::-1])
-            assert c.tobytes() == c_alone.tobytes() and z.tobytes() == z_alone.tobytes()
+    def test_batch_equals_each_root_alone_bitwise(self, n, seed, monkeypatch):
+        sigma, rows = _newton_rows(100.0 * random_general(n, seed), monkeypatch)
+        c, z = _refined_alone_and_in_batch(sigma, rows)
+        assert np.any(c < 0.0) and np.any(c > 0.0)
         # Every refined root solves its quadratics with |prod z| = 1.
         assert np.all(np.abs(z * z - sigma * z + c[:, None]) < 1e-12 * (1.0 + sigma * sigma))
         assert np.all(np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12)
 
-    def test_point_next_to_the_fold(self):
+    def test_point_next_to_the_fold(self, monkeypatch):
         # sigma_2 is chosen so that the all-larger branch has h = 1e-5 at
         # c = sigma_3^2 / 4 (1 - 1e-12); its zero lies 2e-13 below the fold,
         # where h'(c) is about 2e8, and is the nearest point.  A 4000-start
@@ -253,16 +287,17 @@ class TestSharpenRoots:
         assert len(census.points) == 8
         for p in points:
             assert min(np.max(np.abs(p.x - q.x)) for q in census.points) < 1e-8
-        # Every returned row solves the branch equation.
-        c, z = slnear._branch_newton(sigma, _located_roots(u)[1])
+        # Every refined row solves the branch equation.
+        frame_sigma, rows = _newton_rows(u, monkeypatch)
+        c, z = slnear._bracketed_newton(frame_sigma, *rows)
         assert c.size > 0
         assert np.all(np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12)
 
     def test_newton_stops_before_its_step_budget(self, monkeypatch):
-        # Newton in s has no clamp to bounce against: every row settles or
-        # is dropped before the 30-step budget runs out.  Each step, the
-        # choice of starts on c < 0 and each final lift evaluate
-        # _branch_values once.
+        # Bracketed Newton in s has no clamp to bounce against: every row
+        # settles before the 30-step budget runs out.  Each step, the choice
+        # of starts on c < 0, each level of the c > 0 isolation and each
+        # final lift evaluate _branch_values once.
         calls = []
         values = slnear._branch_values
 
@@ -298,13 +333,21 @@ class TestSharpenRoots:
             assert frobenius_norm(p.x - q.x) < 1e-9 * (1.0 + frobenius_norm(p.x))
 
     def test_no_roots_no_work(self):
-        c, z = slnear._branch_newton(np.array([3.0, 2.0]), np.array([]))
+        empty = np.zeros(0)
+        c, z = slnear._bracketed_newton(np.array([3.0, 2.0]), empty, np.zeros((0, 2)), empty, empty, empty)
         assert c.shape == (0,) and z.shape == (0, 2)
 
-    def test_no_real_root_is_degenerate(self, monkeypatch):
+    def test_no_real_root_gives_the_same_points(self, monkeypatch):
+        # The chain only hints where the c < 0 rows start: without any real
+        # root they start at s_lo / 2, and the same 8 points come back.
+        u = random_general(3, 0)
+        points = sl_critical_points(u)
         monkeypatch.setattr(slnear, "poly_roots", lambda p: np.array([], dtype=complex))
-        with pytest.raises(DegeneracyError, match="no real critical point"):
-            sl_critical_points(random_general(3, 0))
+        blind = sl_critical_points(u)
+        assert len(points) == len(blind) == 8
+        for p, q in zip(points, blind):
+            assert abs(p.c - q.c) < 1e-9 * (1.0 + abs(p.c))
+            assert frobenius_norm(p.x - q.x) < 1e-9 * (1.0 + frobenius_norm(p.x))
 
 
 class TestOutOfRange:
@@ -430,12 +473,36 @@ class TestRealCountLaws:
             assert above <= 2**n - 1, seed
 
 
-def _tiled_points(u, tiling):
-    """The points as the all-branch tiling finds them: every located root
+def _reference_tiling(sigma, cs):
+    """The all-branch tiling earlier versions ran for the c > 0 piece, kept
+    as a reference: every located root cs started on every sign vector,
+    Newton in s without a bracket, and the converged (c, z) rows."""
+    table = slnear._sign_table(sigma.size)
+    c0 = np.repeat(cs, table.shape[0])
+    s = 2.0 * c0 / (sigma[-1] + np.sqrt(np.maximum(sigma[-1] * sigma[-1] - 4.0 * c0, 0.0)))
+    eps = np.tile(table, (cs.size, 1))
+    scale = 1.0 + np.abs(c0)
+    done = np.zeros(s.size, dtype=bool)
+    active = np.arange(s.size)
+    for _ in range(30):
+        h, step = slnear._newton_step(sigma, s[active], eps[active])
+        live = np.isfinite(step)
+        active, h, step = active[live], h[live], step[live]
+        s[active] -= step
+        settled = (np.abs(step) < 1e-13 * scale[active]) & (np.abs(h) < 1e-12)
+        done[active[settled]] = True
+        active = active[~settled]
+        if active.size == 0:
+            break
+    return slnear._branch_values(sigma, s[done], eps[done])[:2]
+
+
+def _tiled_points(u):
+    """The points as the reference tiling finds them: every located root
     refined on every sign vector, rows told apart by (c, branch bits)."""
     frame = np.linalg.svd(u)
     sigma = frame[1]
-    c, z = tiling(sigma, _located_roots(u)[1])
+    c, z = _reference_tiling(sigma, _located_roots(u)[1])
     bits = (z[:, :-1] > 0.5 * sigma[:-1]) @ (1 << np.arange(sigma.size - 1))
     order = np.lexsort((c, bits))
     gap = np.diff(c[order]) > 1e-12 * (1.0 + np.abs(c[order][1:]))
@@ -445,18 +512,16 @@ def _tiled_points(u, tiling):
 
 
 class TestNegativePiece:
-    # On c < 0 each branch holds at most one root (h is monotone there), so
-    # one bracketed Newton row per sign vector replaces the tiling of every
-    # located root on every branch.
+    # On c < 0 each branch holds exactly one root (h is monotone there), so
+    # one bracketed Newton row per sign vector finds every point; the c > 0
+    # isolation runs only when |det u| >= 1.
     @pytest.mark.parametrize("scale", [0.3, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_inside_unit_volume_the_tiling_never_runs(self, n, scale, monkeypatch):
-        tiling = slnear._branch_newton
-
         def refused(*args):
-            raise AssertionError("the tiling ran with |det u| < 1")
+            raise AssertionError("the c > 0 isolation ran with |det u| < 1")
 
-        monkeypatch.setattr(slnear, "_branch_newton", refused)
+        monkeypatch.setattr(slnear, "_positive_brackets", refused)
         checked = 0
         for seed in range(60):
             u = scale * random_general(n, seed)
@@ -467,7 +532,7 @@ class TestNegativePiece:
             assert len(points) == 2**n and all(p.c < 0 for p in points), seed
             z = np.array([np.diag(frame[0].T @ p.x @ frame[2].T) for p in points])
             assert {tuple(r) for r in np.sign(z)} == {tuple(r) for r in slnear._sign_table(n)}, seed
-            want_c, want_x = _tiled_points(u, tiling)
+            want_c, want_x = _tiled_points(u)
             assert want_c.size == len(points), seed
             for c, x in zip(want_c, want_x):
                 hits = [p for p in points if abs(p.c - c) <= 1e-12 * abs(c)]
@@ -482,18 +547,14 @@ class TestNegativePiece:
 
     @pytest.mark.parametrize("scale", [0.3, 1.0, 100.0])
     @pytest.mark.parametrize("n,seed", [(1, 0), (2, 0), (2, 5), (3, 0), (3, 122), (4, 1)])
-    def test_batch_equals_each_branch_alone_bitwise(self, n, seed, scale):
-        u = scale * random_general(n, seed)
-        sigma = np.linalg.svd(u, compute_uv=False)
-        roots = _located_roots(u)[1]
+    def test_batch_equals_each_branch_alone_bitwise(self, n, seed, scale, monkeypatch):
+        sigma, rows = _newton_rows(scale * random_general(n, seed), monkeypatch)
+        below = rows[2] < 0.0
+        rows = tuple(x[below] for x in rows)
         table = slnear._sign_table(n)[0 if np.prod(sigma) < 1.0 else 1 :]
-        c, z = slnear._negative_rows(sigma, roots, table)
+        assert np.array_equal(rows[1], table)
+        c, z = _refined_alone_and_in_batch(sigma, rows)
         assert c.size == table.shape[0] and np.all(c < 0)
-        alone = [slnear._negative_rows(sigma, roots, table[i : i + 1]) for i in range(table.shape[0])]
-        assert c.tobytes() == np.concatenate([a for a, _ in alone]).tobytes()
-        assert z.tobytes() == np.concatenate([b for _, b in alone]).tobytes()
-        back_c, back_z = slnear._negative_rows(sigma, roots, table[::-1])
-        assert back_c[::-1].tobytes() == c.tobytes() and back_z[::-1].tobytes() == z.tobytes()
         assert np.all(np.abs(np.sum(np.log(np.abs(z)), axis=1)) < 1e-12)
 
     def test_row_that_does_not_settle_names_its_branch(self, monkeypatch):
@@ -502,12 +563,79 @@ class TestNegativePiece:
             sl_critical_points(random_general(3, 0))
 
     def test_short_count_below_zero_is_degenerate(self, monkeypatch):
-        rows = slnear._negative_rows
-        monkeypatch.setattr(slnear, "_negative_rows", lambda *args: tuple(a[1:] for a in rows(*args)))
+        refine = slnear._bracketed_newton
+        monkeypatch.setattr(slnear, "_bracketed_newton", lambda *args: tuple(a[1:] for a in refine(*args)))
         u = 0.3 * random_general(3, 0)
         assert abs(det(u)) < 1.0
         with pytest.raises(DegeneracyError, match="7 real critical points at c < 0, the proved count is 8"):
             sl_critical_points(u)
+
+
+class TestPositivePiece:
+    # On c > 0 every point is isolated in a bracket of s, so for generic u
+    # with |det u| > 1 the count there is odd, and an even one is refused.
+    # These inputs are where the tiling of earlier versions returned 14
+    # points at c > 0.
+    @pytest.mark.parametrize("seed", [15, 45, 116, 189])
+    def test_scaled_four_by_four_has_an_odd_count_above_zero(self, seed):
+        points = sl_critical_points(1e4 * random_general(4, seed))
+        assert sum(p.c < 0 for p in points) == 15
+        assert sum(p.c > 0 for p in points) % 2 == 1
+
+    def test_even_count_above_zero_is_degenerate(self, monkeypatch):
+        u = 100.0 * random_general(3, 0)
+        assert sum(p.c > 0 for p in sl_critical_points(u)) == 7
+        brackets = slnear._positive_brackets
+
+        def one_short(sigma):
+            rows, ends = brackets(sigma)
+            return [x[1:] for x in rows], ends
+
+        monkeypatch.setattr(slnear, "_positive_brackets", one_short)
+        with pytest.raises(DegeneracyError, match="6 real critical points at c > 0, the proved count is odd"):
+            sl_critical_points(u)
+
+    @pytest.mark.parametrize("seed", [15, 45, 116, 189])
+    def test_isolation_takes_few_levels(self, seed, monkeypatch):
+        # Each level evaluates _branch_values once, and the end rows once
+        # more.  Splitting [0, b] at b / 256 where h(0) = -inf reaches the
+        # roots near s = 0 in 9 evaluations here; halving took 49-54.
+        calls = []
+        values, brackets = slnear._branch_values, slnear._positive_brackets
+
+        def counted(*args):
+            calls.append(1)
+            return values(*args)
+
+        def isolate(sigma):
+            with monkeypatch.context() as m:
+                m.setattr(slnear, "_branch_values", counted)
+                return brackets(sigma)
+
+        monkeypatch.setattr(slnear, "_positive_brackets", isolate)
+        sl_critical_points(1e4 * random_general(4, seed))
+        assert 0 < len(calls) <= 10
+
+    def test_boxes_that_never_resolve_are_refused(self, monkeypatch):
+        # With h = 0 and an unbounded slope everywhere no box resolves and the
+        # boxes double at every level; more than 64 per sign vector is refused.
+        def flat(sigma, s, eps):
+            return s, np.ones((s.size, sigma.size)), np.zeros((s.size, sigma.size - 1))
+
+        monkeypatch.setattr(slnear, "_branch_values", flat)
+        with pytest.raises(DegeneracyError, match="not isolated: 516 boxes left"):
+            slnear._positive_brackets(np.array([3.0, 2.0, 1.0]))
+
+    def test_no_chain_root_at_small_scale(self):
+        # At scale 0.01 the chain has no real root; the 8 points come back,
+        # each certified.
+        u = 0.01 * random_general(3, 0)
+        assert _located_roots(u)[1].size == 0
+        points = sl_critical_points(u)
+        assert len(points) == 8
+        for p in points:
+            assert p.residual < 1e-9 * (1.0 + frobenius_norm(u))
+            _check_solution(u, p)
 
 
 def _positive_c_count(sigma, m=20001):
