@@ -22,7 +22,8 @@ mu_i = sigma_i^2 of u^t u (`_real_rows`).  On c > 0 every point is isolated
 in a bracket of s (`_positive_brackets`), and for generic u with
 |det u| > 1 their count is odd: the all-plus h falls from log |det u| > 0,
 each mixed h runs from -inf to -inf.  Every row is refined by one bracketed
-Newton loop (`_bracketed_newton`).
+Newton loop (`_bracketed_newton`); a count that breaks either law raises
+DegeneracyError.
 
 The frame (U, sigma, V) is the SVD of u itself, so x = U diag(z) V^t is
 one stacked product, as accurate whatever the condition of u^t u.  For

@@ -66,15 +66,11 @@ class TestDiagonalTwoByTwo:
         u = np.diag([2.0, 0.5])  # det 1 already
         best = nearest_sl(u, "pm")
         assert best.distance_sq < 1e-15
-        assert abs(best.c) < 1e-10
+        # x = u is the root at the end s = 0 of the c > 0 search, where c is
+        # 0 exactly, not a rounding-sized value below 0.
+        assert best.c == 0.0
+        assert sum(p.c < 0 for p in sl_critical_points(u)) == 3
         assert np.allclose(best.x, u, atol=1e-8)
-
-    def test_input_on_group_has_multiplier_zero(self):
-        # |det u| = 1: x = u is the root at the end s = 0 of the c > 0
-        # search, where c is 0 exactly, not a rounding-sized value below 0.
-        points = sl_critical_points(np.diag([2.0, 0.5]))
-        assert points[0].c == 0.0 and points[0].distance_sq < 1e-15
-        assert [p.c < 0 for p in points] == [False, True, True, True]
 
     def test_four_real_points(self):
         sols = sl_critical_points(np.diag([3.0, 1.0]))
