@@ -314,13 +314,17 @@ def _residuals(x: np.ndarray, u: np.ndarray, g: GroupSpec) -> np.ndarray:
     return _row_norms(_lie_part(m, g)) + violation
 
 
-def _certify_batch(xs: np.ndarray, u: np.ndarray, g: GroupSpec, c=None) -> list[CriticalPoint]:
+def _certify_batch(xs: np.ndarray, u: np.ndarray, g: GroupSpec, c=None, det_plus=None) -> list[CriticalPoint]:
     """Package a stack of solution matrices xs (B, n, n) as CriticalPoints.
 
-    c is None or one multiplier per row.  Complex stacks are measured in the
-    real embedding: distances double and the embedded determinant of a
-    unimodular complex matrix is always +1.  Every product is a stacked
-    per-matrix matmul, so a row's fields do not depend on the other rows.
+    c is None or one multiplier per row.  det_plus is None, to read each
+    real row's det sign from its dense det, or a mask (B,) of the det +1
+    rows read from the frame they were lifted from: a dense x with a tiny
+    singular value can round to a det of either sign.  Complex stacks are
+    measured in the real embedding: distances double and the embedded
+    determinant of a unimodular complex matrix is always +1.  Every product
+    is a stacked per-matrix matmul, so a row's fields do not depend on the
+    other rows.
     """
     count = xs.shape[0]
     dist = np.sum(np.abs(u[None, :, :] - xs).reshape(count, -1) ** 2, axis=1)
@@ -330,7 +334,7 @@ def _certify_batch(xs: np.ndarray, u: np.ndarray, g: GroupSpec, c=None) -> list[
         ge = GroupSpec("unitary_embedded", 2 * xs.shape[1])
         res = _residuals(_embed(xs), _embed(np.asarray(u, dtype=np.complex128)), ge)
     else:
-        signs = np.where(np.linalg.det(xs) >= 0.0, 1, -1).tolist()
+        signs = np.where(np.linalg.det(xs) >= 0.0 if det_plus is None else det_plus, 1, -1).tolist()
         res = _residuals(xs, u, g)
     cs = [None] * count if c is None else c
     return [

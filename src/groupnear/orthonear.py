@@ -101,7 +101,8 @@ def _det_plus_rows(frame, rows: np.ndarray) -> np.ndarray:
 
 def _closed_form(u, name: str, kind: str, limit: int | None = None) -> list[CriticalPoint]:
     """The certified points U diag(eps) V^* on GroupSpec(kind, .), eps in
-    lexicographic order, on SO only the det +1 rows (`_det_plus_rows`).
+    lexicographic order, on SO only the det +1 rows; each det sign is read
+    from the frame by `_det_plus_rows`.
     With a limit, all of `_sign_table` after refusing sizes above it; without,
     the nearest point: the first kept of the table's first two rows, built
     alone.  Unitary input is read as complex, any other must be real."""
@@ -116,10 +117,14 @@ def _closed_form(u, name: str, kind: str, limit: int | None = None) -> list[Crit
     frame = _svd_frame(u)
     # Sigma is descending, so the second row flips the smallest singular value.
     rows = np.array([[1.0] * n, [1.0] * (n - 1) + [-1.0]]) if limit is None else _sign_table(n)
+    # The embedded det of a unitary point is always +1.
+    plus = np.ones(rows.shape[0], dtype=bool) if kind == "unitary_embedded" else _det_plus_rows(frame, rows)
     if kind == "special_orthogonal":
-        rows = rows[_det_plus_rows(frame, rows)]
-    xs = _lift(frame, rows[:1] if limit is None else rows)
-    return _certify_batch(xs, u, GroupSpec(kind, 2 * n if kind == "unitary_embedded" else n))
+        rows, plus = rows[plus], plus[plus]
+    if limit is None:
+        rows, plus = rows[:1], plus[:1]
+    g = GroupSpec(kind, 2 * n if kind == "unitary_embedded" else n)
+    return _certify_batch(_lift(frame, rows), u, g, det_plus=plus)
 
 
 def nearest_orthogonal(u) -> CriticalPoint:

@@ -26,13 +26,15 @@ Newton loop (`_bracketed_newton`); a count that breaks either law raises
 DegeneracyError.
 
 The frame (U, sigma, V) is the SVD of u itself, so x = U diag(z) V^t is
-one stacked product, as accurate whatever the condition of u^t u.  For
-SL_n the rows are narrowed to det +1 before the lift, by the sign rule
+one stacked product, as accurate whatever the condition of u^t u.  Every
+point's det sign comes from the sign rule
 det(U diag(z) V^t) = det U det V^t prod sign(z_i) (`_det_plus_rows`, shared
-with SO_n).  The points are certified in one batch, on SL^pm or SL_n, as
-CriticalPoints with multiplier c, distance, det sign and residual.  Sizes
-up to CHAIN_MAX_N = 4 (degree 64) are supported; larger ones are refused
-before any work.
+with O_n and SO_n), not from the dense x, whose det can round to either
+sign when z_n is tiny; for SL_n the rows are narrowed to det +1 by the same
+rule before the lift.  The points are certified in one batch, on SL^pm or
+SL_n, as CriticalPoints with multiplier c, distance, det sign and
+residual.  Sizes up to CHAIN_MAX_N = 4 (degree 64) are supported; larger
+ones are refused before any work.
 """
 
 from __future__ import annotations
@@ -186,7 +188,8 @@ def _check_n(n: int) -> None:
 
 def _sl_points(u, plus: bool) -> list[CriticalPoint]:
     """`sl_critical_points`, or with plus its det +1 rows, selected by
-    `_det_plus_rows` before the lift and certified on SL."""
+    `_det_plus_rows` before the lift and certified on SL; every det sign is
+    read by that rule."""
     u = as_square(u, "u")
     n = u.shape[0]
     _check_n(n)
@@ -207,13 +210,13 @@ def _sl_points(u, plus: bool) -> list[CriticalPoint]:
         raise DegeneracyError(f"{below} real critical points at c < 0, the proved count is {max(law)}")
     if volume > 1.0 + 1e-9 and above % 2 == 0:
         raise DegeneracyError(f"{above} real critical points at c > 0, the proved count is odd")
+    det_plus = _det_plus_rows(frame, zs)
     if plus:
-        keep = _det_plus_rows(frame, zs)
-        cs, zs = cs[keep], zs[keep]
+        cs, zs, det_plus = cs[det_plus], zs[det_plus], det_plus[det_plus]
         if cs.size == 0:
             raise DegeneracyError("no det +1 critical point recovered")
     g = GroupSpec("sl" if plus else "sl_pm", n)
-    points = _certify_batch(_lift(frame, zs), u, g, c=cs.tolist())
+    points = _certify_batch(_lift(frame, zs), u, g, c=cs.tolist(), det_plus=det_plus)
     points.sort(key=lambda p: (p.distance_sq, p.c))
     return points
 

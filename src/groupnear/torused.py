@@ -8,21 +8,24 @@ solution count is bounded by the normalized volume of their convex hull.
 That volume is computed exactly up to rank three: rank 2 is a monotone-chain
 hull and the shoelace sum, and rank 3, where the set is centrally symmetric,
 sums pyramids from the origin over one facet of each opposite pair and
-doubles the sum, each facet's area taken in its own lattice.  In rank one the
-system is a single Laurent polynomial and the count can be computed
-exactly.
+doubles the sum, each facet's area taken in its own lattice.  Full rank is
+det(W^t W) != 0, exact in Python integers.  In rank one the system is a
+single Laurent polynomial and the count is exact: its exponents are shifted
+to start at 0 and divided by their gcd g, so the companion matrix has
+degree (max - min) / g, and each of its nonzero roots stands for g roots.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneracyError, InputError, UnsupportedError
 from .matcore import _check_seed
-from .polyres import UniPoly, distinct_root_count, poly_roots
+from .polyres import distinct_root_count, poly_roots
 
 __all__ = [
     "WeightSet",
@@ -87,25 +90,22 @@ class WeightSet:
         object.__setattr__(self, "lattice_index", index)
 
 
-def _integer_rank(rows: list[tuple[int, ...]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    work = [list(r) for r in rows]
-    cols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        p = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            q = work[i][col]
-            if q != 0:
-                work[i] = [p * b - q * a for a, b in zip(work[rank], work[i])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def _gram_full_rank(rows: list[tuple[int, ...]], m: int) -> bool:
+    """True iff the integer rows span Q^m: det(W^t W) != 0, with the m x m
+    Gram matrix in Python integers and Bareiss's fraction-free elimination,
+    whose every division is exact.  Its pivots are the leading principal
+    minors, and a positive semidefinite matrix with a vanishing one is
+    singular (Fischer's inequality), so no row swap is needed."""
+    work = [[sum(r[i] * r[j] for r in rows) for j in range(m)] for i in range(m)]
+    prev = 1
+    for col in range(m):
+        p = work[col][col]
+        if p == 0:
+            return False
+        for i in range(col + 1, m):
+            work[i] = [(p * work[i][j] - work[i][col] * work[col][j]) // prev for j in range(m)]
+        prev = p
+    return True
 
 
 def validate_weightset(w: WeightSet) -> bool:
@@ -116,7 +116,7 @@ def validate_weightset(w: WeightSet) -> bool:
         neg = tuple(-x for x in chi)
         if table.get(neg) != mult:
             return False
-    return _integer_rank(list(w.weights)) == w.m
+    return _gram_full_rank(w.weights, w.m)
 
 
 def weightset_to_json(w: WeightSet) -> dict:
@@ -195,9 +195,10 @@ def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d, e = b - a, c - a
         normals = np.stack([d[1] * e[2] - d[2] * e[1], d[2] * e[0] - d[0] * e[2], d[0] * e[1] - d[1] * e[0]])
         normals *= _leading_sign(*normals)
-        sides = pts @ normals
+        # numpy's int64 matmul does not go through BLAS; einsum's loop is faster.
+        sides = np.einsum("ij,jk->ik", pts, normals)
         top = sides.max(axis=0)
-        keep = np.flatnonzero((top == np.abs(np.sum(normals * a, axis=0))) & (top > 0))
+        keep = np.flatnonzero((top == np.abs(np.einsum("ij,ij->j", normals, a))) & (top > 0))
         members = (sides[:, keep] == top[keep]).T
         for on_face, normal, offset in zip(members, normals[:, keep].T, top[keep]):
             found.setdefault(on_face.tobytes(), (normal, offset, on_face))
@@ -283,7 +284,9 @@ def _weight_key(chi) -> tuple[int, ...]:
 
 
 # The companion matrix of a degree-d polynomial is d x d and its QR
-# iteration costs O(d**3): 2-4 s at d = 1024 on a 2-core x86 machine.
+# iteration costs O(d**3): 2-4 s at d = 1024 on a 2-core x86 machine.  The
+# cap reads (max - min) / lattice_index, the degree before the reduction to
+# t**g, so what is refused does not depend on the gcd.
 _MAX_RANK1_DEGREE = 1024
 
 
@@ -292,10 +295,16 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
 
     The critical system collapses to one Laurent polynomial whose term at
     character χ is χ times the grouped data coefficient u'_χ, so the χ = 0
-    term drops out.  Denominators are cleared and the distinct nonzero
-    complex roots are counted; when w.lattice_index is 2 the parametrization
-    is two-to-one and the count is taken in the variable t².  Polynomial
-    degrees above 1024 are refused with UnsupportedError before any work.
+    term drops out.  Denominators are cleared by t**-lo, lo the least
+    remaining character, and every exponent k - lo is a multiple of
+    g = gcd(k - lo), so the polynomial is one of degree (hi - lo) / g in
+    s = t**g.  Each nonzero s has g distinct g-th roots t and different s
+    give disjoint ones, so the count is g times the distinct nonzero roots
+    in s; g is a multiple of w.lattice_index, and when that is 2 the
+    parametrization is two-to-one, so the count is divided by it.  A single
+    nonzero term is a monomial, with no nonzero root: the count is 0.
+    Degrees (hi - lo) / lattice_index above 1024 are refused with
+    UnsupportedError before any work.
     """
     if w.m != 1:
         raise InputError("torus_critical_count_rank1 requires rank m = 1")
@@ -322,16 +331,20 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
         raise DegeneracyError("extreme coefficient vanished; draw is not generic")
     if w.lattice_index == 2 and any(k % 2 for k in terms):
         raise InputError("lattice_index 2 requires all characters even")
-    step = w.lattice_index
-    degree = (hi - lo) // step
+    if len(terms) == 1:
+        return 0
+    degree = (hi - lo) // w.lattice_index
     if degree > _MAX_RANK1_DEGREE:
         raise UnsupportedError(f"rank-1 count supports polynomial degree <= {_MAX_RANK1_DEGREE}, got {degree}")
-    dense = np.zeros(degree + 1)
+    if not all(map(math.isfinite, terms.values())):
+        raise InputError("coefficients overflow when multiplied by their characters")
+    g = math.gcd(*(k - lo for k in terms))
+    dense = np.zeros((hi - lo) // g + 1)
     for k, v in terms.items():
-        dense[(k - lo) // step] = v
-    roots = poly_roots(UniPoly(dense))
+        dense[(k - lo) // g] = v
+    roots = poly_roots(dense)
     nonzero = roots[np.abs(roots) > 1e-12 * max(1.0, float(np.max(np.abs(roots))))]
-    return distinct_root_count(nonzero, tol=1e-7)
+    return g // w.lattice_index * distinct_root_count(nonzero, tol=1e-7)
 
 
 def random_rank1_coefficients(w: WeightSet, seed: int) -> dict:

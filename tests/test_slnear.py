@@ -714,6 +714,18 @@ class TestPlusSelection:
                 best = nearest_sl(u, component)
                 assert np.array_equal(best.x, points[0].x) and best.c == points[0].c
 
+    def test_det_sign_read_from_the_frame(self):
+        # At 1e6 the smallest z_i is about 1e-12 |x|, and the dense det of
+        # two of these ten SL points comes out negative; the frame rule
+        # puts every one of them on SL.
+        u = 1e6 * random_general(3, 0)
+        points = sl_plus_critical_points(u)
+        assert len(points) == 10
+        assert [p.det_sign for p in points] == [1] * 10
+        assert any(det(p.x) < 0.0 for p in points)
+        pm = sl_critical_points(u)
+        assert sorted(p.c for p in pm if p.det_sign == 1) == sorted(p.c for p in points)
+
     def test_no_det_plus_point_is_degenerate(self, monkeypatch):
         monkeypatch.setattr(slnear, "_det_plus_rows", lambda frame, rows: np.zeros(len(rows), dtype=bool))
         u = random_general(2, 0)

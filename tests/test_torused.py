@@ -1,12 +1,14 @@
 """Weight sets, polytope volume bounds, and rank-one critical counts."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from groupnear import torused
 from groupnear.errors import DegeneracyError, InputError, UnsupportedError
+from groupnear.polyres import UniPoly, distinct_root_count, poly_roots
 from groupnear.torused import (
     WeightSet,
     bkk_bound,
@@ -59,8 +61,6 @@ def _hull_area_twice_bruteforce(points):
     verts = sorted(hull)
     if len(verts) < 3:
         return 0
-    import math
-
     cx = sum(v[0] for v in verts) / len(verts)
     cy = sum(v[1] for v in verts) / len(verts)
     verts.sort(key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
@@ -395,6 +395,136 @@ class TestRankOneCounts:
         w = _sym_line(1)
         with pytest.raises(DegeneracyError):
             torus_critical_count_rank1(w, {-1: 0.0, 1: 1.0})
+
+    def test_overflowing_term_is_an_input_error(self):
+        # 13 * 1e308 is not a double: refused before any root is looked for.
+        w = _sym_line(13)
+        draw = {**_draw(w, 0), 13: 1e308}
+        with pytest.raises(InputError, match="overflow"):
+            torus_critical_count_rank1(w, draw)
+
+    @pytest.mark.parametrize(
+        "weights,index", [(((3,),), 1), (((0,), (3,)), 1), (((-4,),), 2), (((-4,), (0,)), 2)]
+    )
+    def test_one_nonzero_character_is_a_monomial(self, monkeypatch, weights, index):
+        # A monomial has no nonzero root; the count is 0 before any root is
+        # looked for.
+        def refuse(_poly):
+            raise RuntimeError("poly_roots reached")
+
+        monkeypatch.setattr(torused, "poly_roots", refuse)
+        w = WeightSet(1, weights, (1,) * len(weights), lattice_index=index)
+        assert torus_critical_count_rank1(w, {chi[0]: 0.5 for chi in weights}) == 0
+
+
+def _reference_count_rank1(w, coeffs):
+    """The rank-1 count before the reduction to t**g, kept as a reference:
+    the dense polynomial in t**lattice_index, of degree
+    (max - min) / lattice_index.  Inputs must be valid, with at least two
+    nonzero characters."""
+    terms = {chi[0]: chi[0] * coeffs[chi[0]] for chi in w.weights if chi[0] != 0}
+    lo, hi = min(terms), max(terms)
+    step = w.lattice_index
+    dense = np.zeros((hi - lo) // step + 1)
+    for k, v in terms.items():
+        dense[(k - lo) // step] = v
+    roots = poly_roots(UniPoly(dense))
+    nonzero = roots[np.abs(roots) > 1e-12 * max(1.0, float(np.max(np.abs(roots))))]
+    return distinct_root_count(nonzero, tol=1e-7)
+
+
+def _scaled_set(rng, g, index, zero):
+    """A rank-1 set g * f * B, f = 2 when the index is 2 and g is odd (so
+    every character is even), else 1: B is 2-6 distinct nonzero integers
+    in [-6, 6], centrally symmetric half the time, plus 0 when zero."""
+    if rng.uniform() < 0.5:
+        half = rng.choice(np.arange(1, 7), size=int(rng.integers(1, 4)), replace=False)
+        base = np.r_[half, -half]
+    else:
+        base = rng.choice(np.r_[-6:0, 1:7], size=int(rng.integers(2, 7)), replace=False)
+    scale = g * (2 if index == 2 and g % 2 else 1)
+    ks = sorted(scale * int(b) for b in base) + ([0] if zero else [])
+    return WeightSet(1, tuple((k,) for k in ks), (1,) * len(ks), lattice_index=index)
+
+
+class TestReducedDegreeCount:
+    # The count in s = t**g must equal the dense count in t**lattice_index
+    # on every set: 7 scales x 2 indices x with and without 0, 300 sets per
+    # scale; and g / lattice_index divides it, g a multiple of the
+    # characters' gcd.
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 8])
+    def test_equals_the_dense_count(self, g):
+        rng = np.random.default_rng(1000 + g)
+        for trial in range(300):
+            index, zero = 1 + trial % 2, bool(trial // 2 % 2)
+            w = _scaled_set(rng, g, index, zero)
+            draw = _draw(w, trial)
+            count = torus_critical_count_rank1(w, draw)
+            assert count == _reference_count_rank1(w, draw), w
+            assert count % (math.gcd(*(chi[0] for chi in w.weights)) // index) == 0
+
+    def test_degree_follows_the_gcd(self, monkeypatch):
+        # Weights -9, -3, 3, 9 have gcd(k - lo) = 6: the root finder sees a
+        # degree-3 polynomial in t**6 and the count is 6 x 3 = 18.
+        seen = []
+
+        def spy(poly):
+            seen.append(len(poly) - 1)
+            return poly_roots(poly)
+
+        monkeypatch.setattr(torused, "poly_roots", spy)
+        w = WeightSet(1, ((-9,), (-3,), (3,), (9,)), (1,) * 4)
+        assert torus_critical_count_rank1(w, _draw(w, 0)) == 18 == bkk_bound(w)
+        assert seen == [3]
+
+
+def _integer_rank(rows):
+    """Rank of an integer matrix by fraction-free elimination: the reference
+    for the Gram-determinant full-rank test."""
+    work = [list(r) for r in rows]
+    cols = len(work[0]) if work else 0
+    rank = 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        p = work[rank][col]
+        for i in range(rank + 1, len(work)):
+            q = work[i][col]
+            if q != 0:
+                work[i] = [p * b - q * a for a, b in zip(work[rank], work[i])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
+class TestGramRank:
+    # det(W^t W) != 0 iff rank W = m, on matrices with m = 1-4 columns and
+    # 1-6 rows, small entries (often rank-deficient), zero and repeated
+    # rows, and entries of +-2**19.
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_agrees_with_elimination_rank(self, m):
+        rng = np.random.default_rng(m)
+        for trial in range(1500):
+            k = int(rng.integers(1, 7))
+            rows = rng.integers(-2, 3, size=(k, m))
+            if trial % 3 == 0:
+                rows[rng.uniform(size=rows.shape) < 0.2] = rng.choice([-(2**19), 2**19])
+            if trial % 4 == 1 and k > 1:
+                rows[rng.integers(k)] = rows[rng.integers(k)]
+            if trial % 5 == 2:
+                rows[rng.integers(k)] = 0
+            rows = [tuple(int(x) for x in r) for r in rows]
+            assert torused._gram_full_rank(rows, m) == (_integer_rank(rows) == m), rows
+
+    def test_validate_uses_full_rank(self):
+        line = ((1, 2, 3), (-1, -2, -3), (2, 4, 6), (-2, -4, -6))
+        assert not validate_weightset(WeightSet(3, line, (1,) * 4))
+        big = 2**19
+        axes = ((big, 0, 0), (-big, 0, 0), (0, big, 1), (0, -big, -1), (1, 1, big), (-1, -1, -big))
+        assert validate_weightset(WeightSet(3, axes, (1,) * 6))
 
 
 class TestTightnessExperiment:
