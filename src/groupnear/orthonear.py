@@ -117,14 +117,14 @@ def _closed_form(u, name: str, kind: str, limit: int | None = None) -> list[Crit
     frame = _svd_frame(u)
     # Sigma is descending, so the second row flips the smallest singular value.
     rows = np.array([[1.0] * n, [1.0] * (n - 1) + [-1.0]]) if limit is None else _sign_table(n)
-    # The embedded det of a unitary point is always +1.
-    plus = np.ones(rows.shape[0], dtype=bool) if kind == "unitary_embedded" else _det_plus_rows(frame, rows)
+    # Complex points take no mask: their embedded det is always +1.
+    plus = None if kind == "unitary_embedded" else _det_plus_rows(frame, rows)
     if kind == "special_orthogonal":
         rows, plus = rows[plus], plus[plus]
     if limit is None:
-        rows, plus = rows[:1], plus[:1]
+        rows = rows[:1]
     g = GroupSpec(kind, 2 * n if kind == "unitary_embedded" else n)
-    return _certify_batch(_lift(frame, rows), u, g, det_plus=plus)
+    return _certify_batch(_lift(frame, rows), u, g, det_plus=None if plus is None else plus[: len(rows)])
 
 
 def nearest_orthogonal(u) -> CriticalPoint:

@@ -301,8 +301,13 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
     s = t**g.  Each nonzero s has g distinct g-th roots t and different s
     give disjoint ones, so the count is g times the distinct nonzero roots
     in s; g is a multiple of w.lattice_index, and when that is 2 the
-    parametrization is two-to-one, so the count is divided by it.  A single
-    nonzero term is a monomial, with no nonzero root: the count is 0.
+    parametrization is two-to-one, so the count is divided by it.  The
+    roots are counted in y = t**lattice_index: each s is expanded to its
+    g / lattice_index roots y, and the zero test (|y| at most 1e-12 of the
+    largest, or of 1) and the merge radius (1e-7, relative above 1) are
+    applied there, so a root of size r in y is judged at r, not at r**(g /
+    lattice_index).  A single nonzero term is a monomial, with no nonzero
+    root: the count is 0.
     Degrees (hi - lo) / lattice_index above 1024 are refused with
     UnsupportedError before any work.
     """
@@ -343,8 +348,14 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
     for k, v in terms.items():
         dense[(k - lo) // g] = v
     roots = poly_roots(dense)
+    h = g // w.lattice_index
+    if h > 1:
+        # Both tolerances below are read in y = t**lattice_index, the variable
+        # of the parametrization, so each s goes back to its h roots y first.
+        turns = np.exp(2j * np.pi * np.arange(h) / h)
+        roots = (roots[:, None] ** (1 / h) * turns).ravel()
     nonzero = roots[np.abs(roots) > 1e-12 * max(1.0, float(np.max(np.abs(roots))))]
-    return g // w.lattice_index * distinct_root_count(nonzero, tol=1e-7)
+    return distinct_root_count(nonzero, tol=1e-7)
 
 
 def random_rank1_coefficients(w: WeightSet, seed: int) -> dict:

@@ -462,6 +462,26 @@ class TestReducedDegreeCount:
             assert count == _reference_count_rank1(w, draw), w
             assert count % (math.gcd(*(chi[0] for chi in w.weights)) // index) == 0
 
+    # Coefficient spreads of 1e6-1e13 put roots of size r in t**lattice_index
+    # at r**(g / lattice_index) in s; the zero test and the merge radius must
+    # still judge them at r.
+    @pytest.mark.parametrize("decades", [6, 9, 13])
+    @pytest.mark.parametrize("g", [2, 6, 8])
+    def test_equals_the_dense_count_on_wide_spreads(self, g, decades):
+        rng = np.random.default_rng(100 * g + decades)
+        for trial in range(100):
+            index, zero = 1 + trial % 2, bool(trial // 2 % 2)
+            w = _scaled_set(rng, g, index, zero)
+            draw = {k: v * 10 ** rng.uniform(-decades / 2, decades / 2) for k, v in _draw(w, trial).items()}
+            assert torus_critical_count_rank1(w, draw) == _reference_count_rank1(w, draw), (w, draw)
+
+    def test_tiny_roots_are_judged_in_t(self):
+        # -1e-13 / t + 1 = 0 is s = t**2 = 1e-13: two roots t = +-3.2e-7,
+        # far above the zero test there, though s itself is below it.
+        w = WeightSet(1, ((-1,), (1,)), (1, 1))
+        draw = {-1: 1e-13, 1: 1.0}
+        assert torus_critical_count_rank1(w, draw) == 2 == _reference_count_rank1(w, draw)
+
     def test_degree_follows_the_gcd(self, monkeypatch):
         # Weights -9, -3, 3, 9 have gcd(k - lo) = 6: the root finder sees a
         # degree-3 polynomial in t**6 and the count is 6 x 3 = 18.
