@@ -17,13 +17,19 @@ independent entries of the same defects as its rows.  Likewise the
 certifier measures the Lie-algebra component by each group's orthogonal
 projection (`_lie_part`, O(n^2) memory per point), and the census takes
 its coordinates in the orthonormal basis as rows.
+
+Every solver reports `CriticalPoint`s: an immutable NamedTuple (x,
+distance_sq, det_sign, residual, c) whose fields are read by name or
+position.  One certifier, `_certify_batch`, builds them for a whole stack
+in one positional `map` call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -103,9 +109,9 @@ class GroupSpec:
             raise InputError(f"{self.kind} requires even n")
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    """One critical point of the squared distance from a data matrix.
+class CriticalPoint(NamedTuple):
+    """One critical point of the squared distance from a data matrix: an
+    immutable record, read by field name or by position.
 
     x may be complex for the unitary solvers; distance_sq is always the real
     Frobenius metric (twice the complex squared norm in that case).  c is the
@@ -212,6 +218,10 @@ class _Equations:
     structure: Optional[np.ndarray]  # K: x K = K x
 
 
+# The groups that preserve the form I.
+_IDENTITY_FORM = ("orthogonal", "special_orthogonal", "unitary_embedded")
+
+
 @functools.cache
 def _equations(g: GroupSpec) -> _Equations:
     """The defining equations of g, read by the certifier (`_violations`)
@@ -225,7 +235,7 @@ def _equations(g: GroupSpec) -> _Equations:
     """
     n = g.n
     form = structure = None
-    if g.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
+    if g.kind in _IDENTITY_FORM:
         form = (np.eye(n), *np.triu_indices(n))
     elif g.kind == "symplectic":
         form = (symplectic_form(n), *np.triu_indices(n, 1))
@@ -244,6 +254,15 @@ def _det_defect(dets: np.ndarray, rule: str) -> np.ndarray:
     return dets - (np.where(dets < 0.0, -1.0, 1.0) if rule == "unit" else 1.0)
 
 
+def _form_image(m: np.ndarray, x: np.ndarray, g: GroupSpec) -> np.ndarray:
+    """M x for each matrix of a stack x, M the form that g preserves.  When
+    M = I, a copy of x: that product is exact, so the copy has its bits at
+    O(n^2) cost, not O(n^3).  It must be a second buffer: numpy sends x^t x
+    with both operands on one buffer to syrk, whose sums differ from gemm's
+    in the last bit from n = 12 on (and which is slower on small matrices)."""
+    return x.copy() if g.kind in _IDENTITY_FORM else np.matmul(m, x)
+
+
 def _defects(x: np.ndarray, g: GroupSpec):
     """The defining equations of g at each matrix of a real stack x:
     (x^t M x - M as full matrices, the det defect, x K - K x), each None
@@ -252,7 +271,7 @@ def _defects(x: np.ndarray, g: GroupSpec):
     form = dets = comm = None
     if eq.form is not None:
         m = eq.form[0]
-        form = np.matmul(np.swapaxes(x, 1, 2), np.matmul(m, x)) - m[None, :, :]
+        form = np.matmul(np.swapaxes(x, 1, 2), _form_image(m, x, g)) - m[None, :, :]
     if eq.det_rule is not None:
         dets = _det_defect(np.linalg.det(x), eq.det_rule)
     if eq.structure is not None:
@@ -264,13 +283,10 @@ def _violations(x: np.ndarray, g: GroupSpec) -> np.ndarray:
     """Defining-equation violation (B,) of each matrix of a real stack x:
     the sum of the Frobenius norms of its defects."""
     form, dets, comm = _defects(x, g)
-    out = np.zeros(x.shape[0])
-    for part in (form, comm):
-        if part is not None:
-            out = out + _row_norms(part)
+    norms = [_row_norms(part) for part in (form, comm) if part is not None]
     if dets is not None:
-        out = out + np.abs(dets)
-    return out
+        norms.append(np.abs(dets))
+    return sum(norms[1:], norms[0])
 
 
 def _lie_coordinates(x: np.ndarray, u: np.ndarray, g: GroupSpec) -> np.ndarray:
@@ -327,20 +343,22 @@ def _certify_batch(xs: np.ndarray, u: np.ndarray, g: GroupSpec, c=None, det_plus
     other rows.
     """
     count = xs.shape[0]
-    dist = np.sum(np.abs(u[None, :, :] - xs).reshape(count, -1) ** 2, axis=1)
     if np.iscomplexobj(xs):
-        dist = dist * 2.0
-        signs = [1] * count
+        dist = np.sum(np.abs(u[None, :, :] - xs).reshape(count, -1) ** 2, axis=1) * 2.0
+        signs = itertools.repeat(1)
         ge = GroupSpec("unitary_embedded", 2 * xs.shape[1])
         res = _residuals(_embed(xs), _embed(np.asarray(u, dtype=np.complex128)), ge)
     else:
+        # One difference stack, squared in place (d * d is |d| ** 2 to the
+        # bit) and freed before `_residuals` forms its own.
+        diff = u[None, :, :] - xs
+        diff *= diff
+        dist = diff.reshape(count, -1).sum(axis=1)
+        del diff
         signs = np.where(np.linalg.det(xs) >= 0.0 if det_plus is None else det_plus, 1, -1).tolist()
         res = _residuals(xs, u, g)
-    cs = [None] * count if c is None else c
-    return [
-        CriticalPoint(x=x, distance_sq=d, det_sign=s, residual=r, c=cv)
-        for x, d, s, r, cv in zip(xs, dist.tolist(), signs, res.tolist(), cs)
-    ]
+    cs = itertools.repeat(None) if c is None else c
+    return list(map(CriticalPoint, xs, dist.tolist(), signs, res.tolist(), cs))
 
 
 def _one_row(x, u, name: str):
@@ -600,7 +618,7 @@ class _System:
         parts = [_lie_coordinates(d, self.zero, self.g)]
         if self.eq.form is not None:
             m, rows, cols = self.eq.form
-            parts.append(np.matmul(np.swapaxes(d, 1, 2), np.matmul(m, d))[:, rows, cols])
+            parts.append(np.matmul(np.swapaxes(d, 1, 2), _form_image(m, d, self.g))[:, rows, cols])
         if self.eq.structure is not None:
             parts.append(np.zeros((d.shape[0], self.n * self.n)))
         return np.concatenate(parts, axis=1)

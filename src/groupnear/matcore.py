@@ -145,10 +145,13 @@ def _grid(obj, n: int, key: str) -> np.ndarray:
         or any(not isinstance(row, list) or len(row) != n for row in grid)
     ):
         raise InputError(f"matrix JSON: '{key}' must be an {n} x {n} array")
+    # JSON numbers only: numpy would also read "2.5", " 3 " and true as numbers.
+    if any(type(v) is bool or not isinstance(v, (int, float)) for row in grid for v in row):
+        raise InputError(f"matrix JSON: non-numeric entry in '{key}'")
     try:
         out = np.array(grid, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"matrix JSON: non-numeric entry in '{key}'") from exc
+    except OverflowError as exc:  # an integer too large for a double
+        raise InputError(f"matrix JSON: entries in '{key}' must be finite") from exc
     if not np.all(np.isfinite(out)):
         raise InputError(f"matrix JSON: entries in '{key}' must be finite")
     return out

@@ -36,12 +36,13 @@ from .matcore import as_square, frobenius_norm
 GAP_TOL = 1e-8
 
 # Largest sizes the full enumerations accept.  Their (2^n, n, n) stacks grow
-# as 2^n n^2: with BLAS at 1 thread, n = 14 orthogonal took 0.24-0.27 s and
-# 113-137 MB peak (n = 12: 0.04 s, 55 MB) and m = 12 unitary, which
-# certifies 2m x 2m real embeddings, 0.12-0.16 s and 119 MB.  Special
-# orthogonal lifts only its 2^(n-1) rotations: n = 14 took 0.14 s and 79 MB
-# (n = 12: 0.03 s, 44 MB), but n = 15 took 0.31 s and 132 MB, as much as
-# orthogonal at its limit, so it keeps the same limit.
+# as 2^n n^2: with BLAS at 1 thread on a 2-core x86 machine, n = 14
+# orthogonal took 0.10-0.17 s and 113 MB peak over 3 runs (n = 12: 0.03 s,
+# 51 MB) and m = 12 unitary, which certifies 2m x 2m real embeddings,
+# 0.11-0.15 s and 119 MB.  Special orthogonal lifts only its 2^(n-1)
+# rotations: n = 14 took 0.07-0.08 s and 77 MB (n = 12: 0.03 s, 45 MB), but
+# n = 15 took 0.24-0.31 s and 128 MB, as much as orthogonal at its limit,
+# so it keeps the same limit.
 _MAX_ORTHOGONAL_N = 14
 _MAX_UNITARY_M = 12
 
@@ -67,10 +68,12 @@ def _svd_frame(u: np.ndarray):
         frame_u, sigma, vh = np.linalg.svd(u)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("SVD of the data matrix did not converge") from exc
-    vals = sigma**2
-    if float(vals[-1]) <= 0.0 or float(vals[-1]) < 1e-14 * max(1.0, float(vals[0])):
+    # Python floats: each test is a few scalar operations, not numpy calls.
+    s = sigma.tolist()
+    first, last = s[0], s[-1]
+    if last * last <= 0.0 or last * last < 1e-14 * max(1.0, first * first):
         raise SingularityError("data matrix is singular to working precision")
-    if sigma.size > 1 and float(np.min(-np.diff(sigma))) < GAP_TOL * max(1.0, float(sigma[0])):
+    if len(s) > 1 and min(map(float.__sub__, s, s[1:])) < GAP_TOL * max(1.0, first):
         raise DegeneracyError("singular values are too clustered to enumerate")
     return frame_u, sigma, vh
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,7 +281,13 @@ def bkk_bound(w: WeightSet) -> int:
 def _weight_key(chi) -> tuple[int, ...]:
     if isinstance(chi, (int, np.integer)) and not isinstance(chi, bool):
         return (int(chi),)
+    if not isinstance(chi, (tuple, list)):
+        raise InputError(f"coefficient keys must be integer weights, got {chi!r}")
     return tuple(_as_int(x, "weight entry") for x in chi)
+
+
+# The types of a rank-1 coefficient value; bool, an int subclass, is refused apart.
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 # The companion matrix of a degree-d polynomial is d x d and its QR
@@ -308,18 +315,28 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
     applied there, so a root of size r in y is judged at r, not at r**(g /
     lattice_index).  A single nonzero term is a monomial, with no nonzero
     root: the count is 0.
+    coeffs is a mapping from each weight (an int or a 1-tuple) to a finite
+    real number (int or float, not bool); any other key, value or
+    container raises InputError.
     Degrees (hi - lo) / lattice_index above 1024 are refused with
     UnsupportedError before any work.
     """
     if w.m != 1:
         raise InputError("torus_critical_count_rank1 requires rank m = 1")
+    if not isinstance(coeffs, Mapping):
+        raise InputError("coefficients must be a mapping {weight: value}")
     table = {}
-    for chi, value in dict(coeffs).items():
+    for chi, value in coeffs.items():
         key = _weight_key(chi)
         if len(key) != 1:
             raise InputError("coefficients must be keyed by rank-1 weights")
-        fv = float(value)
-        if not np.isfinite(fv):
+        if type(value) is bool or not isinstance(value, _REAL_TYPES):
+            raise InputError(f"coefficient for weight {key[0]} must be a real number, got {value!r}")
+        try:
+            fv = float(value)
+        except OverflowError:
+            fv = math.inf  # an int too large for a double
+        if not math.isfinite(fv):
             raise InputError("coefficients must be finite")
         table[key[0]] = fv
     terms = {}

@@ -85,6 +85,14 @@ class TestNearest:
         proc = run_cli("nearest", "orthogonal", str(bad))
         assert proc.returncode == 2
 
+    def test_string_entry_refused(self, tmp_path):
+        # "2.5" is a JSON string, not a number: an input error, exit 2.
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps({"n": 1, "data": [["2.5"]]}))
+        proc = run_cli("nearest", "orthogonal", str(path))
+        assert proc.returncode == 2
+        assert "non-numeric entry" in proc.stderr
+
     def test_degenerate_input(self, tmp_path):
         # Repeated singular values: the solver refuses, mapped to exit 3.
         path = tmp_path / "scaled_identity.json"

@@ -9,9 +9,11 @@ from test_orthonear import _graded_inputs
 from groupnear import critsearch, orthonear
 from groupnear.critsearch import (
     KINDS,
+    CriticalPoint,
     GroupSpec,
     _armijo,
     _certify_batch,
+    _defects,
     _draw,
     _lie_coordinates,
     _lie_part,
@@ -33,11 +35,13 @@ from groupnear.errors import InputError
 from groupnear.matcore import det, frobenius_norm, random_general
 from groupnear.orthonear import (
     enumerate_orthogonal_critical,
+    enumerate_special_orthogonal_critical,
     enumerate_unitary_critical,
     nearest_orthogonal,
     nearest_special_orthogonal,
     nearest_unitary,
 )
+from groupnear.slnear import sl_critical_points, sl_plus_critical_points
 
 
 class TestGroupSpec:
@@ -433,12 +437,64 @@ class TestCertifyBatch:
             assert p.det_sign == 1
             assert p.distance_sq == pytest.approx(2.0 * np.sum(np.abs(u - x) ** 2), rel=1e-14)
 
+    @pytest.mark.parametrize("kind,n", [("orthogonal", 12), ("unitary_embedded", 14)])
+    def test_identity_form_defect_has_the_bits_of_the_explicit_product(self, kind, n):
+        # x^t (I x) - I without forming I x; x^t x on one buffer would go to
+        # syrk, whose sums differ from gemm's at these sizes.
+        xs = _draws_and_perturbed(GroupSpec(kind, n))
+        eye = np.eye(n)
+        expected = np.matmul(np.swapaxes(xs, 1, 2), np.matmul(eye, xs)) - eye
+        assert np.array_equal(_defects(xs, GroupSpec(kind, n))[0], expected)
+
     @pytest.mark.parametrize("kind,n", _ALL_KINDS)
     def test_residual_matches_explicit_formula(self, kind, n):
         g = GroupSpec(kind, n)
         u = random_general(n, 9)
         for x in _draws_and_perturbed(g):
             assert critical_residual(x, u, g) == pytest.approx(_explicit_residual(x, u, g), rel=1e-14)
+
+
+class TestCriticalPointRecord:
+    def test_field_names_and_order(self):
+        assert CriticalPoint._fields == ("x", "distance_sq", "det_sign", "residual", "c")
+        p = CriticalPoint(np.eye(2), 1.5, -1, 1e-16, 0.25)
+        assert tuple(p)[1:] == (p.distance_sq, p.det_sign, p.residual, p.c) == (1.5, -1, 1e-16, 0.25)
+        assert p[0] is p.x
+
+    def test_c_defaults_to_none(self):
+        assert CriticalPoint(np.eye(2), 0.0, 1, 0.0).c is None
+        assert nearest_orthogonal(random_general(3, 0)).c is None
+
+    @pytest.mark.parametrize("field", ["x", "distance_sq", "det_sign", "residual", "c"])
+    def test_fields_cannot_be_assigned(self, field):
+        p = nearest_orthogonal(random_general(3, 0))
+        with pytest.raises(AttributeError):
+            setattr(p, field, None)
+
+    @pytest.mark.parametrize(
+        "solve,n",
+        [
+            (enumerate_orthogonal_critical, 3),
+            (enumerate_orthogonal_critical, 12),
+            (enumerate_special_orthogonal_critical, 6),
+            (sl_critical_points, 3),
+            (sl_plus_critical_points, 4),
+        ],
+    )
+    def test_distance_is_the_squared_difference_bitwise(self, solve, n):
+        # The certifier squares one difference stack in place; each row must
+        # read as the plain sum over that one point.
+        u = random_general(n, 4)
+        points = solve(u)
+        assert points
+        for p in points:
+            assert p.distance_sq == np.sum(np.abs(u - p.x) ** 2)
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_complex_distance_is_twice_the_squared_difference_bitwise(self, m):
+        u = random_general(m, 5, complex_entries=True)
+        for p in enumerate_unitary_critical(u) + [nearest_unitary(u)]:
+            assert p.distance_sq == 2.0 * np.sum(np.abs(u - p.x) ** 2)
 
 
 class TestLieProjection:

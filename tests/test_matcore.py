@@ -113,3 +113,23 @@ class TestMatrixJson:
     def test_rejects_size_mismatch(self):
         with pytest.raises(InputError):
             matrix_from_json({"n": 3, "data": [[1.0, 2.0], [3.0, 4.0]]})
+
+    @pytest.mark.parametrize("entry", ["2.5", " 3 ", True, False, None, [1.0], {"re": 1.0}])
+    @pytest.mark.parametrize("form", ["data", "re", "im"])
+    def test_rejects_entries_that_are_not_json_numbers(self, entry, form):
+        # numpy reads "2.5" and " 3 " as 2.5 and 3.0 and true as 1.0; only
+        # JSON numbers are entries.
+        obj = {"n": 2, "re": [[1, 2.5], [3, 4]], "im": [[0, 1], [1, 0]]}
+        if form == "data":
+            obj = {"n": 2, "data": obj["re"]}
+        obj[form][1][0] = entry
+        with pytest.raises(InputError, match="non-numeric entry"):
+            matrix_from_json(obj)
+
+    def test_integer_beyond_a_double_is_not_finite(self):
+        with pytest.raises(InputError, match="finite"):
+            matrix_from_json({"n": 1, "data": [[10**400]]})
+
+    def test_ints_and_floats_accepted(self):
+        a = matrix_from_json({"n": 2, "re": [[1, 2.5], [-3, 0]], "im": [[0, 1], [1e-3, 0]]})
+        assert np.array_equal(a, np.array([[1, 2.5], [-3, 0]]) + 1j * np.array([[0, 1], [1e-3, 0]]))

@@ -404,6 +404,28 @@ class TestRankOneCounts:
             torus_critical_count_rank1(w, draw)
 
     @pytest.mark.parametrize(
+        "coeffs,message",
+        [
+            ({-1: 0.5, 1.0: 0.7}, "keys"),
+            ({-1: 0.5, True: 0.7}, "keys"),
+            ({-1: 0.5, 1: None}, "real number"),
+            ({-1: 0.5, 1: "2"}, "real number"),
+            ({-1: 0.5, 1: True}, "real number"),
+            ({-1: 0.5, 1: 10**400}, "finite"),
+            (5, "mapping"),
+            ([(-1, 0.5), (1, 0.7)], "mapping"),
+        ],
+    )
+    def test_malformed_coefficients_are_input_errors(self, coeffs, message):
+        with pytest.raises(InputError, match=message):
+            torus_critical_count_rank1(_sym_line(1), coeffs)
+
+    def test_integer_and_numpy_coefficients_accepted(self):
+        w = _sym_line(1)
+        for coeffs in ({-1: 2, 1: -3}, {(-1,): np.float32(0.5), np.int64(1): np.int64(-3)}):
+            assert torus_critical_count_rank1(w, coeffs) == 2
+
+    @pytest.mark.parametrize(
         "weights,index", [(((3,),), 1), (((0,), (3,)), 1), (((-4,),), 2), (((-4,), (0,)), 2)]
     )
     def test_one_nonzero_character_is_a_monomial(self, monkeypatch, weights, index):
