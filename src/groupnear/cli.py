@@ -164,26 +164,17 @@ def _lookup(name: str, command: str) -> _Group:
 
 
 def _read_matrix(path: str, group: str):
-    """(u, group descriptor, input digest).  Unitary input is read as
-    complex and described by m; every other group takes a real matrix."""
+    """(u, group descriptor, input digest); a unitary group is described by
+    m.  Whether u may be complex is its solver's rule, not the reader's."""
     obj, digest = _read_json(path)
     u = matrix_from_json(obj)
-    if group == "unitary":
-        return u.astype(complex), {"kind": group, "m": u.shape[0]}, digest
-    if np.iscomplexobj(u):
-        raise InputError(f"group {group!r} takes a real matrix")
-    return u, {"kind": group, "n": u.shape[0]}, digest
+    return u, {"kind": group, "m" if group == "unitary" else "n": u.shape[0]}, digest
 
 
 def cmd_nearest(args) -> RunReport:
     row = _lookup(args.group, "nearest")
     u, group, digest = _read_matrix(args.input, args.group)
-    if args.component is None:
-        point = row.nearest(u)
-    elif args.group in ("sl", "sl-pm"):
-        point = nearest_sl(u, args.component)
-    else:
-        raise InputError("--component applies only to the sl groups")
+    point = row.nearest(u)
     summary = {**_point_summary(point), "x": matrix_to_json(point.x)}
     return RunReport("nearest", group, digest, [summary], {"expected": row.expected(u.shape[0])}, args.seed)
 
@@ -226,12 +217,12 @@ def _check(name: str, expected: int, observed: int) -> dict:
     return {"name": name, "expected": expected, "observed": observed, "pass": expected == observed}
 
 
-def _suite_orthogonal(seed: int, tol: float, starts: int) -> list[dict]:
+def _suite_orthogonal(seed: int, starts: int) -> list[dict]:
     checks = []
     for n in (2, 3):
         points = _GROUPS["orthogonal"].critical(random_general(n, seed))
         expected = _GROUPS["orthogonal"].expected(n)
-        under_tol = sum(p.residual < tol for p in points)
+        under_tol = sum(p.residual < 1e-7 for p in points)
         rotations = _GROUPS["special-orthogonal"].expected(n)
         checks.append(_check(f"orthogonal n={n} critical count", expected, len(points)))
         checks.append(_check(f"orthogonal n={n} residuals under tol", expected, under_tol))
@@ -239,7 +230,7 @@ def _suite_orthogonal(seed: int, tol: float, starts: int) -> list[dict]:
     return checks
 
 
-def _suite_special_orthogonal(seed: int, tol: float, starts: int) -> list[dict]:
+def _suite_special_orthogonal(seed: int, starts: int) -> list[dict]:
     so = _GROUPS["special-orthogonal"]
     checks = []
     for n in (2, 3):
@@ -251,18 +242,18 @@ def _suite_special_orthogonal(seed: int, tol: float, starts: int) -> list[dict]:
     return checks
 
 
-def _suite_unitary(seed: int, tol: float, starts: int) -> list[dict]:
+def _suite_unitary(seed: int, starts: int) -> list[dict]:
     checks = []
     for m in (1, 2):
         points = _GROUPS["unitary"].critical(random_general(m, seed, complex_entries=True))
         expected = _GROUPS["unitary"].expected(m)
         checks.append(_check(f"unitary m={m} critical count", expected, len(points)))
-        under_tol = sum(p.residual < tol for p in points)
+        under_tol = sum(p.residual < 1e-7 for p in points)
         checks.append(_check(f"unitary m={m} residuals under tol", expected, under_tol))
     return checks
 
 
-def _suite_sl(seed: int, tol: float, starts: int) -> list[dict]:
+def _suite_sl(seed: int, starts: int) -> list[dict]:
     # The distinct complex multipliers number the ED degree of SL^pm.
     checks = [
         _check(f"sl n={n} distinct multiplier count", _GROUPS["sl-pm"].expected(n), sl_ed_degree(n, seed))
@@ -283,7 +274,7 @@ def _suite_sl(seed: int, tol: float, starts: int) -> list[dict]:
     return checks
 
 
-def _suite_torus(seed: int, tol: float, starts: int) -> list[dict]:
+def _suite_torus(seed: int, starts: int) -> list[dict]:
     checks = []
     for d, index, expected in ((1, 1, 2), (3, 1, 6), (5, 1, 10), (7, 1, 14), (2, 2, 2), (4, 2, 4)):
         w = WeightSet(1, tuple((k,) for k in range(-d, d + 1, 2)), (1,) * (d + 1), lattice_index=index)
@@ -306,7 +297,7 @@ def _suite_torus(seed: int, tol: float, starts: int) -> list[dict]:
     return checks
 
 
-def _suite_symplectic(seed: int, tol: float, starts: int) -> list[dict]:
+def _suite_symplectic(seed: int, starts: int) -> list[dict]:
     checks = []
     u = random_general(2, seed)
     sp2 = multistart_census(u, GroupSpec("symplectic", 2), starts=starts, seed=seed)
@@ -335,7 +326,7 @@ def cmd_verify(args) -> RunReport:
     names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
-        checks.extend(_SUITE_RUNNERS[name](args.seed, args.tol, args.starts))
+        checks.extend(_SUITE_RUNNERS[name](args.seed, args.starts))
     passed = sum(1 for c in checks if c["pass"])
     for c in checks:
         if not c["pass"]:
@@ -380,12 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seed for all randomized steps",
     )
     parser.add_argument(
-        "--tol",
-        type=_option(float, lambda t: math.isfinite(t) and t > 0.0, "a finite positive number"),
-        default=1e-7,
-        help="residual threshold for checks",
-    )
-    parser.add_argument(
         "--starts",
         type=_option(int, lambda s: 1 <= s <= _MAX_STARTS, f"an integer from 1 to {_MAX_STARTS}"),
         default=1000,
@@ -396,7 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nearest", help="nearest group element to a data matrix")
     p.add_argument("group", help="one of: " + ", ".join(_groups_for("nearest")))
     p.add_argument("input", help="matrix JSON file")
-    p.add_argument("--component", choices=("plus", "pm"), default=None)
     p.set_defaults(func=cmd_nearest)
 
     p = sub.add_parser("critical", help="all real critical points")

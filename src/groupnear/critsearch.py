@@ -805,8 +805,10 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     converge_tol = 1e-11 * utol
     accept_tol = 1e-9
 
-    x = x0
-    active = np.arange(starts)
+    x, active = x0, np.arange(starts)
+    if sys_.has_det:  # the det row needs x^-1: a singular start fails unswept
+        active = np.flatnonzero(np.linalg.det(x0) != 0.0)
+        x = x0[active]
     frozen_x = np.empty((starts, n, n))
     frozen_ok = np.zeros(starts, dtype=bool)
 

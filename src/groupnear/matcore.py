@@ -8,6 +8,7 @@ deliberately not imported (see the README's numerical notes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ __all__ = [
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a dense square array with finite entries."""
+    """Validate and return a dense square array with finite entries and a
+    finite squared Frobenius norm, the scale of every reported distance."""
     arr = np.asarray(a)
     if arr.dtype == object:
         raise InputError(f"{name}: entries must be numeric")
@@ -42,8 +44,13 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
         raise InputError(f"{name}: expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise InputError(f"{name}: empty matrix")
-    if not np.all(np.isfinite(arr.view(np.float64) if arr.dtype == np.complex128 else arr)):
-        raise InputError(f"{name}: entries must be finite")
+    flat = (arr.view(np.float64) if arr.dtype == np.complex128 else arr).ravel()
+    with np.errstate(over="ignore"):
+        square = flat @ flat  # NaN or Infinity if an entry is
+    if not math.isfinite(square):
+        if not np.all(np.isfinite(flat)):
+            raise InputError(f"{name}: entries must be finite")
+        raise InputError(f"{name}: squared Frobenius norm overflows")
     return arr
 
 

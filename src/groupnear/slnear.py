@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .critsearch import CriticalPoint, GroupSpec, _certify_batch
+from .critsearch import CriticalPoint, GroupSpec, _certify_batch, _require_real
 from .errors import DegeneracyError, InputError, UnsupportedError
 from .matcore import _check_positive_int, as_square, random_general, sym_eig
 from .orthonear import _det_plus_rows, _lift, _sign_table
@@ -191,6 +191,7 @@ def _sl_points(u, plus: bool) -> list[CriticalPoint]:
     `_det_plus_rows` before the lift and certified on SL; every det sign is
     read by that rule."""
     u = as_square(u, "u")
+    _require_real(u, "sl_plus_critical_points" if plus else "sl_critical_points", "u")
     n = u.shape[0]
     _check_n(n)
     mu = sym_eig(u.T @ u).values

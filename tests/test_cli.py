@@ -55,14 +55,6 @@ class TestNearest:
         assert report["results"][0]["distance_sq"] == pytest.approx(0.0, abs=1e-12)
         assert report["results"][0]["det_sign"] == 1
 
-    def test_component_override(self, unimodular_diag):
-        proc = run_cli("nearest", "sl", unimodular_diag, "--component", "pm")
-        assert proc.returncode == 0
-
-    def test_component_rejected_elsewhere(self, antidiag):
-        proc = run_cli("nearest", "orthogonal", antidiag, "--component", "pm")
-        assert proc.returncode == 2
-
     def test_symplectic_unsupported(self, antidiag):
         proc = run_cli("nearest", "symplectic", antidiag)
         assert proc.returncode == 4
@@ -228,6 +220,18 @@ class TestVerify:
         proc = run_cli("verify", "everything")
         assert proc.returncode == 2
 
+    def test_failed_check_exits_1(self, monkeypatch, capsys):
+        def failing(seed, starts):
+            return [cli._check("forced", 1, 0)]
+
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "orthogonal", failing)
+        assert cli.main(["verify", "orthogonal"]) == cli.EXIT_VERIFY_FAILED == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["counts"] == {"expected": 1, "observed": 0}
+        assert report["checks"] == [{"name": "forced", "expected": 1, "observed": 0, "pass": False}]
+        assert "FAIL forced: expected 1, observed 0" in captured.err
+
 
 class TestSeed:
     # A negative seed is refused at parse time on every command, with an
@@ -244,16 +248,44 @@ class TestSeed:
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
-class TestTol:
-    # --tol must be a finite positive number: nan and -1 used to fail every
-    # check (exit 1), inf to pass every residual check vacuously.
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "x"])
-    def test_bad_tol_refused_at_parse_time(self, tol, capsys):
+class TestOptions:
+    # The group name picks the solver and the checks have fixed thresholds:
+    # --seed and --starts are the only options.
+    def test_only_seed_and_starts(self):
+        options = [a.option_strings for a in cli._build_parser()._actions if a.option_strings]
+        assert options == [["-h", "--help"], ["--seed"], ["--starts"]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["nearest", "sl", "@antidiag", "--component", "pm"], ["--tol", "1e-300", "verify", "orthogonal"]],
+        ids=["component", "tol"],
+    )
+    def test_removed_options_refused_at_parse_time(self, argv, antidiag, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["--tol", tol, "verify", "orthogonal"])
+            cli.main([antidiag if a == "@antidiag" else a for a in argv])
         assert exc.value.code == cli.EXIT_INPUT == 2
         captured = capsys.readouterr()
-        assert "--tol: must be a finite positive number" in captured.err and captured.out == ""
+        assert "groupnear: error:" in captured.err and captured.out == ""
+
+
+class TestComplexInput:
+    # Whether a group takes complex input is its solver's rule: each real
+    # group's solver refuses it by name, and the CLI maps that to exit 2.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([command, group] for command in ("nearest", "critical")
+              for group in ("orthogonal", "special-orthogonal", "sl", "sl-pm")),
+            ["critical", "symplectic"],
+        ],
+        ids=" ".join,
+    )
+    def test_real_groups_refuse_complex_input(self, argv, tmp_path, capsys):
+        path = _write_matrix(tmp_path, random_general(2, 0, complex_entries=True))
+        assert cli.main([*argv, path]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "real" in captured.err and "sym_eig" not in captured.err
 
 
 class TestStarts:
@@ -344,6 +376,21 @@ class TestReportEncoding:
         report = args.func(args).to_json()
         json.dumps(report, allow_nan=False)  # a NaN or an unencodable scalar raises
         assert _plain(report)
+
+    # Finite entries whose squares overflow would be reported as Infinity
+    # (distance_sq and residual, or the census merge_radius): refused.
+    @pytest.mark.parametrize(
+        "argv,n,scale",
+        [(["nearest", "orthogonal"], 3, 1e160), (["critical", "symplectic"], 4, 1e200)],
+        ids=["nearest orthogonal", "critical symplectic"],
+    )
+    def test_overflowing_input_refused(self, argv, n, scale, tmp_path, capsys):
+        path = tmp_path / "u.json"  # matrix_to_json refuses such a matrix too
+        path.write_text(json.dumps({"n": n, "data": (scale * random_general(n, 0)).tolist()}))
+        assert cli.main([*argv, str(path)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "u: squared Frobenius norm overflows" in captured.err
 
 
 class TestBkk:

@@ -6,7 +6,8 @@ results compare exactly.  `residual` values compare to 1e-12 absolute
 (they are about 1e-15); every other float (distances, multipliers c,
 matrix entries) to 1e-12 relative, with a 1e-12 absolute floor for values
 at zero, because another BLAS may differ in the last bits.  Regenerate
-with `tests/corpus/regenerate.py`.
+with `tests/corpus/regenerate.py`.  Every `nearest` and `critical` report
+on a corpus matrix must also stay in the group it names.
 """
 
 import json
@@ -47,3 +48,34 @@ def test_cli_report_matches_corpus(case, capsys):
     assert code == case["exit_code"]
     report = json.loads(out) if out else None
     assert _mismatches(case["report"], report) == []
+
+
+MATRICES = sorted(p.name for p in CORPUS.glob("*.json") if "n" in json.loads(p.read_text()))
+# The det +1 groups: each of their points must report det_sign +1.
+_DET_PLUS = ("sl", "special-orthogonal")
+
+
+@pytest.mark.parametrize(
+    "command,group",
+    [(command, group) for command in ("nearest", "critical") for group in cli._groups_for(command)],
+    ids=str,
+)
+def test_reports_stay_in_their_group(command, group, capsys):
+    """On every corpus matrix a report is about the group it names: its
+    expected count is that group's, and on a det +1 group every point
+    has det sign +1.  A refusal prints no report."""
+    reports = 0
+    for name in MATRICES:
+        code = cli.main([command, group, str(CORPUS / name)])
+        out = capsys.readouterr().out
+        if code != cli.EXIT_OK:
+            assert out == ""
+            continue
+        report = json.loads(out)
+        reports += 1
+        size = report["group"]["m" if group == "unitary" else "n"]
+        assert report["group"]["kind"] == group
+        assert report["counts"]["expected"] == cli._GROUPS[group].expected(size)
+        if group in _DET_PLUS:
+            assert [r["det_sign"] for r in report["results"]] == [1] * len(report["results"])
+    assert reports >= 3

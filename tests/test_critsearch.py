@@ -543,6 +543,15 @@ class TestCensus:
         got = sorted(p.distance_sq for p in census)
         assert np.allclose(got, expected, atol=1e-6)
 
+    @pytest.mark.parametrize("s", [0.5, -2.0, 1.0, -0.5])
+    def test_sl_pm_at_n_1_matches_the_closed_form(self, s):
+        # SL^pm(1) = {1, -1}; half the biased starts 0.5 (+-1 + sign s)
+        # are exactly 0, where the det row has no gradient: they fail.
+        census = multistart_census(np.array([[s]]), GroupSpec("sl_pm", 1))
+        expected = sl_critical_points([[s]])
+        assert [(p.x.item(), p.c) for p in census] == [(p.x.item(), p.c) for p in expected]
+        assert 0 < census.failed < census.attempted == census.converged + census.failed == 1000
+
     def test_deterministic(self):
         u = random_general(2, 31)
         g = GroupSpec("sl", 2)

@@ -67,6 +67,17 @@ class TestShapeChecks:
         with pytest.raises(InputError):
             as_square(np.zeros(4))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e160j], ids=["real", "complex"])
+    def test_as_square_refuses_an_overflowing_square(self, scale):
+        with pytest.raises(InputError, match="^a: squared Frobenius norm overflows"):
+            as_square(scale * random_general(3, 0), "a")
+        assert np.array_equal(as_square(1e150 * np.eye(3)), 1e150 * np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_as_square_refuses_non_finite_entries(self, bad):
+        with pytest.raises(InputError, match="^a: entries must be finite"):
+            as_square([[1.0, bad], [0.0, 1.0]], "a")
+
     def test_frobenius_norm_inner_consistency(self):
         a = random_general(3, 15)
         assert frobenius_norm(a) == pytest.approx(np.sqrt(np.sum(a * a)))

@@ -73,6 +73,11 @@ class TestNearestOrthogonal:
         with pytest.raises(InputError):
             nearest_orthogonal(np.eye(2, dtype=complex))
 
+    def test_overflowing_input_refused(self):
+        # Finite entries whose squares overflow: the distance would be inf.
+        with pytest.raises(InputError, match="u: squared Frobenius norm overflows"):
+            nearest_orthogonal(1e160 * random_general(3, 0))
+
 
 class TestEnumerateOrthogonal:
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -670,6 +670,27 @@ class TestFiveRefused:
             call()
 
 
+class TestComplexRefused:
+    # SL and SL^pm are real groups: complex u is refused by the solver's
+    # own name before the Gram spectrum is formed.
+    @pytest.mark.parametrize(
+        "solver,name",
+        [
+            (sl_critical_points, "sl_critical_points"),
+            (sl_plus_critical_points, "sl_plus_critical_points"),
+            (nearest_sl, "sl_critical_points"),
+        ],
+        ids=["sl_critical_points", "sl_plus_critical_points", "nearest_sl"],
+    )
+    def test_refused_before_any_work(self, monkeypatch, solver, name):
+        def heavy(*args, **kwargs):
+            raise AssertionError("work started before the input check")
+
+        monkeypatch.setattr(slnear, "sym_eig", heavy)
+        with pytest.raises(InputError, match=f"^{name}: u must be real"):
+            solver(random_general(2, 0, complex_entries=True))
+
+
 class TestNearestSL:
     def test_component_names(self):
         u = random_general(2, 4)
