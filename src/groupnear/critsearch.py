@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InputError
-from .matcore import _check_positive_int, _check_seed, as_square, det, frobenius_norm
+from .matcore import _check_positive_int, _check_seed, as_square, frobenius_norm
 
 KINDS = ("orthogonal", "special_orthogonal", "unitary_embedded", "sl", "sl_pm", "symplectic")
 
@@ -426,8 +426,7 @@ def _draw(g: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     - orthogonal / special orthogonal: Q of a uniform [-1, 1] matrix, with
       R's diagonal positive (the last column flipped when det Q < 0 for SO);
     - unitary: the same for re + i im, re and im uniform, then embedded;
-    - sl / sl_pm: a uniform matrix scaled to |det| = 1 (first column
-      flipped when det < 0 for sl);
+    - sl / sl_pm: a uniform matrix put on the group by `_unit_det`;
     - symplectic: the unitary draw.  Under J = [[0, I], [-I, 0]] the
       embedded U(m) is Sp(2m) intersected with O(2m), the maximal compact
       subgroup of Sp(2m), and it contains -I.
@@ -442,11 +441,23 @@ def _draw(g: GroupSpec, rng: np.random.Generator, count: int) -> np.ndarray:
         if g.kind == "special_orthogonal":
             q[np.linalg.det(q) < 0.0, :, -1] *= -1.0
         return q
+    return _unit_det(a, g.kind)
+
+
+def _unit_det(a: np.ndarray, kind: str) -> np.ndarray:
+    """Each matrix of a stack a, written over, scaled to |det| = 1 with its
+    first column flipped where det < 0 for sl; a matrix with
+    |det| < 1e-10, too near singular to scale, becomes the identity.  The
+    rule of the SL and SL^± draw and of their census anchor."""
+    n = a.shape[1]
     dets = np.linalg.det(a)
+    near = np.abs(dets) < 1e-10
+    a[near] = np.eye(n)
+    dets[near] = 1.0
     # Python's float power per row, as a single draw computes it: numpy's
     # vectorised power differs from it in the last bit on some rows.
     a /= np.array([abs(d) ** (1.0 / n) for d in dets.tolist()])[:, None, None]
-    if g.kind == "sl":
+    if kind == "sl":
         a[dets < 0.0, :, 0] *= -1.0
     return a
 
@@ -457,36 +468,6 @@ def random_group_element(g: GroupSpec, seed: int) -> np.ndarray:
     element of its compact part U(m))."""
     _check_seed(seed, "random_group_element")
     return _draw(g, np.random.default_rng(seed), 1)[0]
-
-
-# ---------------------------------------------------------------------------
-# Membership-projection of the data matrix (start biasing only)
-
-
-def _project_membership(u: np.ndarray, g: GroupSpec) -> np.ndarray:
-    """A point of g near u: the census anchor.  The identity for Sp, and
-    when the projection is not defined (u singular)."""
-    n = g.n
-    if g.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
-        # Polar factor from one SVD: the nearest orthogonal (unitary) matrix.
-        z = unembed_complex(u) if g.kind == "unitary_embedded" else u
-        w, sigma, vh = np.linalg.svd(z)
-        if sigma[-1] < 1e-6 * max(1.0, sigma[0]):
-            return np.eye(n)
-        if g.kind == "special_orthogonal" and det(z) < 0.0:
-            w[:, -1] *= -1.0  # flip the smallest singular direction
-        x = w @ vh
-        return embed_complex(x) if g.kind == "unitary_embedded" else x
-    if g.kind in ("sl", "sl_pm"):
-        d = det(u)
-        if abs(d) < 1e-10:
-            return np.eye(n)
-        x = u / abs(d) ** (1.0 / n)
-        if g.kind == "sl" and d < 0.0:
-            x = x.copy()
-            x[:, 0] *= -1.0
-        return x
-    return np.eye(n)
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +737,11 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     """Seeded multistart Gauss-Newton census of real critical points.
 
     Starts are one batched draw of random group elements (see `_draw`),
-    every other one pulled halfway toward an anchor on the group near u
-    (the polar factor of u for O, SO and U; u scaled to unit |det| for SL;
-    the identity for Sp), then iterated on the
+    every other one pulled halfway toward an anchor: u put on the group by
+    `_unit_det` for SL and SL^±, the identity for O, SO, U and Sp.  No
+    anchor reads u's singular frame, whose polar factor is the closed-form
+    nearest point on O, SO and U, so the census checks the closed forms
+    without starting from their answer.  The starts are iterated on the
     stacked system (budget 200 sweeps; `sweeps` counts those run).  The
     Jacobian is affine in x apart from the det row, one cached tensor per
     group (see `_System`).  Each sweep's Armijo search tests the step
@@ -793,11 +776,10 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     _check_seed(seed, "multistart_census")
     n = g.n
     rng = np.random.default_rng(seed)
-    anchor = _project_membership(u, g)
     x0 = _draw(g, rng, starts)
-    # Alternate biased and raw starts: pulling every start halfway toward
-    # the projected data matrix starves the far basins and loses critical
-    # points, while pure random starts waste sweeps near useless regions.
+    # Alternate pulled and raw starts.  On SL^± the identity as anchor
+    # found fewer points than u at unit |det| (n = 4 and 5, 1000 starts).
+    anchor = _unit_det(u[None].copy(), g.kind)[0] if g.kind in ("sl", "sl_pm") else np.eye(n)
     x0[0::2] = 0.5 * (x0[0::2] + anchor)
 
     sys_ = _System(u, g)
@@ -815,7 +797,7 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     fvals = sys_.residual(x)
     phi = np.einsum("br,br->b", fvals, fvals)
     sweeps = 0
-    while active.size and sweeps < 200:
+    while active.size:
         sweeps += 1
         jac = sys_.jacobian(x)
         jact = np.swapaxes(jac, 1, 2)
@@ -833,7 +815,8 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
             )
         x, fvals, phi, stalled = _armijo(sys_, x, delta.reshape(-1, n, n), jac, fvals, phi)
         normf = np.sqrt(phi)
-        done = normf <= converge_tol
+        # Converged, stalled and, at the end of the budget, every start stops.
+        done = (normf <= converge_tol) | (sweeps == 200)
         done[stalled] = True
         if np.any(done):
             sel = np.flatnonzero(done)
@@ -841,10 +824,6 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
             frozen_ok[active[sel]] = normf[sel] <= accept_tol
             keep = ~done
             x, phi, fvals, active = x[keep], phi[keep], fvals[keep], active[keep]
-    if active.size:
-        normf = np.sqrt(phi)
-        frozen_x[active] = x
-        frozen_ok[active] = normf <= accept_tol
 
     good = frozen_x[frozen_ok]
     n_conv = int(np.sum(frozen_ok))

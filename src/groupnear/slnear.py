@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .critsearch import CriticalPoint, GroupSpec, _certify_batch, _require_real
-from .errors import DegeneracyError, InputError, UnsupportedError
+from .errors import ConditioningError, DegeneracyError, InputError, UnsupportedError
 from .matcore import _check_positive_int, as_square, random_general, sym_eig
 from .orthonear import _det_plus_rows, _lift, _sign_table
 from .polyres import CHAIN_MAX_N, distinct_root_count, poly_roots, resultant_chain
@@ -189,12 +189,19 @@ def _check_n(n: int) -> None:
 def _sl_points(u, plus: bool) -> list[CriticalPoint]:
     """`sl_critical_points`, or with plus its det +1 rows, selected by
     `_det_plus_rows` before the lift and certified on SL; every det sign is
-    read by that rule."""
+    read by that rule.  A u whose u^t u has an overflowing squared norm
+    (|u| from about 1e77) raises ConditioningError before `sym_eig`."""
+    name = "sl_plus_critical_points" if plus else "sl_critical_points"
     u = as_square(u, "u")
-    _require_real(u, "sl_plus_critical_points" if plus else "sl_critical_points", "u")
+    _require_real(u, name, "u")
     n = u.shape[0]
     _check_n(n)
-    mu = sym_eig(u.T @ u).values
+    gram = u.T @ u
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(gram.ravel() @ gram.ravel())
+    if not finite:  # sym_eig would refuse it as malformed input
+        raise ConditioningError(f"{name}: u^t u leaves the double-precision range")
+    mu = sym_eig(gram).values
     frame = np.linalg.svd(u)
     sigma = frame[1]
     if float(mu[-1]) <= 0.0 or float(sigma[-1]) <= 0.0:

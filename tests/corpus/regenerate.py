@@ -25,6 +25,7 @@ HERE = Path(__file__).resolve().parent
 
 INPUTS = {
     "random_general_3_0.json": matrix_to_json(random_general(3, 0)),
+    "random_general_4_0.json": matrix_to_json(random_general(4, 0)),
     "antidiag.json": {"n": 2, "data": [[0, 2], [1, 0]]},
     "diag.json": {"n": 2, "data": [[2, 0], [0, 0.5]]},
     "scaled_identity.json": {"n": 2, "data": [[2, 0], [0, 2]]},
@@ -42,6 +43,9 @@ CASES = [
     *([command, group, matrix] for command in ("nearest", "critical") for group in GROUPS for matrix in MATRICES),
     ["bkk", "rank1.json"],
     ["bkk", "cube.json"],
+    # The symplectic census, the benchmarked census path, end to end.
+    ["--starts", "200", "critical", "symplectic", "antidiag.json"],
+    ["--starts", "200", "critical", "symplectic", "random_general_4_0.json"],
     # One refusal per nonzero exit code but 1 (a failed check), which
     # `tests/test_cli.py` forces with a failing suite runner.
     ["nearest", "orthogonal", "missing.json"],  # 2: unreadable input

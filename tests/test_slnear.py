@@ -1,6 +1,7 @@
 """Critical points over the determinant-one groups via elimination."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -372,6 +373,27 @@ class TestOutOfRange:
         assert cli.main(["critical", "sl-pm", str(path)]) == cli.EXIT_DEGENERATE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "double-precision range" in err
+
+    # From |u| near 1e77 the squared norm of u^t u overflows: the solvers
+    # refuse such u themselves, before `sym_eig` would name itself.
+    @pytest.mark.parametrize("solve", [sl_critical_points, sl_plus_critical_points])
+    def test_overflowing_gram_refused_by_the_solver(self, solve, monkeypatch):
+        monkeypatch.setattr(slnear, "sym_eig", None)  # any call raises TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConditioningError, match=f"^{solve.__name__}: "):
+                solve(1e100 * random_general(3, 0))
+
+    @pytest.mark.parametrize("argv", [["nearest", "sl"], ["critical", "sl-pm"]], ids=" ".join)
+    def test_overflowing_gram_cli_exits_degenerate(self, argv, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 3, "data": (1e100 * random_general(3, 0)).tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([*argv, str(path)]) == cli.EXIT_DEGENERATE == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sl_" in captured.err and "sym_eig" not in captured.err
 
 
 class TestKnownChainDefects:
