@@ -17,7 +17,6 @@ from .critsearch import (
     membership_violation,
     multistart_census,
     random_group_element,
-    symplectic_form,
 )
 from .errors import (
     ConditioningError,
@@ -33,26 +32,23 @@ from .orthonear import (
     enumerate_orthogonal_critical,
     enumerate_special_orthogonal_critical,
     enumerate_unitary_critical,
-    gperp_decompose,
     nearest_orthogonal,
     nearest_special_orthogonal,
     nearest_unitary,
 )
 from .slnear import (
     nearest_sl,
+    nearest_sl_plus,
     sl_critical_points,
     sl_ed_degree,
     sl_plus_critical_points,
-    smallest_c_check,
 )
 from .torused import (
     WeightSet,
     bkk_bound,
-    bkk_tightness_experiment,
     torus_critical_count_rank1,
     validate_weightset,
     weightset_from_json,
-    weightset_to_json,
 )
 
 __version__ = "0.1.0"
@@ -70,13 +66,11 @@ __all__ = [
     "UnsupportedError",
     "WeightSet",
     "bkk_bound",
-    "bkk_tightness_experiment",
     "critical_point_from",
     "critical_residual",
     "enumerate_orthogonal_critical",
     "enumerate_special_orthogonal_critical",
     "enumerate_unitary_critical",
-    "gperp_decompose",
     "lie_basis",
     "matrix_from_json",
     "matrix_to_json",
@@ -84,6 +78,7 @@ __all__ = [
     "multistart_census",
     "nearest_orthogonal",
     "nearest_sl",
+    "nearest_sl_plus",
     "nearest_special_orthogonal",
     "nearest_unitary",
     "random_general",
@@ -91,10 +86,7 @@ __all__ = [
     "sl_critical_points",
     "sl_ed_degree",
     "sl_plus_critical_points",
-    "smallest_c_check",
-    "symplectic_form",
     "torus_critical_count_rank1",
     "validate_weightset",
     "weightset_from_json",
-    "weightset_to_json",
 ]

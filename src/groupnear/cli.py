@@ -12,7 +12,6 @@ degeneracy, 4 unsupported.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import itertools
 import json
@@ -40,7 +39,7 @@ from .orthonear import (
     nearest_special_orthogonal,
     nearest_unitary,
 )
-from .slnear import nearest_sl, sl_critical_points, sl_ed_degree, sl_plus_critical_points
+from .slnear import nearest_sl, nearest_sl_plus, sl_critical_points, sl_ed_degree, sl_plus_critical_points
 from .torused import (
     WeightSet,
     bkk_bound,
@@ -138,11 +137,7 @@ _GROUPS = {
         lambda n: 2 ** (n - 1), enumerate_special_orthogonal_critical, nearest_special_orthogonal
     ),
     "unitary": _Group(lambda m: 2**m, enumerate_unitary_critical, nearest_unitary),
-    "sl": _Group(
-        lambda n: n * 2 ** (n - 1),
-        sl_plus_critical_points,
-        functools.partial(nearest_sl, component="plus"),
-    ),
+    "sl": _Group(lambda n: n * 2 ** (n - 1), sl_plus_critical_points, nearest_sl_plus),
     "sl-pm": _Group(lambda n: n * 2**n, sl_critical_points, nearest_sl),
     "symplectic": _Group(_symplectic_count, None, None),
 }
@@ -197,11 +192,6 @@ def cmd_critical(args) -> RunReport:
 
 def cmd_bkk(args) -> RunReport:
     obj, digest = _read_json(args.weightset)
-    if isinstance(obj, dict) and obj.get("m") == 1 and isinstance(obj.get("weights"), list):
-        # Rank-one weight vectors may be written as bare integers.
-        if all(isinstance(v, int) and not isinstance(v, bool) for v in obj["weights"]):
-            obj = dict(obj)
-            obj["weights"] = [[v] for v in obj["weights"]]
     w = weightset_from_json(obj)
     bound = bkk_bound(w)
     counts = {"expected": bound}

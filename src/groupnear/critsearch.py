@@ -49,8 +49,6 @@ __all__ = [
     "random_group_element",
     "symplectic_form",
     "embed_complex",
-    "unembed_complex",
-    "complex_structure",
     "critical_point_from",
 ]
 
@@ -74,22 +72,6 @@ def _embed(z: np.ndarray) -> np.ndarray:
 def embed_complex(z) -> np.ndarray:
     """Embed an m x m complex matrix as [[re, -im], [im, re]] (2m x 2m real)."""
     return _embed(as_square(z, "embed_complex").astype(np.complex128))
-
-
-def unembed_complex(x) -> np.ndarray:
-    """C-linear part of a 2m x 2m real matrix under the standard embedding."""
-    x = as_square(x, "unembed_complex")
-    if np.iscomplexobj(x) or x.shape[0] % 2 != 0:
-        raise InputError("unembed_complex: real even-sized matrix required")
-    m = x.shape[0] // 2
-    a = 0.5 * (x[:m, :m] + x[m:, m:])
-    b = 0.5 * (x[m:, :m] - x[:m, m:])
-    return a + 1j * b
-
-
-def complex_structure(n: int) -> np.ndarray:
-    """Embedding of i * identity; commuting with it means C-linear."""
-    return embed_complex(1j * np.eye(n // 2))
 
 
 @dataclass(frozen=True)
@@ -231,7 +213,7 @@ def _equations(g: GroupSpec) -> _Equations:
     its independent entries are the upper triangle with the diagonal.  Sp
     preserves the skew form J: only the strict upper triangle counts.  SO
     and SL have det x = 1, SL^± |det x| = 1, and U commutes with the
-    complex structure K (x is C-linear).
+    complex structure K, the embedding of i I (x is C-linear).
     """
     n = g.n
     form = structure = None
@@ -240,7 +222,7 @@ def _equations(g: GroupSpec) -> _Equations:
     elif g.kind == "symplectic":
         form = (symplectic_form(n), *np.triu_indices(n, 1))
     if g.kind == "unitary_embedded":
-        structure = complex_structure(n)
+        structure = _embed(1j * np.eye(n // 2))
     for a in (*(form or ()), structure):
         if a is not None:
             a.flags.writeable = False

@@ -23,7 +23,6 @@ __all__ = [
     "as_square",
     "frobenius_norm",
     "sym_eig",
-    "det",
     "random_general",
     "matrix_to_json",
     "matrix_from_json",
@@ -82,14 +81,6 @@ def sym_eig(s) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("sym_eig: eigensolver did not converge") from exc
     return EigenDecomposition(q=q[:, ::-1], values=values[::-1])
-
-
-def det(a) -> float:
-    """Determinant by LU factorisation (LAPACK via numpy.linalg.det)."""
-    arr = as_square(a, "det")
-    if np.iscomplexobj(arr):
-        return complex(np.linalg.det(arr))
-    return float(np.linalg.det(arr))
 
 
 def _check_seed(seed, name: str) -> None:

@@ -17,19 +17,12 @@ same rule.  Every solver here runs one body, `_closed_form`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .critsearch import (
-    CriticalPoint,
-    GroupSpec,
-    _certify_batch,
-    embed_complex,
-    membership_violation,
-)
+from .critsearch import CriticalPoint, GroupSpec, _certify_batch
 from .errors import ConvergenceError, DegeneracyError, InputError, SingularityError, UnsupportedError
-from .matcore import as_square, frobenius_norm
+from .matcore import as_square
 
 # Minimum gap between singular values, relative to max(1, sigma_1); below
 # this the sign enumeration is ill-posed and we refuse rather than perturb.
@@ -48,14 +41,12 @@ _MAX_UNITARY_M = 12
 
 __all__ = [
     "CriticalPoint",
-    "GPerpDecomposition",
     "nearest_orthogonal",
     "enumerate_orthogonal_critical",
     "nearest_special_orthogonal",
     "enumerate_special_orthogonal_critical",
     "nearest_unitary",
     "enumerate_unitary_critical",
-    "gperp_decompose",
 ]
 
 
@@ -163,43 +154,3 @@ def enumerate_unitary_critical(u) -> list[CriticalPoint]:
     """All 2^m unitary critical points, lexicographic sign order.  Sizes
     above _MAX_UNITARY_M are refused before any work."""
     return _closed_form(u, "enumerate_unitary_critical", "unitary_embedded", _MAX_UNITARY_M)
-
-
-@dataclass(frozen=True)
-class GPerpDecomposition:
-    """The factor s = x^{-1} u at a group element x.
-
-    For inner-product-preserving groups s lands in the orthogonal complement
-    of the Lie algebra (symmetric, resp. Hermitian); trace is reported in the
-    real metric, so complex traces are doubled.
-    """
-
-    s: np.ndarray
-    in_gperp: bool
-    trace: float
-
-
-def gperp_decompose(u, x, group: GroupSpec) -> GPerpDecomposition:
-    """Split u = x s at a group element x and test s against g-perp."""
-    u = as_square(u, "u")
-    x = as_square(x, "x")
-    if u.shape != x.shape:
-        raise InputError("gperp_decompose: size mismatch")
-    if group.kind not in ("orthogonal", "special_orthogonal", "unitary_embedded"):
-        raise InputError("gperp_decompose: inner-product-preserving groups only")
-    complex_mode = np.iscomplexobj(u) or np.iscomplexobj(x)
-    if complex_mode and group.kind != "unitary_embedded":
-        raise InputError("gperp_decompose: complex input needs the unitary group")
-    check_x = x
-    check_g = group
-    if complex_mode:
-        check_x = embed_complex(x)
-        check_g = GroupSpec("unitary_embedded", 2 * x.shape[0])
-    if membership_violation(check_x, check_g) > 1e-7 * (1.0 + frobenius_norm(x)):
-        raise InputError("gperp_decompose: x is not a group element")
-    s = np.linalg.solve(x, u.astype(x.dtype))
-    dev = frobenius_norm(s - np.conj(s).T)
-    in_perp = dev <= 1e-7 * (1.0 + frobenius_norm(s))
-    tr = np.trace(s)
-    trace = 2.0 * float(np.real(tr)) if complex_mode else float(np.real(tr))
-    return GPerpDecomposition(s=s, in_gperp=bool(in_perp), trace=trace)

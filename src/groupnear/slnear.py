@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .critsearch import CriticalPoint, GroupSpec, _certify_batch, _require_real
-from .errors import ConditioningError, DegeneracyError, InputError, UnsupportedError
+from .errors import ConditioningError, DegeneracyError, UnsupportedError
 from .matcore import _check_positive_int, as_square, random_general, sym_eig
 from .orthonear import _det_plus_rows, _lift, _sign_table
 from .polyres import CHAIN_MAX_N, distinct_root_count, poly_roots, resultant_chain
@@ -244,11 +244,14 @@ def sl_plus_critical_points(u) -> list[CriticalPoint]:
     return _sl_points(u, plus=True)
 
 
-def nearest_sl(u, component: str = "pm") -> CriticalPoint:
-    """Minimum-distance critical point over SL^pm ("pm") or det = +1 only ("plus")."""
-    if component not in ("pm", "plus"):
-        raise InputError(f"component must be 'pm' or 'plus', got {component!r}")
-    return _sl_points(u, plus=component == "plus")[0]
+def nearest_sl(u) -> CriticalPoint:
+    """The nearest critical point over SL^pm: the first of `sl_critical_points`."""
+    return _sl_points(u, plus=False)[0]
+
+
+def nearest_sl_plus(u) -> CriticalPoint:
+    """The nearest critical point over SL_n: the first of `sl_plus_critical_points`."""
+    return _sl_points(u, plus=True)[0]
 
 
 def sl_ed_degree(n: int, seed: int) -> int:
@@ -259,20 +262,3 @@ def sl_ed_degree(n: int, seed: int) -> int:
     mu = sym_eig(u.T @ u).values
     roots = poly_roots(resultant_chain(mu))
     return distinct_root_count(roots, tol=1e-7)
-
-
-def smallest_c_check(u) -> dict:
-    """Record whether the smallest-|c| real root is the distance minimizer.
-
-    Evidence gathering only: the coincidence is conjectural, so the result
-    carries the observed values rather than an assertion.
-    """
-    sols = sl_critical_points(u)
-    by_abs = min(sols, key=lambda sol: abs(sol.c))
-    minimizer = sols[0]
-    holds = abs(by_abs.c - minimizer.c) <= 1e-7 * (1.0 + abs(minimizer.c))
-    return {
-        "holds": bool(holds),
-        "c_min_abs": abs(by_abs.c),
-        "c_of_minimizer": minimizer.c,
-    }

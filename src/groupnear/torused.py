@@ -31,12 +31,10 @@ from .polyres import distinct_root_count, poly_roots
 __all__ = [
     "WeightSet",
     "validate_weightset",
-    "weightset_to_json",
     "weightset_from_json",
     "bkk_bound",
     "torus_critical_count_rank1",
     "random_rank1_coefficients",
-    "bkk_tightness_experiment",
 ]
 
 
@@ -120,22 +118,18 @@ def validate_weightset(w: WeightSet) -> bool:
     return _gram_full_rank(w.weights, w.m)
 
 
-def weightset_to_json(w: WeightSet) -> dict:
-    return {
-        "m": w.m,
-        "weights": [list(chi) for chi in w.weights],
-        "mults": list(w.mults),
-        "lattice_index": w.lattice_index,
-    }
-
-
 def weightset_from_json(obj) -> WeightSet:
+    """The WeightSet of a JSON object {"m", "weights", optional "mults" and
+    "lattice_index"}.  Rank-one weights may be bare integers, as in
+    {"m": 1, "weights": [-3, -1, 1, 3]}."""
     if not isinstance(obj, dict):
         raise InputError("weight set: expected a JSON object")
     for key in ("m", "weights"):
         if key not in obj:
             raise InputError(f"weight set: missing field {key!r}")
     raw = obj["weights"]
+    if obj["m"] == 1 and isinstance(raw, list) and all(type(v) is int for v in raw):
+        raw = [[v] for v in raw]
     if not isinstance(raw, list) or not all(isinstance(v, list) for v in raw):
         raise InputError("weights: expected a list of integer vectors")
     mults = obj.get("mults", [1] * len(raw))
@@ -317,7 +311,8 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
     root: the count is 0.
     coeffs is a mapping from each weight (an int or a 1-tuple) to a finite
     real number (int or float, not bool); any other key, value or
-    container raises InputError.
+    container, a key that is not a weight of w, or a weight given twice
+    (as 3 and (3,)) raises InputError.
     Degrees (hi - lo) / lattice_index above 1024 are refused with
     UnsupportedError before any work.
     """
@@ -325,11 +320,15 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
         raise InputError("torus_critical_count_rank1 requires rank m = 1")
     if not isinstance(coeffs, Mapping):
         raise InputError("coefficients must be a mapping {weight: value}")
-    table = {}
+    characters, table = {chi[0] for chi in w.weights}, {}
     for chi, value in coeffs.items():
         key = _weight_key(chi)
         if len(key) != 1:
             raise InputError("coefficients must be keyed by rank-1 weights")
+        if key[0] not in characters:
+            raise InputError(f"coefficient given for {key[0]}, which is not a weight")
+        if key[0] in table:
+            raise InputError(f"coefficient for weight {key[0]} given twice")
         if type(value) is bool or not isinstance(value, _REAL_TYPES):
             raise InputError(f"coefficient for weight {key[0]} must be a real number, got {value!r}")
         try:
@@ -389,22 +388,3 @@ def random_rank1_coefficients(w: WeightSet, seed: int) -> dict:
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
         draw[chi[0]] = sign * mag
     return draw
-
-
-def bkk_tightness_experiment(w: WeightSet, seeds: int) -> dict:
-    """Observed rank-1 counts over seeded generic draws next to the bound.
-
-    Whether the bound is always attained is open; this gathers evidence
-    without asserting it.
-    """
-    if w.m != 1:
-        raise InputError("bkk_tightness_experiment requires rank m = 1")
-    seeds = _as_int(seeds, "seeds")
-    if seeds < 1:
-        raise InputError("seeds: need at least one draw")
-    bound = bkk_bound(w)
-    counts = []
-    for seed in range(seeds):
-        draw = random_rank1_coefficients(w, seed)
-        counts.append(torus_critical_count_rank1(w, draw))
-    return {"bound": bound, "counts": counts}

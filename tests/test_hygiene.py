@@ -4,10 +4,15 @@ syntax trees.
 Every imported name must be used in its module or re-exported through
 `__all__`, every `__all__` entry must name something the module binds, and
 every private top-level helper must be referenced somewhere in the package
-(for a package module) or in the tests (for a test module).
+(for a package module) or in the tests (for a test module).  Every name the
+package exports (`groupnear.__all__`) must have a caller outside the tests:
+the CLI or another package module than its own, the benchmark harness
+(`perfbench/`, where a function may be looked up by its name as a string),
+or the README; a short allow-list covers the spec, result and error types.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "groupnear").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
 
 
 def _imported_names(tree):
@@ -142,3 +148,43 @@ def test_package_exports_no_kernels_or_chain():
     exported = set(groupnear.__all__)
     assert not exported & defined_in(polyres)
     assert exported & defined_in(matcore) == {"random_general", "matrix_to_json", "matrix_from_json"}
+
+
+# Exports kept without a caller: the types a caller receives or builds
+# (specs, results, errors), and lie_basis, whose spanning set the
+# acceptance tests use as the independent reference for the Lie algebras.
+_EXPORTS_WITHOUT_CALLER = {
+    "GroupSpec",
+    "CriticalPoint",
+    "CensusResult",
+    "WeightSet",
+    "GroupnearError",
+    "InputError",
+    "ConditioningError",
+    "ConvergenceError",
+    "DegeneracyError",
+    "SingularityError",
+    "UnsupportedError",
+    "lie_basis",
+}
+
+
+def test_package_exports_have_callers():
+    # A caller is the CLI or a package module other than the defining one
+    # (a name read or imported), perfbench (a name, or a string for its
+    # by-name lookups) or the README (a word).
+    import groupnear
+
+    refs = {path.stem: _references(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES}
+    outside = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in BENCH:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside |= _references(tree)
+        outside |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    dead = []
+    for name in sorted(set(groupnear.__all__) - _EXPORTS_WITHOUT_CALLER):
+        home = getattr(groupnear, name).__module__.rsplit(".", 1)[-1]
+        callers = outside.union(*(r for stem, r in refs.items() if stem not in (home, "__init__")))
+        if name not in callers:
+            dead.append(f"{name} ({home})")
+    assert not dead, f"exported names with no caller outside the tests: {dead}"

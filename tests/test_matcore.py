@@ -1,4 +1,4 @@
-"""Dense linear algebra kernel: eigensolvers, LU routines, matrix JSON."""
+"""Dense linear algebra kernel: the eigensolver, input checks, matrix JSON."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from groupnear.errors import InputError
 from groupnear.matcore import (
     as_square,
-    det,
     frobenius_norm,
     matrix_from_json,
     matrix_to_json,
@@ -46,16 +45,6 @@ class TestSymEig:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(InputError):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestLU:
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_det_matches_reference(self, n):
-        a = random_general(n, 300 + n)
-        assert det(a) == pytest.approx(np.linalg.det(a), rel=1e-10, abs=1e-13)
-
-    def test_det_of_identity(self):
-        assert det(np.eye(4)) == 1.0
 
 
 class TestShapeChecks:

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from groupnear import orthonear
-from groupnear.critsearch import GroupSpec, membership_violation
+from groupnear.critsearch import GroupSpec, critical_residual, membership_violation
 from groupnear.errors import DegeneracyError, InputError, UnsupportedError
-from groupnear.matcore import det, frobenius_norm, random_general
+from groupnear.matcore import frobenius_norm, random_general
 from groupnear.orthonear import (
     enumerate_orthogonal_critical,
     enumerate_special_orthogonal_critical,
     enumerate_unitary_critical,
-    gperp_decompose,
     nearest_orthogonal,
     nearest_special_orthogonal,
     nearest_unitary,
@@ -173,7 +172,7 @@ class TestNearestSpecialOrthogonal:
 
     def test_beats_no_orthogonal_point_when_det_positive(self):
         u = random_general(3, 57)
-        if det(u) < 0:
+        if np.linalg.det(u) < 0:
             u = -u
         same = nearest_orthogonal(u)
         special = nearest_special_orthogonal(u)
@@ -218,7 +217,7 @@ class TestSpecialOrthogonalSelection:
         u = random_general(4, 3)
         for p in enumerate_special_orthogonal_critical(u):
             assert p.residual < 1e-12
-            assert p.residual >= abs(det(p.x) - 1.0)
+            assert p.residual >= abs(np.linalg.det(p.x) - 1.0)
 
 
 class TestUnitary:
@@ -286,28 +285,18 @@ class TestEnumerationLimits:
             enumerate_points(random_general(limit + 1, 0, complex_entries=complex_entries))
 
 
-class TestGPerpDecompose:
+class TestCriticalIsGPerp:
+    # On O, SO and U, x^t (u - x) is orthogonal to g exactly when x^-1 u =
+    # x^t u is symmetric (Hermitian), which is what critical_residual measures.
     def test_orthogonal_point_gives_symmetric_factor(self):
         u = random_general(3, 70)
         point = nearest_orthogonal(u)
-        dec = gperp_decompose(u, point.x, GroupSpec("orthogonal", 3))
-        assert dec.in_gperp
-        assert frobenius_norm(point.x @ dec.s - u) < 1e-10
-        assert frobenius_norm(dec.s - dec.s.T) < 1e-10
+        s = point.x.T @ u
+        assert frobenius_norm(s - s.T) < 1e-10
+        assert critical_residual(point.x, u, GroupSpec("orthogonal", 3)) < 1e-10
 
     def test_generic_group_element_not_in_gperp(self):
         u = random_general(2, 71)
-        dec = gperp_decompose(u, np.eye(2), GroupSpec("orthogonal", 2))
-        # s = u itself here, and a generic u is not symmetric.
-        assert not dec.in_gperp
-
-    def test_non_member_rejected(self):
-        u = random_general(2, 72)
-        with pytest.raises(InputError):
-            gperp_decompose(u, 2.0 * np.eye(2), GroupSpec("orthogonal", 2))
-
-    def test_trace_doubles_for_complex(self):
-        z = np.exp(0.3j)
-        u = np.array([[2.0 * z]])
-        dec = gperp_decompose(u, np.array([[z]]), GroupSpec("unitary_embedded", 2))
-        assert dec.trace == pytest.approx(4.0)
+        # x^-1 u = u itself here, and a generic u is not symmetric.
+        assert frobenius_norm(u - u.T) > 1e-3
+        assert critical_residual(np.eye(2), u, GroupSpec("orthogonal", 2)) > 1e-3

@@ -9,14 +9,14 @@ import pytest
 from groupnear import cli, slnear
 from groupnear.critsearch import GroupSpec, critical_point_from, multistart_census
 from groupnear.errors import ConditioningError, DegeneracyError, InputError, UnsupportedError
-from groupnear.matcore import det, frobenius_norm, matrix_to_json, random_general, sym_eig
+from groupnear.matcore import frobenius_norm, matrix_to_json, random_general, sym_eig
 from groupnear.polyres import poly_roots, resultant_chain
 from groupnear.slnear import (
     nearest_sl,
+    nearest_sl_plus,
     sl_critical_points,
     sl_ed_degree,
     sl_plus_critical_points,
-    smallest_c_check,
 )
 
 
@@ -37,7 +37,7 @@ def _check_solution(u, sol, tol=1e-7):
         assert abs(c * c + (2 * c - m_i) * l_i + l_i * l_i) < tol * (1.0 + m_i)
         assert l_i > 0.0
     assert abs(np.prod(lam) - 1.0) < tol
-    assert abs(abs(det(sol.x)) - 1.0) < tol
+    assert abs(abs(np.linalg.det(sol.x)) - 1.0) < tol
     gram = sol.x.T @ (u - sol.x)
     assert frobenius_norm(gram - c * np.eye(n)) < tol * (1.0 + frobenius_norm(u))
 
@@ -65,7 +65,7 @@ class TestOneByOne:
 class TestDiagonalTwoByTwo:
     def test_input_on_group_is_fixed(self):
         u = np.diag([2.0, 0.5])  # det 1 already
-        best = nearest_sl(u, "pm")
+        best = nearest_sl(u)
         assert best.distance_sq < 1e-15
         # x = u is the root at the end s = 0 of the c > 0 search, where c is
         # 0 exactly, not a rounding-sized value below 0.
@@ -93,8 +93,8 @@ class TestDiagonalTwoByTwo:
 
     def test_negative_determinant_side(self):
         u = np.diag([-3.0, 1.0])
-        pm = nearest_sl(u, "pm")
-        plus = nearest_sl(u, "plus")
+        pm = nearest_sl(u)
+        plus = nearest_sl_plus(u)
         assert pm.det_sign == -1
         assert pm.distance_sq == pytest.approx(0.438742638783603, abs=1e-9)
         assert plus.det_sign == 1
@@ -204,7 +204,7 @@ class TestCertifiedPoints:
             assert _fields(p) == _fields(critical_point_from(p.x, u, GroupSpec("sl_pm", n), c=p.c))
             if p.det_sign == 1:
                 assert _fields(p) == _fields(critical_point_from(p.x, u, GroupSpec("sl", n), c=p.c))
-        plus = nearest_sl(u, "plus")
+        plus = nearest_sl_plus(u)
         assert _fields(plus) == _fields(critical_point_from(plus.x, u, GroupSpec("sl", n), c=plus.c))
         assert [(p.distance_sq, p.c) for p in points] == sorted((p.distance_sq, p.c) for p in points)
 
@@ -450,7 +450,7 @@ class TestKnownChainDefects:
         total = 0
         for seed in range(20):
             u = 100.0 * random_general(3, seed)
-            assert abs(det(u)) > 1.0
+            assert abs(np.linalg.det(u)) > 1.0
             points = sl_critical_points(u)
             assert sum(p.c < 0 for p in points) == 7
             assert sum(p.c > 0 for p in points) == _positive_c_count(np.linalg.svd(u, compute_uv=False))
@@ -482,7 +482,7 @@ class TestRealCountLaws:
     def test_counts_by_sign_of_c(self, n, scale):
         for seed in range(60):
             u = scale * random_general(n, seed)
-            inside = abs(det(u)) < 1.0
+            inside = abs(np.linalg.det(u)) < 1.0
             points = sl_critical_points(u)
             below = sum(p.c < 0 for p in points)
             above = sum(p.c > 0 for p in points)
@@ -584,7 +584,7 @@ class TestNegativePiece:
         refine = slnear._bracketed_newton
         monkeypatch.setattr(slnear, "_bracketed_newton", lambda *args: tuple(a[1:] for a in refine(*args)))
         u = 0.3 * random_general(3, 0)
-        assert abs(det(u)) < 1.0
+        assert abs(np.linalg.det(u)) < 1.0
         with pytest.raises(DegeneracyError, match="7 real critical points at c < 0, the proved count is 8"):
             sl_critical_points(u)
 
@@ -677,10 +677,10 @@ class TestFiveRefused:
         [
             lambda: sl_critical_points(random_general(5, 0)),
             lambda: nearest_sl(random_general(5, 0)),
-            lambda: smallest_c_check(random_general(5, 0)),
+            lambda: nearest_sl_plus(random_general(5, 0)),
             lambda: sl_ed_degree(5, 0),
         ],
-        ids=["sl_critical_points", "nearest_sl", "smallest_c_check", "sl_ed_degree"],
+        ids=["sl_critical_points", "nearest_sl", "nearest_sl_plus", "sl_ed_degree"],
     )
     def test_refused_before_any_work(self, monkeypatch, call):
         def heavy(*args, **kwargs):
@@ -701,8 +701,9 @@ class TestComplexRefused:
             (sl_critical_points, "sl_critical_points"),
             (sl_plus_critical_points, "sl_plus_critical_points"),
             (nearest_sl, "sl_critical_points"),
+            (nearest_sl_plus, "sl_plus_critical_points"),
         ],
-        ids=["sl_critical_points", "sl_plus_critical_points", "nearest_sl"],
+        ids=["sl_critical_points", "sl_plus_critical_points", "nearest_sl", "nearest_sl_plus"],
     )
     def test_refused_before_any_work(self, monkeypatch, solver, name):
         def heavy(*args, **kwargs):
@@ -714,28 +715,24 @@ class TestComplexRefused:
 
 
 class TestNearestSL:
-    def test_component_names(self):
-        u = random_general(2, 4)
-        with pytest.raises(InputError):
-            nearest_sl(u, "weird")
-
     def test_plus_component_determinant(self):
         for seed in range(5):
-            best = nearest_sl(random_general(2, seed), "plus")
+            best = nearest_sl_plus(random_general(2, seed))
             assert best.det_sign == 1
 
     def test_pm_never_worse_than_plus(self):
         for seed in range(5):
             u = random_general(3, 30 + seed)
-            pm = nearest_sl(u, "pm")
-            plus = nearest_sl(u, "plus")
+            pm = nearest_sl(u)
+            plus = nearest_sl_plus(u)
             assert pm.distance_sq <= plus.distance_sq + 1e-12
 
 
 class TestPlusSelection:
     # SL's points are chosen from the kept rows before the lift, by the
     # frame's det sign; they must be the det +1 points of SL^pm, bit for
-    # bit and in the same order, and nearest_sl must pick the first of each.
+    # bit and in the same order, and nearest_sl and nearest_sl_plus must pick
+    # the first of each.
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("scale", [0.3, 1.0, -1.0, 5.0, 100.0])
     def test_plus_points_are_the_filtered_pm_points_bitwise(self, n, scale):
@@ -753,8 +750,8 @@ class TestPlusSelection:
                     w.c,
                     w.residual,
                 )
-            for component, points in (("pm", pm), ("plus", got)):
-                best = nearest_sl(u, component)
+            for nearest, points in ((nearest_sl, pm), (nearest_sl_plus, got)):
+                best = nearest(u)
                 assert np.array_equal(best.x, points[0].x) and best.c == points[0].c
 
     def test_det_sign_read_from_the_frame(self):
@@ -765,17 +762,17 @@ class TestPlusSelection:
         points = sl_plus_critical_points(u)
         assert len(points) == 10
         assert [p.det_sign for p in points] == [1] * 10
-        assert any(det(p.x) < 0.0 for p in points)
+        assert any(np.linalg.det(p.x) < 0.0 for p in points)
         pm = sl_critical_points(u)
         assert sorted(p.c for p in pm if p.det_sign == 1) == sorted(p.c for p in points)
 
     def test_no_det_plus_point_is_degenerate(self, monkeypatch):
         monkeypatch.setattr(slnear, "_det_plus_rows", lambda frame, rows: np.zeros(len(rows), dtype=bool))
         u = random_general(2, 0)
-        for call in (sl_plus_critical_points, lambda u: nearest_sl(u, "plus")):
+        for call in (sl_plus_critical_points, nearest_sl_plus):
             with pytest.raises(DegeneracyError, match="det \\+1"):
                 call(u)
-        assert nearest_sl(u, "pm").det_sign in (1, -1)
+        assert nearest_sl(u).det_sign in (1, -1)
 
 
 class TestCounting:
@@ -794,11 +791,3 @@ class TestCounting:
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(InputError, match="seed must be a non-negative integer"):
             sl_ed_degree(3, seed)
-
-
-class TestSmallestC:
-    def test_returns_fields_and_holds(self):
-        out = smallest_c_check(random_general(2, 7))
-        assert set(out) == {"holds", "c_min_abs", "c_of_minimizer"}
-        assert out["holds"] in (True, False)
-        assert out["c_min_abs"] <= abs(out["c_of_minimizer"]) + 1e-12

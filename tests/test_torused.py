@@ -12,12 +12,10 @@ from groupnear.polyres import UniPoly, distinct_root_count, poly_roots
 from groupnear.torused import (
     WeightSet,
     bkk_bound,
-    bkk_tightness_experiment,
     random_rank1_coefficients,
     torus_critical_count_rank1,
     validate_weightset,
     weightset_from_json,
-    weightset_to_json,
 )
 
 
@@ -106,19 +104,30 @@ class TestWeightSet:
 
 
 class TestJson:
-    def test_round_trip(self):
-        w = WeightSet(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), (1, 2, 1, 2))
-        again = weightset_from_json(weightset_to_json(w))
-        assert again == w
+    def test_all_fields(self):
+        w = WeightSet(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), (1, 2, 1, 2), lattice_index=2)
+        obj = {"m": 2, "weights": [[1, 0], [-1, 0], [0, 1], [0, -1]], "mults": [1, 2, 1, 2], "lattice_index": 2}
+        assert weightset_from_json(obj) == w
 
     def test_defaults(self):
         w = weightset_from_json({"m": 1, "weights": [[-1], [1]]})
         assert w.mults == (1, 1)
         assert w.lattice_index == 1
 
-    def test_flat_weight_list_rejected(self):
-        with pytest.raises(InputError):
-            weightset_from_json({"m": 1, "weights": [-1, 1]})
+    def test_rank_one_weights_may_be_bare_integers(self):
+        # The documented format: {"m": 1, "weights": [-3, -1, 1, 3]}.
+        w = weightset_from_json({"m": 1, "weights": [-3, -1, 1, 3]})
+        assert w == _sym_line(3)
+        assert w == weightset_from_json({"m": 1, "weights": [[-3], [-1], [1], [3]]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"m": 2, "weights": [-1, 1]}, {"m": 1, "weights": [-1, [1]]}, {"m": 1, "weights": [True, False]}],
+        ids=["rank-2", "mixed", "bool"],
+    )
+    def test_flat_weight_list_rejected(self, obj):
+        with pytest.raises(InputError, match="weights: expected a list of integer vectors"):
+            weightset_from_json(obj)
 
 
 class TestBound:
@@ -414,6 +423,11 @@ class TestRankOneCounts:
             ({-1: 0.5, 1: 10**400}, "finite"),
             (5, "mapping"),
             ([(-1, 0.5), (1, 0.7)], "mapping"),
+            # A key that is no weight of the set has no term to go to, and
+            # 1 and (1,) name one weight: neither is silently dropped.
+            ({-1: 0.5, 1: 0.7, 99: 5.0}, "99, which is not a weight"),
+            ({-1: 0.5, 1: 0.7, (7,): 1.0}, "7, which is not a weight"),
+            ({-1: 0.5, 1: 0.7, (1,): 2.0}, "weight 1 given twice"),
         ],
     )
     def test_malformed_coefficients_are_input_errors(self, coeffs, message):
@@ -564,18 +578,17 @@ class TestGramRank:
 class TestTightnessExperiment:
     def test_counts_never_exceed_bound(self):
         w = _sym_line(3)
-        out = bkk_tightness_experiment(w, seeds=6)
-        assert out["bound"] == 6
-        assert len(out["counts"]) == 6
-        assert all(c <= out["bound"] for c in out["counts"])
+        counts = [torus_critical_count_rank1(w, random_rank1_coefficients(w, seed)) for seed in range(6)]
+        assert bkk_bound(w) == 6
+        assert all(c <= 6 for c in counts)
 
     def test_halved_lattice_bound_and_counts(self):
         # The bound counts in the ambient lattice; the doubled sublattice
         # halves the observed solution count.
         w = _sym_line(4, index=2)
-        out = bkk_tightness_experiment(w, seeds=4)
-        assert out["bound"] == 8
-        assert all(c == 4 for c in out["counts"])
+        counts = [torus_critical_count_rank1(w, random_rank1_coefficients(w, seed)) for seed in range(4)]
+        assert bkk_bound(w) == 8
+        assert counts == [4] * 4
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
