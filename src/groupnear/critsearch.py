@@ -606,6 +606,9 @@ class _System:
 _ARMIJO_STEPS = np.ldexp(1.0, -np.arange(30))
 _ARMIJO_DECREASE = 1.0 - 1e-4 * _ARMIJO_STEPS
 
+# Active starts per block of a sweep's Gauss-Newton step: bounds its
+# (starts, R, n^2) Jacobian and (starts, n^2, n^2) normal matrices.
+_SWEEP_BLOCK = 256
 # Frontier rows per distance block in the merge: bounds the working arrays.
 _MERGE_BLOCK = 128
 # Smallest merge radius, relative to the largest row norm, that the merge
@@ -624,11 +627,40 @@ def _step_powers(count: int) -> np.ndarray:
     return out
 
 
-def _armijo(sys_: _System, x, step, jac, fvals, phi):
+def _gauss_newton_block(sys_: _System, x: np.ndarray, fvals: np.ndarray):
+    """Gauss-Newton step of a block of starts: (delta (B, n^2), lin (B, P)),
+    delta solving the normal equations with a 1e-13 floor regularisation
+    and lin = J delta on the polynomial rows, for `_armijo`.
+
+    The block's Jacobian and normal matrices are freed on return; the
+    regularisation is added and the right-hand side negated in place (no
+    second Jacobian-sized or (B, n^2, n^2) array).  When a normal matrix
+    is exactly singular the whole block takes the pseudo-inverse instead
+    of the solve.
+    """
+    n2 = sys_.n * sys_.n
+    jac = sys_.jacobian(x)
+    jact = np.swapaxes(jac, 1, 2)
+    jtj = np.matmul(jact, jac)
+    rhs = np.matmul(jact, fvals[:, :, None])
+    np.negative(rhs, out=rhs)
+    reg = 1e-13 * np.maximum(1.0, np.einsum("bnn->b", jtj) / n2)
+    diag = np.einsum("bii->bi", jtj)  # a writeable view
+    diag += reg[:, None]
+    try:
+        delta = np.linalg.solve(jtj, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        delta = np.einsum("bnm,bm->bn", np.linalg.pinv(jtj, rcond=1e-12, hermitian=True), rhs[:, :, 0])
+    lin = np.matmul(jac[:, : sys_.poly_rows], delta[:, :, None])[:, :, 0]
+    return delta, lin
+
+
+def _armijo(sys_: _System, x, step, lin, fvals, phi):
     """Backtracking line search along x + 2^-j step for a stack of starts.
 
     The squared residual along the step is a quartic in the length a from
-    the polynomial rows (f + a J step + a^2 q, q from `_System.quadratic`)
+    the polynomial rows (f + a lin + a^2 q, lin = J step from
+    `_gauss_newton_block`, q from `_System.quadratic`)
     plus the square of the determinant row (`_System.det_polynomial`), so
     all 30 lengths are tested from a few coefficients per start.  A start
     takes the largest passing length, the one that halving one length at a
@@ -644,9 +676,7 @@ def _armijo(sys_: _System, x, step, jac, fvals, phi):
     passing rows.
     """
     bsz, n = x.shape[0], x.shape[1]
-    p = sys_.poly_rows
-    f = fvals[:, :p]
-    lin = np.matmul(jac[:, :p], step.reshape(bsz, n * n, 1))[:, :, 0]
+    f = fvals[:, : sys_.poly_rows]
     quad = sys_.quadratic(step)
     # |f + a lin + a^2 quad|^2, coefficients of a^0 .. a^4, from the six
     # row dot products in one reduction (each row summed as "br,br->b" would).
@@ -735,16 +765,18 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     representative (the lowest start index) per cluster, and returned
     sorted by distance, then entries.
 
-    Every kernel acts on one start at a time, so a start's trajectory does
-    not depend on which other starts are in the batch (the one exception is
-    the pseudo-inverse fallback, which the whole sweep takes when a normal
-    matrix is exactly singular).  With the prefix-stable start sequence, a
-    larger `starts` only ever adds points.  A sweep adds its Jacobian's
-    constant part and the normal equations' 1e-13 floor regularisation in
-    place and negates their right-hand side in place (no second
-    Jacobian-sized or (B, n^2, n^2) array), and `_armijo` keeps its numpy
-    calls few for the many late sweeps with a handful of active starts;
-    none of this changes a bit of any start's arithmetic.
+    A sweep computes its Gauss-Newton steps (`_gauss_newton_block`) over
+    consecutive blocks of at most `_SWEEP_BLOCK` active starts, so its
+    Jacobians and (B, n^2, n^2) normal matrices are held for one block at
+    a time and memory does not grow as starts * n^4; `_armijo` then runs
+    once over all active starts, and keeps its numpy calls few for the
+    many late sweeps with a handful of them (which fit in one block: no
+    concatenation).  Every kernel acts on one start at a time, so a
+    start's trajectory depends neither on which other starts are in the
+    batch nor on the block size (the one exception is the pseudo-inverse
+    fallback, which a whole block takes when one of its normal matrices is
+    exactly singular).  With the prefix-stable start sequence, a larger
+    `starts` only ever adds points.
 
     u must be real (a complex matrix enters the unitary census through
     `embed_complex`), starts a positive integer and seed a non-negative
@@ -781,21 +813,12 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     sweeps = 0
     while active.size:
         sweeps += 1
-        jac = sys_.jacobian(x)
-        jact = np.swapaxes(jac, 1, 2)
-        jtj = np.matmul(jact, jac)
-        rhs = np.matmul(jact, fvals[:, :, None])
-        np.negative(rhs, out=rhs)
-        reg = 1e-13 * np.maximum(1.0, np.einsum("bnn->b", jtj) / (n * n))
-        diag = np.einsum("bii->bi", jtj)  # a writeable view
-        diag += reg[:, None]
-        try:
-            delta = np.linalg.solve(jtj, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            delta = np.einsum(
-                "bnm,bm->bn", np.linalg.pinv(jtj, rcond=1e-12, hermitian=True), rhs[:, :, 0]
-            )
-        x, fvals, phi, stalled = _armijo(sys_, x, delta.reshape(-1, n, n), jac, fvals, phi)
+        blocks = [
+            _gauss_newton_block(sys_, x[lo : lo + _SWEEP_BLOCK], fvals[lo : lo + _SWEEP_BLOCK])
+            for lo in range(0, active.size, _SWEEP_BLOCK)
+        ]
+        delta, lin = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+        x, fvals, phi, stalled = _armijo(sys_, x, delta.reshape(-1, n, n), lin, fvals, phi)
         normf = np.sqrt(phi)
         # Converged, stalled and, at the end of the budget, every start stops.
         done = (normf <= converge_tol) | (sweeps == 200)

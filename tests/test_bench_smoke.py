@@ -23,7 +23,7 @@ def _refuse_constant(name):
     raise ValueError(f"non-finite number {name} in the result")
 
 
-@pytest.mark.parametrize("workload", ["closed-form", "torus"])
+@pytest.mark.parametrize("workload", ["closed-form", "sl-eliminate", "census", "torus"])
 def test_traced_run_ends_in_a_correct_result(workload):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1"]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)

@@ -1,5 +1,7 @@
 """Lie algebra bases, membership checks, and the multistart census."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from groupnear.critsearch import (
     _certify_batch,
     _defects,
     _draw,
+    _gauss_newton_block,
     _lie_coordinates,
     _lie_part,
     _merge_representatives,
@@ -759,10 +762,10 @@ def _halving_reference(sys_, x, step, phi):
 
 
 def _armijo_case(kind, n, uphill=True):
-    """60 perturbed draws of g, their system data and overlong Gauss-Newton
-    steps.  With uphill the steps need 0 to 29 halvings and every seventh
-    is reversed, passing at no length; without, they need 0 to 21 and all
-    pass."""
+    """60 perturbed draws of g, their system data, overlong Gauss-Newton
+    steps and lin = J step on the polynomial rows.  With uphill the steps
+    need 0 to 29 halvings and every seventh is reversed, passing at no
+    length; without, they need 0 to 21 and all pass."""
     g = GroupSpec(kind, n)
     sys_ = _System(random_general(n, 40), g)
     rng = np.random.default_rng(3)
@@ -775,15 +778,16 @@ def _armijo_case(kind, n, uphill=True):
     step *= np.ldexp(1.0, np.arange(60) % (30 if uphill else 22) - 2)[:, None]
     if uphill:
         step[::7] *= -1.0
-    return sys_, x, step.reshape(x.shape), jac, fvals, phi
+    lin = np.matmul(jac[:, : sys_.poly_rows], step.reshape(60, n * n, 1))[:, :, 0]
+    return sys_, x, step.reshape(x.shape), lin, fvals, phi
 
 
-def _armijo_matches_halving(sys_, x, step, jac, fvals, phi):
+def _armijo_matches_halving(sys_, x, step, lin, fvals, phi):
     """_armijo against `_halving_reference`, its inputs left unchanged;
     returns the stalled rows."""
-    inputs = [a.copy() for a in (x, step, jac, fvals, phi)]
-    xnew, fnew, phinew, stalled = _armijo(sys_, x, step, jac, fvals, phi)
-    for before, after in zip(inputs, (x, step, jac, fvals, phi)):
+    inputs = [a.copy() for a in (x, step, lin, fvals, phi)]
+    xnew, fnew, phinew, stalled = _armijo(sys_, x, step, lin, fvals, phi)
+    for before, after in zip(inputs, (x, step, lin, fvals, phi)):
         assert before.tobytes() == after.tobytes()
     xref, phiref, stalled_ref = _halving_reference(sys_, x, step, phi)
     assert np.array_equal(xnew, xref)
@@ -835,13 +839,65 @@ class TestSweepKernelsRowwise:
     def test_armijo_rows_equal_single_rows(self, kind, n):
         # The batch has stalled rows; a passing row alone takes the branch
         # where every row passes, so both branches give the same bits.
-        sys_, x, step, jac, fvals, phi = _armijo_case(kind, n)
-        xnew, fnew, phinew, stalled = _armijo(sys_, x, step, jac, fvals, phi)
+        sys_, x, step, lin, fvals, phi = _armijo_case(kind, n)
+        xnew, fnew, phinew, stalled = _armijo(sys_, x, step, lin, fvals, phi)
         assert 0 < len(stalled) < len(x)
         for i in range(len(x)):
             one = slice(i, i + 1)
-            x1, f1, phi1, stalled1 = _armijo(sys_, x[one], step[one], jac[one], fvals[one], phi[one])
+            x1, f1, phi1, stalled1 = _armijo(sys_, x[one], step[one], lin[one], fvals[one], phi[one])
             assert x1[0].tobytes() == xnew[i].tobytes(), f"row {i}"
             assert f1[0].tobytes() == fnew[i].tobytes(), f"row {i}"
             assert phi1[0].tobytes() == phinew[i].tobytes(), f"row {i}"
             assert (len(stalled1) == 1) == (i in stalled), f"row {i}"
+
+    @pytest.mark.parametrize("kind,n", _KERNEL_KINDS)
+    def test_gauss_newton_rows_equal_single_rows(self, kind, n):
+        sys_, x, _, _, fvals, _ = _armijo_case(kind, n)
+        delta, lin = _gauss_newton_block(sys_, x, fvals)
+        for i in range(len(x)):
+            delta1, lin1 = _gauss_newton_block(sys_, x[i : i + 1], fvals[i : i + 1])
+            assert delta1[0].tobytes() == delta[i].tobytes(), f"row {i}"
+            assert lin1[0].tobytes() == lin[i].tobytes(), f"row {i}"
+
+
+def _census_bytes(census):
+    """Every point field and diagnostic of a census, floats as their bytes."""
+
+    def raw(v):
+        return None if v is None else np.asarray(v, dtype=np.float64).tobytes()
+
+    points = [tuple(map(raw, p)) for p in census]
+    counts = (census.attempted, census.converged, census.failed, census.sweeps)
+    return points, counts, raw(census.worst_residual), raw(census.merge_radius)
+
+
+class TestSweepBlocks:
+    # Each sweep's Gauss-Newton step is computed in blocks of at most
+    # `_SWEEP_BLOCK` active starts; every kernel acts on one start at a
+    # time, so the block size changes no bit of any census.  These censuses
+    # span several blocks of the default size.
+    @pytest.mark.parametrize("scale", [1.0, 5.0])
+    @pytest.mark.parametrize(
+        "kind,n,starts",
+        [("symplectic", 4, 700), ("sl_pm", 3, 600), ("special_orthogonal", 4, 300), ("unitary_embedded", 4, 300)],
+    )
+    def test_block_size_changes_no_bit(self, kind, n, starts, scale, monkeypatch):
+        u, g = scale * random_general(n, 5), GroupSpec(kind, n)
+        default = _census_bytes(multistart_census(u, g, starts=starts, seed=5))
+        assert default[0]
+        for block in (7, 10**6):
+            monkeypatch.setattr(critsearch, "_SWEEP_BLOCK", block)
+            assert _census_bytes(multistart_census(u, g, starts=starts, seed=5)) == default, f"block {block}"
+
+    def test_peak_memory_is_set_by_the_block(self):
+        # Sp(6) with 1000 starts: one (starts, n^2, n^2) float64 array is
+        # 10.4 MB, and a sweep over all starts at once peaked at 3 of them.
+        u, g = random_general(6, 0), GroupSpec("symplectic", 6)
+        multistart_census(u, g, starts=10, seed=0)  # the per-group caches
+        tracemalloc.start()
+        try:
+            multistart_census(u, g, starts=1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1000 * 36**2 * 8
