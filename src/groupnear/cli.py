@@ -55,9 +55,9 @@ EXIT_DEGENERATE = 3
 EXIT_UNSUPPORTED = 4
 
 # A census sweep holds its Jacobians and normal matrices for one block of
-# starts at a time (critsearch._SWEEP_BLOCK), and about 7 kB per start
-# across sweeps: Sp(6), the largest census the CLI runs, peaks at 53 MB with
-# 2000 starts, 67 MB with 4000 and 112 MB with 10000 (under 1 ms per start,
+# starts at a time (critsearch._SWEEP_BLOCK), and about 4.5 kB per start
+# across sweeps: Sp(6), the largest census the CLI runs, peaks at 52 MB with
+# 2000 starts, 58 MB with 4000 and 88 MB with 10000 (under 1 ms per start,
 # BLAS at 1 thread), where sweeps over all starts at once took 105, 174 and
 # 378 MB.
 _MAX_STARTS = 10_000

@@ -666,8 +666,8 @@ def _armijo(sys_: _System, x, step, lin, fvals, phi):
     takes the largest passing length, the one that halving one length at a
     time would accept (the first passing one, found by one argmax), and its
     residual is then evaluated directly.  The coefficients' six row dot
-    products are one stacked einsum, which sums each row exactly as six
-    separate "br,br->b" calls would.
+    products come from one einsum over the stacked (f, lin, quad), which
+    sums each row exactly as six separate "br,br->b" calls would.
 
     Returns the accepted x, residuals and squared residual norms (rows with
     no passing step are unchanged) and the indices of those rows.  The
@@ -677,12 +677,13 @@ def _armijo(sys_: _System, x, step, lin, fvals, phi):
     """
     bsz, n = x.shape[0], x.shape[1]
     f = fvals[:, : sys_.poly_rows]
-    quad = sys_.quadratic(step)
-    # |f + a lin + a^2 quad|^2, coefficients of a^0 .. a^4, from the six
-    # row dot products in one reduction (each row summed as "br,br->b" would).
-    ff, fl, ll, fq, lq, qq = np.einsum(
-        "kbr,kbr->kb", np.array([f, f, lin, f, lin, quad]), np.array([f, lin, lin, quad, quad, quad])
-    )
+    # |f + a lin + a^2 quad|^2, coefficients of a^0 .. a^4, from the row dot
+    # products of f, lin and quad = `_System.quadratic` in one reduction over
+    # one stacked operand (each row summed as "br,br->b" would).
+    s = np.array([f, lin, sys_.quadratic(step)])
+    dots = np.einsum("ibr,jbr->ijb", s, s)
+    del s  # freed before the residual pass below
+    ff, fl, ll, fq, lq, qq = dots[0, 0], dots[0, 1], dots[1, 1], dots[0, 2], dots[1, 2], dots[2, 2]
     coef = np.array([ff, 2.0 * fl, ll + 2.0 * fq, 2.0 * lq, qq]).T
     trial = np.matmul(coef[:, None, :], _step_powers(5))[:, 0, :]
     if sys_.has_det:

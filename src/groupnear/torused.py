@@ -8,7 +8,10 @@ solution count is bounded by the normalized volume of their convex hull.
 That volume is computed exactly up to rank three: rank 2 is a monotone-chain
 hull and the shoelace sum, and rank 3, where the set is centrally symmetric,
 sums pyramids from the origin over one facet of each opposite pair and
-doubles the sum, each facet's area taken in its own lattice.  Full rank is
+doubles the sum, each facet's area taken in its own lattice.  A centrally
+symmetric set spans Q^m exactly when its hull has positive volume, so
+`bkk_bound` reads full rank from the volume it computes;
+`validate_weightset`, which covers any rank and entry size, tests
 det(W^t W) != 0, exact in Python integers.  In rank one the system is a
 single Laurent polynomial and the count is exact: its exponents are shifted
 to start at 0 and divided by their gcd g, so the companion matrix has
@@ -107,15 +110,18 @@ def _gram_full_rank(rows: list[tuple[int, ...]], m: int) -> bool:
     return True
 
 
+def _symmetric(w: WeightSet) -> bool:
+    """True iff -chi is a weight of the same multiplicity as chi, for every
+    chi: the table {chi: mult} equals its mirror {-chi: mult}."""
+    table = dict(zip(w.weights, w.mults))
+    return table == {tuple([-x for x in chi]): mult for chi, mult in table.items()}
+
+
 def validate_weightset(w: WeightSet) -> bool:
     """True iff the set is centrally symmetric (with matching
-    multiplicities) and generates a full-rank sublattice of Z^m."""
-    table = dict(zip(w.weights, w.mults))
-    for chi, mult in table.items():
-        neg = tuple(-x for x in chi)
-        if table.get(neg) != mult:
-            return False
-    return _gram_full_rank(w.weights, w.m)
+    multiplicities) and generates a full-rank sublattice of Z^m, the latter
+    tested as det(W^t W) != 0 at any rank and entry size."""
+    return _symmetric(w) and _gram_full_rank(w.weights, w.m)
 
 
 def weightset_from_json(obj) -> WeightSet:
@@ -170,9 +176,10 @@ def _leading_sign(x, y, z):
 
 
 def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One facet of each opposite pair of the hull of a full-rank (2n, 3)
-    int64 point array with pts[n:] == -pts[:n]: unreduced normals whose
-    first nonzero entry is positive, offsets, and (f, 2n) member masks.
+    """One facet of each opposite pair of the hull of a (2n, 3) int64 point
+    array with pts[n:] == -pts[:n]: unreduced normals whose first nonzero
+    entry is positive, offsets, and (f, 2n) member masks.  A rank-deficient
+    array has no facet, and f is 0.
 
     Every 3-subset spans a candidate plane with normal v; its mirror image
     spans the mirrored plane, which supports a facet iff the first does, so
@@ -181,22 +188,31 @@ def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     facet iff equality holds with h != 0 (the origin is interior); that
     facet, v . x == max, is the pair's one with the positive leading entry.
     Facets spanned by several subsets are told apart by their member sets.
+    When the points span at most a plane through the origin, every normal is
+    orthogonal to them or zero, so top is 0 and no plane is kept.
     """
+    n = len(pts) // 2
     x = np.ascontiguousarray(pts.T)
     found = {}
-    table = _triples(len(pts) // 2)
+    table = _triples(n)
     for start in range(0, table[0].size, _BLOCK):
+        first = table[0][start : start + _BLOCK]
         a, b, c = (x.take(col[start : start + _BLOCK], axis=1) for col in table)
         d, e = b - a, c - a
         normals = np.stack([d[1] * e[2] - d[2] * e[1], d[2] * e[0] - d[0] * e[2], d[0] * e[1] - d[1] * e[0]])
         normals *= _leading_sign(*normals)
-        # numpy's int64 matmul does not go through BLAS; einsum's loop is faster.
-        sides = np.einsum("ij,jk->ik", pts, normals)
-        top = sides.max(axis=0)
-        keep = np.flatnonzero((top == np.abs(np.einsum("ij,ij->j", normals, a))) & (top > 0))
-        members = (sides[:, keep] == top[keep]).T
-        for on_face, normal, offset in zip(members, normals[:, keep].T, top[keep]):
+        # Only pts[:n] is multiplied: the sides of pts[n:] are their negatives,
+        # and h is the side of a = pts[first] (first < n).  numpy's int64
+        # matmul does not go through BLAS; einsum's loop is faster.
+        sides = np.einsum("ij,jk->ik", pts[:n], normals)
+        top = np.abs(sides).max(axis=0)
+        keep = np.flatnonzero((top == np.abs(sides[first, np.arange(first.size)])) & (top > 0))
+        kept, top = sides[:, keep], top[keep]
+        members = np.concatenate([kept == top, kept == -top]).T
+        for on_face, normal, offset in zip(members, normals[:, keep].T, top):
             found.setdefault(on_face.tobytes(), (normal, offset, on_face))
+    if not found:
+        return np.empty((0, 3), np.int64), np.empty(0, np.int64), np.empty((0, len(pts)), bool)
     normals, offsets, members = map(np.array, zip(*found.values()))
     return normals, offsets, members
 
@@ -221,9 +237,9 @@ def _twice_area(points) -> int:
 
 
 def _normalized_volume(pts: np.ndarray) -> int:
-    """m! times the Euclidean volume of the hull of a full-dimensional
-    (k, m) int64 point array, m <= 3, exactly.  Rank 3 requires a centrally
-    symmetric, full-rank set.
+    """m! times the Euclidean volume of the hull of a (k, m) int64 point
+    array, m <= 3, exactly; 0 when the points do not span R^m.  Rank 3
+    requires a centrally symmetric set.
 
     Rank 1 is max minus min, rank 2 twice the hull's area.  A rank-3 hull
     is cut into pyramids from the origin, its centre, over its facets, and
@@ -244,9 +260,10 @@ def _normalized_volume(pts: np.ndarray) -> int:
     normals, offsets, members = _facets(pts)
     larger = members.sum(axis=1) > 3
     total = sum(offsets[~larger].tolist())
-    for normal, offset, on_face in zip(normals[larger].tolist(), offsets[larger].tolist(), members[larger]):
+    rows = pts.tolist()
+    for normal, offset, on_face in zip(normals[larger].tolist(), offsets[larger].tolist(), members[larger].tolist()):
         axis = max(range(3), key=lambda col: abs(normal[col]))
-        face = np.delete(pts[on_face], axis, axis=1).tolist()
+        face = [row[:axis] + row[axis + 1 :] for row, on in zip(rows, on_face) if on]
         total += offset * _twice_area(face) // abs(normal[axis])
     return 2 * total
 
@@ -258,18 +275,32 @@ def bkk_bound(w: WeightSet) -> int:
     depend on multiplicities.  Weight entries are limited to 2**19 in
     absolute value, where the exact int64 facet search of rank 3 ends, and
     rank-3 sets to 150 weights, where that O(k**4) search takes about 0.2 s
-    on a 2-core x86 machine."""
+    on a 2-core x86 machine.
+
+    A set that is not centrally symmetric with matching multiplicities, or
+    does not span Q^m, raises InputError.  A symmetric set's hull contains
+    the origin, so it is full-dimensional, with positive volume, exactly
+    when the set spans Q^m: full rank is read from the volume, and a zero
+    volume is refused.  Past the entry limit no volume is computed, and the
+    Gram test of `validate_weightset` refuses a rank-deficient set there
+    (InputError) before the size (UnsupportedError)."""
     if w.m > 3:
         raise UnsupportedError("bkk_bound supports torus rank m <= 3")
     if w.m == 3 and len(w.weights) > _MAX_RANK3_WEIGHTS:
         raise UnsupportedError(
             f"bkk_bound supports at most {_MAX_RANK3_WEIGHTS} rank-3 weights, got {len(w.weights)}"
         )
-    if not validate_weightset(w):
-        raise InputError("bkk_bound: weight set is not a valid torus weight set")
+    invalid = "bkk_bound: weight set is not a valid torus weight set"
+    if not _symmetric(w):
+        raise InputError(invalid)
     if max(abs(x) for chi in w.weights for x in chi) > _MAX_ENTRY:
+        if not _gram_full_rank(w.weights, w.m):
+            raise InputError(invalid)
         raise UnsupportedError(f"bkk_bound supports weight entries of absolute value <= {_MAX_ENTRY}")
-    return _normalized_volume(np.array(w.weights, dtype=np.int64))
+    volume = _normalized_volume(np.array(w.weights, dtype=np.int64))
+    if volume == 0:
+        raise InputError(invalid)
+    return volume
 
 
 def _weight_key(chi) -> tuple[int, ...]:
@@ -321,23 +352,27 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
     if not isinstance(coeffs, Mapping):
         raise InputError("coefficients must be a mapping {weight: value}")
     characters, table = {chi[0] for chi in w.weights}, {}
-    for chi, value in coeffs.items():
-        key = _weight_key(chi)
-        if len(key) != 1:
-            raise InputError("coefficients must be keyed by rank-1 weights")
-        if key[0] not in characters:
-            raise InputError(f"coefficient given for {key[0]}, which is not a weight")
-        if key[0] in table:
-            raise InputError(f"coefficient for weight {key[0]} given twice")
-        if type(value) is bool or not isinstance(value, _REAL_TYPES):
-            raise InputError(f"coefficient for weight {key[0]} must be a real number, got {value!r}")
-        try:
-            fv = float(value)
-        except OverflowError:
-            fv = math.inf  # an int too large for a double
-        if not math.isfinite(fv):
+    for k, value in coeffs.items():
+        # Plain int keys and float values, the usual draw, skip the conversions.
+        if type(k) is not int:
+            key = _weight_key(k)
+            if len(key) != 1:
+                raise InputError("coefficients must be keyed by rank-1 weights")
+            k = key[0]
+        if k not in characters:
+            raise InputError(f"coefficient given for {k}, which is not a weight")
+        if k in table:
+            raise InputError(f"coefficient for weight {k} given twice")
+        if type(value) is not float:
+            if type(value) is bool or not isinstance(value, _REAL_TYPES):
+                raise InputError(f"coefficient for weight {k} must be a real number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf  # an int too large for a double
+        if not math.isfinite(value):
             raise InputError("coefficients must be finite")
-        table[key[0]] = fv
+        table[k] = value
     terms = {}
     for chi in w.weights:
         k = chi[0]

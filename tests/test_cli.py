@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from test_torused import RANK_DEFICIENT
 
 from groupnear import cli, orthonear
 from groupnear.matcore import matrix_to_json, random_general
@@ -444,6 +445,16 @@ class TestBkk:
         proc = subprocess.run(CLI + ["bkk", str(path)], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 4
         assert "at most 150 rank-3 weights" in proc.stderr
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rank_deficient_set_exits_2(self, m, tmp_path):
+        path = tmp_path / "flat.json"
+        w = RANK_DEFICIENT[m]
+        path.write_text(json.dumps({"m": m, "weights": [list(chi) for chi in w.weights]}))
+        proc = run_cli("bkk", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "not a valid torus weight set" in proc.stderr
 
     def test_oversized_rank1_count_unsupported(self, tmp_path):
         # Degree 1026 is past the cap; the count is refused before any work.

@@ -813,6 +813,28 @@ class TestArmijo:
         stalled = _armijo_matches_halving(*_armijo_case(kind, n, uphill=False))
         assert len(stalled) == 0
 
+    def test_peak_memory_at_a_large_batch(self):
+        # Sp(6), 4000 rows, about half of them stalled.  Measured peak above
+        # the inputs: 5.4 (rows x poly_rows) float64 arrays; stacking six
+        # operand pairs instead of (f, lin, quad) once peaked at 13.2.
+        bsz, g = 4000, GroupSpec("symplectic", 6)
+        sys_ = _System(random_general(6, 40), g)
+        rng = np.random.default_rng(3)
+        x = np.stack([random_group_element(g, s) for s in range(16)])[rng.integers(0, 16, bsz)]
+        x += 0.05 * rng.normal(size=x.shape)
+        fvals = sys_.residual(x)
+        phi = np.einsum("br,br->b", fvals, fvals)
+        step = 0.01 * rng.normal(size=x.shape)
+        lin = rng.normal(size=(bsz, sys_.poly_rows))
+        tracemalloc.start()
+        try:
+            stalled = _armijo(sys_, x, step, lin, fvals, phi)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(stalled) < bsz
+        assert peak < 7 * bsz * sys_.poly_rows * 8
+
 
 _KERNEL_KINDS = [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3), ("unitary_embedded", 4)]
 

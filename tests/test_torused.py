@@ -359,6 +359,71 @@ class TestHullVolume:
             bkk_bound(WeightSet(3, pts, (1,) * len(pts)))
 
 
+def _mirrored(m, half):
+    """The WeightSet of the distinct vectors of half and their negatives."""
+    pts = sorted(set(half) | {tuple(-x for x in p) for p in half})
+    return WeightSet(m, tuple(pts), (1,) * len(pts))
+
+
+# Centrally symmetric sets that do not span Q^m: the zero character alone,
+# two points on a line, three in a plane.
+RANK_DEFICIENT = {
+    1: _mirrored(1, [(0,)]),
+    2: _mirrored(2, [(1, 2), (2, 4)]),
+    3: _mirrored(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+}
+
+
+class TestRankFromVolume:
+    # bkk_bound reads full rank from the hull volume it computes: a
+    # symmetric set spans Q^m exactly when that volume is positive.
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rank_deficient_set_is_an_input_error(self, m):
+        with pytest.raises(InputError, match="not a valid torus weight set"):
+            bkk_bound(RANK_DEFICIENT[m])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_volume_of_rank_deficient_points_is_zero(self, m):
+        pts = np.array(RANK_DEFICIENT[m].weights, dtype=np.int64)
+        assert torused._normalized_volume(pts) == 0
+
+    def test_facets_of_a_planar_set_are_empty(self):
+        pts = np.array([(1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, 0, 0), (0, -1, 0), (-1, -1, 0)], dtype=np.int64)
+        normals, offsets, members = torused._facets(pts)
+        assert (normals.shape, offsets.shape, members.shape) == ((0, 3), (0,), (0, 6))
+        assert (normals.dtype, offsets.dtype, members.dtype) == (np.int64, np.int64, bool)
+
+    def test_oversized_entry_refuses_rank_before_size(self):
+        # Past 2**19 no volume is computed; the Gram test still refuses a
+        # rank-deficient set with InputError before the size refusal.
+        big = 2**20
+        with pytest.raises(InputError):
+            bkk_bound(_mirrored(3, [(big, 0, 0), (0, 1, 0)]))
+        with pytest.raises(UnsupportedError):
+            bkk_bound(_mirrored(3, [(big, 0, 0), (0, 1, 0), (0, 0, 1)]))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_refuses_exactly_the_sets_validate_rejects(self, m):
+        # Random symmetric sets in [-3, 3]^m, about a third of them mapped
+        # by an integer matrix of rank below m onto a line or a plane; some
+        # hold the zero character.
+        rng = np.random.default_rng(100 + m)
+        refused = 0
+        for trial in range(150):
+            half = rng.integers(-3, 4, size=(int(rng.integers(1, 7)), m))
+            if trial % 3 == 0:
+                rank = int(rng.integers(0, m))
+                half = half @ (rng.integers(-2, 3, size=(m, rank)) @ rng.integers(-2, 3, size=(rank, m)))
+            w = _mirrored(m, [tuple(int(x) for x in p) for p in half])
+            if validate_weightset(w):
+                assert bkk_bound(w) > 0
+            else:
+                refused += 1
+                with pytest.raises(InputError):
+                    bkk_bound(w)
+        assert 30 < refused < 120
+
+
 class TestRankOneCounts:
     @pytest.mark.parametrize("d,expected", [(1, 2), (3, 6), (5, 10), (7, 14)])
     def test_odd_weights_full_count(self, d, expected):
