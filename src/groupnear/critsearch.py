@@ -33,24 +33,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, UnsupportedError
 from .matcore import _check_positive_int, _check_seed, as_square, frobenius_norm
 
 KINDS = ("orthogonal", "special_orthogonal", "unitary_embedded", "sl", "sl_pm", "symplectic")
-
-__all__ = [
-    "GroupSpec",
-    "CriticalPoint",
-    "CensusResult",
-    "lie_basis",
-    "membership_violation",
-    "critical_residual",
-    "multistart_census",
-    "random_group_element",
-    "symplectic_form",
-    "embed_complex",
-    "critical_point_from",
-]
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -167,20 +153,13 @@ def _unit_frame(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _orthonormal_basis(g: GroupSpec) -> np.ndarray:
-    """Stacked Frobenius-orthonormal basis (k, n, n); cached per group, read-only."""
-    raw = _lie_stack(g)
-    k = raw.shape[0]
-    out = _unit_frame(raw.reshape(k, g.n * g.n).T).T.reshape(k, g.n, g.n)
-    out.flags.writeable = False
-    return out
-
-
-@functools.cache
 def _basis_columns(g: GroupSpec) -> np.ndarray:
-    """The orthonormal basis as columns (n^2, k): the Lie coordinates of a
-    matrix m are m_flat @ these.  Cached per group, read-only."""
-    out = np.ascontiguousarray(_orthonormal_basis(g).reshape(-1, g.n * g.n).T)
+    """A Frobenius-orthonormal basis of the Lie algebra as columns (n^2, k),
+    the Q factor of the Lie stack's columns: the Lie coordinates of a
+    matrix m are m_flat @ these, and `.T.reshape(k, n, n)` stacks the basis
+    matrices.  Cached per group, read-only."""
+    raw = _lie_stack(g)
+    out = np.ascontiguousarray(_unit_frame(raw.reshape(raw.shape[0], g.n * g.n).T))
     out.flags.writeable = False
     return out
 
@@ -504,7 +483,7 @@ def _linear_tensor(g: GroupSpec) -> np.ndarray:
     n = g.n
     eq = _equations(g)
     e = _units(n)
-    basis = _orthonormal_basis(g)
+    basis = _basis_columns(g).T.reshape(-1, n, n)
     blocks = [-np.matmul(e[:, None], basis + np.swapaxes(basis, 1, 2)).reshape(n * n, -1, n * n)]
     if eq.form is not None:
         m, rows, cols = eq.form
@@ -535,7 +514,7 @@ class _System:
         self.eq = eq = _equations(g)
         self.tensor = _linear_tensor(g)
         self.has_det = eq.det_rule is not None
-        basis = _orthonormal_basis(g)
+        basis = _basis_columns(g).T.reshape(-1, n, n)
         # Constant part of the Lie rows: d<x^t(u-x), B_k> = <H, u B_k^t> - <H, x (B_k + B_k^t)>.
         j0 = [np.matmul(u, np.swapaxes(basis, 1, 2)).reshape(-1, n * n)]
         if eq.form is not None:
@@ -615,6 +594,10 @@ _MERGE_BLOCK = 128
 # accepts: its Gram-form squared distances round at a few 1e-16 |x|^2, so
 # radius^2 = 1e-14 |x|^2 sits well clear of the rounding.
 _MERGE_RESOLUTION = 1e-7
+# Largest census size.  At 1000 starts on a 2-vCPU x86 machine, n = 10
+# takes 15-89 s and peaks at 110-130 MB over the group kinds, n = 12 takes
+# 77-276 s and 175-250 MB; the cached tensor alone holds about n^6 doubles.
+_MAX_CENSUS_N = 10
 
 
 @functools.cache
@@ -781,7 +764,8 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
 
     u must be real (a complex matrix enters the unitary census through
     `embed_complex`), starts a positive integer and seed a non-negative
-    integer; anything else raises InputError before any work.
+    integer; anything else raises InputError before any work.  Sizes
+    n > 10 raise UnsupportedError before the draw.
     """
     u = as_square(u, "u")
     _require_real(u, "multistart_census", "u")
@@ -790,6 +774,8 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     _check_positive_int(starts, "multistart_census: starts")
     _check_seed(seed, "multistart_census")
     n = g.n
+    if n > _MAX_CENSUS_N:
+        raise UnsupportedError(f"multistart_census supports n <= {_MAX_CENSUS_N}, got {n}")
     rng = np.random.default_rng(seed)
     x0 = _draw(g, rng, starts)
     # Alternate pulled and raw starts.  On SL^± the identity as anchor

@@ -18,16 +18,6 @@ from .errors import ConvergenceError, DegeneracyError, InputError
 # Relative symmetry slack accepted by sym_eig.
 SYMMETRY_TOL = 1e-12
 
-__all__ = [
-    "EigenDecomposition",
-    "as_square",
-    "frobenius_norm",
-    "sym_eig",
-    "random_general",
-    "matrix_to_json",
-    "matrix_from_json",
-]
-
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a dense square array with finite entries and a

@@ -39,16 +39,6 @@ GAP_TOL = 1e-8
 _MAX_ORTHOGONAL_N = 14
 _MAX_UNITARY_M = 12
 
-__all__ = [
-    "CriticalPoint",
-    "nearest_orthogonal",
-    "enumerate_orthogonal_critical",
-    "nearest_special_orthogonal",
-    "enumerate_special_orthogonal_critical",
-    "nearest_unitary",
-    "enumerate_unitary_critical",
-]
-
 
 def _svd_frame(u: np.ndarray):
     """(U, sigma, Vh) of u, sigma descending.  Refuses singular u by its

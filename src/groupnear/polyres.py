@@ -27,13 +27,6 @@ from .errors import (
     UnsupportedError,
 )
 
-__all__ = [
-    "UniPoly",
-    "resultant_chain",
-    "chain_degree",
-    "poly_roots",
-    "distinct_root_count",
-]
 
 # Largest Gram-spectrum size the elimination chain accepts (and the largest
 # size the determinant-one solver accepts); degree grows as n * 2**n, so

@@ -8,10 +8,12 @@ solution count is bounded by the normalized volume of their convex hull.
 That volume is computed exactly up to rank three: rank 2 is a monotone-chain
 hull and the shoelace sum, and rank 3, where the set is centrally symmetric,
 sums pyramids from the origin over one facet of each opposite pair and
-doubles the sum, each facet's area taken in its own lattice.  A centrally
-symmetric set spans Q^m exactly when its hull has positive volume, so
-`bkk_bound` reads full rank from the volume it computes;
-`validate_weightset`, which covers any rank and entry size, tests
+doubles the sum, each facet's area taken in its own lattice.  `bkk_bound`
+refuses a set past its size limits (rank, rank-3 weight count, entry size)
+before it checks the set.  A centrally symmetric set spans Q^m exactly when
+its hull has positive volume, so `bkk_bound` reads full rank from the
+volume it computes, and from nothing else; `validate_weightset`, which
+covers any rank and entry size and computes no volume, tests
 det(W^t W) != 0, exact in Python integers.  In rank one the system is a
 single Laurent polynomial and the count is exact: its exponents are shifted
 to start at 0 and divided by their gcd g, so the companion matrix has
@@ -30,15 +32,6 @@ import numpy as np
 from .errors import DegeneracyError, InputError, UnsupportedError
 from .matcore import _check_seed
 from .polyres import distinct_root_count, poly_roots
-
-__all__ = [
-    "WeightSet",
-    "validate_weightset",
-    "weightset_from_json",
-    "bkk_bound",
-    "torus_critical_count_rank1",
-    "random_rank1_coefficients",
-]
 
 
 def _as_int(value, name: str) -> int:
@@ -272,34 +265,28 @@ def bkk_bound(w: WeightSet) -> int:
     """Normalized volume of the weight hull: the upper bound for the number
     of torus critical points.  Normalization makes the standard simplex
     have volume one, so this is m! times the Euclidean volume.  Does not
-    depend on multiplicities.  Weight entries are limited to 2**19 in
-    absolute value, where the exact int64 facet search of rank 3 ends, and
-    rank-3 sets to 150 weights, where that O(k**4) search takes about 0.2 s
-    on a 2-core x86 machine.
+    depend on multiplicities.
 
-    A set that is not centrally symmetric with matching multiplicities, or
-    does not span Q^m, raises InputError.  A symmetric set's hull contains
-    the origin, so it is full-dimensional, with positive volume, exactly
-    when the set spans Q^m: full rank is read from the volume, and a zero
-    volume is refused.  Past the entry limit no volume is computed, and the
-    Gram test of `validate_weightset` refuses a rank-deficient set there
-    (InputError) before the size (UnsupportedError)."""
+    Three size limits raise UnsupportedError before the set is checked:
+    rank m <= 3, at most 150 rank-3 weights, where the O(k**4) facet search
+    takes about 0.2 s on a 2-core x86 machine, and weight entries of
+    absolute value at most 2**19, where that search's exact int64
+    arithmetic ends.  A set within them that is not centrally symmetric
+    with matching multiplicities, or does not span Q^m, raises InputError.
+    A symmetric set's hull contains the origin, so it is full-dimensional,
+    with positive volume, exactly when the set spans Q^m: full rank is read
+    from the volume, and a zero volume is refused."""
     if w.m > 3:
         raise UnsupportedError("bkk_bound supports torus rank m <= 3")
     if w.m == 3 and len(w.weights) > _MAX_RANK3_WEIGHTS:
         raise UnsupportedError(
             f"bkk_bound supports at most {_MAX_RANK3_WEIGHTS} rank-3 weights, got {len(w.weights)}"
         )
-    invalid = "bkk_bound: weight set is not a valid torus weight set"
-    if not _symmetric(w):
-        raise InputError(invalid)
     if max(abs(x) for chi in w.weights for x in chi) > _MAX_ENTRY:
-        if not _gram_full_rank(w.weights, w.m):
-            raise InputError(invalid)
         raise UnsupportedError(f"bkk_bound supports weight entries of absolute value <= {_MAX_ENTRY}")
-    volume = _normalized_volume(np.array(w.weights, dtype=np.int64))
+    volume = _normalized_volume(np.array(w.weights, dtype=np.int64)) if _symmetric(w) else 0
     if volume == 0:
-        raise InputError(invalid)
+        raise InputError("bkk_bound: weight set is not a valid torus weight set")
     return volume
 
 

@@ -438,13 +438,21 @@ class TestBkk:
 
     def test_oversized_rank3_set_unsupported(self, tmp_path):
         # 2000 rank-3 weights would keep the facet search busy for hours;
-        # they are refused (exit 4) before it starts.
+        # they are refused (exit 4) before it starts.  An entry past 2**19
+        # is refused (exit 4) before the set is checked, so a planar set
+        # with one exits 4, not 2.
         path = tmp_path / "big.json"
         line = [[k, 0, 0] for k in range(-997, 998) if k] + [[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
-        path.write_text(json.dumps({"m": 3, "weights": line + [[998, 0, 0], [-998, 0, 0]]}))
-        proc = subprocess.run(CLI + ["bkk", str(path)], capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 4
-        assert "at most 150 rank-3 weights" in proc.stderr
+        planar = [[2**20, 0, 0], [-(2**20), 0, 0], [0, 1, 0], [0, -1, 0]]
+        for weights, message in (
+            (line + [[998, 0, 0], [-998, 0, 0]], "at most 150 rank-3 weights"),
+            (planar, "weight entries"),
+        ):
+            path.write_text(json.dumps({"m": 3, "weights": weights}))
+            proc = subprocess.run(CLI + ["bkk", str(path)], capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 4
+            assert proc.stdout == ""
+            assert message in proc.stderr
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_rank_deficient_set_exits_2(self, m, tmp_path):

@@ -14,6 +14,7 @@ from groupnear.critsearch import (
     CriticalPoint,
     GroupSpec,
     _armijo,
+    _basis_columns,
     _certify_batch,
     _defects,
     _draw,
@@ -21,7 +22,6 @@ from groupnear.critsearch import (
     _lie_coordinates,
     _lie_part,
     _merge_representatives,
-    _orthonormal_basis,
     _System,
     critical_point_from,
     critical_residual,
@@ -32,7 +32,7 @@ from groupnear.critsearch import (
     random_group_element,
     symplectic_form,
 )
-from groupnear.errors import InputError
+from groupnear.errors import InputError, UnsupportedError
 from groupnear.matcore import frobenius_norm, random_general
 from groupnear.orthonear import (
     enumerate_orthogonal_critical,
@@ -70,9 +70,9 @@ class TestGroupSpec:
     def test_hashable_with_one_cached_basis(self):
         a, b = GroupSpec("symplectic", 4), GroupSpec("symplectic", 4)
         assert hash(a) == hash(b)
-        assert _orthonormal_basis(a) is _orthonormal_basis(b)
+        assert _basis_columns(a) is _basis_columns(b)
         with pytest.raises(ValueError):
-            _orthonormal_basis(a)[0, 0, 0] = 1.0
+            _basis_columns(a)[0, 0] = 1.0
 
 
 def _entrywise_basis(g):
@@ -500,7 +500,6 @@ class TestLieProjection:
 
         monkeypatch.setattr(orthonear, "_sign_table", must_not_run)
         monkeypatch.setattr(critsearch, "_basis_columns", must_not_run)
-        monkeypatch.setattr(critsearch, "_orthonormal_basis", must_not_run)
         point = nearest(random_general(40, 0, complex_entries=complex_entries))
         assert point.residual < 1e-10
         assert point.det_sign == 1 or nearest is nearest_orthogonal
@@ -583,6 +582,19 @@ class TestCensus:
     def test_refuses_negative_and_non_integer_seeds(self, seed):
         with pytest.raises(InputError, match="seed"):
             multistart_census(np.eye(2), GroupSpec("sl", 2), starts=10, seed=seed)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_size_past_cap_refused_before_the_draw(self, monkeypatch, kind):
+        # n = 12 would cache about n^6 doubles (24 MB) and take minutes at
+        # 1000 starts; n = 10, the cap, reaches the draw.
+        def refuse(*args):
+            raise RuntimeError("the starts were drawn")
+
+        monkeypatch.setattr(critsearch, "_draw", refuse)
+        with pytest.raises(UnsupportedError, match="n <= 10, got 12"):
+            multistart_census(random_general(12, 0), GroupSpec(kind, 12))
+        with pytest.raises(RuntimeError, match="the starts were drawn"):
+            multistart_census(random_general(10, 0), GroupSpec(kind, 10))
 
     def test_late_converger_kept(self):
         # One of the 12 points of this census is reached by a single start

@@ -4,9 +4,10 @@ syntax trees.
 Every imported name must be used in its module or re-exported through
 `__all__`, every `__all__` entry must name something the module binds, and
 every private top-level helper must be referenced somewhere in the package
-(for a package module) or in the tests (for a test module).  Every name the
-package exports (`groupnear.__all__`) must have a caller outside the tests:
-the CLI or another package module than its own, the benchmark harness
+(for a package module) or in the tests (for a test module).  The package
+states its API once: `groupnear.__all__` is the only `__all__` in it.
+Every name the package exports must have a caller outside the tests: the
+CLI or another package module than its own, the benchmark harness
 (`perfbench/`, where a function may be looked up by its name as a string),
 or the README; a short allow-list covers the spec, result and error types.
 """
@@ -80,6 +81,16 @@ def test_imports_used_and_exports_resolve(path):
     assert not unused, f"{path.name}: unused imports {unused}"
     unresolved = sorted(set(exported) - _module_bindings(tree))
     assert not unresolved, f"{path.name}: __all__ names nothing bound: {unresolved}"
+
+
+def test_only_the_package_assigns_dunder_all():
+    # One API list: a module list would restate part of groupnear.__all__.
+    listed = sorted(
+        path.name
+        for path in SOURCES
+        if path.name != "__init__.py" and "__all__" in _module_bindings(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert listed == [], f"modules with their own __all__: {listed}"
 
 
 def _private_definitions(tree):

@@ -393,14 +393,19 @@ class TestRankFromVolume:
         assert (normals.shape, offsets.shape, members.shape) == ((0, 3), (0,), (0, 6))
         assert (normals.dtype, offsets.dtype, members.dtype) == (np.int64, np.int64, bool)
 
-    def test_oversized_entry_refuses_rank_before_size(self):
-        # Past 2**19 no volume is computed; the Gram test still refuses a
-        # rank-deficient set with InputError before the size refusal.
+    def test_oversized_entry_unsupported_before_rank(self, monkeypatch):
+        # Past 2**19 the size is refused before the set is checked: a
+        # rank-deficient or asymmetric set is as unsupported as a valid one.
+        def refuse(*args):
+            raise RuntimeError("the set was checked")
+
+        monkeypatch.setattr(torused, "_symmetric", refuse)
         big = 2**20
-        with pytest.raises(InputError):
-            bkk_bound(_mirrored(3, [(big, 0, 0), (0, 1, 0)]))
-        with pytest.raises(UnsupportedError):
-            bkk_bound(_mirrored(3, [(big, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        for half in ([(big, 0, 0), (0, 1, 0)], [(big, 0, 0), (0, 1, 0), (0, 0, 1)]):
+            with pytest.raises(UnsupportedError, match="weight entries"):
+                bkk_bound(_mirrored(3, half))
+        with pytest.raises(UnsupportedError, match="weight entries"):
+            bkk_bound(WeightSet(3, ((big, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1)))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_refuses_exactly_the_sets_validate_rejects(self, m):
