@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .critsearch import CriticalPoint, GroupSpec, multistart_census
+from .critsearch import _MAX_STARTS, CriticalPoint, GroupSpec, multistart_census
 from .errors import (
     ConvergenceError,
     DegeneracyError,
@@ -53,14 +53,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_UNSUPPORTED = 4
-
-# A census sweep holds its Jacobians and normal matrices for one block of
-# starts at a time (critsearch._SWEEP_BLOCK), and about 4.5 kB per start
-# across sweeps: Sp(6), the largest census the CLI runs, peaks at 52 MB with
-# 2000 starts, 58 MB with 4000 and 88 MB with 10000 (under 1 ms per start,
-# BLAS at 1 thread), where sweeps over all starts at once took 105, 174 and
-# 378 MB.
-_MAX_STARTS = 10_000
 
 
 @dataclass

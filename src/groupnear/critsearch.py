@@ -598,6 +598,14 @@ _MERGE_RESOLUTION = 1e-7
 # takes 15-89 s and peaks at 110-130 MB over the group kinds, n = 12 takes
 # 77-276 s and 175-250 MB; the cached tensor alone holds about n^6 doubles.
 _MAX_CENSUS_N = 10
+# Largest number of starts.  A sweep holds its Jacobians and normal matrices
+# for one block of starts at a time (_SWEEP_BLOCK), and about 4.5 kB per
+# start across sweeps: Sp(6), the largest census the CLI runs, peaks at
+# 52 MB with 2000 starts, 58 MB with 4000 and 88 MB with 10000 (under 1 ms
+# per start, BLAS at 1 thread), where sweeps over all starts at once took
+# 105, 174 and 378 MB.  At n = 10 a start keeps about 13 kB: the unitary
+# census peaks at 145 MB with 2000 starts and 251 MB with 10000 (140 s).
+_MAX_STARTS = 10_000
 
 
 @functools.cache
@@ -765,7 +773,8 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     u must be real (a complex matrix enters the unitary census through
     `embed_complex`), starts a positive integer and seed a non-negative
     integer; anything else raises InputError before any work.  Sizes
-    n > 10 raise UnsupportedError before the draw.
+    n > 10 and more than 10,000 starts raise UnsupportedError before the
+    draw.
     """
     u = as_square(u, "u")
     _require_real(u, "multistart_census", "u")
@@ -776,6 +785,8 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     n = g.n
     if n > _MAX_CENSUS_N:
         raise UnsupportedError(f"multistart_census supports n <= {_MAX_CENSUS_N}, got {n}")
+    if starts > _MAX_STARTS:
+        raise UnsupportedError(f"multistart_census supports starts <= {_MAX_STARTS}, got {starts}")
     rng = np.random.default_rng(seed)
     x0 = _draw(g, rng, starts)
     # Alternate pulled and raw starts.  On SL^± the identity as anchor

@@ -1,8 +1,19 @@
-"""Command-line interface: report shape, determinism, exit codes."""
+"""Command-line interface: report shape, determinism, exit codes, and the
+largest sizes the commands accept.
+
+`tests/test_corpus.py` replays a report per group and input, one refusal
+per nonzero exit code but 1, `bkk` at ranks 1 and 3 and the `verify`
+suites; the cases here check what the corpus does not, through
+`cli.main` in process.  Only the determinism cases and the largest
+census, whose peak RSS is measured, start an interpreter, with
+RuntimeWarning made an error as in the suite (pyproject.toml).
+"""
 
 import json
 import subprocess
 import sys
+import textwrap
+import time
 
 import pytest
 from test_torused import RANK_DEFICIENT
@@ -12,11 +23,18 @@ from groupnear.matcore import matrix_to_json, random_general
 from groupnear.orthonear import nearest_orthogonal
 from groupnear.slnear import sl_critical_points
 
-CLI = [sys.executable, "-m", "groupnear.cli"]
+CLI = [sys.executable, "-W", "error::RuntimeWarning", "-m", "groupnear.cli"]
 
 
 def run_cli(*args):
     return subprocess.run(CLI + list(args), capture_output=True, text=True)
+
+
+def run_main(capsys, *argv):
+    """(exit code, stdout, stderr) of one in-process `cli.main` run."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 @pytest.fixture
@@ -26,72 +44,34 @@ def antidiag(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def unimodular_diag(tmp_path):
-    path = tmp_path / "diag.json"
-    path.write_text(json.dumps({"n": 2, "data": [[2, 0], [0, 0.5]]}))
-    return str(path)
-
-
-@pytest.fixture
-def odd_weights(tmp_path):
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps({"m": 1, "weights": [-3, -1, 1, 3]}))
-    return str(path)
-
-
 class TestNearest:
-    def test_orthogonal_example(self, antidiag):
-        proc = run_cli("nearest", "orthogonal", antidiag)
-        assert proc.returncode == 0
-        report = json.loads(proc.stdout)
+    def test_orthogonal_example(self, antidiag, capsys):
+        # The corpus compares x to 1e-12; here it must be exact.
+        code, out, _ = run_main(capsys, "nearest", "orthogonal", antidiag)
+        assert code == cli.EXIT_OK
+        report = json.loads(out)
         assert report["command"] == "nearest"
         assert report["results"][0]["x"]["data"] == [[0, 1], [1, 0]]
         assert report["results"][0]["distance_sq"] == pytest.approx(1.0)
 
-    def test_sl_on_group_input(self, unimodular_diag):
-        proc = run_cli("nearest", "sl", unimodular_diag)
-        assert proc.returncode == 0
-        report = json.loads(proc.stdout)
-        assert report["results"][0]["distance_sq"] == pytest.approx(0.0, abs=1e-12)
-        assert report["results"][0]["det_sign"] == 1
+    def test_torus_unsupported(self, antidiag, capsys):
+        assert run_main(capsys, "nearest", "torus", antidiag)[0] == cli.EXIT_UNSUPPORTED
 
-    def test_symplectic_unsupported(self, antidiag):
-        proc = run_cli("nearest", "symplectic", antidiag)
-        assert proc.returncode == 4
+    def test_unknown_group(self, antidiag, capsys):
+        assert run_main(capsys, "nearest", "borel", antidiag)[0] == cli.EXIT_INPUT
 
-    def test_torus_unsupported(self, antidiag):
-        proc = run_cli("nearest", "torus", antidiag)
-        assert proc.returncode == 4
-
-    def test_unknown_group(self, antidiag):
-        proc = run_cli("nearest", "borel", antidiag)
-        assert proc.returncode == 2
-
-    def test_missing_file(self):
-        proc = run_cli("nearest", "orthogonal", "/nonexistent.json")
-        assert proc.returncode == 2
-
-    def test_malformed_json(self, tmp_path):
+    def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        proc = run_cli("nearest", "orthogonal", str(bad))
-        assert proc.returncode == 2
+        assert run_main(capsys, "nearest", "orthogonal", str(bad))[0] == cli.EXIT_INPUT
 
-    def test_string_entry_refused(self, tmp_path):
+    def test_string_entry_refused(self, tmp_path, capsys):
         # "2.5" is a JSON string, not a number: an input error, exit 2.
         path = tmp_path / "string.json"
         path.write_text(json.dumps({"n": 1, "data": [["2.5"]]}))
-        proc = run_cli("nearest", "orthogonal", str(path))
-        assert proc.returncode == 2
-        assert "non-numeric entry" in proc.stderr
-
-    def test_degenerate_input(self, tmp_path):
-        # Repeated singular values: the solver refuses, mapped to exit 3.
-        path = tmp_path / "scaled_identity.json"
-        path.write_text(json.dumps({"n": 2, "data": [[2, 0], [0, 2]]}))
-        proc = run_cli("nearest", "orthogonal", str(path))
-        assert proc.returncode == 3
+        code, _, err = run_main(capsys, "nearest", "orthogonal", str(path))
+        assert code == cli.EXIT_INPUT
+        assert "non-numeric entry" in err
 
 
 class TestDeterminism:
@@ -108,38 +88,12 @@ class TestDeterminism:
 
 
 class TestCritical:
-    def test_orthogonal_census(self, antidiag):
-        proc = run_cli("critical", "orthogonal", antidiag)
-        report = json.loads(proc.stdout)
-        assert report["counts"]["expected"] == 4
-        assert len(report["results"]) == 4
-
-    def test_sl_pm_reports_complex_count(self, unimodular_diag):
-        proc = run_cli("critical", "sl-pm", unimodular_diag)
-        report = json.loads(proc.stdout)
-        assert report["counts"]["expected"] == 8
-        assert len(report["results"]) <= 8
-        dists = [r["distance_sq"] for r in report["results"]]
-        assert dists == sorted(dists)
-
-    def test_special_orthogonal_only_rotations(self, antidiag):
-        proc = run_cli("critical", "special-orthogonal", antidiag)
-        report = json.loads(proc.stdout)
-        assert report["counts"]["expected"] == 2
-        assert all(r["det_sign"] == 1 for r in report["results"])
-
-    def test_symplectic_census_allowed(self, antidiag):
-        proc = run_cli("--starts", "200", "critical", "symplectic", antidiag)
-        assert proc.returncode == 0
-        report = json.loads(proc.stdout)
-        assert report["counts"]["expected"] == 4
-
-    def test_symplectic_census_diagnostics_reported(self, antidiag):
-        first = run_cli("--starts", "200", "critical", "symplectic", antidiag)
-        second = run_cli("--starts", "200", "critical", "symplectic", antidiag)
-        assert first.returncode == second.returncode == 0
-        assert first.stdout == second.stdout
-        counts = json.loads(first.stdout)["counts"]
+    def test_symplectic_census_diagnostics_reported(self, antidiag, capsys):
+        first = run_main(capsys, "--starts", "200", "critical", "symplectic", antidiag)
+        second = run_main(capsys, "--starts", "200", "critical", "symplectic", antidiag)
+        assert first[0] == second[0] == cli.EXIT_OK
+        assert first[1] == second[1]
+        counts = json.loads(first[1])["counts"]
         assert counts["expected_source"] == "literature"
         assert counts["attempted"] == counts["converged"] + counts["failed"] == 200
         # antidiag is [[0, 2], [1, 0]], so ||u|| = sqrt(5).
@@ -174,6 +128,17 @@ def _write_matrix(tmp_path, u, name="u.json"):
     return str(path)
 
 
+def _write_weights(tmp_path, m, weights, name="weights.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"m": m, "weights": weights}))
+    return str(path)
+
+
+def _line_set(r):
+    """The rank-3 weights +-k e1 for k = 1..r, and +-e2 and +-e3: 2r + 4 of them."""
+    return [[k, 0, 0] for k in range(-r, r + 1) if k] + [[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+
+
 def _critical_symplectic_without_census(n, tmp_path, monkeypatch):
     """Exit code of `critical symplectic` on a random n x n input, with a
     census that fails the test if it is ever called."""
@@ -187,39 +152,28 @@ def _critical_symplectic_without_census(n, tmp_path, monkeypatch):
 
 
 class TestVerify:
-    def test_sl_suite(self):
-        proc = run_cli("--seed", "11", "verify", "sl")
-        assert proc.returncode == 0
-        report = json.loads(proc.stdout)
-        expected = {c["name"]: c["expected"] for c in report["checks"]}
-        laws = {}
-        for n in (1, 2, 3, 4):
-            laws[f"sl n={n} real count at |det u| = 2^-n"] = 2**n
-            laws[f"sl n={n} real count at c < 0, |det u| = 2^n"] = 2**n - 1
-            laws[f"sl n={n} odd real count at c > 0, |det u| = 2^n (proved for generic u)"] = 1
-        assert expected == {
-            "sl n=1 distinct multiplier count": 2,
-            "sl n=2 distinct multiplier count": 8,
-            "sl n=3 distinct multiplier count": 24,
-            **laws,
-        }
-        assert all(c["pass"] for c in report["checks"])
-
-    def test_torus_suite(self):
-        proc = run_cli("verify", "torus")
-        assert proc.returncode == 0
-        report = json.loads(proc.stdout)
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (["verify", "torus"], {"torus box [-2, 2]^3 bound", "torus cross-polytope m=2 bound"}),
+            # The corpus runs the symplectic suite on seed 0 only.
+            (["--seed", "9", "verify", "symplectic"], set()),
+            (["--seed", "14", "verify", "symplectic"], set()),
+        ],
+        ids=["torus", "symplectic seed 9", "symplectic seed 14"],
+    )
+    def test_suite_passes(self, argv, names, capsys):
+        code, out, _ = run_main(capsys, *argv)
+        assert code == cli.EXIT_OK
+        report = json.loads(out)
         assert report["counts"]["observed"] == report["counts"]["expected"]
-        names = {c["name"] for c in report["checks"]}
-        assert {"torus box [-2, 2]^3 bound", "torus cross-polytope m=2 bound"} <= names
+        assert names <= {c["name"] for c in report["checks"]}
 
-    def test_orthogonal_suite(self):
-        proc = run_cli("verify", "orthogonal")
-        assert proc.returncode == 0
-
-    def test_unknown_suite(self):
-        proc = run_cli("verify", "everything")
-        assert proc.returncode == 2
+    def test_unknown_suite(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "everything"])
+        assert exc.value.code == cli.EXIT_INPUT
+        assert capsys.readouterr().out == ""
 
     def test_failed_check_exits_1(self, monkeypatch, capsys):
         def failing(seed, starts):
@@ -242,11 +196,13 @@ class TestSeed:
         [("critical", "symplectic", "x.json"), ("verify", "all"), ("bkk", "w.json")],
         ids=["critical", "verify", "bkk"],
     )
-    def test_negative_seed_refused(self, args):
-        proc = run_cli("--seed", "-1", *args)
-        assert proc.returncode == cli.EXIT_INPUT == 2
-        assert "--seed: must be a non-negative integer" in proc.stderr
-        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    def test_negative_seed_refused(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--seed", "-1", *args])
+        assert exc.value.code == cli.EXIT_INPUT == 2
+        captured = capsys.readouterr()
+        assert "--seed: must be a non-negative integer" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestOptions:
@@ -362,16 +318,14 @@ class TestReportEncoding:
         ],
         ids=lambda argv: " ".join(argv),
     )
-    def test_report_is_plain_finite_json(self, argv, tmp_path, odd_weights):
+    def test_report_is_plain_finite_json(self, argv, tmp_path):
         corners = [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
-        cube = tmp_path / "cube.json"
-        cube.write_text(json.dumps({"m": 3, "weights": corners}))
         files = {
             "@real": _write_matrix(tmp_path, random_general(3, 0)),
             "@real2": _write_matrix(tmp_path, random_general(2, 0), "u2.json"),
             "@complex": _write_matrix(tmp_path, random_general(2, 0, complex_entries=True), "c.json"),
-            "@rank1": odd_weights,
-            "@rank3": str(cube),
+            "@rank1": _write_weights(tmp_path, 1, [-3, -1, 1, 3], "rank1.json"),
+            "@rank3": _write_weights(tmp_path, 3, corners, "cube.json"),
         }
         args = cli._build_parser().parse_args([files.get(a, a) for a in argv])
         report = args.func(args).to_json()
@@ -395,78 +349,102 @@ class TestReportEncoding:
 
 
 class TestBkk:
-    def test_bound_and_count(self, odd_weights):
-        proc = run_cli("bkk", odd_weights)
-        assert proc.returncode == 0
-        report = json.loads(proc.stdout)
-        assert report["counts"]["expected"] == 6
-        assert report["counts"]["observed"] == 6
+    def test_bound_and_count(self, tmp_path, capsys):
+        # The weights have gcd 6: the count in t^g divides by it.
+        code, out, _ = run_main(capsys, "bkk", _write_weights(tmp_path, 1, [-9, -3, 3, 9]))
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["counts"] == {"expected": 18, "observed": 18}
 
-    def test_asymmetric_rejected(self, tmp_path):
-        path = tmp_path / "asym.json"
-        path.write_text(json.dumps({"m": 1, "weights": [1, 2]}))
-        proc = run_cli("bkk", str(path))
-        assert proc.returncode == 2
+    def test_asymmetric_rejected(self, tmp_path, capsys):
+        assert run_main(capsys, "bkk", _write_weights(tmp_path, 1, [1, 2]))[0] == cli.EXIT_INPUT
 
-    def test_planar_bound_without_count(self, tmp_path):
-        path = tmp_path / "cross.json"
-        path.write_text(
-            json.dumps({"m": 2, "weights": [[1, 0], [-1, 0], [0, 1], [0, -1]]})
-        )
-        proc = run_cli("bkk", str(path))
-        assert proc.returncode == 0
-        report = json.loads(proc.stdout)
-        assert report["counts"] == {"expected": 4}
+    def test_planar_bound_without_count(self, tmp_path, capsys):
+        code, out, _ = run_main(capsys, "bkk", _write_weights(tmp_path, 2, [[1, 0], [-1, 0], [0, 1], [0, -1]]))
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["counts"] == {"expected": 4}
 
-    def test_rank3_bound_without_count(self, tmp_path):
-        path = tmp_path / "cube.json"
-        corners = [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
-        path.write_text(json.dumps({"m": 3, "weights": corners}))
-        proc = run_cli("bkk", str(path))
-        assert proc.returncode == 0
-        report = json.loads(proc.stdout)
-        assert report["counts"] == {"expected": 48}
-
-    def test_invalid_rank4_set_is_unsupported_before_validation(self, tmp_path):
+    def test_invalid_rank4_set_is_unsupported_before_validation(self, tmp_path, capsys):
         # The rank limit is checked before the symmetry and rank test, so an
         # asymmetric rank-4 set exits 4 (unsupported), not 2 (bad input).
-        path = tmp_path / "rank4.json"
-        path.write_text(json.dumps({"m": 4, "weights": [[1, 0, 0, 0], [0, 1, 0, 0]]}))
-        proc = run_cli("bkk", str(path))
-        assert proc.returncode == 4
-        assert "m <= 3" in proc.stderr
+        code, _, err = run_main(capsys, "bkk", _write_weights(tmp_path, 4, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+        assert code == cli.EXIT_UNSUPPORTED
+        assert "m <= 3" in err
 
-    def test_oversized_rank3_set_unsupported(self, tmp_path):
-        # 2000 rank-3 weights would keep the facet search busy for hours;
-        # they are refused (exit 4) before it starts.  An entry past 2**19
-        # is refused (exit 4) before the set is checked, so a planar set
-        # with one exits 4, not 2.
-        path = tmp_path / "big.json"
-        line = [[k, 0, 0] for k in range(-997, 998) if k] + [[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    def test_oversized_rank3_set_unsupported(self, tmp_path, capsys):
+        # 152 rank-3 weights, two past the cap, are refused (exit 4) before
+        # the facet search starts.  An entry past 2**19 is refused (exit 4)
+        # before the set is checked, so a planar set with one exits 4, not 2.
         planar = [[2**20, 0, 0], [-(2**20), 0, 0], [0, 1, 0], [0, -1, 0]]
-        for weights, message in (
-            (line + [[998, 0, 0], [-998, 0, 0]], "at most 150 rank-3 weights"),
-            (planar, "weight entries"),
-        ):
-            path.write_text(json.dumps({"m": 3, "weights": weights}))
-            proc = subprocess.run(CLI + ["bkk", str(path)], capture_output=True, text=True, timeout=60)
-            assert proc.returncode == 4
-            assert proc.stdout == ""
-            assert message in proc.stderr
+        for weights, message in ((_line_set(74), "at most 150 rank-3 weights"), (planar, "weight entries")):
+            code, out, err = run_main(capsys, "bkk", _write_weights(tmp_path, 3, weights))
+            assert code == cli.EXIT_UNSUPPORTED
+            assert out == ""
+            assert message in err
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_rank_deficient_set_exits_2(self, m, tmp_path):
-        path = tmp_path / "flat.json"
-        w = RANK_DEFICIENT[m]
-        path.write_text(json.dumps({"m": m, "weights": [list(chi) for chi in w.weights]}))
-        proc = run_cli("bkk", str(path))
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "not a valid torus weight set" in proc.stderr
+    def test_rank_deficient_set_exits_2(self, m, tmp_path, capsys):
+        weights = [list(chi) for chi in RANK_DEFICIENT[m].weights]
+        code, out, err = run_main(capsys, "bkk", _write_weights(tmp_path, m, weights))
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "not a valid torus weight set" in err
 
-    def test_oversized_rank1_count_unsupported(self, tmp_path):
+    def test_oversized_rank1_count_unsupported(self, tmp_path, capsys):
         # Degree 1026 is past the cap; the count is refused before any work.
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"m": 1, "weights": [-513, 513]}))
-        proc = run_cli("bkk", str(path))
-        assert proc.returncode == 4
+        assert run_main(capsys, "bkk", _write_weights(tmp_path, 1, [-513, 513]))[0] == cli.EXIT_UNSUPPORTED
+
+
+# A fresh interpreter runs the CLI and prints its exit code and peak RSS
+# in MB, read from RUSAGE_CHILDREN: that counts this one child, and no
+# other test's.  ru_maxrss is in kB on Linux.
+_PEAK_RSS = textwrap.dedent(
+    """
+    import resource, subprocess, sys
+    with open(sys.argv[1], "w") as out:
+        code = subprocess.run(sys.argv[2:], stdout=out, timeout=120).returncode
+    print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+    """
+)
+
+
+class TestLargestSizes:
+    # The largest size each command accepts runs to the end within 60 s:
+    # bkk at its 150-weight rank-3 cap, nearest (which has no size limit)
+    # at 200 x 200, and the 2^n-point enumerations at their limit n = 14.
+    @pytest.mark.parametrize(
+        "argv,data,counts,results",
+        [
+            (["bkk"], {"m": 3, "weights": _line_set(73)}, {"expected": 584}, 0),
+            (["nearest", "orthogonal"], 200, {"expected": 2**200}, 1),
+            (["critical", "special-orthogonal"], 14, {"expected": 8192}, 8192),
+            (["critical", "orthogonal"], 14, {"expected": 16384}, 16384),
+        ],
+        ids=["bkk 150 weights", "nearest orthogonal n=200", "critical special-orthogonal n=14", "critical orthogonal n=14"],
+    )
+    def test_largest_accepted_size_within_60_s(self, argv, data, counts, results, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(matrix_to_json(random_general(data, 0)) if isinstance(data, int) else data))
+        start = time.monotonic()
+        code, out, _ = run_main(capsys, *argv, str(path))
+        assert code == cli.EXIT_OK and time.monotonic() - start < 60
+        report = json.loads(out)
+        assert report["counts"] == counts
+        assert len(report["results"]) == results
+
+    def test_largest_census_within_120_s_and_200_mb(self, tmp_path):
+        # Sp(6), the largest census the CLI runs, at the starts cap: a census
+        # holds its normal matrices for one block of starts at a time, so
+        # its memory is set by the block, not by --starts.
+        path = _write_matrix(tmp_path, random_general(6, 0))
+        out = tmp_path / "sp6.out"
+        argv = [*CLI, "--starts", str(cli._MAX_STARTS), "critical", "symplectic", path]
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, str(out), *argv], capture_output=True, text=True)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 0, proc.stderr
+        code, peak_mb = proc.stdout.split()
+        assert int(code) == cli.EXIT_OK and elapsed < 120 and float(peak_mb) < 200
+        report = json.loads(out.read_text())
+        counts = report["counts"]
+        assert counts["attempted"] == counts["converged"] + counts["failed"] == cli._MAX_STARTS
+        assert report["results"] and counts["worst_residual"] < 1e-9

@@ -596,6 +596,19 @@ class TestCensus:
         with pytest.raises(RuntimeError, match="the starts were drawn"):
             multistart_census(random_general(10, 0), GroupSpec(kind, 10))
 
+    def test_starts_past_cap_refused_before_the_draw(self, monkeypatch):
+        # The draw, the frozen points and the residual rows grow with starts:
+        # past the cap (the CLI's --starts limit) the census is refused.
+        def refuse(*args):
+            raise RuntimeError("the starts were drawn")
+
+        cap = critsearch._MAX_STARTS
+        monkeypatch.setattr(critsearch, "_draw", refuse)
+        with pytest.raises(UnsupportedError, match=f"starts <= {cap}, got {cap + 1}"):
+            multistart_census(random_general(2, 0), GroupSpec("sl", 2), starts=cap + 1)
+        with pytest.raises(RuntimeError, match="the starts were drawn"):
+            multistart_census(random_general(2, 0), GroupSpec("sl", 2), starts=cap)
+
     def test_late_converger_kept(self):
         # One of the 12 points of this census is reached by a single start
         # (start 112), at sweep 35, after its residual has stayed between

@@ -10,6 +10,8 @@ Every name the package exports must have a caller outside the tests: the
 CLI or another package module than its own, the benchmark harness
 (`perfbench/`, where a function may be looked up by its name as a string),
 or the README; a short allow-list covers the spec, result and error types.
+CI runs nothing but the dependency install and the ROADMAP tier-1 command,
+so tier-1 is the one gate and each of its checks is made once.
 """
 
 import ast
@@ -199,3 +201,15 @@ def test_package_exports_have_callers():
         if name not in callers:
             dead.append(f"{name} ({home})")
     assert not dead, f"exported names with no caller outside the tests: {dead}"
+
+
+def test_ci_runs_only_the_install_and_tier1():
+    # A check CI made beside tier-1 would repeat one tier-1 makes, or be
+    # enforced on no pull request.  The workflow is read as text: CI
+    # installs no YAML parser.
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
+    assert tier1, "ROADMAP.md names no tier-1 command"
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    runs = re.findall(r"^\s*(?:- )?run:\s*(.*?)\s*$", workflow, re.MULTILINE)
+    assert len(runs) == 2 and runs[0].startswith("python -m pip install "), f"CI runs {runs}"
+    assert runs[1] == tier1.group(1)
