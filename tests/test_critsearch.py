@@ -609,6 +609,21 @@ class TestCensus:
         with pytest.raises(RuntimeError, match="the starts were drawn"):
             multistart_census(random_general(2, 0), GroupSpec("sl", 2), starts=cap)
 
+    @pytest.mark.parametrize(
+        "u,n,error,message",
+        [
+            (np.eye(2) + 0.5j, 2, InputError, "real"),
+            (np.eye(2), 3, InputError, "size mismatch"),
+            (random_general(12, 0), 12, UnsupportedError, "n <= 10, got 12"),
+        ],
+        ids=["complex input", "size mismatch", "size past cap"],
+    )
+    def test_starts_cap_checked_after_input_and_size(self, u, n, error, message):
+        # Too many starts on a bad input or an oversized group reports the
+        # first fault: the input checks and the n cap come before the starts cap.
+        with pytest.raises(error, match=message):
+            multistart_census(u, GroupSpec("sl", n), starts=critsearch._MAX_STARTS + 1)
+
     def test_late_converger_kept(self):
         # One of the 12 points of this census is reached by a single start
         # (start 112), at sweep 35, after its residual has stayed between

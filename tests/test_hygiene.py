@@ -213,3 +213,13 @@ def test_ci_runs_only_the_install_and_tier1():
     runs = re.findall(r"^\s*(?:- )?run:\s*(.*?)\s*$", workflow, re.MULTILINE)
     assert len(runs) == 2 and runs[0].startswith("python -m pip install "), f"CI runs {runs}"
     assert runs[1] == tier1.group(1)
+
+
+def test_ci_other_steps_are_checkout_and_python_setup():
+    # Beside its two runs, the workflow only checks the code out and sets
+    # up each Python of its matrix: 3.10 and 3.11.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    uses = re.findall(r"^\s*(?:- )?uses:\s*(\S+)", workflow, re.MULTILINE)
+    assert [u.split("@")[0] for u in uses] == ["actions/checkout", "actions/setup-python"], f"CI uses {uses}"
+    versions = re.findall(r"^\s*python-version:\s*\[(.*)\]\s*$", workflow, re.MULTILINE)
+    assert versions == ['"3.10", "3.11"'], f"CI matrix {versions}"
