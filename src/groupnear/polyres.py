@@ -142,39 +142,49 @@ def poly_roots(p) -> np.ndarray:
     """All complex roots, as the eigenvalues of the companion matrix.
 
     Coefficients are rescaled to unit max magnitude and exact zero roots
-    are deflated first; `numpy.polynomial.polynomial.polyroots` then hands
-    the companion matrix to LAPACK, which balances it before the QR
-    iteration (Edelman and Murakami, Math. Comp. 64, 1995, bound the
+    are deflated first.  The companion matrix of the remaining degree-d
+    polynomial, ones on the subdiagonal and -a_k / a_d in the last column
+    (the unrotated matrix of `numpy.polynomial.polynomial.polycompanion`),
+    goes to LAPACK through `np.linalg.eigvals`, which balances it before
+    the QR iteration (Edelman and Murakami, Math. Comp. 64, 1995, bound the
     backward error of this method in the coefficients).  Output is sorted
-    by (real, imaginary).  Raises ConvergenceError if LAPACK does not
-    converge.
+    by (real, imaginary), the deflated zeros among the rest.  Raises
+    ConvergenceError if LAPACK does not converge.
     """
-    pc = _as_coeffs(p).astype(float)
+    pc = _as_coeffs(p)
     nonzero = np.flatnonzero(pc)
     if nonzero.size == 0:
         raise InputError("poly_roots: zero polynomial")
     zero_roots = int(nonzero[0])
-    pc = pc[zero_roots : nonzero[-1] + 1] / np.max(np.abs(pc))
+    pc = pc[zero_roots : nonzero[-1] + 1] / np.abs(pc).max()
+    d = pc.size - 1
+    companion = np.eye(d, k=-1)
+    companion[:, -1:] -= pc[:-1, None] / pc[-1]
     try:
-        z = _poly.polyroots(pc).astype(complex)
+        z = np.linalg.eigvals(companion).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("poly_roots: companion eigenvalues did not converge") from exc
-    z = np.concatenate([np.zeros(zero_roots, dtype=complex), z])
+    if zero_roots:
+        z = np.concatenate([np.zeros(zero_roots, dtype=complex), z])
     return z[np.lexsort((z.imag, z.real))]
 
 
 def distinct_root_count(roots, tol: float = 1e-7) -> int:
     """Number of single-linkage clusters at radius tol * max(1, |root|max).
 
-    Each root repeatedly takes the smallest label among the roots within
-    the radius (itself included) until no label changes; a cluster then
-    carries one label, its lowest index.
+    Roots are finite, so each is linked to itself; when no two roots lie
+    within the radius, each is its own cluster and the count is returned
+    at once.  Otherwise each root repeatedly takes the smallest label among
+    the roots within the radius (itself included) until no label changes;
+    a cluster then carries one label, its lowest index.
     """
     rs = np.asarray(roots, dtype=complex)
     if rs.size == 0:
         return 0
-    radius = tol * max(1.0, float(np.max(np.abs(rs))))
+    radius = tol * max(1.0, float(np.abs(rs).max()))
     linked = np.abs(rs[:, None] - rs[None, :]) <= radius
+    if np.count_nonzero(linked) == rs.size:
+        return int(rs.size)
     labels = np.arange(rs.size)
     while True:
         spread = np.min(np.where(linked, labels, rs.size), axis=1)

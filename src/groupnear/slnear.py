@@ -154,6 +154,21 @@ def _positive_brackets(sigma: np.ndarray):
     return [np.concatenate(part) for part in zip(*rows)], (c[first], z[first])
 
 
+def _asymptotic_starts(sigma: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """s (R,) near the c < 0 root of each sign vector of table, from the
+    small-|c| asymptotes z_i^+ ~ sigma_i and z_i^- ~ c / sigma_i: on minus
+    set M, prod |z_i| = 1 gives
+    log |c| = (sum_{i in M} log sigma_i - sum_{i not in M} log sigma_i) / |M|,
+    and the all-plus row takes the linearised c = log prod sigma /
+    sum sigma_i^-2.  c is clipped to >= -(1 + sigma_1), where every c < 0
+    root lies, and mapped to s = 2c / (sigma_n + sqrt(sigma_n^2 - 4c))."""
+    logs, minus = np.log(sigma), table < 0.0
+    size = np.count_nonzero(minus, axis=1)
+    log_c = np.minimum(np.where(minus, logs, -logs).sum(axis=1) / np.maximum(size, 1), np.log(1.0 + sigma[0]))
+    c = np.maximum(np.where(size > 0, -np.exp(log_c), logs.sum() / np.sum(sigma**-2.0)), -1.0 - sigma[0])
+    return 2.0 * c / (sigma[-1] + np.sqrt(sigma[-1] * sigma[-1] - 4.0 * c))
+
+
 def _real_rows(sigma: np.ndarray, located: np.ndarray, volume: float):
     """(c, z) of every real point: the c < 0 rows in `_sign_table` order
     (all-plus only when volume = prod sigma < 1), then the c > 0 rows.
@@ -161,7 +176,7 @@ def _real_rows(sigma: np.ndarray, located: np.ndarray, volume: float):
     Each root at c < 0 lies in [s_lo, 0), c(s_lo) = -(1 + sigma_1), as some
     |z_i| <= 1 and |c| = |z_i| |sigma_i - z_i|.  Its row starts at the
     negative located root with the least |h| on its branch (s_lo drops to
-    it if below), or at s_lo / 2 if there is none.
+    it if below), or, if there is none, at `_asymptotic_starts`.
     """
     table = _sign_table(sigma.size)[0 if volume < 1.0 else 1 :]
     k, r = table.shape[0], 1.0 + sigma[0]
@@ -172,7 +187,7 @@ def _real_rows(sigma: np.ndarray, located: np.ndarray, volume: float):
         h = np.abs(_newton_step(sigma, np.repeat(s0, k), np.tile(table, (neg.size, 1)))[0]).reshape(neg.size, k)
         s = s0[np.argmin(np.where(np.isnan(h), np.inf, h), axis=0)]
     else:
-        s = np.full(k, 0.5 * s_lo)
+        s = _asymptotic_starts(sigma, table)
     rows = (s, table, np.minimum(s_lo, s), np.zeros(k), np.ones(k))
     if volume < 1.0:
         return _bracketed_newton(sigma, *rows)

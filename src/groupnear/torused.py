@@ -23,6 +23,7 @@ degree (max - min) / g, and each of its nonzero roots stands for g roots.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -105,9 +106,9 @@ def _gram_full_rank(rows: list[tuple[int, ...]], m: int) -> bool:
 
 def _symmetric(w: WeightSet) -> bool:
     """True iff -chi is a weight of the same multiplicity as chi, for every
-    chi: the table {chi: mult} equals its mirror {-chi: mult}."""
+    chi, each mirror looked up in the one table {chi: mult}."""
     table = dict(zip(w.weights, w.mults))
-    return table == {tuple([-x for x in chi]): mult for chi, mult in table.items()}
+    return all(table.get(tuple([-x for x in chi])) == mult for chi, mult in table.items())
 
 
 def validate_weightset(w: WeightSet) -> bool:
@@ -151,21 +152,30 @@ _MAX_RANK3_WEIGHTS = 150
 
 
 @functools.lru_cache(maxsize=4)
-def _triples(n: int) -> tuple[np.ndarray, ...]:
-    """Index columns (i, j, l) of the 3-subsets i < j < l of range(2 * n)
-    with j < n, that is with at most one index >= n.  Mirroring every index
-    (i <-> i + n) maps a subset with t indices >= n to one with 3 - t, so
-    the table holds exactly one subset of each mirror pair."""
+def _triples(n: int) -> np.ndarray:
+    """Index rows (i, j, l), a (3, s) array, of the 3-subsets i < j < l of
+    range(2 * n) with j < n, that is with at most one index >= n, and with
+    no index pair {k, k + n}: s = C(n, 3) + (n - 2) C(n, 2).  Mirroring
+    every index (k <-> k + n) maps a subset with t indices >= n to one with
+    3 - t, so the table holds exactly one subset of each mirror pair.  A
+    subset holding a weight and its mirror spans a plane through the
+    origin, which lies inside a full-rank symmetric set's hull, so such a
+    plane never supports a facet and is not tried."""
     r = np.arange(2 * n)
-    table = np.nonzero((r[:n, None, None] < r[:n, None]) & (r[:n, None] < r))
-    for column in table:
-        column.flags.writeable = False
+    i, j = r[:n, None, None], r[:n, None]
+    table = np.array(np.nonzero((i < j) & (j < r) & (r % n != i) & (r % n != j)))
+    table.flags.writeable = False
     return table
 
 
 def _leading_sign(x, y, z):
     """Sign of the first nonzero of (x, y, z), elementwise; 0 for zero."""
     return np.sign(np.where(x != 0, x, np.where(y != 0, y, z)))
+
+
+# Row order that turns edge vectors (d, e) into the cross product d x e as
+# d[1, 2, 0] * e[2, 0, 1] - d[2, 0, 1] * e[1, 2, 0].
+_CROSS = np.array([1, 2, 0, 2, 0, 1])
 
 
 def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,39 +185,46 @@ def _facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     array has no facet, and f is 0.
 
     Every 3-subset spans a candidate plane with normal v; its mirror image
-    spans the mirrored plane, which supports a facet iff the first does, so
-    only the subsets of _triples are tried.  By symmetry max(pts @ v) >= |h|,
-    where h = v . a for a weight a of the subset, and the plane supports a
-    facet iff equality holds with h != 0 (the origin is interior); that
-    facet, v . x == max, is the pair's one with the positive leading entry.
-    Facets spanned by several subsets are told apart by their member sets.
-    When the points span at most a plane through the origin, every normal is
-    orthogonal to them or zero, so top is 0 and no plane is kept.
+    spans the mirrored plane, which supports a facet iff the first does,
+    and a subset holding a weight and its mirror spans a plane through the
+    interior origin, so only the subsets of _triples are tried.  By
+    symmetry max(pts @ v) >= |h|, where h = v . a for a weight a of the
+    subset, and the plane supports a facet iff equality holds with h != 0
+    (the origin is interior); that facet, v . x == max, is the pair's one
+    with the positive leading entry.  Facets spanned by several subsets are
+    told apart by their member sets, and the first subset's normal is kept.
+    When the points span at most a plane through the origin, every normal
+    is orthogonal to them or zero, so top is 0 and no plane is kept.  The
+    search makes a fixed number of numpy calls per block of _BLOCK subsets,
+    which at the sizes in use costs more than their arithmetic.
     """
     n = len(pts) // 2
+    if n < 3:  # two pairs of weights span no solid, and _triples(n) is empty
+        return np.empty((0, 3), np.int64), np.empty(0, np.int64), np.empty((0, len(pts)), bool)
     x = np.ascontiguousarray(pts.T)
-    found = {}
     table = _triples(n)
-    for start in range(0, table[0].size, _BLOCK):
-        first = table[0][start : start + _BLOCK]
-        a, b, c = (x.take(col[start : start + _BLOCK], axis=1) for col in table)
-        d, e = b - a, c - a
-        normals = np.stack([d[1] * e[2] - d[2] * e[1], d[2] * e[0] - d[0] * e[2], d[0] * e[1] - d[1] * e[0]])
+    parts = []
+    for start in range(0, table.shape[1], _BLOCK):
+        subsets = table[:, start : start + _BLOCK]
+        corners = x.take(subsets, axis=1)  # (coordinate, corner, subset)
+        edges = (corners[:, 1:] - corners[:, :1]).take(_CROSS, axis=0)
+        normals = edges[:3, 0] * edges[3:, 1] - edges[3:, 0] * edges[:3, 1]
         normals *= _leading_sign(*normals)
         # Only pts[:n] is multiplied: the sides of pts[n:] are their negatives,
-        # and h is the side of a = pts[first] (first < n).  numpy's int64
-        # matmul does not go through BLAS; einsum's loop is faster.
+        # and h is the side of a = pts[subsets[0]] (an index < n).  numpy's
+        # int64 matmul does not go through BLAS; einsum's loop is faster.
         sides = np.einsum("ij,jk->ik", pts[:n], normals)
-        top = np.abs(sides).max(axis=0)
-        keep = np.flatnonzero((top == np.abs(sides[first, np.arange(first.size)])) & (top > 0))
-        kept, top = sides[:, keep], top[keep]
-        members = np.concatenate([kept == top, kept == -top]).T
-        for on_face, normal, offset in zip(members, normals[:, keep].T, top):
-            found.setdefault(on_face.tobytes(), (normal, offset, on_face))
-    if not found:
-        return np.empty((0, 3), np.int64), np.empty(0, np.int64), np.empty((0, len(pts)), bool)
-    normals, offsets, members = map(np.array, zip(*found.values()))
-    return normals, offsets, members
+        size = np.abs(sides)
+        top = size.max(axis=0)
+        keep = np.flatnonzero((top == size[subsets[0], np.arange(subsets.shape[1])]) & (top > 0))
+        parts.append((normals[:, keep], sides[:, keep], top[keep]))
+    normals, sides, top = (np.concatenate(part, axis=-1) for part in zip(*parts))
+    members = np.concatenate([sides == top, sides == -top]).T
+    raw, width, found = members.tobytes(), members.shape[1], {}
+    for k in range(top.size):
+        found.setdefault(raw[k * width : (k + 1) * width], k)
+    unique = list(found.values())
+    return normals[:, unique].T, top[unique], members[unique]
 
 
 def _twice_area(points) -> int:
@@ -282,7 +299,7 @@ def bkk_bound(w: WeightSet) -> int:
         raise UnsupportedError(
             f"bkk_bound supports at most {_MAX_RANK3_WEIGHTS} rank-3 weights, got {len(w.weights)}"
         )
-    if max(abs(x) for chi in w.weights for x in chi) > _MAX_ENTRY:
+    if max(map(abs, itertools.chain.from_iterable(w.weights))) > _MAX_ENTRY:
         raise UnsupportedError(f"bkk_bound supports weight entries of absolute value <= {_MAX_ENTRY}")
     volume = _normalized_volume(np.array(w.weights, dtype=np.int64)) if _symmetric(w) else 0
     if volume == 0:
@@ -392,7 +409,8 @@ def torus_critical_count_rank1(w: WeightSet, coeffs) -> int:
         # of the parametrization, so each s goes back to its h roots y first.
         turns = np.exp(2j * np.pi * np.arange(h) / h)
         roots = (roots[:, None] ** (1 / h) * turns).ravel()
-    nonzero = roots[np.abs(roots) > 1e-12 * max(1.0, float(np.max(np.abs(roots))))]
+    size = np.abs(roots)
+    nonzero = roots[size > 1e-12 * max(1.0, float(size.max()))]
     return distinct_root_count(nonzero, tol=1e-7)
 
 

@@ -53,14 +53,15 @@ def _eliminant_by_roots(mu, c):
 
 def _assert_roots_contract(coeffs):
     """One root per degree, sorted by (real, imag), each with backward error
-    |p(z)| / sum_k |a_k| |z|^k below 1e-12."""
+    |p(z)| / sum_k |a_k| |z|^k below 1e-12; a deflated zero root has
+    p(0) = 0 exactly."""
     roots = poly_roots(coeffs)
     assert roots.size == coeffs.size - 1
     keys = list(zip(roots.real, roots.imag))
     assert keys == sorted(keys)
-    value = np.polynomial.polynomial.polyval(roots, coeffs)
+    value = np.abs(np.polynomial.polynomial.polyval(roots, coeffs))
     scale = np.polynomial.polynomial.polyval(np.abs(roots), np.abs(coeffs))
-    assert np.max(np.abs(value) / scale) < 1e-12
+    assert np.all((value < 1e-12 * scale) | (value == 0.0))
 
 
 class TestUniPoly:
@@ -159,9 +160,26 @@ class TestPolyRoots:
         roots = poly_roots(resultant_chain(mu))
         assert roots.size == 24
 
-    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 0)])
     def test_chain_roots_contract(self, n, seed):
         _assert_roots_contract(resultant_chain(_spectrum(n, seed)).coeffs)
+
+    @pytest.mark.parametrize("zeros", [1, 2, 3])
+    def test_zero_roots_contract(self, zeros):
+        # Exact zero roots beside negative roots and complex pairs: the
+        # deflated zeros sort after the four roots of negative real part.
+        nonzero = [-2.0, -0.5, -1.0 + 2.0j, -1.0 - 2.0j, 1.5 + 0.5j, 1.5 - 0.5j]
+        coeffs = np.concatenate([np.zeros(zeros), np.polynomial.polynomial.polyfromroots(nonzero).real])
+        _assert_roots_contract(coeffs)
+        roots = poly_roots(coeffs)
+        assert np.count_nonzero(roots == 0.0) == zeros
+        assert np.all(roots[4 : 4 + zeros] == 0.0)
+
+    @pytest.mark.parametrize(
+        "coeffs", [[3.0, -2.0], [-1.0, 4.0], [0.0, 5.0], [2.0, -3.0, 1.0], [4.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+    )
+    def test_low_degree_contract(self, coeffs):
+        _assert_roots_contract(np.array(coeffs))
 
     def test_torus_roots_contract(self):
         _assert_roots_contract(_torus_polynomial(11))
@@ -195,19 +213,27 @@ class TestDistinctRootCount:
         roots = np.array([1j, -1j])
         assert distinct_root_count(roots, tol=1e-7) == 2
 
-    def test_matches_reference_union_find(self):
-        # Random complex walks in the unit disc (radius tol) with steps near
-        # the radius: clusters that are chains, some of them broken where a
-        # step exceeds it.
+    @pytest.mark.parametrize("low,high", [(0.3, 1.2), (1.5, 3.0)])
+    def test_matches_reference_union_find(self, low, high):
+        # Random complex walks in the unit disc (radius tol) with steps of
+        # low to high times the radius.  Near it, clusters are chains, some
+        # of them broken where a step exceeds it; past it, as on the rank-1
+        # torus inputs, no two roots are within the radius and every root is
+        # its own cluster.
         rng = np.random.default_rng(3)
         tol = 1e-7
         for _ in range(20):
             walks = []
             for centre in rng.uniform(-0.7, 0.7, (8, 2)):
                 steps = rng.normal(size=(rng.integers(1, 10), 2))
-                steps *= (tol * rng.uniform(0.3, 1.2, len(steps)) / np.linalg.norm(steps, axis=1))[:, None]
+                if low > 1.0:
+                    # First-quadrant steps: no walk comes back within the radius.
+                    steps = np.abs(steps)
+                steps *= (tol * rng.uniform(low, high, len(steps)) / np.linalg.norm(steps, axis=1))[:, None]
                 walks.append(centre + np.cumsum(steps, axis=0))
             points = np.concatenate(walks)[rng.permutation(sum(len(w) for w in walks))]
             roots = points[:, 0] + 1j * points[:, 1]
             expected = len(_union_find_representatives(points, tol))
             assert distinct_root_count(roots, tol=tol) == expected
+            if low > 1.0:
+                assert expected == roots.size

@@ -334,14 +334,17 @@ class TestSharpenRoots:
         c, z = slnear._bracketed_newton(np.array([3.0, 2.0]), empty, np.zeros((0, 2)), empty, empty, empty)
         assert c.shape == (0,) and z.shape == (0, 2)
 
-    def test_no_real_root_gives_the_same_points(self, monkeypatch):
+    @pytest.mark.parametrize("n,scale,seed,count", [(3, 1.0, 0, 8), (2, 1e6, 15, 6), (3, 1e4, 0, 14), (4, 1e4, 1, 30)])
+    def test_no_real_root_gives_the_same_points(self, n, scale, seed, count, monkeypatch):
         # The chain only hints where the c < 0 rows start: without any real
-        # root they start at s_lo / 2, and the same 8 points come back.
-        u = random_general(3, 0)
+        # root they start at their small-|c| asymptotes, and the same points
+        # come back.  Off the unit scale, rows started at s_lo / 2 did not
+        # settle on these inputs.
+        u = scale * random_general(n, seed)
         points = sl_critical_points(u)
         monkeypatch.setattr(slnear, "poly_roots", lambda p: np.array([], dtype=complex))
         blind = sl_critical_points(u)
-        assert len(points) == len(blind) == 8
+        assert len(points) == len(blind) == count
         for p, q in zip(points, blind):
             assert abs(p.c - q.c) < 1e-9 * (1.0 + abs(p.c))
             assert frobenius_norm(p.x - q.x) < 1e-9 * (1.0 + frobenius_norm(p.x))

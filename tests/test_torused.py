@@ -333,6 +333,17 @@ class TestHullVolume:
                 shuffled = WeightSet(3, tuple(w.weights[i] for i in order), (1,) * len(order))
                 assert bkk_bound(shuffled) == expected
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_triples_hold_one_subset_of_each_mirror_pair(self, n):
+        # Every 3-subset of range(2n) without a weight and its mirror
+        # (k and k + n) is in the table or its mirror image, never both.
+        table = {tuple(col) for col in torused._triples(n).T.tolist()}
+        mirror = {tuple(sorted((k + n) % (2 * n) for k in t)) for t in table}
+        valid = {t for t in itertools.combinations(range(2 * n), 3) if len({k % n for k in t}) == 3}
+        assert not table & mirror
+        assert table | mirror == valid
+        assert len(table) == math.comb(n, 3) + (n - 2) * math.comb(n, 2)
+
     def test_weight_count_cap(self, monkeypatch):
         # 150 rank-3 weights reach the facet search; 152 (and the 343-point
         # box [-3, 3]^3) are refused before it, at once.
