@@ -25,8 +25,10 @@ each mixed h runs from -inf to -inf.  Every row is refined by one bracketed
 Newton loop (`_bracketed_newton`); a count that breaks either law raises
 DegeneracyError.
 
-The frame (U, sigma, V) is the SVD of u itself, so x = U diag(z) V^t is
-one stacked product, as accurate whatever the condition of u^t u.  Every
+The frame (U, sigma, V) is `orthonear._svd_frame(u)`, taken right after
+the size check with the singular and gap refusals of O_n, SO_n and U_n, so
+x = U diag(z) V^t is one stacked product, as accurate whatever the
+condition of u^t u, which only feeds the chain.  Every
 point's det sign comes from the sign rule
 det(U diag(z) V^t) = det U det V^t prod sign(z_i) (`_det_plus_rows`, shared
 with O_n and SO_n), not from the dense x, whose det can round to either
@@ -44,7 +46,7 @@ import numpy as np
 from .critsearch import CriticalPoint, GroupSpec, _certify_batch, _require_real
 from .errors import ConditioningError, DegeneracyError, UnsupportedError
 from .matcore import _check_positive_int, as_square, random_general, sym_eig
-from .orthonear import _det_plus_rows, _lift, _sign_table
+from .orthonear import _det_plus_rows, _lift, _sign_table, _svd_frame
 from .polyres import CHAIN_MAX_N, distinct_root_count, poly_roots, resultant_chain
 
 _REAL_IM_TOL = 1e-8
@@ -204,23 +206,22 @@ def _check_n(n: int) -> None:
 def _sl_points(u, plus: bool) -> list[CriticalPoint]:
     """`sl_critical_points`, or with plus its det +1 rows, selected by
     `_det_plus_rows` before the lift and certified on SL; every det sign is
-    read by that rule.  A u whose u^t u has an overflowing squared norm
-    (|u| from about 1e77) raises ConditioningError before `sym_eig`."""
+    read by that rule.  `_svd_frame` refuses singular or clustered u before
+    the Gram product; a u whose u^t u has an overflowing squared norm (|u|
+    from about 1e77) raises ConditioningError before `sym_eig`."""
     name = "sl_plus_critical_points" if plus else "sl_critical_points"
     u = as_square(u, "u")
     _require_real(u, name, "u")
     n = u.shape[0]
     _check_n(n)
+    frame = _svd_frame(u)
+    sigma = frame[1]
     gram = u.T @ u
     with np.errstate(over="ignore"):
         finite = np.isfinite(gram.ravel() @ gram.ravel())
     if not finite:  # sym_eig would refuse it as malformed input
         raise ConditioningError(f"{name}: u^t u leaves the double-precision range")
     mu = sym_eig(gram).values
-    frame = np.linalg.svd(u)
-    sigma = frame[1]
-    if float(mu[-1]) <= 0.0 or float(sigma[-1]) <= 0.0:
-        raise DegeneracyError("u^t u must be positive definite")
     roots = poly_roots(resultant_chain(mu))
     real = roots.real[np.abs(roots.imag) < _REAL_IM_TOL * (1.0 + np.abs(roots.real))]
     volume = float(np.prod(sigma))

@@ -26,6 +26,7 @@ HERE = Path(__file__).resolve().parent
 INPUTS = {
     "random_general_3_0.json": matrix_to_json(random_general(3, 0)),
     "random_general_4_0.json": matrix_to_json(random_general(4, 0)),
+    "small_random_general_3_0.json": matrix_to_json(1e-3 * random_general(3, 0)),
     "antidiag.json": {"n": 2, "data": [[0, 2], [1, 0]]},
     "diag.json": {"n": 2, "data": [[2, 0], [0, 0.5]]},
     "scaled_identity.json": {"n": 2, "data": [[2, 0], [0, 2]]},
@@ -41,6 +42,8 @@ GROUPS = ("orthogonal", "special-orthogonal", "unitary", "sl", "sl-pm")
 
 CASES = [
     *([command, group, matrix] for command in ("nearest", "critical") for group in GROUPS for matrix in MATRICES),
+    # SL^pm at scale 1e-3: well separated, so solved with all 8 points.
+    ["critical", "sl-pm", "small_random_general_3_0.json"],
     ["bkk", "rank1.json"],
     ["bkk", "cube.json"],
     # The symplectic census, the benchmarked census path, end to end.

@@ -16,7 +16,7 @@ from groupnear.orthonear import (
 )
 from groupnear.polyres import chain_degree, resultant_chain
 from groupnear.slnear import sl_critical_points, sl_ed_degree
-from groupnear.torused import WeightSet, bkk_bound, torus_critical_count_rank1
+from groupnear.torused import WeightSet, bkk_bound, random_rank1_coefficients, torus_critical_count_rank1
 
 
 def _match_sets(xs, ys, tol):
@@ -129,23 +129,15 @@ def test_criterion_6_independent_solver_agreement(verdict):
 
 
 def test_criterion_7_torus_counts_match_volume(verdict):
-    def draw(w, seed):
-        rng = np.random.default_rng(seed)
-        out = {}
-        for chi in w.weights:
-            mag = rng.uniform(0.2, 1.5)
-            out[chi[0]] = mag if rng.uniform() < 0.5 else -mag
-        return out
-
     for d in (1, 3, 5, 7):
         w = WeightSet(1, tuple((k,) for k in range(-d, d + 1, 2)), (1,) * (d + 1))
         assert bkk_bound(w) == 2 * d
         for seed in range(10):
-            assert torus_critical_count_rank1(w, draw(w, seed)) == 2 * d
+            assert torus_critical_count_rank1(w, random_rank1_coefficients(w, seed)) == 2 * d
     for d in (2, 4):
         w = WeightSet(1, tuple((k,) for k in range(-d, d + 1, 2)), (1,) * (d + 1), lattice_index=2)
         for seed in range(10):
-            assert torus_critical_count_rank1(w, draw(w, seed)) == d
+            assert torus_critical_count_rank1(w, random_rank1_coefficients(w, seed)) == d
     verdict("[criterion 7] PASS torus counts: 2d for odd d, d on the doubled lattice, all equal to the volume bound")
 
 

@@ -161,6 +161,10 @@ class TestSymplecticForm:
         assert np.array_equal(j, -j.T)
         assert np.array_equal(j @ j, -np.eye(4))
 
+    def test_odd_size_refused(self):
+        with pytest.raises(InputError, match="even n"):
+            symplectic_form(3)
+
 
 class TestEmbedding:
     def test_block_layout(self):
@@ -223,6 +227,29 @@ class TestComplexInputRefused:
         for name in ("_certify_batch", "_residuals", "_violations"):
             monkeypatch.setattr(critsearch, name, heavy)
         with pytest.raises(InputError, match="embed_complex"):
+            call()
+
+
+class TestSizeMismatchRefused:
+    # x, u and the group must have one size; a mismatch is refused before
+    # any work.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: critical_residual(np.eye(2), np.eye(3), GroupSpec("orthogonal", 2)),
+            lambda: membership_violation(np.eye(3), GroupSpec("orthogonal", 2)),
+            lambda: critical_residual(np.eye(3), np.eye(3), GroupSpec("orthogonal", 2)),
+            lambda: critical_point_from(np.eye(3), np.eye(3), GroupSpec("orthogonal", 2)),
+        ],
+        ids=["x_and_u", "membership", "residual_group", "point_group"],
+    )
+    def test_refused_before_any_work(self, monkeypatch, call):
+        def heavy(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        for name in ("_certify_batch", "_residuals", "_violations"):
+            monkeypatch.setattr(critsearch, name, heavy)
+        with pytest.raises(InputError, match="size mismatch"):
             call()
 
 
@@ -546,6 +573,7 @@ class TestCensus:
         assert census.merge_radius == 1e-5 * (1.0 + frobenius_norm(u))
         assert census.worst_residual == max(p.residual for p in census)
         assert 1 <= census.sweeps <= 200
+        assert census[0] is census.points[0] and census[-1:] == census.points[-1:]
 
     def test_residuals_small(self):
         u = random_general(2, 34)
@@ -553,6 +581,25 @@ class TestCensus:
         assert len(census) >= 1
         for p in census:
             assert p.residual < 1e-9
+
+    def test_pseudo_inverse_fallback_finds_the_same_points(self, monkeypatch):
+        # With every normal-equation solve refused, each block takes the
+        # pseudo-inverse; the symplectic system has no det row, so `_armijo`
+        # makes no solve call.  The points are the solve's, each certified.
+        u = random_general(2, 34)
+        g = GroupSpec("symplectic", 2)
+        want = multistart_census(u, g, starts=300, seed=3)
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(1)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        got = multistart_census(u, g, starts=300, seed=3)
+        assert calls and len(got) >= 1
+        assert all(p.residual < 1e-9 for p in got)
+        assert _match_sets([p.x for p in got], [p.x for p in want], 1e-5 * (1.0 + frobenius_norm(u)))
 
     @pytest.mark.parametrize("kind", ["special_orthogonal", "unitary_embedded"])
     def test_matches_closed_form(self, kind):

@@ -16,6 +16,7 @@ so tier-1 is the one gate and each of its checks is made once.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -223,3 +224,28 @@ def test_ci_other_steps_are_checkout_and_python_setup():
     assert [u.split("@")[0] for u in uses] == ["actions/checkout", "actions/setup-python"], f"CI uses {uses}"
     versions = re.findall(r"^\s*python-version:\s*\[(.*)\]\s*$", workflow, re.MULTILINE)
     assert versions == ['"3.10", "3.11"'], f"CI matrix {versions}"
+
+
+def test_test_imports_are_declared_dependencies():
+    # Beside the standard library and the repository's own modules, the
+    # tests and the benchmark import numpy, the one runtime dependency, and
+    # what pyproject's `test` extra lists, so installing the package with
+    # that extra is enough for tier-1.
+    scripts = TESTS + sorted((ROOT / "tests" / "corpus").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    imported = set()
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"groupnear"} - {path.stem for path in scripts}
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+
+    def declared(key):
+        body = re.search(rf"^{key} = \[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL)
+        assert body, f"pyproject.toml has no {key} list"
+        return set(re.findall(r'"([A-Za-z0-9_.-]+)', body.group(1)))
+
+    assert declared("dependencies") == {"numpy"}
+    assert third_party - {"numpy"} <= declared("test"), f"undeclared test imports: {third_party - {'numpy'}}"

@@ -1,9 +1,11 @@
 """Dense linear algebra kernel: the eigensolver, input checks, matrix JSON."""
 
+import json
+
 import numpy as np
 import pytest
 
-from groupnear.errors import InputError
+from groupnear.errors import ConvergenceError, DegeneracyError, InputError
 from groupnear.matcore import (
     as_square,
     frobenius_norm,
@@ -46,6 +48,18 @@ class TestSymEig:
         with pytest.raises(InputError):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_complex(self):
+        with pytest.raises(InputError, match="^sym_eig: real input required"):
+            sym_eig(1j * np.eye(2))
+
+    def test_eigh_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="^sym_eig: eigensolver did not converge"):
+            sym_eig(np.eye(2))
+
 
 class TestShapeChecks:
     def test_as_square_rejects_rectangular(self):
@@ -61,6 +75,15 @@ class TestShapeChecks:
         with pytest.raises(InputError, match="^a: squared Frobenius norm overflows"):
             as_square(scale * random_general(3, 0), "a")
         assert np.array_equal(as_square(1e150 * np.eye(3)), 1e150 * np.eye(3))
+
+    @pytest.mark.parametrize(
+        "a,message",
+        [(np.array([[1.0, None], [0.0, 1.0]], dtype=object), "entries must be numeric"), (np.zeros((0, 0)), "empty")],
+        ids=["object", "empty"],
+    )
+    def test_as_square_refuses_non_numeric_or_empty(self, a, message):
+        with pytest.raises(InputError, match=f"^a: {message}"):
+            as_square(a, "a")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_as_square_refuses_non_finite_entries(self, bad):
@@ -96,6 +119,19 @@ class TestRandomGeneral:
     def test_numpy_integers_accepted(self):
         assert np.array_equal(random_general(np.int64(3), np.int64(5)), random_general(3, 5))
 
+    def test_gives_up_after_100_draws(self, monkeypatch):
+        # Every draw singular: the 100th refusal ends the search.
+        draws = []
+
+        def singular(a, compute_uv=True):
+            draws.append(1)
+            return np.zeros(a.shape[0])
+
+        monkeypatch.setattr(np.linalg, "svd", singular)
+        with pytest.raises(DegeneracyError, match="no well-conditioned draw for n=3, seed=0"):
+            random_general(3, 0)
+        assert len(draws) == 100
+
 
 class TestMatrixJson:
     def test_real_round_trip(self):
@@ -124,6 +160,24 @@ class TestMatrixJson:
             obj = {"n": 2, "data": obj["re"]}
         obj[form][1][0] = entry
         with pytest.raises(InputError, match="non-numeric entry"):
+            matrix_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ([[1.0]], "expected an object"),
+            ({"data": [[1.0]]}, "missing integer field 'n'"),
+            ({"n": 1.0, "data": [[1.0]]}, "missing integer field 'n'"),
+            ({"n": True, "data": [[1.0]]}, "missing integer field 'n'"),
+            ({"n": 0, "data": []}, "'n' must be positive"),
+            ({"n": 1}, "expected 'data' or 're'/'im' fields"),
+            ({"n": 1, "re": [[1.0]]}, "expected 'data' or 're'/'im' fields"),
+            (json.loads('{"n": 1, "data": [[1e999]]}'), "entries in 'data' must be finite"),
+        ],
+        ids=["list", "no_n", "float_n", "bool_n", "zero_n", "no_data", "re_only", "1e999"],
+    )
+    def test_rejects_malformed_objects(self, obj, message):
+        with pytest.raises(InputError, match=f"^matrix JSON: {message}"):
             matrix_from_json(obj)
 
     def test_integer_beyond_a_double_is_not_finite(self):

@@ -5,7 +5,7 @@ import pytest
 
 from groupnear import orthonear
 from groupnear.critsearch import GroupSpec, critical_residual, membership_violation
-from groupnear.errors import DegeneracyError, InputError, UnsupportedError
+from groupnear.errors import ConvergenceError, DegeneracyError, InputError, UnsupportedError
 from groupnear.matcore import frobenius_norm, random_general
 from groupnear.orthonear import (
     enumerate_orthogonal_critical,
@@ -15,6 +15,7 @@ from groupnear.orthonear import (
     nearest_special_orthogonal,
     nearest_unitary,
 )
+from groupnear.slnear import sl_critical_points, sl_plus_critical_points
 
 
 def _rotation(t):
@@ -109,6 +110,29 @@ class TestEnumerateOrthogonal:
         for u in (2.0 * np.eye(2), np.eye(3), np.diag([2.0, 2.0, 1.0])):
             with pytest.raises(DegeneracyError):
                 enumerate_orthogonal_critical(u)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        nearest_orthogonal,
+        enumerate_special_orthogonal_critical,
+        nearest_unitary,
+        sl_critical_points,
+        sl_plus_critical_points,
+    ],
+    ids=lambda solve: solve.__name__,
+)
+def test_svd_failure_is_a_convergence_error(monkeypatch, solve):
+    # Every closed-form solver takes its frame from `_svd_frame`, which
+    # names a LAPACK failure as the package's ConvergenceError.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    u = random_general(3, 0)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceError, match="^SVD of the data matrix did not converge"):
+        solve(u)
 
 
 def _graded_inputs(complex_entries=False, smallest=1e-5):

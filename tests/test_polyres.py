@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from test_critsearch import _union_find_representatives
 
-from groupnear.errors import ConditioningError, ConvergenceError, DegeneracyError, InputError
+from groupnear.errors import ConditioningError, ConvergenceError, DegeneracyError, InputError, UnsupportedError
 from groupnear.matcore import random_general, sym_eig
 from groupnear.polyres import (
     UniPoly,
@@ -73,6 +73,20 @@ class TestUniPoly:
         p = UniPoly([1.0, 0.0, 1.0])  # 1 + x^2
         assert p(2.0) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: UniPoly(np.ones((2, 2))), "^UniPoly: coefficients must be one-dimensional"),
+            (lambda: UniPoly([1.0, np.nan]), "^UniPoly: coefficients must be finite"),
+            (lambda: UniPoly([1.0, np.inf]), "^UniPoly: coefficients must be finite"),
+            (lambda: poly_roots(np.ones((2, 2))), "^polynomial: expected a 1-d coefficient array"),
+        ],
+        ids=["unipoly_2d", "unipoly_nan", "unipoly_inf", "roots_2d"],
+    )
+    def test_malformed_coefficients_refused(self, make, message):
+        with pytest.raises(InputError, match=message):
+            make()
+
 
 class TestChain:
     def test_one_dimensional_closed_form(self):
@@ -132,6 +146,24 @@ class TestChain:
     def test_rejects_nonpositive_spectrum(self):
         with pytest.raises(DegeneracyError):
             resultant_chain(np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize(
+        "mu,error,message",
+        [
+            (np.array([]), InputError, "non-empty 1-d"),
+            (np.ones((2, 2)), InputError, "non-empty 1-d"),
+            (np.arange(1.0, 6.0), UnsupportedError, "spectrum size 5 exceeds chain limit 4"),
+        ],
+        ids=["empty", "2d", "five"],
+    )
+    def test_rejects_malformed_spectrum(self, mu, error, message):
+        with pytest.raises(error, match=message):
+            resultant_chain(mu)
+
+    def test_close_eigenvalues_pass(self):
+        # Clustered spectra are refused by the solver's SVD frame, not here:
+        # a repeated value still gives the full-degree chain.
+        assert resultant_chain(np.array([2.0, 2.0, 0.5])).degree == chain_degree(3)
 
 
 class TestPolyRoots:
@@ -212,6 +244,9 @@ class TestDistinctRootCount:
     def test_conjugate_pairs_distinct(self):
         roots = np.array([1j, -1j])
         assert distinct_root_count(roots, tol=1e-7) == 2
+
+    def test_no_roots_no_clusters(self):
+        assert distinct_root_count(np.array([], dtype=complex)) == 0
 
     @pytest.mark.parametrize("low,high", [(0.3, 1.2), (1.5, 3.0)])
     def test_matches_reference_union_find(self, low, high):

@@ -8,7 +8,7 @@ import pytest
 
 from groupnear import cli, slnear
 from groupnear.critsearch import GroupSpec, critical_point_from, multistart_census
-from groupnear.errors import ConditioningError, DegeneracyError, InputError, UnsupportedError
+from groupnear.errors import ConditioningError, DegeneracyError, InputError, SingularityError, UnsupportedError
 from groupnear.matcore import frobenius_norm, matrix_to_json, random_general, sym_eig
 from groupnear.polyres import poly_roots, resultant_chain
 from groupnear.slnear import (
@@ -493,6 +493,18 @@ class TestRealCountLaws:
             assert (above == 0) if inside else (above % 2 == 1), seed
             assert above <= 2**n - 1, seed
 
+    # Well separated at small scale: the only gap rule, `_svd_frame`'s, is
+    # relative to max(1, sigma_1) on sigma itself, so none of these is
+    # refused, and |det u| < 1 puts all 2^n points at c < 0.
+    @pytest.mark.parametrize("scale", [1e-4, 1e-5])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_small_scale_has_every_point(self, n, scale):
+        for seed in range(5):
+            u = scale * random_general(n, seed)
+            points = sl_critical_points(u)
+            assert len(points) == 2**n and all(p.c < 0 for p in points), seed
+            assert all(p.residual < 1e-9 * (1.0 + frobenius_norm(u)) for p in points), seed
+
 
 def _reference_tiling(sigma, cs):
     """The all-branch tiling earlier versions ran for the c > 0 piece, kept
@@ -715,6 +727,26 @@ class TestComplexRefused:
         monkeypatch.setattr(slnear, "sym_eig", heavy)
         with pytest.raises(InputError, match=f"^{name}: u must be real"):
             solver(random_general(2, 0, complex_entries=True))
+
+
+class TestFrameRefusals:
+    # SL and SL^pm take their frame from `orthonear._svd_frame` right after
+    # the size check, so a clustered or singular u is refused by O_n's gap
+    # and singular rules before the Gram spectrum or the chain is computed.
+    @pytest.mark.parametrize("solve", [sl_critical_points, sl_plus_critical_points])
+    @pytest.mark.parametrize(
+        "sigma,error,message",
+        [([2.0, 2.0, 0.5], DegeneracyError, "too clustered"), ([1.0, 0.5, 1e-8], SingularityError, "singular")],
+        ids=["clustered", "singular"],
+    )
+    def test_refused_before_any_work(self, monkeypatch, solve, sigma, error, message):
+        def heavy(*args, **kwargs):
+            raise AssertionError("work started before the frame's refusals")
+
+        monkeypatch.setattr(slnear, "sym_eig", heavy)
+        monkeypatch.setattr(slnear, "resultant_chain", heavy)
+        with pytest.raises(error, match=message):
+            solve(np.diag(sigma))
 
 
 class TestNearestSL:

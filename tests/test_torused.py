@@ -97,6 +97,22 @@ class TestWeightSet:
         with pytest.raises(InputError):
             WeightSet(1, ((-1,), (1,)), (1, 1), lattice_index=3)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0, ((1,), (-1,)), (1, 1)), "m: torus rank must be positive"),
+            ((1, (1, -1), (1, 1)), "weights: expected vectors of integers"),
+            ((2, ((1,), (-1,)), (1, 1)), "weights: expected vectors of length 2"),
+            ((1, (), ()), "weights: at least one character required"),
+            ((1, ((1,), (-1,)), (1,)), "mults: one multiplicity per weight required"),
+            ((1, ((1,), (-1,)), (1, 0)), "mults: multiplicities must be positive"),
+        ],
+        ids=["rank_0", "bare_ints", "wrong_length", "empty", "short_mults", "zero_mult"],
+    )
+    def test_malformed_sets_refused(self, args, message):
+        with pytest.raises(InputError, match=f"^{message}"):
+            WeightSet(*args)
+
     @pytest.mark.parametrize("index", [True, 2.0])
     def test_lattice_index_must_be_an_integer(self, index):
         with pytest.raises(InputError, match="lattice_index: expected an integer"):
@@ -127,6 +143,20 @@ class TestJson:
     )
     def test_flat_weight_list_rejected(self, obj):
         with pytest.raises(InputError, match="weights: expected a list of integer vectors"):
+            weightset_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ([-1, 1], "weight set: expected a JSON object"),
+            ({"weights": [-1, 1]}, "weight set: missing field 'm'"),
+            ({"m": 1}, "weight set: missing field 'weights'"),
+            ({"m": 1, "weights": [-1, 1], "mults": 1}, "mults: expected a list of integers"),
+        ],
+        ids=["list", "no_m", "no_weights", "scalar_mults"],
+    )
+    def test_malformed_objects_rejected(self, obj, message):
+        with pytest.raises(InputError, match=f"^{message}"):
             weightset_from_json(obj)
 
 
@@ -486,6 +516,11 @@ class TestRankOneCounts:
         with pytest.raises(DegeneracyError):
             torus_critical_count_rank1(w, {-1: 0.0, 1: 1.0})
 
+    def test_zero_character_alone_is_degenerate(self):
+        # The only character is 0, whose term drops out: no equation is left.
+        with pytest.raises(DegeneracyError, match="all characters are zero"):
+            torus_critical_count_rank1(WeightSet(1, ((0,),), (1,)), {0: 1.0})
+
     def test_overflowing_term_is_an_input_error(self):
         # 13 * 1e308 is not a double: refused before any root is looked for.
         w = _sym_line(13)
@@ -509,6 +544,8 @@ class TestRankOneCounts:
             ({-1: 0.5, 1: 0.7, 99: 5.0}, "99, which is not a weight"),
             ({-1: 0.5, 1: 0.7, (7,): 1.0}, "7, which is not a weight"),
             ({-1: 0.5, 1: 0.7, (1,): 2.0}, "weight 1 given twice"),
+            ({-1: 0.5, (1, 0): 0.7}, "keyed by rank-1 weights"),
+            ({-1: 0.5}, "missing coefficient for weight 1"),
         ],
     )
     def test_malformed_coefficients_are_input_errors(self, coeffs, message):
