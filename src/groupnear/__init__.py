@@ -13,6 +13,7 @@ from .critsearch import (
     GroupSpec,
     critical_point_from,
     critical_residual,
+    embed_complex,
     lie_basis,
     membership_violation,
     multistart_census,
@@ -68,6 +69,7 @@ __all__ = [
     "bkk_bound",
     "critical_point_from",
     "critical_residual",
+    "embed_complex",
     "enumerate_orthogonal_critical",
     "enumerate_special_orthogonal_critical",
     "enumerate_unitary_critical",

@@ -24,8 +24,8 @@ from .critsearch import CriticalPoint, GroupSpec, _certify_batch
 from .errors import ConvergenceError, DegeneracyError, InputError, SingularityError, UnsupportedError
 from .matcore import as_square
 
-# Minimum gap between singular values, relative to max(1, sigma_1); below
-# this the sign enumeration is ill-posed and we refuse rather than perturb.
+# Minimum gap between singular values, relative to sigma_1; below this the
+# sign enumeration is ill-posed and we refuse rather than perturb.
 GAP_TOL = 1e-8
 
 # Largest sizes the full enumerations accept.  Their (2^n, n, n) stacks grow
@@ -41,20 +41,23 @@ _MAX_UNITARY_M = 12
 
 
 def _svd_frame(u: np.ndarray):
-    """(U, sigma, Vh) of u, sigma descending.  Refuses singular u by its
-    squared singular values (the Gram spectrum) and clustered u by the gaps
-    of sigma itself: a gap of sigma squared shrinks with sigma, so small
-    but well-separated singular values would otherwise count as clustered."""
+    """(U, sigma, Vh) of u, sigma descending.  Both refusals are relative to
+    sigma_1 alone, so s u is refused iff u is, at every scale s: singular
+    when sigma_n <= 1e-7 sigma_1 (compared unsquared, so it holds where
+    sigma_n^2 would underflow), clustered when a gap of sigma itself is
+    below GAP_TOL sigma_1 (a gap of sigma squared shrinks with sigma, so
+    small but well-separated singular values would otherwise count as
+    clustered)."""
     try:
         frame_u, sigma, vh = np.linalg.svd(u)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("SVD of the data matrix did not converge") from exc
     # Python floats: each test is a few scalar operations, not numpy calls.
     s = sigma.tolist()
-    first, last = s[0], s[-1]
-    if last * last <= 0.0 or last * last < 1e-14 * max(1.0, first * first):
+    first = s[0]
+    if s[-1] <= 1e-7 * first:
         raise SingularityError("data matrix is singular to working precision")
-    if len(s) > 1 and min(map(float.__sub__, s, s[1:])) < GAP_TOL * max(1.0, first):
+    if len(s) > 1 and min(map(float.__sub__, s, s[1:])) < GAP_TOL * first:
         raise DegeneracyError("singular values are too clustered to enumerate")
     return frame_u, sigma, vh
 

@@ -27,6 +27,8 @@ INPUTS = {
     "random_general_3_0.json": matrix_to_json(random_general(3, 0)),
     "random_general_4_0.json": matrix_to_json(random_general(4, 0)),
     "small_random_general_3_0.json": matrix_to_json(1e-3 * random_general(3, 0)),
+    "tiny_random_general_3_0.json": matrix_to_json(1e-9 * random_general(3, 0)),
+    "below_sl_range_3_0.json": matrix_to_json(1e-31 * random_general(3, 0)),
     "antidiag.json": {"n": 2, "data": [[0, 2], [1, 0]]},
     "diag.json": {"n": 2, "data": [[2, 0], [0, 0.5]]},
     "scaled_identity.json": {"n": 2, "data": [[2, 0], [0, 2]]},
@@ -44,6 +46,15 @@ CASES = [
     *([command, group, matrix] for command in ("nearest", "critical") for group in GROUPS for matrix in MATRICES),
     # SL^pm at scale 1e-3: well separated, so solved with all 8 points.
     ["critical", "sl-pm", "small_random_general_3_0.json"],
+    # At scale 1e-9 every closed-form group solves u as at scale 1: its
+    # refusals are relative to sigma_1.  SL^pm's range starts at
+    # sigma_1 = 1e-30, so at 1e-31 it refuses (exit 3) where O does not.
+    ["nearest", "orthogonal", "tiny_random_general_3_0.json"],
+    ["critical", "special-orthogonal", "tiny_random_general_3_0.json"],
+    ["critical", "unitary", "tiny_random_general_3_0.json"],
+    ["critical", "sl-pm", "tiny_random_general_3_0.json"],
+    ["critical", "sl-pm", "below_sl_range_3_0.json"],
+    ["nearest", "orthogonal", "below_sl_range_3_0.json"],
     ["bkk", "rank1.json"],
     ["bkk", "cube.json"],
     # The symplectic census, the benchmarked census path, end to end.

@@ -616,6 +616,19 @@ class TestCensus:
             got = [p.x for p in multistart_census(u, g, starts=200, seed=seed)]
             assert _match_sets(got, want, 1e-5 * (1.0 + frobenius_norm(u))), f"seed={seed}"
 
+    def test_public_embed_complex_runs_the_unitary_census(self):
+        # The real-input refusals send a complex u to `embed_complex`, so the
+        # package exports it; the README's U(2) census on embed_complex(z)
+        # finds the closed-form points, embedded.
+        import groupnear
+
+        z = np.array([[2.0 + 1.0j, 0.5], [0.3j, 1.0 - 0.5j]])
+        u = groupnear.embed_complex(z)
+        got = groupnear.multistart_census(u, GroupSpec("unitary_embedded", 4), starts=1000, seed=0)
+        want = [groupnear.embed_complex(p.x) for p in enumerate_unitary_critical(z)]
+        assert len(want) == 4
+        assert _match_sets([p.x for p in got], want, 1e-9 * (1.0 + frobenius_norm(u)))
+
     def test_refuses_complex_data_and_fractional_starts(self):
         g = GroupSpec("unitary_embedded", 2)
         with pytest.raises(InputError):

@@ -135,6 +135,45 @@ def test_svd_failure_is_a_convergence_error(monkeypatch, solve):
         solve(u)
 
 
+@pytest.mark.parametrize("k", [-1000, -600, -300, -100, -40, -24])
+@pytest.mark.parametrize(
+    "solve", [nearest_orthogonal, nearest_unitary, enumerate_special_orthogonal_critical], ids=lambda s: s.__name__
+)
+def test_scale_free(solve, k):
+    # O, SO and U read their points off u's SVD frame, and `_svd_frame`'s
+    # refusals are relative to sigma_1, so u 2^k, an exact scaling, has
+    # the points of u: the same count and det signs, entries within
+    # rounding (LAPACK rescales tiny input internally).
+    for n in range(1, 6):
+        for seed in range(6):
+            u = random_general(n, seed, complex_entries=solve is nearest_unitary)
+            want, got = solve(u), solve(u * 2.0**k)
+            want, got = (want, got) if isinstance(want, list) else ([want], [got])
+            assert [p.det_sign for p in got] == [p.det_sign for p in want], (n, seed)
+            assert max(np.max(np.abs(p.x - q.x)) for p, q in zip(got, want)) < 1e-14, (n, seed)
+
+
+def _near_clustered(delta, scale, seed):
+    """scale Q1 diag(1.3, 1.3 (1 - delta), 0.4) Q2^t, Q1 and Q2 random
+    orthogonal: a relative gap delta, above GAP_TOL from delta = 2e-8."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    return scale * ((q1 * np.array([1.3, 1.3 * (1.0 - delta), 0.4])) @ q2.T)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-6])
+@pytest.mark.parametrize("delta", [2e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("solve", [enumerate_orthogonal_critical, sl_critical_points], ids=lambda s: s.__name__)
+def test_near_clustered_accepted_at_every_scale(solve, delta, scale):
+    # The gap rule is GAP_TOL sigma_1, so a gap the solvers accept at
+    # scale 1 is accepted at every scale, with all 8 points certified.
+    for seed in range(10):
+        u = _near_clustered(delta, scale, seed)
+        points = solve(u)
+        assert len(points) == 8, seed
+        assert all(p.residual < 1e-9 * (1.0 + frobenius_norm(u)) for p in points), seed
+
+
 def _graded_inputs(complex_entries=False, smallest=1e-5):
     """20 draws of u = Q1 diag(1, ..., smallest) Q2^* (geometric singular
     values) for random orthogonal (unitary) Q1, Q2: by default a condition

@@ -377,15 +377,18 @@ class TestOutOfRange:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "double-precision range" in err
 
-    # From |u| near 1e77 the squared norm of u^t u overflows: the solvers
-    # refuse such u themselves, before `sym_eig` would name itself.
+    # SL's one range check, on the frame's sigma: from |u| near 1e77 the
+    # squared norm of u^t u overflows, and below sigma_1 = 1e-30 the c < 0
+    # rows are out of their measured range.  The solvers refuse such u
+    # themselves, before `sym_eig` would name itself, with no warning.
+    @pytest.mark.parametrize("scale", [1e100, 1e-31, 1e-300])
     @pytest.mark.parametrize("solve", [sl_critical_points, sl_plus_critical_points])
-    def test_overflowing_gram_refused_by_the_solver(self, solve, monkeypatch):
+    def test_out_of_range_refused_by_the_solver(self, solve, scale, monkeypatch):
         monkeypatch.setattr(slnear, "sym_eig", None)  # any call raises TypeError
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ConditioningError, match=f"^{solve.__name__}: "):
-                solve(1e100 * random_general(3, 0))
+            with pytest.raises(ConditioningError, match=f"^{solve.__name__}: .*double-precision range"):
+                solve(scale * random_general(3, 0))
 
     @pytest.mark.parametrize("argv", [["nearest", "sl"], ["critical", "sl-pm"]], ids=" ".join)
     def test_overflowing_gram_cli_exits_degenerate(self, argv, tmp_path, capsys):
@@ -493,10 +496,10 @@ class TestRealCountLaws:
             assert (above == 0) if inside else (above % 2 == 1), seed
             assert above <= 2**n - 1, seed
 
-    # Well separated at small scale: the only gap rule, `_svd_frame`'s, is
-    # relative to max(1, sigma_1) on sigma itself, so none of these is
-    # refused, and |det u| < 1 puts all 2^n points at c < 0.
-    @pytest.mark.parametrize("scale", [1e-4, 1e-5])
+    # Well separated at small scale: `_svd_frame`'s rules are relative to
+    # sigma_1, so none of these is refused, and |det u| < 1 puts all 2^n
+    # points at c < 0, none at c > 0.
+    @pytest.mark.parametrize("scale", [1e-4, 1e-5, 1e-20])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_small_scale_has_every_point(self, n, scale):
         for seed in range(5):
@@ -769,7 +772,7 @@ class TestPlusSelection:
     # bit and in the same order, and nearest_sl and nearest_sl_plus must pick
     # the first of each.
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("scale", [0.3, 1.0, -1.0, 5.0, 100.0])
+    @pytest.mark.parametrize("scale", [0.3, 1.0, -1.0, 5.0, 100.0, 1e-20])
     def test_plus_points_are_the_filtered_pm_points_bitwise(self, n, scale):
         for seed in range(8):
             u = scale * random_general(n, seed)
