@@ -9,10 +9,10 @@ runs a seeded multistart Gauss-Newton census over the augmented system
 universal oracle: every closed-form route elsewhere in the package is
 checked against it, and for the symplectic groups it is the only tool.
 
-Each group's defining equations are written once, in `_equations`: a
-preserved form x^t M x = M, a det rule and a complex structure to commute
-with.  The certifier (`membership_violation`, `critical_residual`) sums
-the Frobenius norms of the full defects; the census system takes the
+Each group's defining equations are written once, in `_equations`: the
+forms x^t M x = M it preserves and a det rule, with U = O ∩ Sp preserving
+both I and J.  The certifier (`membership_violation`, `critical_residual`)
+sums the Frobenius norms of the full defects; the census system takes the
 independent entries of the same defects as its rows.  Likewise the
 certifier measures the Lie-algebra component by each group's orthogonal
 projection (`_lie_part`, O(n^2) memory per point), and the census takes
@@ -170,43 +170,45 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((flat * flat).sum(axis=1))
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The identity form I of size n.  Cached, read-only: `_form_image` and
+    `_lie_part` know it by identity (`is`), not by its entries."""
+    out = np.eye(n)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class _Equations:
     """The defining equations of a group; see `_equations`."""
 
-    form: Optional[tuple]  # (M, rows, cols): x^t M x = M on those entries
+    forms: tuple  # (M, rows, cols) each: x^t M x = M on those entries
     det_rule: Optional[str]  # "one": det x = 1; "unit": |det x| = 1
-    structure: Optional[np.ndarray]  # K: x K = K x
-
-
-# The groups that preserve the form I.
-_IDENTITY_FORM = ("orthogonal", "special_orthogonal", "unitary_embedded")
 
 
 @functools.cache
 def _equations(g: GroupSpec) -> _Equations:
-    """The defining equations of g, read by the certifier (`_violations`)
-    and by the census system (`_System`).  Cached per group, read-only.
+    """The defining equations of g, forms and a det rule, read by the
+    certifier (`_violations`, `_lie_part`) and by the census system
+    (`_System`).  Cached per group, read-only.
 
-    O, SO and U preserve the symmetric form I: x^t x - I is symmetric, so
-    its independent entries are the upper triangle with the diagonal.  Sp
-    preserves the skew form J: only the strict upper triangle counts.  SO
-    and SL have det x = 1, SL^± |det x| = 1, and U commutes with the
-    complex structure K, the embedding of i I (x is C-linear).
+    O and SO preserve the symmetric form I: x^t x - I is symmetric, so its
+    independent entries are the upper triangle with the diagonal.  Sp
+    preserves the skew form J: only the strict upper triangle counts.  U =
+    O ∩ Sp (the embedded C-linear isometries) preserves both.  SO and SL
+    have det x = 1, SL^± |det x| = 1.
     """
     n = g.n
-    form = structure = None
-    if g.kind in _IDENTITY_FORM:
-        form = (np.eye(n), *np.triu_indices(n))
-    elif g.kind == "symplectic":
-        form = (symplectic_form(n), *np.triu_indices(n, 1))
-    if g.kind == "unitary_embedded":
-        structure = _embed(1j * np.eye(n // 2))
-    for a in (*(form or ()), structure):
-        if a is not None:
-            a.flags.writeable = False
+    forms = []
+    if g.kind in ("orthogonal", "special_orthogonal", "unitary_embedded"):
+        forms.append((_identity(n), *np.triu_indices(n)))
+    if g.kind in ("symplectic", "unitary_embedded"):
+        j = symplectic_form(n)
+        j.flags.writeable = False
+        forms.append((j, *np.triu_indices(n, 1)))
     det_rule = {"special_orthogonal": "one", "sl": "one", "sl_pm": "unit"}.get(g.kind)
-    return _Equations(form=form, det_rule=det_rule, structure=structure)
+    return _Equations(forms=tuple(forms), det_rule=det_rule)
 
 
 def _det_defect(dets: np.ndarray, rule: str) -> np.ndarray:
@@ -215,36 +217,29 @@ def _det_defect(dets: np.ndarray, rule: str) -> np.ndarray:
     return dets - (np.where(dets < 0.0, -1.0, 1.0) if rule == "unit" else 1.0)
 
 
-def _form_image(m: np.ndarray, x: np.ndarray, g: GroupSpec) -> np.ndarray:
-    """M x for each matrix of a stack x, M the form that g preserves.  When
+def _form_image(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x for each matrix of a stack x, M a form of `_equations`.  When
     M = I, a copy of x: that product is exact, so the copy has its bits at
     O(n^2) cost, not O(n^3).  It must be a second buffer: numpy sends x^t x
     with both operands on one buffer to syrk, whose sums differ from gemm's
     in the last bit from n = 12 on (and which is slower on small matrices)."""
-    return x.copy() if g.kind in _IDENTITY_FORM else np.matmul(m, x)
+    return x.copy() if m is _identity(m.shape[0]) else np.matmul(m, x)
 
 
 def _defects(x: np.ndarray, g: GroupSpec):
-    """The defining equations of g at each matrix of a real stack x:
-    (x^t M x - M as full matrices, the det defect, x K - K x), each None
-    when g has no such equation."""
+    """The defining equations of g at each matrix of a real stack x: (one
+    full matrix x^t M x - M per form, the det defect or None)."""
     eq = _equations(g)
-    form = dets = comm = None
-    if eq.form is not None:
-        m = eq.form[0]
-        form = np.matmul(np.swapaxes(x, 1, 2), _form_image(m, x, g)) - m[None, :, :]
-    if eq.det_rule is not None:
-        dets = _det_defect(np.linalg.det(x), eq.det_rule)
-    if eq.structure is not None:
-        comm = np.matmul(x, eq.structure) - np.matmul(eq.structure, x)
-    return form, dets, comm
+    forms = [np.matmul(np.swapaxes(x, 1, 2), _form_image(m, x)) - m[None, :, :] for m, _, _ in eq.forms]
+    dets = None if eq.det_rule is None else _det_defect(np.linalg.det(x), eq.det_rule)
+    return forms, dets
 
 
 def _violations(x: np.ndarray, g: GroupSpec) -> np.ndarray:
     """Defining-equation violation (B,) of each matrix of a real stack x:
-    the sum of the Frobenius norms of its defects."""
-    form, dets, comm = _defects(x, g)
-    norms = [_row_norms(part) for part in (form, comm) if part is not None]
+    the sum of the Frobenius norms of its defects, one per form, then det."""
+    forms, dets = _defects(x, g)
+    norms = [_row_norms(form) for form in forms]
     if dets is not None:
         norms.append(np.abs(dets))
     return sum(norms[1:], norms[0])
@@ -259,24 +254,19 @@ def _lie_coordinates(x: np.ndarray, u: np.ndarray, g: GroupSpec) -> np.ndarray:
 
 def _lie_part(m: np.ndarray, g: GroupSpec) -> np.ndarray:
     """Orthogonal projection of each matrix of a real stack m onto the Lie
-    algebra of g, written over m: (m - m^t)/2 for O and SO, then
-    (p - K p K)/2 for U; (m + J m^t J)/2 for Sp; m - tr(m)/n I for SL and
-    SL^±.  In place, so the certificate holds at most two stacks beside m."""
-    if g.kind in ("sl", "sl_pm"):
+    algebra of g, written over m: (m - M^t m^t M)/2 for each form M in turn
+    ((m - m^t)/2 for I), then m - tr(m)/n I under a det rule (for SO, whose
+    m is skew by then, that subtracts an exact 0).  For U = O ∩ Sp the J
+    step takes the skew p to (p - J p J)/2, its C-linear part.  In place,
+    so the certificate holds at most two stacks beside m."""
+    eq = _equations(g)
+    for form, _, _ in eq.forms:
+        mt = np.swapaxes(m, 1, 2)
+        m -= mt if form is _identity(g.n) else np.matmul(form.T, np.matmul(mt, form))
+        m *= 0.5
+    if eq.det_rule is not None:
         diag = np.einsum("bii->bi", m)  # a writeable view of the diagonals
         diag -= (diag.sum(axis=1) / g.n)[:, None]
-        return m
-    eq = _equations(g)
-    if g.kind == "symplectic":
-        j = eq.form[0]
-        m += np.matmul(j, np.matmul(np.swapaxes(m, 1, 2), j))
-    else:
-        m -= np.swapaxes(m, 1, 2)
-    m *= 0.5
-    if g.kind == "unitary_embedded":
-        k = eq.structure
-        m -= np.matmul(k, np.matmul(m, k))
-        m *= 0.5
     return m
 
 
@@ -297,18 +287,17 @@ def _certify_batch(xs: np.ndarray, u: np.ndarray, g: GroupSpec, c=None, det_plus
     c is None or one multiplier per row.  det_plus is None, to read each
     real row's det sign from its dense det, or a mask (B,) of the det +1
     rows read from the frame they were lifted from: a dense x with a tiny
-    singular value can round to a det of either sign.  Complex stacks are
-    measured in the real embedding: distances double and the embedded
-    determinant of a unimodular complex matrix is always +1.  Every product
-    is a stacked per-matrix matmul, so a row's fields do not depend on the
-    other rows.
+    singular value can round to a det of either sign.  Complex stacks, on
+    g = GroupSpec("unitary_embedded", 2m), are measured in the real
+    embedding: distances double and the embedded determinant of a
+    unimodular complex matrix is always +1.  Every product is a stacked
+    per-matrix matmul, so a row's fields do not depend on the other rows.
     """
     count = xs.shape[0]
     if np.iscomplexobj(xs):
         dist = np.sum(np.abs(u[None, :, :] - xs).reshape(count, -1) ** 2, axis=1) * 2.0
         signs = itertools.repeat(1)
-        ge = GroupSpec("unitary_embedded", 2 * xs.shape[1])
-        res = _residuals(_embed(xs), _embed(np.asarray(u, dtype=np.complex128)), ge)
+        res = _residuals(_embed(xs), _embed(np.asarray(u, dtype=np.complex128)), g)
     else:
         # One difference stack, squared in place (d * d is |d| ** 2 to the
         # bit) and freed before `_residuals` forms its own.
@@ -363,12 +352,17 @@ def critical_residual(x, u, g: GroupSpec) -> float:
 def critical_point_from(x, u, g: GroupSpec, c: Optional[float] = None) -> CriticalPoint:
     """Package a solution matrix as a CriticalPoint with consistent fields.
 
-    A complex x is a point of U(m) and is measured in the real embedding:
-    distances double and the embedded determinant of a unimodular complex
-    matrix is always +1.  A complex u with a real x raises InputError.
+    A complex m x m x is a point of U(m), g = GroupSpec("unitary_embedded",
+    2m), and is measured in the real embedding: distances double and the
+    embedded determinant of a unimodular complex matrix is always +1.  A
+    complex x with any other g, or a complex u with a real x, raises
+    InputError.
     """
     xs, u = _one_row(x, u, "critical_point_from")
-    if not np.iscomplexobj(xs) and xs.shape[1] != g.n:
+    if np.iscomplexobj(xs):
+        if g != GroupSpec("unitary_embedded", 2 * xs.shape[1]):
+            raise InputError(f"critical_point_from: a complex x needs unitary_embedded {2 * xs.shape[1]}, not {g}")
+    elif xs.shape[1] != g.n:
         raise InputError("critical_point_from: size mismatch")
     return _certify_batch(xs, u, g, None if c is None else [c])[0]
 
@@ -477,19 +471,15 @@ def _form_jacobian(left: np.ndarray, right: np.ndarray, rows, cols) -> np.ndarra
 def _linear_tensor(g: GroupSpec) -> np.ndarray:
     """T (n^2, P n^2) with J(x) = J0(u) + x_flat T on the P polynomial rows
     of the census system (all rows but det): the Lie row k moves by
-    -x (B_k + B_k^t), a form row by the form Jacobian at x, and the
-    commutator rows are constant.  Row m of T is that linear part at the
-    matrix unit E_m.  Cached per group, read-only."""
+    -x (B_k + B_k^t), and the rows of each form M, one block per form, by
+    the form Jacobian at x.  Row m of T is that linear part at the matrix
+    unit E_m.  Cached per group, read-only."""
     n = g.n
-    eq = _equations(g)
     e = _units(n)
     basis = _basis_columns(g).T.reshape(-1, n, n)
     blocks = [-np.matmul(e[:, None], basis + np.swapaxes(basis, 1, 2)).reshape(n * n, -1, n * n)]
-    if eq.form is not None:
-        m, rows, cols = eq.form
+    for m, rows, cols in _equations(g).forms:
         blocks.append(_form_jacobian(np.matmul(m.T, e), np.matmul(m, e), rows, cols))
-    if eq.structure is not None:
-        blocks.append(np.zeros((n * n, n * n, n * n)))
     out = np.concatenate(blocks, axis=1).reshape(n * n, -1)
     out.flags.writeable = False
     return out
@@ -500,10 +490,11 @@ class _System:
 
     The rows are the Lie coordinates <x^t (u - x), B_k> followed by the
     defining equations of g from `_defects`: the independent entries of
-    x^t M x - M, the commutator x K - K x, then the det defect.  Every row
-    but det is a polynomial of degree at most two in x, so their Jacobian
-    is affine, J0(u) + x_flat T with T cached per group (`_linear_tensor`),
-    and along x + a d they are exactly f + a J d + a^2 (d_flat T) d / 2.
+    x^t M x - M for each form M (I, then J for U = O ∩ Sp), then the det
+    defect.  Every row but det is a polynomial of degree at most two in x,
+    so their Jacobian is affine, J0(u) + x_flat T with T cached per group
+    (`_linear_tensor`), and along x + a d they are exactly
+    f + a J d + a^2 (d_flat T) d / 2.
     The det row (`_det_defect`) has gradient det(x) x^-t.
     """
 
@@ -517,11 +508,7 @@ class _System:
         basis = _basis_columns(g).T.reshape(-1, n, n)
         # Constant part of the Lie rows: d<x^t(u-x), B_k> = <H, u B_k^t> - <H, x (B_k + B_k^t)>.
         j0 = [np.matmul(u, np.swapaxes(basis, 1, 2)).reshape(-1, n * n)]
-        if eq.form is not None:
-            j0.append(np.zeros((len(eq.form[1]), n * n)))
-        if eq.structure is not None:
-            # The commutator x K - K x is linear: column ij of its Jacobian is its value at E_ij.
-            j0.append(_defects(_units(n), g)[2].reshape(n * n, n * n).T)
+        j0 += [np.zeros((len(rows), n * n)) for _, rows, _ in eq.forms]
         self.j0 = np.concatenate(j0)
         self.poly_rows = self.j0.shape[0]
         self.zero = np.zeros_like(u)  # u = 0 in `quadratic`
@@ -530,13 +517,9 @@ class _System:
         """x: (B, n, n) -> stacked residual (B, R).  Every product is a
         stacked matmul, one matrix at a time, so a row never depends on the
         other rows of the batch."""
-        form, dets, comm = _defects(x, self.g)
+        forms, dets = _defects(x, self.g)
         parts = [_lie_coordinates(x, self.u, self.g)]
-        if form is not None:
-            _, rows, cols = self.eq.form
-            parts.append(form[:, rows, cols])
-        if comm is not None:
-            parts.append(comm.reshape(x.shape[0], self.n * self.n))
+        parts += [form[:, rows, cols] for form, (_, rows, cols) in zip(forms, self.eq.forms)]
         if dets is not None:
             parts.append(dets[:, None])
         return np.concatenate(parts, axis=1)
@@ -555,14 +538,11 @@ class _System:
     def quadratic(self, d: np.ndarray) -> np.ndarray:
         """d: (B, n, n) -> (B, P): the a^2 coefficient of the polynomial
         rows along x + a d, (d_flat T) d / 2 written out: the Lie rows at
-        u = 0 (minus the Lie coordinates of d^t d), the form rows of
-        d^t M d, zero commutator."""
+        u = 0 (minus the Lie coordinates of d^t d), then the rows of d^t M d
+        for each form M."""
         parts = [_lie_coordinates(d, self.zero, self.g)]
-        if self.eq.form is not None:
-            m, rows, cols = self.eq.form
-            parts.append(np.matmul(np.swapaxes(d, 1, 2), _form_image(m, d, self.g))[:, rows, cols])
-        if self.eq.structure is not None:
-            parts.append(np.zeros((d.shape[0], self.n * self.n)))
+        dt = np.swapaxes(d, 1, 2)
+        parts += [np.matmul(dt, _form_image(m, d))[:, rows, cols] for m, rows, cols in self.eq.forms]
         return np.concatenate(parts, axis=1)
 
     def det_polynomial(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -595,16 +575,17 @@ _MERGE_BLOCK = 128
 # radius^2 = 1e-14 |x|^2 sits well clear of the rounding.
 _MERGE_RESOLUTION = 1e-7
 # Largest census size.  At 1000 starts on a 2-vCPU x86 machine, n = 10
-# takes 15-89 s and peaks at 110-130 MB over the group kinds, n = 12 takes
-# 77-276 s and 175-250 MB; the cached tensor alone holds about n^6 doubles.
+# takes 15-89 s and peaks at 110-130 MB over O, Sp and SL, U 10 s and
+# 119 MB; n = 12 takes 77-276 s and 175-250 MB; the cached tensor alone
+# holds about n^6 doubles.
 _MAX_CENSUS_N = 10
 # Largest number of starts.  A sweep holds its Jacobians and normal matrices
 # for one block of starts at a time (_SWEEP_BLOCK), and about 4.5 kB per
 # start across sweeps: Sp(6), the largest census the CLI runs, peaks at
 # 52 MB with 2000 starts, 58 MB with 4000 and 88 MB with 10000 (under 1 ms
 # per start, BLAS at 1 thread), where sweeps over all starts at once took
-# 105, 174 and 378 MB.  At n = 10 a start keeps about 13 kB: the unitary
-# census peaks at 145 MB with 2000 starts and 251 MB with 10000 (140 s).
+# 105, 174 and 378 MB.  At n = 10 a start keeps about 10 kB: the unitary
+# census peaks at 119 MB with 1000 starts and 212 MB with 10000 (97 s).
 _MAX_STARTS = 10_000
 
 

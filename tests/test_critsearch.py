@@ -229,6 +229,29 @@ class TestComplexInputRefused:
         with pytest.raises(InputError, match="embed_complex"):
             call()
 
+    # A complex m x m x is a point of U(m), embedded as unitary_embedded 2m;
+    # certified against any other group, it is refused before any work.
+    @pytest.mark.parametrize(
+        "g",
+        [GroupSpec("orthogonal", 3), GroupSpec("sl", 2), GroupSpec("unitary_embedded", 6)],
+        ids=["orthogonal-3", "sl-2", "unitary_embedded-6"],
+    )
+    def test_complex_x_refused_off_its_unitary_group(self, monkeypatch, g):
+        z = random_general(2, 0, complex_entries=True)
+        x = nearest_unitary(z).x
+
+        def heavy(*args, **kwargs):
+            raise AssertionError("work started before the group check")
+
+        monkeypatch.setattr(critsearch, "_certify_batch", heavy)
+        with pytest.raises(InputError, match="needs unitary_embedded 4"):
+            critical_point_from(x, z, g)
+
+    def test_complex_x_accepted_on_its_unitary_group(self):
+        z = random_general(2, 0, complex_entries=True)
+        point = nearest_unitary(z)
+        assert _fields(critical_point_from(point.x, z, GroupSpec("unitary_embedded", 4))) == _fields(point)
+
 
 class TestSizeMismatchRefused:
     # x, u and the group must have one size; a mismatch is refused before
@@ -306,8 +329,9 @@ def _explicit_residual(x, u, g):
         j = symplectic_form(n)
         member = np.linalg.norm(x.T @ j @ x - j)
     else:
-        k = embed_complex(1j * np.eye(n // 2))
-        member = gram + np.linalg.norm(x @ k - k @ x)
+        # U = O ∩ Sp.  On O(n), |x^t J x - J| = |x K - K x|, K the complex structure.
+        j = symplectic_form(n)
+        member = gram + np.linalg.norm(x.T @ j @ x - j)
     return lie + member
 
 
@@ -403,6 +427,23 @@ class TestSystem:
 
 
 class TestOneEquationSet:
+    # U(m) is O(2m) ∩ Sp(2m): it has the equations of both and no others.
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_unitary_violation_is_orthogonal_plus_symplectic_bitwise(self, m):
+        n = 2 * m
+        for x in _draws_and_perturbed(GroupSpec("unitary_embedded", n)):
+            o = membership_violation(x, GroupSpec("orthogonal", n))
+            sp = membership_violation(x, GroupSpec("symplectic", n))
+            assert membership_violation(x, GroupSpec("unitary_embedded", n)) == o + sp
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_unitary_lie_part_is_symplectic_part_of_orthogonal_part_bitwise(self, m):
+        n = 2 * m
+        xs = _draws_and_perturbed(GroupSpec("unitary_embedded", n))
+        mats = np.matmul(np.swapaxes(xs, 1, 2), random_general(n, 12)[None] - xs)
+        want = _lie_part(_lie_part(mats.copy(), GroupSpec("orthogonal", n)), GroupSpec("symplectic", n))
+        assert _lie_part(mats, GroupSpec("unitary_embedded", n)).tobytes() == want.tobytes()
+
     def test_sl_pm_det_row_at_singular_x(self):
         # The census det row and the certifier read one det rule, so a
         # singular x is off SL^pm by 1 in both.
@@ -442,7 +483,7 @@ class TestCertifyBatch:
         xs = _draws_and_perturbed(GroupSpec(kind, n))
         eye = np.eye(n)
         expected = np.matmul(np.swapaxes(xs, 1, 2), np.matmul(eye, xs)) - eye
-        assert np.array_equal(_defects(xs, GroupSpec(kind, n))[0], expected)
+        assert np.array_equal(_defects(xs, GroupSpec(kind, n))[0][0], expected)
 
     @pytest.mark.parametrize("kind,n", _ALL_KINDS)
     def test_residual_matches_explicit_formula(self, kind, n):
@@ -709,7 +750,7 @@ class TestCensus:
         assert census.worst_residual < 1e-9
 
     @pytest.mark.parametrize(
-        "kind,n", [("symplectic", 4), ("sl_pm", 3), ("symplectic", 2), ("orthogonal", 3)]
+        "kind,n", [("symplectic", 4), ("sl_pm", 3), ("symplectic", 2), ("orthogonal", 3), ("unitary_embedded", 4)]
     )
     def test_larger_census_contains_smaller_bitwise(self, kind, n):
         # A start's trajectory must not depend on the other starts in the
@@ -764,6 +805,24 @@ class TestCompactCensusIndependence:
         got = [p.x for p in multistart_census(u, GroupSpec(kind, n), starts=100, seed=seed)]
         assert len(want) == {"orthogonal": 16, "special_orthogonal": 8, "unitary_embedded": 8}[kind]
         assert _match_sets(got, want, 1e-5 * (1.0 + frobenius_norm(u)))
+
+    # U's recall over many inputs, census seed = input seed: how many of
+    # the 2^m closed-form points the census finds.  The floors are the
+    # measured counts (the same with U's equations as the forms I and J and
+    # as a commutator with the complex structure); they are never lowered.
+    @pytest.mark.parametrize("m,starts,seeds,floor", [(3, 100, 40, 319), (4, 300, 8, 124)])
+    def test_unitary_recall_floor(self, m, starts, seeds, floor):
+        g = GroupSpec("unitary_embedded", 2 * m)
+        found = 0
+        for seed in range(seeds):
+            u, want = _closed_form_points(g.kind, g.n, seed)
+            census = multistart_census(u, g, starts=starts, seed=seed)
+            got = np.stack([p.x for p in census])
+            dist = np.linalg.norm(got[:, None] - np.stack(want)[None], axis=(2, 3))
+            # Every census point is a closed-form point.
+            assert np.all(dist.min(axis=1) <= census.merge_radius), f"seed={seed}"
+            found += int(np.sum(dist.min(axis=0) <= census.merge_radius))
+        assert found >= floor, f"{found} of {seeds * 2**m} points"
 
 
 def _union_find_representatives(points, radius):
@@ -897,7 +956,7 @@ def _armijo_matches_halving(sys_, x, step, lin, fvals, phi):
     return stalled
 
 
-_ARMIJO_KINDS = [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3)]
+_ARMIJO_KINDS = [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3), ("unitary_embedded", 4)]
 
 
 class TestArmijo:
