@@ -8,6 +8,9 @@ runs a seeded multistart Gauss-Newton census over the augmented system
 {Lie-projected residual = 0, defining equations = 0}.  The census is the
 universal oracle: every closed-form route elsewhere in the package is
 checked against it, and for the symplectic groups it is the only tool.
+Where that system is square and the Newton step keeps the census's
+recall (Sp, SL and SL^±), a sweep solves J delta = -f; elsewhere it
+solves the floored normal equations.  `_equations` states which, once.
 
 Each group's defining equations are written once, in `_equations`: the
 forms x^t M x = M it preserves and a det rule, with U = O ∩ Sp preserving
@@ -185,13 +188,24 @@ class _Equations:
 
     forms: tuple  # (M, rows, cols) each: x^t M x = M on those entries
     det_rule: Optional[str]  # "one": det x = 1; "unit": |det x| = 1
+    # The census step (`_gauss_newton_block`): True for the Newton step
+    # J delta = -f, False for the floored normal equations.  Sp, SL and
+    # SL^± take Newton: their systems are square (n^2 rows), and on the
+    # recall grids of TestNewtonRecall in tests/test_critsearch.py it finds
+    # every point the normal equations do.  SO and U are over-determined.
+    # O is square too, but a pulled start 0.5 (Q + I) from a det -1 draw Q
+    # is singular (Q has the eigenvalue -1), and only the floored normal
+    # equations move it: under Newton, O(4) at 100 starts, seeds 0-79,
+    # found 1227 points, not 1241, fewer on 12 seeds and more on none.
+    newton: bool
 
 
 @functools.cache
 def _equations(g: GroupSpec) -> _Equations:
-    """The defining equations of g, forms and a det rule, read by the
-    certifier (`_violations`, `_lie_part`) and by the census system
-    (`_System`).  Cached per group, read-only.
+    """The defining equations of g, forms and a det rule, and the census
+    step they take, read by the certifier (`_violations`, `_lie_part`) and
+    by the census (`_System`, `_gauss_newton_block`).  Cached per group,
+    read-only.
 
     O and SO preserve the symmetric form I: x^t x - I is symmetric, so its
     independent entries are the upper triangle with the diagonal.  Sp
@@ -208,7 +222,7 @@ def _equations(g: GroupSpec) -> _Equations:
         j.flags.writeable = False
         forms.append((j, *np.triu_indices(n, 1)))
     det_rule = {"special_orthogonal": "one", "sl": "one", "sl_pm": "unit"}.get(g.kind)
-    return _Equations(forms=tuple(forms), det_rule=det_rule)
+    return _Equations(forms=tuple(forms), det_rule=det_rule, newton=g.kind in ("symplectic", "sl", "sl_pm"))
 
 
 def _det_defect(dets: np.ndarray, rule: str) -> np.ndarray:
@@ -566,7 +580,8 @@ _ARMIJO_STEPS = np.ldexp(1.0, -np.arange(30))
 _ARMIJO_DECREASE = 1.0 - 1e-4 * _ARMIJO_STEPS
 
 # Active starts per block of a sweep's Gauss-Newton step: bounds its
-# (starts, R, n^2) Jacobian and (starts, n^2, n^2) normal matrices.
+# (starts, R, n^2) Jacobian and, on the normal-equation groups, its
+# (starts, n^2, n^2) normal matrices.
 _SWEEP_BLOCK = 256
 # Frontier rows per distance block in the merge: bounds the working arrays.
 _MERGE_BLOCK = 128
@@ -574,18 +589,20 @@ _MERGE_BLOCK = 128
 # accepts: its Gram-form squared distances round at a few 1e-16 |x|^2, so
 # radius^2 = 1e-14 |x|^2 sits well clear of the rounding.
 _MERGE_RESOLUTION = 1e-7
-# Largest census size.  At 1000 starts on a 2-vCPU x86 machine, n = 10
-# takes 15-89 s and peaks at 110-130 MB over O, Sp and SL, U 10 s and
-# 119 MB; n = 12 takes 77-276 s and 175-250 MB; the cached tensor alone
-# holds about n^6 doubles.
+# Largest census size.  At 1000 starts on `random_general(10, 0)`, seed 0
+# (2-vCPU x86 machine, BLAS at 1 thread, one run each), n = 10 takes
+# 12.7 s and peaks at 87 MB for Sp, 39.9 s and 93 MB for SL, 35.3 s and
+# 94 MB for SL^±, 38.4 s and 123 MB for O and 10 s and 119 MB for U.
+# n = 12 took 77-276 s and 175-250 MB under the normal equations; the
+# cached tensor alone holds about n^6 doubles.
 _MAX_CENSUS_N = 10
-# Largest number of starts.  A sweep holds its Jacobians and normal matrices
-# for one block of starts at a time (_SWEEP_BLOCK), and about 4.5 kB per
-# start across sweeps: Sp(6), the largest census the CLI runs, peaks at
-# 52 MB with 2000 starts, 58 MB with 4000 and 88 MB with 10000 (under 1 ms
-# per start, BLAS at 1 thread), where sweeps over all starts at once took
-# 105, 174 and 378 MB.  At n = 10 a start keeps about 10 kB: the unitary
-# census peaks at 119 MB with 1000 starts and 212 MB with 10000 (97 s).
+# Largest number of starts.  A sweep holds its Jacobians (and normal
+# matrices) for one block of starts at a time (_SWEEP_BLOCK), and about
+# 4.5 kB per start across sweeps: Sp(6), the largest census the CLI runs,
+# peaks at 48 MB with 2000 starts and 85 MB with 10000 (4.5 s, BLAS at 1
+# thread), where sweeps over all starts at once took 105 and 378 MB.  At
+# n = 10 a start keeps about 10 kB: the unitary census peaks at 119 MB
+# with 1000 starts and 212 MB with 10000 (97 s).
 _MAX_STARTS = 10_000
 
 
@@ -601,17 +618,40 @@ def _step_powers(count: int) -> np.ndarray:
 
 def _gauss_newton_block(sys_: _System, x: np.ndarray, fvals: np.ndarray):
     """Gauss-Newton step of a block of starts: (delta (B, n^2), lin (B, P)),
-    delta solving the normal equations with a 1e-13 floor regularisation
-    and lin = J delta on the polynomial rows, for `_armijo`.
+    lin = J delta on the polynomial rows, for `_armijo`.
 
-    The block's Jacobian and normal matrices are freed on return; the
-    regularisation is added and the right-hand side negated in place (no
-    second Jacobian-sized or (B, n^2, n^2) array).  When a normal matrix
-    is exactly singular the whole block takes the pseudo-inverse instead
-    of the solve.
+    On a group whose `_equations` take the Newton step (Sp, SL, SL^±, whose
+    systems are square), delta solves J delta = -f: one batched solve, no
+    J^t J, which would square J's condition number.  Elsewhere, and for
+    the whole block when one of its Jacobians is exactly singular, delta
+    solves the normal equations (`_normal_step`).  Each matrix is solved
+    on its own, so a row's step depends on the other rows of the block
+    only through that whole-block fallback.  The block's Jacobian is freed
+    on return.
     """
-    n2 = sys_.n * sys_.n
     jac = sys_.jacobian(x)
+    delta = None
+    if sys_.eq.newton:
+        try:
+            delta = np.linalg.solve(jac, -fvals[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            pass  # the whole block takes the normal equations
+    if delta is None:
+        delta = _normal_step(jac, fvals)
+    lin = np.matmul(jac[:, : sys_.poly_rows], delta[:, :, None])[:, :, 0]
+    return delta, lin
+
+
+def _normal_step(jac: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+    """delta (B, n^2) solving the normal equations J^t J delta = -J^t f of
+    each Jacobian of a block, with a 1e-13 floor regularisation.
+
+    The regularisation is added and the right-hand side negated in place
+    (no second (B, n^2, n^2) array), and the normal matrices are freed on
+    return.  When a normal matrix is exactly singular the whole block takes
+    the pseudo-inverse instead of the solve.
+    """
+    n2 = jac.shape[2]
     jact = np.swapaxes(jac, 1, 2)
     jtj = np.matmul(jact, jac)
     rhs = np.matmul(jact, fvals[:, :, None])
@@ -620,11 +660,9 @@ def _gauss_newton_block(sys_: _System, x: np.ndarray, fvals: np.ndarray):
     diag = np.einsum("bii->bi", jtj)  # a writeable view
     diag += reg[:, None]
     try:
-        delta = np.linalg.solve(jtj, rhs)[:, :, 0]
+        return np.linalg.solve(jtj, rhs)[:, :, 0]
     except np.linalg.LinAlgError:
-        delta = np.einsum("bnm,bm->bn", np.linalg.pinv(jtj, rcond=1e-12, hermitian=True), rhs[:, :, 0])
-    lin = np.matmul(jac[:, : sys_.poly_rows], delta[:, :, None])[:, :, 0]
-    return delta, lin
+        return np.einsum("bnm,bm->bn", np.linalg.pinv(jtj, rcond=1e-12, hermitian=True), rhs[:, :, 0])
 
 
 def _armijo(sys_: _System, x, step, lin, fvals, phi):
@@ -740,16 +778,20 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
 
     A sweep computes its Gauss-Newton steps (`_gauss_newton_block`) over
     consecutive blocks of at most `_SWEEP_BLOCK` active starts, so its
-    Jacobians and (B, n^2, n^2) normal matrices are held for one block at
-    a time and memory does not grow as starts * n^4; `_armijo` then runs
-    once over all active starts, and keeps its numpy calls few for the
-    many late sweeps with a handful of them (which fit in one block: no
-    concatenation).  Every kernel acts on one start at a time, so a
-    start's trajectory depends neither on which other starts are in the
-    batch nor on the block size (the one exception is the pseudo-inverse
-    fallback, which a whole block takes when one of its normal matrices is
-    exactly singular).  With the prefix-stable start sequence, a larger
-    `starts` only ever adds points.
+    Jacobians (and normal matrices) are held for one block at a time and
+    memory does not grow as starts * n^4; `_armijo` then runs once over
+    all active starts, and keeps its numpy calls few for the many late
+    sweeps with a handful of them (which fit in one block: no
+    concatenation).  The step is the Newton step J delta = -f on Sp, SL
+    and SL^±, whose systems are square, and the floored normal equations
+    on O, SO and U (see `_equations`).  Every kernel acts on one start at
+    a time, so a start's trajectory depends neither on which other starts
+    are in the batch nor on the block size.  The one exception is the
+    whole-block fallback: a block takes the normal equations when one of
+    its Jacobians is exactly singular on a Newton group, and the
+    pseudo-inverse when one of its normal matrices is.  With the
+    prefix-stable start sequence, a larger `starts` only ever adds
+    points.
 
     u must be real (a complex matrix enters the unitary census through
     `embed_complex`), starts a positive integer and seed a non-negative
