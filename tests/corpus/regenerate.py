@@ -3,34 +3,25 @@
 Run from the repository root:
 
     PYTHONPATH=src python tests/corpus/regenerate.py
-    PYTHONPATH=src python tests/corpus/regenerate.py --check
 
 Each case runs `groupnear.cli.main` in-process and records its argv, exit
 code and parsed stdout report (None for a refusal, which prints nothing
 on stdout) in `expected.json`.  Arguments ending in `.json` name files in
 this directory.  `tests/test_corpus.py` replays every case and compares.
 A change that rewrites `expected.json` says which values moved, and why.
-With `--check` it regenerates in memory, writes nothing, prints each
-field that differs from `expected.json` (by the tolerances of
-`tests/test_corpus.py`) and each input file that differs, and exits 1 on
-any difference, 0 on none: the list of values a change moves.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 from groupnear import cli
 from groupnear.matcore import matrix_to_json, random_general
 
 HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE.parent))
-from test_corpus import _mismatches  # noqa: E402  (the corpus test's comparison)
 
 INPUTS = {
     "random_general_3_0.json": matrix_to_json(random_general(3, 0)),
@@ -95,35 +86,16 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
     return code, json.loads(text) if text else None
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate the CLI corpus.")
-    parser.add_argument("--check", action="store_true", help="write nothing; list what differs, exit 1 if anything")
-    check = parser.parse_args(argv).check
-    inputs = {name: json.dumps(obj) + "\n" for name, obj in INPUTS.items()}
-    if not check:
-        for name, text in inputs.items():
-            (HERE / name).write_text(text)
+def main() -> None:
+    for name, obj in INPUTS.items():
+        (HERE / name).write_text(json.dumps(obj) + "\n")
     cases = []
-    for case_argv in CASES:
-        code, report = run(case_argv)
-        cases.append({"argv": case_argv, "exit_code": code, "report": report})
-    text = json.dumps(cases, indent=1) + "\n"
-    if not check:
-        (HERE / "expected.json").write_text(text)
-        print(f"wrote {len(cases)} cases to {HERE / 'expected.json'}")
-        return 0
-    diffs = [f"{name}: differs" for name, obj in inputs.items() if (HERE / name).read_text() != obj]
-    expected = {" ".join(c["argv"]): c for c in json.loads((HERE / "expected.json").read_text())}
-    for case in cases:
-        key = " ".join(case["argv"])
-        if key not in expected:
-            diffs.append(f"{key}: not in expected.json")
-            continue
-        diffs += [f"{key}: {d}" for d in _mismatches(expected.pop(key), case, "case")]
-    diffs += [f"{key}: no longer generated" for key in expected]
-    print("\n".join(diffs) if diffs else f"{len(cases)} cases match expected.json")
-    return 1 if diffs else 0
+    for argv in CASES:
+        code, report = run(argv)
+        cases.append({"argv": argv, "exit_code": code, "report": report})
+    (HERE / "expected.json").write_text(json.dumps(cases, indent=1) + "\n")
+    print(f"wrote {len(cases)} cases to {HERE / 'expected.json'}")
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()

@@ -1053,6 +1053,9 @@ class TestArmijo:
         assert peak < 7 * bsz * sys_.poly_rows * 8
 
 
+# Sp(4) and SL^±(3) take the Newton step (their `_equations` record has
+# `newton`), SO(3) and U(2) the normal equations, so the kernel tests
+# below run both branches of `_gauss_newton_block`.
 _KERNEL_KINDS = [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3), ("unitary_embedded", 4)]
 
 
@@ -1102,12 +1105,6 @@ class TestSweepKernelsRowwise:
 class TestNewtonStep:
     # Sp, SL and SL^± take the Newton step J delta = -f on their square
     # systems; O, SO and U the floored normal equations.
-    def test_kernel_tests_cover_both_steps(self):
-        # The rowwise and block-size tests run both branches.
-        for kinds in (_KERNEL_KINDS, _BLOCK_KINDS):
-            steps = {_equations(GroupSpec(kind, n)).newton for kind, n, *_ in kinds}
-            assert steps == {True, False}
-
     @pytest.mark.parametrize("kind,n", [("symplectic", 4), ("symplectic", 6), ("sl", 3), ("sl_pm", 3)])
     def test_equals_normal_step_when_well_conditioned(self, kind, n):
         # The Newton groups' systems are square.  On a block of group
@@ -1140,6 +1137,7 @@ def _census_bytes(census):
     return points, counts, raw(census.worst_residual), raw(census.merge_radius)
 
 
+# Newton step: Sp(4), SL^±(3); normal equations: SO(4), U(2).
 _BLOCK_KINDS = [("symplectic", 4, 700), ("sl_pm", 3, 600), ("special_orthogonal", 4, 300), ("unitary_embedded", 4, 300)]
 
 
@@ -1158,11 +1156,14 @@ class TestSweepBlocks:
             monkeypatch.setattr(critsearch, "_SWEEP_BLOCK", block)
             assert _census_bytes(multistart_census(u, g, starts=starts, seed=5)) == default, f"block {block}"
 
-    def test_peak_memory_is_set_by_the_block(self):
-        # Sp(6) with 1000 starts: one (starts, n^2, n^2) float64 array is
-        # 10.4 MB, and a sweep over all starts at once peaked at 3 of them
-        # under the normal equations, 1.2 under the Newton step.
-        u, g = random_general(6, 0), GroupSpec("symplectic", 6)
+    @pytest.mark.parametrize("kind", ["symplectic", "orthogonal"])
+    def test_peak_memory_is_set_by_the_block(self, kind):
+        # n = 6 with 1000 starts: one (starts, n^2, n^2) float64 array is
+        # 10.4 MB.  In blocks of 256 starts the census peaked at 0.53 of
+        # them for Sp(6) (Newton step) and 0.79 for O(6) (normal
+        # equations); a sweep over all starts at once peaked at 1.23 and
+        # 2.23.
+        u, g = random_general(6, 0), GroupSpec(kind, 6)
         multistart_census(u, g, starts=10, seed=0)  # the per-group caches
         tracemalloc.start()
         try:
@@ -1170,4 +1171,4 @@ class TestSweepBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 1000 * 36**2 * 8
+        assert peak < 1000 * 36**2 * 8
