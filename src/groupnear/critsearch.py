@@ -4,13 +4,13 @@ For a matrix group G with Lie algebra g, a point x in G is critical for the
 squared distance to a data matrix exactly when x^t (u - x) is Frobenius
 orthogonal to g.  This module knows the Lie algebra bases and defining
 equations of the supported groups, measures that criticality residual, and
-runs a seeded multistart Gauss-Newton census over the augmented system
+runs a seeded multistart Newton census over the augmented system
 {Lie-projected residual = 0, defining equations = 0}.  The census is the
 universal oracle: every closed-form route elsewhere in the package is
 checked against it, and for the symplectic groups it is the only tool.
-Where that system is square and the Newton step keeps the census's
-recall (Sp, SL and SL^±), a sweep solves J delta = -f; elsewhere it
-solves the floored normal equations.  `_equations` states which, once.
+That system is square for every group the census runs: SO and U run
+O's (`_Equations.census`), and a converged start is kept only when it is
+also certified on its own group.  So every sweep solves J delta = -f.
 
 Each group's defining equations are written once, in `_equations`: the
 forms x^t M x = M it preserves and a det rule, with U = O ∩ Sp preserving
@@ -29,6 +29,7 @@ in one positional `map` call.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
@@ -168,8 +169,8 @@ def _basis_columns(g: GroupSpec) -> np.ndarray:
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a real stack (B, n, n)."""
-    flat = a.reshape(a.shape[0], -1)
+    """Frobenius norm of each matrix of a real stack (B, n, n), B >= 0."""
+    flat = a.reshape(a.shape[0], a.shape[1] * a.shape[2])
     return np.sqrt((flat * flat).sum(axis=1))
 
 
@@ -188,23 +189,20 @@ class _Equations:
 
     forms: tuple  # (M, rows, cols) each: x^t M x = M on those entries
     det_rule: Optional[str]  # "one": det x = 1; "unit": |det x| = 1
-    # The census step (`_gauss_newton_block`): True for the Newton step
-    # J delta = -f, False for the floored normal equations.  Sp, SL and
-    # SL^± take Newton: their systems are square (n^2 rows), and on the
-    # recall grids of TestNewtonRecall in tests/test_critsearch.py it finds
-    # every point the normal equations do.  SO and U are over-determined.
-    # O is square too, but a pulled start 0.5 (Q + I) from a det -1 draw Q
-    # is singular (Q has the eigenvalue -1), and only the floored normal
-    # equations move it: under Newton, O(4) at 100 starts, seeds 0-79,
-    # found 1227 points, not 1241, fewer on 12 seeds and more on none.
-    newton: bool
+    # The group whose square system (n^2 rows) the census runs: O(n) for
+    # SO and U, g itself otherwise.  SO is a component of O, and U(m) is
+    # the fixed set of x -> J x J^-1 in O(2m), so by Palais's symmetric
+    # criticality its critical points for u are the C-linear critical
+    # points of O(2m) for u's C-linear part.  SO's det row and U's J rows
+    # would make the system over-determined.
+    census: GroupSpec
 
 
 @functools.cache
 def _equations(g: GroupSpec) -> _Equations:
-    """The defining equations of g, forms and a det rule, and the census
-    step they take, read by the certifier (`_violations`, `_lie_part`) and
-    by the census (`_System`, `_gauss_newton_block`).  Cached per group,
+    """The defining equations of g, forms and a det rule, and the group
+    whose system the census runs, read by the certifier (`_violations`,
+    `_lie_part`) and by the census (`_System`).  Cached per group,
     read-only.
 
     O and SO preserve the symmetric form I: x^t x - I is symmetric, so its
@@ -222,7 +220,8 @@ def _equations(g: GroupSpec) -> _Equations:
         j.flags.writeable = False
         forms.append((j, *np.triu_indices(n, 1)))
     det_rule = {"special_orthogonal": "one", "sl": "one", "sl_pm": "unit"}.get(g.kind)
-    return _Equations(forms=tuple(forms), det_rule=det_rule, newton=g.kind in ("symplectic", "sl", "sl_pm"))
+    census = GroupSpec("orthogonal", n) if g.kind in ("special_orthogonal", "unitary_embedded") else g
+    return _Equations(forms=tuple(forms), det_rule=det_rule, census=census)
 
 
 def _det_defect(dets: np.ndarray, rule: str) -> np.ndarray:
@@ -440,7 +439,7 @@ def random_group_element(g: GroupSpec, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched Gauss-Newton census
+# Batched Newton census
 
 
 @dataclass
@@ -457,7 +456,7 @@ class CensusResult:
     failed: int
     merge_radius: float
     worst_residual: Optional[float]  # largest residual among points; None if none
-    sweeps: int  # Gauss-Newton sweeps run (at most 200)
+    sweeps: int  # Newton sweeps run (at most 200)
 
     def __iter__(self):
         return iter(self.points)
@@ -500,21 +499,27 @@ def _linear_tensor(g: GroupSpec) -> np.ndarray:
 
 
 class _System:
-    """Stacked residual/Jacobian evaluation for one (u, g) pair.
+    """Stacked residual/Jacobian evaluation of the census system for one
+    (u, g) pair: the square system of g's census group (`_Equations.census`,
+    O(n) for SO and U), stored as `g`.  For U, u is replaced by its C-linear
+    part (u - J u J)/2; on U, f_u and f of that part differ by a constant.
 
     The rows are the Lie coordinates <x^t (u - x), B_k> followed by the
-    defining equations of g from `_defects`: the independent entries of
-    x^t M x - M for each form M (I, then J for U = O ∩ Sp), then the det
-    defect.  Every row but det is a polynomial of degree at most two in x,
-    so their Jacobian is affine, J0(u) + x_flat T with T cached per group
-    (`_linear_tensor`), and along x + a d they are exactly
+    defining equations of the census group from `_defects`: the
+    independent entries of x^t M x - M for each form M, then the det
+    defect (SL and SL^±).  Every row but det is a polynomial of degree at
+    most two in x, so their Jacobian is affine, J0(u) + x_flat T with T
+    cached per group (`_linear_tensor`), and along x + a d they are exactly
     f + a J d + a^2 (d_flat T) d / 2.
     The det row (`_det_defect`) has gradient det(x) x^-t.
     """
 
     def __init__(self, u: np.ndarray, g: GroupSpec):
+        if g.kind == "unitary_embedded":
+            j = symplectic_form(g.n)
+            u = 0.5 * (u - j @ u @ j)
         self.u = u
-        self.g = g
+        self.g = g = _equations(g).census
         self.n = n = g.n
         self.eq = eq = _equations(g)
         self.tensor = _linear_tensor(g)
@@ -579,9 +584,8 @@ class _System:
 _ARMIJO_STEPS = np.ldexp(1.0, -np.arange(30))
 _ARMIJO_DECREASE = 1.0 - 1e-4 * _ARMIJO_STEPS
 
-# Active starts per block of a sweep's Gauss-Newton step: bounds its
-# (starts, R, n^2) Jacobian and, on the normal-equation groups, its
-# (starts, n^2, n^2) normal matrices.
+# Active starts per block of a sweep's Newton step: bounds its
+# (starts, n^2, n^2) Jacobian and the solve's working copy of it.
 _SWEEP_BLOCK = 256
 # Frontier rows per distance block in the merge: bounds the working arrays.
 _MERGE_BLOCK = 128
@@ -592,17 +596,18 @@ _MERGE_RESOLUTION = 1e-7
 # Largest census size.  At 1000 starts on `random_general(10, 0)`, seed 0
 # (2-vCPU x86 machine, BLAS at 1 thread, one run each), n = 10 takes
 # 12.7 s and peaks at 87 MB for Sp, 39.9 s and 93 MB for SL, 35.3 s and
-# 94 MB for SL^±, 38.4 s and 123 MB for O and 10 s and 119 MB for U.
-# n = 12 took 77-276 s and 175-250 MB under the normal equations; the
-# cached tensor alone holds about n^6 doubles.
+# 94 MB for SL^±, 28.3 s and 88 MB for O, 28.4 s and 92 MB for SO and
+# 8.4 s and 88 MB for U.  n = 12 took 77-276 s and 175-250 MB on the
+# floored normal equations that the census solved before; the cached
+# tensor alone holds about n^6 doubles.
 _MAX_CENSUS_N = 10
-# Largest number of starts.  A sweep holds its Jacobians (and normal
-# matrices) for one block of starts at a time (_SWEEP_BLOCK), and about
-# 4.5 kB per start across sweeps: Sp(6), the largest census the CLI runs,
-# peaks at 48 MB with 2000 starts and 85 MB with 10000 (4.5 s, BLAS at 1
-# thread), where sweeps over all starts at once took 105 and 378 MB.  At
-# n = 10 a start keeps about 10 kB: the unitary census peaks at 119 MB
-# with 1000 starts and 212 MB with 10000 (97 s).
+# Largest number of starts.  A sweep holds its Jacobians for one block of
+# starts at a time (_SWEEP_BLOCK), and about 4.5 kB per start across
+# sweeps: Sp(6), the largest census the CLI runs, peaks at 48 MB with
+# 2000 starts and 85 MB with 10000 (4.5 s, BLAS at 1 thread), where
+# sweeps over all starts at once took 105 and 378 MB.  At n = 10 a start
+# keeps about 10 kB: the unitary census peaks at 88 MB with 1000 starts
+# and 175 MB with 10000 (82 s).
 _MAX_STARTS = 10_000
 
 
@@ -617,52 +622,28 @@ def _step_powers(count: int) -> np.ndarray:
 
 
 def _gauss_newton_block(sys_: _System, x: np.ndarray, fvals: np.ndarray):
-    """Gauss-Newton step of a block of starts: (delta (B, n^2), lin (B, P)),
-    lin = J delta on the polynomial rows, for `_armijo`.
+    """Newton step of a block of starts on the square census system:
+    (delta (B, n^2), lin (B, P)), delta solving J delta = -f and lin = J
+    delta on the polynomial rows, for `_armijo`.
 
-    On a group whose `_equations` take the Newton step (Sp, SL, SL^±, whose
-    systems are square), delta solves J delta = -f: one batched solve, no
-    J^t J, which would square J's condition number.  Elsewhere, and for
-    the whole block when one of its Jacobians is exactly singular, delta
-    solves the normal equations (`_normal_step`).  Each matrix is solved
-    on its own, so a row's step depends on the other rows of the block
-    only through that whole-block fallback.  The block's Jacobian is freed
-    on return.
+    One batched solve, no J^t J, which would square J's condition number.
+    When a Jacobian of the block is exactly singular, the block solves row
+    by row, and a singular row takes a zero step, so its start stalls in
+    `_armijo`.  Each matrix is solved on its own either way, so a row's
+    step never depends on the other rows of the block.  The block's
+    Jacobian is freed on return.
     """
     jac = sys_.jacobian(x)
-    delta = None
-    if sys_.eq.newton:
-        try:
-            delta = np.linalg.solve(jac, -fvals[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            pass  # the whole block takes the normal equations
-    if delta is None:
-        delta = _normal_step(jac, fvals)
+    rhs = -fvals[:, :, None]
+    try:
+        delta = np.linalg.solve(jac, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        delta = np.zeros(rhs.shape[:2])  # a singular row keeps its zero step
+        for i in range(len(jac)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                delta[i] = np.linalg.solve(jac[i : i + 1], rhs[i : i + 1])[0, :, 0]
     lin = np.matmul(jac[:, : sys_.poly_rows], delta[:, :, None])[:, :, 0]
     return delta, lin
-
-
-def _normal_step(jac: np.ndarray, fvals: np.ndarray) -> np.ndarray:
-    """delta (B, n^2) solving the normal equations J^t J delta = -J^t f of
-    each Jacobian of a block, with a 1e-13 floor regularisation.
-
-    The regularisation is added and the right-hand side negated in place
-    (no second (B, n^2, n^2) array), and the normal matrices are freed on
-    return.  When a normal matrix is exactly singular the whole block takes
-    the pseudo-inverse instead of the solve.
-    """
-    n2 = jac.shape[2]
-    jact = np.swapaxes(jac, 1, 2)
-    jtj = np.matmul(jact, jac)
-    rhs = np.matmul(jact, fvals[:, :, None])
-    np.negative(rhs, out=rhs)
-    reg = 1e-13 * np.maximum(1.0, np.einsum("bnn->b", jtj) / n2)
-    diag = np.einsum("bii->bi", jtj)  # a writeable view
-    diag += reg[:, None]
-    try:
-        return np.linalg.solve(jtj, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        return np.einsum("bnm,bm->bn", np.linalg.pinv(jtj, rcond=1e-12, hermitian=True), rhs[:, :, 0])
 
 
 def _armijo(sys_: _System, x, step, lin, fvals, phi):
@@ -757,41 +738,39 @@ def _merge_representatives(flat: np.ndarray, radius: float) -> np.ndarray:
 
 
 def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> CensusResult:
-    """Seeded multistart Gauss-Newton census of real critical points.
+    """Seeded multistart Newton census of real critical points.
 
     Starts are one batched draw of random group elements (see `_draw`),
     every other one pulled halfway toward an anchor: u put on the group by
-    `_unit_det` for SL and SL^±, the identity for O, SO, U and Sp.  No
-    anchor reads u's singular frame, whose polar factor is the closed-form
-    nearest point on O, SO and U, so the census checks the closed forms
-    without starting from their answer.  The starts are iterated on the
-    stacked system (budget 200 sweeps; `sweeps` counts those run).  The
-    Jacobian is affine in x apart from the det row, one cached tensor per
-    group (see `_System`).  Each sweep's Armijo search tests the step
-    lengths 2^-j, j = 0..29, all at once on the exact polynomial expansion
-    of the residual along the step (see `_armijo`) and takes the largest
-    passing length, as halving one length at a time would; a start with no
-    passing length stops.  Converged points (residual below 1e-9) are
-    merged by single linkage at radius 1e-5 * (1 + ||u||), one
-    representative (the lowest start index) per cluster, and returned
-    sorted by distance, then entries.
+    `_unit_det` for SL and SL^±, and for O, SO, U and Sp the identity of
+    the draw's component, diag(det sign, 1, ..., 1).  No anchor reads u's
+    singular frame, whose polar factor is the closed-form nearest point on
+    O, SO and U, so the census checks the closed forms without starting
+    from their answer.  The starts are iterated on the square census
+    system (`_System`; O's for SO and U; budget 200 sweeps, `sweeps`
+    counts those run).  The Jacobian is affine in x apart from the det
+    row, one cached tensor per group.  Each sweep's Armijo search tests
+    the step lengths 2^-j, j = 0..29, all at once on the exact polynomial
+    expansion of the residual along the step (see `_armijo`) and takes the
+    largest passing length, as halving one length at a time would; a start
+    with no passing length stops.  A stopped start is kept when its system
+    residual is below 1e-9 and so is its certificate on g (`_residuals`,
+    one batched call after the sweeps), which rejects the det -1 and
+    non-C-linear roots of O's system.  Kept points are merged by single
+    linkage at radius 1e-5 * (1 + ||u||), one representative (the lowest
+    start index) per cluster, and returned sorted by distance, then
+    entries.
 
-    A sweep computes its Gauss-Newton steps (`_gauss_newton_block`) over
+    A sweep computes its Newton steps (`_gauss_newton_block`) over
     consecutive blocks of at most `_SWEEP_BLOCK` active starts, so its
-    Jacobians (and normal matrices) are held for one block at a time and
-    memory does not grow as starts * n^4; `_armijo` then runs once over
-    all active starts, and keeps its numpy calls few for the many late
-    sweeps with a handful of them (which fit in one block: no
-    concatenation).  The step is the Newton step J delta = -f on Sp, SL
-    and SL^±, whose systems are square, and the floored normal equations
-    on O, SO and U (see `_equations`).  Every kernel acts on one start at
-    a time, so a start's trajectory depends neither on which other starts
-    are in the batch nor on the block size.  The one exception is the
-    whole-block fallback: a block takes the normal equations when one of
-    its Jacobians is exactly singular on a Newton group, and the
-    pseudo-inverse when one of its normal matrices is.  With the
-    prefix-stable start sequence, a larger `starts` only ever adds
-    points.
+    Jacobians are held for one block at a time and memory does not grow
+    as starts * n^4; `_armijo` then runs once over all active starts, and
+    keeps its numpy calls few for the many late sweeps with a handful of
+    them (which fit in one block: no concatenation).  Every kernel acts on
+    one start at a time (a block with an exactly singular Jacobian solves
+    row by row), so a start's trajectory depends neither on which other
+    starts are in the batch nor on the block size.  With the prefix-stable
+    start sequence, a larger `starts` only ever adds points.
 
     u must be real (a complex matrix enters the unitary census through
     `embed_complex`), starts a positive integer and seed a non-negative
@@ -814,7 +793,15 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     x0 = _draw(g, rng, starts)
     # Alternate pulled and raw starts.  On SL^± the identity as anchor
     # found fewer points than u at unit |det| (n = 4 and 5, 1000 starts).
-    anchor = _unit_det(u[None].copy(), g.kind)[0] if g.kind in ("sl", "sl_pm") else np.eye(n)
+    # Elsewhere a start is pulled toward the identity of its draw's
+    # component, diag(det sign, 1, ..., 1): 0.5 (Q + I) is singular for a
+    # det -1 draw Q of O.  (The reflection diag(1, ..., 1, -1) missed one
+    # of the 16 points of random_general(4, 18) at 100 starts, seed 18.)
+    if g.kind in ("sl", "sl_pm"):
+        anchor = _unit_det(u[None].copy(), g.kind)
+    else:
+        anchor = np.tile(np.eye(n), (x0[0::2].shape[0], 1, 1))
+        anchor[:, 0, 0] = np.where(np.linalg.det(x0[0::2]) < 0.0, -1.0, 1.0)
     x0[0::2] = 0.5 * (x0[0::2] + anchor)
 
     sys_ = _System(u, g)
@@ -851,6 +838,10 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
             keep = ~done
             x, phi, fvals, active = x[keep], phi[keep], fvals[keep], active[keep]
 
+    # O's system, run for SO and U, also has roots off them: det -1 points
+    # and points that are not C-linear.  One certificate on g rejects them.
+    kept = np.flatnonzero(frozen_ok)
+    frozen_ok[kept] = _residuals(frozen_x[kept], u, g) <= accept_tol
     good = frozen_x[frozen_ok]
     n_conv = int(np.sum(frozen_ok))
     n_fail = starts - n_conv

@@ -433,7 +433,7 @@ class TestLargestSizes:
 
     def test_largest_census_within_120_s_and_200_mb(self, tmp_path):
         # Sp(6), the largest census the CLI runs, at the starts cap: a census
-        # holds its normal matrices for one block of starts at a time, so
+        # holds its Jacobians for one block of starts at a time, so
         # its memory is set by the block, not by --starts.
         path = _write_matrix(tmp_path, random_general(6, 0))
         out = tmp_path / "sp6.out"

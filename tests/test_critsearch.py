@@ -18,12 +18,10 @@ from groupnear.critsearch import (
     _certify_batch,
     _defects,
     _draw,
-    _equations,
     _gauss_newton_block,
     _lie_coordinates,
     _lie_part,
     _merge_representatives,
-    _normal_step,
     _System,
     critical_point_from,
     critical_residual,
@@ -625,47 +623,23 @@ class TestCensus:
         for p in census:
             assert p.residual < 1e-9
 
-    def test_pseudo_inverse_fallback_finds_the_same_points(self, monkeypatch):
-        # With every normal-equation solve refused, each block takes the
-        # pseudo-inverse; the symplectic system has no det row, so `_armijo`
-        # makes no solve call.  The points are the solve's, each certified.
-        u = random_general(2, 34)
-        g = GroupSpec("symplectic", 2)
-        want = multistart_census(u, g, starts=300, seed=3)
-        calls = []
+    def test_census_with_no_converged_start_is_empty(self):
+        # At this scale every start stops above the absolute acceptance
+        # 1e-9, so the certificate after the sweeps runs on no row.
+        census = multistart_census(1e8 * random_general(2, 0), GroupSpec("orthogonal", 2), starts=10, seed=0)
+        assert len(census) == census.converged == 0 and census.failed == 10
+        assert census.worst_residual is None
 
-        def singular(*args, **kwargs):
-            calls.append(1)
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        got = multistart_census(u, g, starts=300, seed=3)
-        assert calls and len(got) >= 1
-        assert all(p.residual < 1e-9 for p in got)
-        assert _match_sets([p.x for p in got], [p.x for p in want], 1e-5 * (1.0 + frobenius_norm(u)))
-
-    def test_newton_fallback_finds_the_same_points(self, monkeypatch):
-        # With the Newton solve refused (the symplectic Jacobian is the one
-        # non-symmetric matrix the census solves), each block falls back to
-        # the normal equations, whose solves run unpatched.
-        u = random_general(4, 0)
-        g = GroupSpec("symplectic", 4)
-        want = multistart_census(u, g, starts=200, seed=0)
-        solve, calls = np.linalg.solve, {"square": 0, "normal": 0}
-
-        def refuse_square(a, b):
-            if not np.array_equal(a, np.swapaxes(a, -1, -2)):
-                calls["square"] += 1
-                raise np.linalg.LinAlgError("Singular matrix")
-            calls["normal"] += 1
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", refuse_square)
-        got = multistart_census(u, g, starts=200, seed=0)
-        assert calls["square"] == calls["normal"] == got.sweeps
-        assert len(got) == len(want) == 4
-        assert all(p.residual < 1e-9 for p in got)
-        assert _match_sets([p.x for p in got], [p.x for p in want], got.merge_radius)
+    def test_converged_starts_off_the_group_are_rejected(self, monkeypatch):
+        # SO's census runs O's system, whose roots include O's det -1
+        # critical points.  With every start drawn on the det -1 component
+        # (and pulled toward diag(-1, 1, 1)), the starts converge there, and
+        # the certificate on SO rejects each one.
+        draw, flip = critsearch._draw, np.diag([-1.0, 1.0, 1.0])
+        monkeypatch.setattr(critsearch, "_draw", lambda g, rng, count: flip @ draw(g, rng, count))
+        census = multistart_census(random_general(3, 0), GroupSpec("special_orthogonal", 3), starts=50, seed=0)
+        assert census.sweeps < 200  # the starts converged on O's system
+        assert len(census) == census.converged == 0 and census.failed == 50
 
     @pytest.mark.parametrize("kind", ["special_orthogonal", "unitary_embedded"])
     def test_matches_closed_form(self, kind):
@@ -805,6 +779,15 @@ def _closed_form_points(kind, n, seed):
     return u, [p.x for p in points if kind == "orthogonal" or p.det_sign == 1]
 
 
+def _oracle_hits(census, want, label) -> int:
+    """How many of the points want lie within the census's merge radius of
+    a census point; asserts that every census point is one of them."""
+    got = np.stack([p.x for p in census])
+    dist = np.linalg.norm(got[:, None] - np.stack(want)[None], axis=(2, 3))
+    assert np.all(dist.min(axis=1) <= census.merge_radius), label
+    return int(np.sum(dist.min(axis=0) <= census.merge_radius))
+
+
 class TestCompactCensusIndependence:
     # The census is the oracle the closed forms are checked against, so on
     # O, SO and U it must not start from their answer: it reads no singular
@@ -846,40 +829,62 @@ class TestCompactCensusIndependence:
         for seed in range(seeds):
             u, want = _closed_form_points(g.kind, g.n, seed)
             census = multistart_census(u, g, starts=starts, seed=seed)
-            got = np.stack([p.x for p in census])
-            dist = np.linalg.norm(got[:, None] - np.stack(want)[None], axis=(2, 3))
-            # Every census point is a closed-form point.
-            assert np.all(dist.min(axis=1) <= census.merge_radius), f"seed={seed}"
-            found += int(np.sum(dist.min(axis=0) <= census.merge_radius))
+            found += _oracle_hits(census, want, f"seed={seed}")
         assert found >= floor, f"{found} of {seeds * 2**m} points"
+
+    # U's census on a u that is not C-linear runs O's system on u's
+    # C-linear part, z = (a + d)/2 + i (c - b)/2 for u = [[a, b], [c, d]]:
+    # U's critical points for u are the closed-form points of z, each
+    # certified against u itself.  100 starts, seeds 0-29; the floors are
+    # the counts of the census that ran U's own equations on u.
+    @pytest.mark.parametrize("m,floor", [(2, 120), (3, 238)])
+    def test_unitary_census_of_a_general_u(self, m, floor):
+        g = GroupSpec("unitary_embedded", 2 * m)
+        found = 0
+        for seed in range(30):
+            u = random_general(2 * m, seed)
+            (a, b), (c, d) = (np.hsplit(half, 2) for half in np.vsplit(u, 2))
+            z = (a + d) / 2 + 1j * (c - b) / 2
+            census = multistart_census(u, g, starts=100, seed=seed)
+            assert census.worst_residual <= 1e-9, f"seed={seed}"
+            found += _oracle_hits(census, [embed_complex(p.x) for p in enumerate_unitary_critical(z)], f"seed={seed}")
+        assert found >= floor, f"{found} of {30 * 2**m} points"
 
 
 class TestNewtonRecall:
-    # Recall of the groups that take the Newton step, census seed = input
-    # seed.  The floors are the counts of the normal-equation census that
-    # these groups took before (the Newton step finds the same): all 8 SL^±
-    # points and all 4 SL points of each n = 3 input, and for Sp, which has
-    # no oracle, the distinct converged points.  They are never lowered.
-    # Every census point must be an oracle point where there is an oracle.
+    # Recall of every census kind on the Newton step, census seed = input
+    # seed.  The floors are the counts that the census found on each grid
+    # when it solved the floored normal equations: all 8 SL^± points and
+    # all 4 SL points of each n = 3 input; for O and SO, closed-form
+    # points; and for Sp, which has no oracle, the distinct converged
+    # points.  They are never lowered.  Every census point must be an
+    # oracle point where there is an oracle.
     @pytest.mark.parametrize(
         "kind,n,starts,seeds,floor",
-        [("sl_pm", 3, 100, 80, 640), ("sl", 3, 100, 80, 320), ("symplectic", 4, 50, 120, 484), ("symplectic", 6, 100, 20, 158)],
+        [
+            ("sl_pm", 3, 100, 80, 640),
+            ("sl", 3, 100, 80, 320),
+            ("symplectic", 4, 50, 120, 484),
+            ("symplectic", 6, 100, 20, 158),
+            ("orthogonal", 4, 100, 80, 1241),
+            ("orthogonal", 5, 100, 40, 1090),
+            ("special_orthogonal", 5, 100, 30, 460),
+            ("special_orthogonal", 6, 100, 20, 529),
+        ],
     )
     def test_recall_floor(self, kind, n, starts, seeds, floor):
         oracle = {"sl_pm": sl_critical_points, "sl": sl_plus_critical_points}.get(kind)
         g = GroupSpec(kind, n)
         found = 0
         for seed in range(seeds):
-            u = random_general(n, seed)
+            if kind in ("orthogonal", "special_orthogonal"):
+                u, want = _closed_form_points(kind, n, seed)
+            else:
+                u = random_general(n, seed)
+                want = None if oracle is None else [p.x for p in oracle(u)]
             census = multistart_census(u, g, starts=starts, seed=seed)
             assert census.worst_residual < 1e-9, f"seed={seed}"
-            if oracle is None:
-                found += len(census)
-                continue
-            got = np.stack([p.x for p in census])
-            dist = np.linalg.norm(got[:, None] - np.stack([p.x for p in oracle(u)])[None], axis=(2, 3))
-            assert np.all(dist.min(axis=1) <= census.merge_radius), f"seed={seed}"
-            found += int(np.sum(dist.min(axis=0) <= census.merge_radius))
+            found += len(census) if want is None else _oracle_hits(census, want, f"seed={seed}")
         assert found >= floor, f"{found} points, floor {floor}"
 
 
@@ -1014,16 +1019,19 @@ def _armijo_matches_halving(sys_, x, step, lin, fvals, phi):
     return stalled
 
 
-_ARMIJO_KINDS = [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3), ("unitary_embedded", 4)]
+# Every census system the sweep kernels see: Sp(4) and SL^±(3) run their
+# own (SL^± with its det row), SO(3) and U(2) run O's, U on u's C-linear
+# part.
+_KERNEL_KINDS = [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3), ("unitary_embedded", 4)]
 
 
 class TestArmijo:
-    @pytest.mark.parametrize("kind,n", _ARMIJO_KINDS)
+    @pytest.mark.parametrize("kind,n", _KERNEL_KINDS)
     def test_blocks_match_sequential_halving(self, kind, n):
         stalled = _armijo_matches_halving(*_armijo_case(kind, n))
         assert 0 < len(stalled) < 60
 
-    @pytest.mark.parametrize("kind,n", _ARMIJO_KINDS)
+    @pytest.mark.parametrize("kind,n", _KERNEL_KINDS)
     def test_every_row_passing_matches_sequential_halving(self, kind, n):
         # With no stalled row the accepted points are formed directly,
         # without copying the inputs first.
@@ -1051,12 +1059,6 @@ class TestArmijo:
             tracemalloc.stop()
         assert 0 < len(stalled) < bsz
         assert peak < 7 * bsz * sys_.poly_rows * 8
-
-
-# Sp(4) and SL^±(3) take the Newton step (their `_equations` record has
-# `newton`), SO(3) and U(2) the normal equations, so the kernel tests
-# below run both branches of `_gauss_newton_block`.
-_KERNEL_KINDS = [("symplectic", 4), ("sl_pm", 3), ("special_orthogonal", 3), ("unitary_embedded", 4)]
 
 
 class TestSweepKernelsRowwise:
@@ -1103,27 +1105,37 @@ class TestSweepKernelsRowwise:
 
 
 class TestNewtonStep:
-    # Sp, SL and SL^± take the Newton step J delta = -f on their square
-    # systems; O, SO and U the floored normal equations.
-    @pytest.mark.parametrize("kind,n", [("symplectic", 4), ("symplectic", 6), ("sl", 3), ("sl_pm", 3)])
-    def test_equals_normal_step_when_well_conditioned(self, kind, n):
-        # The Newton groups' systems are square.  On a block of group
-        # elements whose Jacobians have condition number below 30 the two
-        # steps agree to 1e-10 relative; they differ by the normal
-        # equations' 1e-13 floor times cond^2, and by rounding.
-        g = GroupSpec(kind, n)
-        sys_ = _System(random_general(n, 40), g)
-        assert _equations(g).newton
-        assert sys_.poly_rows + sys_.has_det == n * n
-        x = np.stack([random_group_element(g, s) for s in range(60)])
-        x = x[np.linalg.cond(sys_.jacobian(x)) < 30.0]
-        assert len(x) >= 10
+    # Every census kind takes the Newton step J delta = -f on a square
+    # system: SO and U run O's (`_Equations.census`).
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_census_system_is_square(self, kind):
+        g = GroupSpec(kind, 4)
+        sys_ = _System(random_general(4, 40), g)
+        assert sys_.poly_rows + sys_.has_det == 16
+        x = np.stack([random_group_element(g, s) for s in range(3)])
+        assert sys_.residual(x).shape == (3, 16)
+        assert sys_.jacobian(x).shape == (3, 16, 16)
+
+    def test_singular_row_takes_a_zero_step(self):
+        # x = 0 zeroes the form rows of O(3)'s Jacobian, so the batched
+        # solve of a block that holds it fails and the block solves row by
+        # row.  That row takes a zero step and stalls in `_armijo`; every
+        # other row gets the bits it gets alone.
+        sys_, x, _, _, _, _ = _armijo_case("orthogonal", 3)
+        x[5] = 0.0
         fvals = sys_.residual(x)
+        phi = np.einsum("br,br->b", fvals, fvals)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(sys_.jacobian(x), -fvals[:, :, None])
         delta, lin = _gauss_newton_block(sys_, x, fvals)
-        jac = sys_.jacobian(x)
-        normal = _normal_step(jac, fvals)
-        assert np.all(np.linalg.norm(delta - normal, axis=1) <= 1e-10 * np.linalg.norm(normal, axis=1))
-        assert np.array_equal(lin, np.matmul(jac[:, : sys_.poly_rows], delta[:, :, None])[:, :, 0])
+        assert not np.any(delta[5]) and not np.any(lin[5])
+        assert 5 in _armijo(sys_, x, delta.reshape(x.shape), lin, fvals, phi)[3]
+        for i in range(len(x)):
+            if i == 5:
+                continue
+            delta1, lin1 = _gauss_newton_block(sys_, x[i : i + 1], fvals[i : i + 1])
+            assert delta1[0].tobytes() == delta[i].tobytes(), f"row {i}"
+            assert lin1[0].tobytes() == lin[i].tobytes(), f"row {i}"
 
 
 def _census_bytes(census):
@@ -1137,7 +1149,7 @@ def _census_bytes(census):
     return points, counts, raw(census.worst_residual), raw(census.merge_radius)
 
 
-# Newton step: Sp(4), SL^±(3); normal equations: SO(4), U(2).
+# Sp(4) and SL^±(3) on their own systems, SO(4) and U(2) on O's.
 _BLOCK_KINDS = [("symplectic", 4, 700), ("sl_pm", 3, 600), ("special_orthogonal", 4, 300), ("unitary_embedded", 4, 300)]
 
 
@@ -1159,10 +1171,10 @@ class TestSweepBlocks:
     @pytest.mark.parametrize("kind", ["symplectic", "orthogonal"])
     def test_peak_memory_is_set_by_the_block(self, kind):
         # n = 6 with 1000 starts: one (starts, n^2, n^2) float64 array is
-        # 10.4 MB.  In blocks of 256 starts the census peaked at 0.53 of
-        # them for Sp(6) (Newton step) and 0.79 for O(6) (normal
-        # equations); a sweep over all starts at once peaked at 1.23 and
-        # 2.23.
+        # 10.4 MB.  Sp(6) and O(6) both run a square system of 36 rows
+        # with no det row.  In blocks of 256 starts each census peaked at
+        # 0.55 of these arrays; a sweep over all starts at once peaked at
+        # 1.27.
         u, g = random_general(6, 0), GroupSpec(kind, 6)
         multistart_census(u, g, starts=10, seed=0)  # the per-group caches
         tracemalloc.start()
