@@ -9,8 +9,9 @@ runs a seeded multistart Newton census over the augmented system
 universal oracle: every closed-form route elsewhere in the package is
 checked against it, and for the symplectic groups it is the only tool.
 That system is square for every group the census runs: SO and U run
-O's (`_Equations.census`), and a converged start is kept only when it is
-also certified on its own group.  So every sweep solves J delta = -f.
+O's (`_Equations.census`), and a start counts as converged only when the
+point it stops at is certified on its own group.  So every sweep solves
+J delta = -f.
 
 Each group's defining equations are written once, in `_equations`: the
 forms x^t M x = M it preserves and a det rule, with U = O ∩ Sp preserving
@@ -584,8 +585,9 @@ class _System:
 _ARMIJO_STEPS = np.ldexp(1.0, -np.arange(30))
 _ARMIJO_DECREASE = 1.0 - 1e-4 * _ARMIJO_STEPS
 
-# Active starts per block of a sweep's Newton step: bounds its
-# (starts, n^2, n^2) Jacobian and the solve's working copy of it.
+# Active starts per block of a sweep (Newton step, then Armijo search):
+# bounds its (starts, n^2, n^2) Jacobian, the solve's working copy of it
+# and the search's stacked operands.
 _SWEEP_BLOCK = 256
 # Frontier rows per distance block in the merge: bounds the working arrays.
 _MERGE_BLOCK = 128
@@ -597,17 +599,18 @@ _MERGE_RESOLUTION = 1e-7
 # (2-vCPU x86 machine, BLAS at 1 thread, one run each), n = 10 takes
 # 12.7 s and peaks at 87 MB for Sp, 39.9 s and 93 MB for SL, 35.3 s and
 # 94 MB for SL^±, 28.3 s and 88 MB for O, 28.4 s and 92 MB for SO and
-# 8.4 s and 88 MB for U.  n = 12 took 77-276 s and 175-250 MB on the
-# floored normal equations that the census solved before; the cached
-# tensor alone holds about n^6 doubles.
+# 6.7 s and 86 MB for U.  n = 12 (the cap lifted on a copy, one run
+# each) takes 30-115 s and 128-169 MB, the cached tensor alone holding
+# n^6 doubles (24 MB), and converges few starts: 27 of 1000 on Sp, 47 on
+# SL, 51 on SL^± and about 330 on O and SO.
 _MAX_CENSUS_N = 10
-# Largest number of starts.  A sweep holds its Jacobians for one block of
-# starts at a time (_SWEEP_BLOCK), and about 4.5 kB per start across
-# sweeps: Sp(6), the largest census the CLI runs, peaks at 48 MB with
-# 2000 starts and 85 MB with 10000 (4.5 s, BLAS at 1 thread), where
-# sweeps over all starts at once took 105 and 378 MB.  At n = 10 a start
-# keeps about 10 kB: the unitary census peaks at 88 MB with 1000 starts
-# and 175 MB with 10000 (82 s).
+# Largest number of starts.  A sweep holds its Jacobians and its Armijo
+# operands for one block of starts at a time (_SWEEP_BLOCK), and about
+# 2.4 kB per start across sweeps: Sp(6), the largest census the CLI runs,
+# peaks at 45 MB with 2000 starts and 64 MB with 10000 (5 s, BLAS at 1
+# thread), where sweeps over all starts at once took 105 and 378 MB.  At
+# n = 10 a start keeps about 3 kB: the unitary census peaks at 86 MB with
+# 1000 starts and 115 MB with 10000 (69 s).
 _MAX_STARTS = 10_000
 
 
@@ -621,7 +624,7 @@ def _step_powers(count: int) -> np.ndarray:
     return out
 
 
-def _gauss_newton_block(sys_: _System, x: np.ndarray, fvals: np.ndarray):
+def _newton_block(sys_: _System, x: np.ndarray, fvals: np.ndarray):
     """Newton step of a block of starts on the square census system:
     (delta (B, n^2), lin (B, P)), delta solving J delta = -f and lin = J
     delta on the polynomial rows, for `_armijo`.
@@ -646,12 +649,13 @@ def _gauss_newton_block(sys_: _System, x: np.ndarray, fvals: np.ndarray):
     return delta, lin
 
 
-def _armijo(sys_: _System, x, step, lin, fvals, phi):
-    """Backtracking line search along x + 2^-j step for a stack of starts.
+def _armijo(sys_: _System, x, step, lin, fvals, phi) -> np.ndarray:
+    """Backtracking line search along x + 2^-j step for a block of starts,
+    in place.
 
     The squared residual along the step is a quartic in the length a from
     the polynomial rows (f + a lin + a^2 q, lin = J step from
-    `_gauss_newton_block`, q from `_System.quadratic`)
+    `_newton_block`, q from `_System.quadratic`)
     plus the square of the determinant row (`_System.det_polynomial`), so
     all 30 lengths are tested from a few coefficients per start.  A start
     takes the largest passing length, the one that halving one length at a
@@ -660,11 +664,10 @@ def _armijo(sys_: _System, x, step, lin, fvals, phi):
     products come from one einsum over the stacked (f, lin, quad), which
     sums each row exactly as six separate "br,br->b" calls would.
 
-    Returns the accepted x, residuals and squared residual norms (rows with
-    no passing step are unchanged) and the indices of those rows.  The
-    inputs are never written: when every row passes, the results are new
-    arrays formed directly, otherwise copies of the inputs updated on the
-    passing rows.
+    x, fvals and phi (the squared residual norms) are written on the rows
+    that pass, so they may be views of the census's arrays; the rows with
+    no passing length are left as they are.  Returns the mask of those
+    stalled rows.
     """
     bsz, n = x.shape[0], x.shape[1]
     f = fvals[:, : sys_.poly_rows]
@@ -684,18 +687,11 @@ def _armijo(sys_: _System, x, step, lin, fvals, phi):
     ok = trial <= _ARMIJO_DECREASE[None, :] * phi[:, None]
     first = np.argmax(ok, axis=1)
     hit = ok[np.arange(bsz), first]
-    alpha = _ARMIJO_STEPS[first]
-    stalled = np.flatnonzero(~hit)
-    if not stalled.size:
-        xnew = x + alpha[:, None, None] * step
-        fnew = sys_.residual(xnew)
-        return xnew, fnew, np.einsum("br,br->b", fnew, fnew), stalled
-    rows = np.flatnonzero(hit)
-    xnew, fnew, phinew = x.copy(), fvals.copy(), phi.copy()
-    xnew[rows] = x[rows] + alpha[rows, None, None] * step[rows]
-    fnew[rows] = sys_.residual(xnew[rows])
-    phinew[rows] = np.einsum("br,br->b", fnew[rows], fnew[rows])
-    return xnew, fnew, phinew, stalled
+    rows = slice(None) if hit.all() else np.flatnonzero(hit)  # views when every row passes
+    x[rows] += _ARMIJO_STEPS[first[rows], None, None] * step[rows]
+    fnew = sys_.residual(x[rows])
+    fvals[rows], phi[rows] = fnew, np.einsum("br,br->b", fnew, fnew)
+    return ~hit
 
 
 def _merge_representatives(flat: np.ndarray, radius: float) -> np.ndarray:
@@ -753,20 +749,20 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     the step lengths 2^-j, j = 0..29, all at once on the exact polynomial
     expansion of the residual along the step (see `_armijo`) and takes the
     largest passing length, as halving one length at a time would; a start
-    with no passing length stops.  A stopped start is kept when its system
-    residual is below 1e-9 and so is its certificate on g (`_residuals`,
-    one batched call after the sweeps), which rejects the det -1 and
-    non-C-linear roots of O's system.  Kept points are merged by single
-    linkage at radius 1e-5 * (1 + ||u||), one representative (the lowest
-    start index) per cluster, and returned sorted by distance, then
-    entries.
+    with no passing length stops.  Each start keeps one record, its pulled
+    draw until its sweeps stop and then the point they stopped at, and
+    counts as converged exactly when that record's certificate on g
+    (`_residuals`, one batched call over all starts after the sweeps) is at
+    most 1e-9; this rejects failed starts and the det -1 and non-C-linear
+    roots of O's system.  Converged points are merged by single linkage at
+    radius 1e-5 * (1 + ||u||), one representative (the lowest start index)
+    per cluster, and returned sorted by distance, then entries.
 
-    A sweep computes its Newton steps (`_gauss_newton_block`) over
-    consecutive blocks of at most `_SWEEP_BLOCK` active starts, so its
-    Jacobians are held for one block at a time and memory does not grow
-    as starts * n^4; `_armijo` then runs once over all active starts, and
-    keeps its numpy calls few for the many late sweeps with a handful of
-    them (which fit in one block: no concatenation).  Every kernel acts on
+    A sweep runs over consecutive blocks of at most `_SWEEP_BLOCK` active
+    starts: on each, the Newton step (`_newton_block`) and then the Armijo
+    search (`_armijo`), which updates the block's rows of the census's
+    arrays in place.  So the Jacobians are held for one block at a time and
+    memory does not grow as starts * n^4.  Every kernel acts on
     one start at a time (a block with an exactly singular Jacobian solves
     row by row), so a start's trajectory depends neither on which other
     starts are in the batch nor on the block size.  With the prefix-stable
@@ -807,43 +803,33 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     sys_ = _System(u, g)
     utol = 1.0 + frobenius_norm(u)
     converge_tol = 1e-11 * utol
-    accept_tol = 1e-9
 
-    x, active = x0, np.arange(starts)
-    if sys_.has_det:  # the det row needs x^-1: a singular start fails unswept
+    active = np.arange(starts)
+    if sys_.has_det:  # the det row needs x^-1: a singular start stays at its draw
         active = np.flatnonzero(np.linalg.det(x0) != 0.0)
-        x = x0[active]
-    frozen_x = np.empty((starts, n, n))
-    frozen_ok = np.zeros(starts, dtype=bool)
-
+    # Each start's record is its pulled draw until its sweeps stop.
+    frozen_x, x = x0, x0[active]
     fvals = sys_.residual(x)
     phi = np.einsum("br,br->b", fvals, fvals)
     sweeps = 0
     while active.size:
         sweeps += 1
-        blocks = [
-            _gauss_newton_block(sys_, x[lo : lo + _SWEEP_BLOCK], fvals[lo : lo + _SWEEP_BLOCK])
-            for lo in range(0, active.size, _SWEEP_BLOCK)
-        ]
-        delta, lin = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
-        x, fvals, phi, stalled = _armijo(sys_, x, delta.reshape(-1, n, n), lin, fvals, phi)
-        normf = np.sqrt(phi)
+        stalled = np.zeros(active.size, dtype=bool)
+        for lo in range(0, active.size, _SWEEP_BLOCK):
+            b = slice(lo, lo + _SWEEP_BLOCK)
+            delta, lin = _newton_block(sys_, x[b], fvals[b])
+            stalled[b] = _armijo(sys_, x[b], delta.reshape(-1, n, n), lin, fvals[b], phi[b])
         # Converged, stalled and, at the end of the budget, every start stops.
-        done = (normf <= converge_tol) | (sweeps == 200)
-        done[stalled] = True
-        if np.any(done):
-            sel = np.flatnonzero(done)
-            frozen_x[active[sel]] = x[sel]
-            frozen_ok[active[sel]] = normf[sel] <= accept_tol
-            keep = ~done
-            x, phi, fvals, active = x[keep], phi[keep], fvals[keep], active[keep]
+        done = stalled | (np.sqrt(phi) <= converge_tol) | (sweeps == 200)
+        frozen_x[active[done]] = x[done]
+        keep = ~done
+        x, phi, fvals, active = x[keep], phi[keep], fvals[keep], active[keep]
 
-    # O's system, run for SO and U, also has roots off them: det -1 points
-    # and points that are not C-linear.  One certificate on g rejects them.
-    kept = np.flatnonzero(frozen_ok)
-    frozen_ok[kept] = _residuals(frozen_x[kept], u, g) <= accept_tol
-    good = frozen_x[frozen_ok]
-    n_conv = int(np.sum(frozen_ok))
+    # A start counts when its record is certified on g.  That rejects the
+    # starts that failed, and the det -1 and non-C-linear roots of O's
+    # system, run for SO and U.
+    good = frozen_x[_residuals(frozen_x, u, g) <= 1e-9]
+    n_conv = good.shape[0]
     n_fail = starts - n_conv
 
     radius = 1e-5 * utol

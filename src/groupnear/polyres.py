@@ -67,11 +67,6 @@ class UniPoly:
     def degree(self) -> int:
         return int(self.coeffs.size) - 1
 
-    def __call__(self, x):
-        if self.coeffs.size == 0:
-            return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
-        return _poly.polyval(x, self.coeffs)
-
 
 def chain_degree(n: int) -> int:
     """Degree in the multiplier variable of the eliminated chain output."""

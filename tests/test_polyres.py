@@ -69,10 +69,6 @@ class TestUniPoly:
         p = UniPoly([1.0, 2.0, 0.0, 0.0])
         assert p.degree == 1
 
-    def test_evaluation(self):
-        p = UniPoly([1.0, 0.0, 1.0])  # 1 + x^2
-        assert p(2.0) == pytest.approx(5.0)
-
     @pytest.mark.parametrize(
         "make,message",
         [
