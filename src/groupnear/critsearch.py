@@ -2,9 +2,10 @@
 
 For a matrix group G with Lie algebra g, a point x in G is critical for the
 squared distance to a data matrix exactly when x^t (u - x) is Frobenius
-orthogonal to g.  This module knows the Lie algebra bases and defining
-equations of the supported groups, measures that criticality residual, and
-runs a seeded multistart Newton census over the augmented system
+orthogonal to g.  This module knows the defining equations of the
+supported groups and the Lie algebras they give, measures that
+criticality residual, and runs a seeded multistart Newton census over
+the augmented system
 {Lie-projected residual = 0, defining equations = 0}.  The census is the
 universal oracle: every closed-form route elsewhere in the package is
 checked against it, and for the symplectic groups it is the only tool.
@@ -19,8 +20,11 @@ both I and J.  The certifier (`membership_violation`, `critical_residual`)
 sums the Frobenius norms of the full defects; the census system takes the
 independent entries of the same defects as its rows.  Likewise the
 certifier measures the Lie-algebra component by each group's orthogonal
-projection (`_lie_part`, O(n^2) memory per point), and the census takes
-its coordinates in the orthonormal basis as rows.
+projection (`_lie_part`, read from the same record, O(n^2) memory per
+point), and the census takes its coordinates as rows in an orthonormal
+basis derived from that projection (`_basis_columns`: the projected matrix
+units independent in row-major order, orthonormalized), so no group's
+Lie algebra is written out twice.
 
 Every solver reports `CriticalPoint`s: an immutable NamedTuple (x,
 distance_sq, det_sign, residual, c) whose fields are read by name or
@@ -103,70 +107,12 @@ def _units(m: int) -> np.ndarray:
     return np.eye(m * m).reshape(m * m, m, m)
 
 
-def _skew(m: int) -> np.ndarray:
-    """E_ij - E_ji for i < j, row-major: a basis of so(m), stacked."""
-    i, j = np.triu_indices(m, 1)
-    e = _units(m)
-    return e[i * m + j] - e[j * m + i]
-
-
-def _sym(m: int) -> np.ndarray:
-    """E_ij + E_ji for i < j and E_ii, row-major: a basis of the symmetric
-    m x m matrices, stacked."""
-    i, j = np.triu_indices(m)
-    e = _units(m)
-    return np.maximum(e[i * m + j], e[j * m + i])
-
-
-def _lie_stack(g: GroupSpec) -> np.ndarray:
-    """Lie algebra basis of g, stacked (k, n, n)."""
-    n, m = g.n, g.n // 2
-    if g.kind in ("orthogonal", "special_orthogonal"):
-        return _skew(n)
-    if g.kind == "unitary_embedded":
-        # Skew-Hermitian a + ib: a real skew, b real symmetric.
-        return _embed(np.concatenate([_skew(m).astype(complex), 1j * _sym(m)]))
-    if g.kind == "symplectic":
-        # [[A, B], [C, -A^t]] with B, C symmetric solves a^t J + J a = 0.
-        # (o - e^t rather than -e^t keeps the zero entries +0.0.)
-        e, s = _units(m), _sym(m)
-        o, z = np.zeros_like(e), np.zeros_like(s)
-        return np.concatenate(
-            [
-                np.block([[e, o], [o, o - np.swapaxes(e, 1, 2)]]),
-                np.block([[z, s], [z, z]]),
-                np.block([[z, z], [s, z]]),
-            ]
-        )
-    # sl: off-diagonal units, then E_ii - E_(i+1)(i+1).
-    e = _units(n)
-    diag = np.arange(n) * (n + 1)
-    return np.concatenate([np.delete(e, diag, axis=0), e[diag[:-1]] - e[diag[1:]]])
-
-
-def lie_basis(g: GroupSpec) -> list[np.ndarray]:
-    """Linearly independent spanning set of the Lie algebra of g."""
-    return list(_lie_stack(g))
-
-
 def _unit_frame(a: np.ndarray) -> np.ndarray:
     """Q of a = QR (a matrix or a stack) with R's diagonal made real
     positive, so Q is what modified Gram-Schmidt on the columns of a gives."""
     q, r = np.linalg.qr(a)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-@functools.cache
-def _basis_columns(g: GroupSpec) -> np.ndarray:
-    """A Frobenius-orthonormal basis of the Lie algebra as columns (n^2, k),
-    the Q factor of the Lie stack's columns: the Lie coordinates of a
-    matrix m are m_flat @ these, and `.T.reshape(k, n, n)` stacks the basis
-    matrices.  Cached per group, read-only."""
-    raw = _lie_stack(g)
-    out = np.ascontiguousarray(_unit_frame(raw.reshape(raw.shape[0], g.n * g.n).T))
-    out.flags.writeable = False
-    return out
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -282,6 +228,29 @@ def _lie_part(m: np.ndarray, g: GroupSpec) -> np.ndarray:
         diag = np.einsum("bii->bi", m)  # a writeable view of the diagonals
         diag -= (diag.sum(axis=1) / g.n)[:, None]
     return m
+
+
+@functools.cache
+def _basis_columns(g: GroupSpec) -> np.ndarray:
+    """A Frobenius-orthonormal basis of the Lie algebra as columns (n^2, k):
+    the matrix units E_ij projected by `_lie_part`, those not in the span
+    of the ones before them in row-major order (|R_jj| > 1e-8 in one
+    unpivoted QR of all n^2) kept, and the kept ones orthonormalized by
+    `_unit_frame`.  The Lie coordinates of a matrix m are m_flat @ these,
+    and `.T.reshape(k, n, n)` stacks the basis matrices.  Cached per
+    group, read-only."""
+    proj = _lie_part(_units(g.n), g).reshape(g.n * g.n, g.n * g.n).T
+    independent = np.abs(np.diagonal(np.linalg.qr(proj, mode="r"))) > 1e-8
+    out = np.ascontiguousarray(_unit_frame(proj[:, independent]))
+    out.flags.writeable = False
+    return out
+
+
+def lie_basis(g: GroupSpec) -> list[np.ndarray]:
+    """A Frobenius-orthonormal basis of the Lie algebra of g, the matrices
+    of `_basis_columns`: the matrix units projected by `_lie_part` that
+    are independent in row-major order, orthonormalized in that order."""
+    return list(_basis_columns(g).T.reshape(-1, g.n, g.n).copy())
 
 
 def _residuals(x: np.ndarray, u: np.ndarray, g: GroupSpec) -> np.ndarray:

@@ -24,7 +24,7 @@ from .critsearch import CriticalPoint, GroupSpec, _certify_batch
 from .errors import ConvergenceError, DegeneracyError, InputError, SingularityError, UnsupportedError
 from .matcore import as_square
 
-# Minimum gap between singular values, relative to sigma_1; below this the
+# Minimum gap between singular values, relative to sigma_1; below this a
 # sign enumeration is ill-posed and we refuse rather than perturb.
 GAP_TOL = 1e-8
 
@@ -40,14 +40,23 @@ _MAX_ORTHOGONAL_N = 14
 _MAX_UNITARY_M = 12
 
 
-def _svd_frame(u: np.ndarray):
+def _svd_frame(u: np.ndarray, gaps: bool = True):
     """(U, sigma, Vh) of u, sigma descending.  Both refusals are relative to
     sigma_1 alone, so s u is refused iff u is, at every scale s: singular
     when sigma_n <= 1e-7 sigma_1 (compared unsquared, so it holds where
-    sigma_n^2 would underflow), clustered when a gap of sigma itself is
-    below GAP_TOL sigma_1 (a gap of sigma squared shrinks with sigma, so
-    small but well-separated singular values would otherwise count as
-    clustered)."""
+    sigma_n^2 would underflow), and, with gaps, clustered when a gap of
+    sigma itself is below GAP_TOL sigma_1 (a gap of sigma squared shrinks
+    with sigma, so small but well-separated singular values would
+    otherwise count as clustered).
+
+    Which rule applies where: the enumerations and SL / SL^± take the gap
+    rule, since at equal sigma_i their critical set is positive-dimensional.
+    The nearest O, SO and U points (`_closed_form` without a limit) take
+    only the singular rule: the polar factor U V^* is the unique nearest
+    point of every nonsingular u, whatever its singular values.  The one
+    exception is SO at det u < 0, whose nearest point U diag(1, ..., 1, -1)
+    V^t is unique iff sigma_(n-1) > sigma_n: it is refused when
+    sigma_(n-1) - sigma_n < GAP_TOL sigma_1."""
     try:
         frame_u, sigma, vh = np.linalg.svd(u)
     except np.linalg.LinAlgError as exc:
@@ -57,7 +66,7 @@ def _svd_frame(u: np.ndarray):
     first = s[0]
     if s[-1] <= 1e-7 * first:
         raise SingularityError("data matrix is singular to working precision")
-    if len(s) > 1 and min(map(float.__sub__, s, s[1:])) < GAP_TOL * first:
+    if gaps and len(s) > 1 and min(map(float.__sub__, s, s[1:])) < GAP_TOL * first:
         raise DegeneracyError("singular values are too clustered to enumerate")
     return frame_u, sigma, vh
 
@@ -92,7 +101,8 @@ def _closed_form(u, name: str, kind: str, limit: int | None = None) -> list[Crit
     from the frame by `_det_plus_rows`.
     With a limit, all of `_sign_table` after refusing sizes above it; without,
     the nearest point: the first kept of the table's first two rows, built
-    alone.  Unitary input is read as complex, any other must be real."""
+    alone, refused only where it is not unique (see `_svd_frame`).  Unitary
+    input is read as complex, any other must be real."""
     u = as_square(u, "u")
     if kind == "unitary_embedded":
         u = u.astype(np.complex128)
@@ -101,12 +111,17 @@ def _closed_form(u, name: str, kind: str, limit: int | None = None) -> list[Crit
     n = u.shape[0]
     if limit is not None and n > limit:
         raise UnsupportedError(f"{name} supports n <= {limit}, got n = {n}")
-    frame = _svd_frame(u)
+    frame = _svd_frame(u, gaps=limit is not None)
     # Sigma is descending, so the second row flips the smallest singular value.
     rows = np.array([[1.0] * n, [1.0] * (n - 1) + [-1.0]]) if limit is None else _sign_table(n)
     # Complex points take no mask: their embedded det is always +1.
     plus = None if kind == "unitary_embedded" else _det_plus_rows(frame, rows)
     if kind == "special_orthogonal":
+        # At det u < 0 the nearest rotation flips sigma_n's sign: unique iff
+        # sigma_(n-1) > sigma_n.
+        s = frame[1]
+        if limit is None and not plus[0] and n > 1 and s[-2] - s[-1] < GAP_TOL * s[0]:
+            raise DegeneracyError("det u < 0 and its smallest singular values are too clustered for a unique nearest point")
         rows, plus = rows[plus], plus[plus]
     if limit is None:
         rows = rows[:1]

@@ -55,6 +55,9 @@ CASES = [
     ["critical", "sl-pm", "tiny_random_general_3_0.json"],
     ["critical", "sl-pm", "below_sl_range_3_0.json"],
     ["nearest", "orthogonal", "below_sl_range_3_0.json"],
+    # 2 I has equal singular values: its nearest point I is unique, while
+    # the enumeration of its critical points is refused (exit 3, below).
+    ["nearest", "orthogonal", "scaled_identity.json"],
     ["bkk", "rank1.json"],
     ["bkk", "cube.json"],
     # The symplectic census, the benchmarked census path, end to end.
@@ -63,7 +66,7 @@ CASES = [
     # One refusal per nonzero exit code but 1 (a failed check), which
     # `tests/test_cli.py` forces with a failing suite runner.
     ["nearest", "orthogonal", "missing.json"],  # 2: unreadable input
-    ["nearest", "orthogonal", "scaled_identity.json"],  # 3: degenerate input
+    ["critical", "orthogonal", "scaled_identity.json"],  # 3: degenerate input
     ["nearest", "symplectic", "antidiag.json"],  # 4: unsupported
     # The self-checks: every suite, and the SL suite on two more seeds.
     ["verify", "all"],

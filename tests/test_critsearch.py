@@ -76,7 +76,9 @@ class TestGroupSpec:
 
 
 def _entrywise_basis(g):
-    """The Lie basis of g written entry by entry, in its fixed order."""
+    """The Lie basis of g written entry by entry: the tests' reference for
+    each Lie algebra, independent of the projection `_lie_part` from which
+    the package derives its basis."""
     n, m = g.n, g.n // 2
 
     def unit(size, *entries):
@@ -101,17 +103,25 @@ def _entrywise_basis(g):
     return [embed_complex(a.astype(complex)) for a in skew] + [embed_complex(1j * b) for b in sym]
 
 
+def _groups_up_to(top):
+    """GroupSpec of every kind at n = 1..top (even n for Sp and U)."""
+    return [
+        GroupSpec(kind, n)
+        for kind in KINDS
+        for n in range(1, top + 1)
+        if n % 2 == 0 or kind not in ("symplectic", "unitary_embedded")
+    ]
+
+
 class TestLieBasis:
-    def test_matches_entrywise_definition_bitwise(self):
-        for kind in KINDS:
-            for n in range(1, 9):
-                if kind in ("symplectic", "unitary_embedded") and n % 2:
-                    continue
-                got = lie_basis(GroupSpec(kind, n))
-                want = _entrywise_basis(GroupSpec(kind, n))
-                assert len(got) == len(want), f"{kind} n={n}"
-                for a, b in zip(got, want):
-                    assert a.tobytes() == b.tobytes(), f"{kind} n={n}"
+    @pytest.mark.parametrize("g", _groups_up_to(8), ids=lambda g: f"{g.kind}-{g.n}")
+    def test_orthonormal_and_spans_the_entrywise_definition(self, g):
+        got = np.array([b.ravel() for b in lie_basis(g)]).reshape(-1, g.n * g.n)
+        want = np.array([b.ravel() for b in _entrywise_basis(g)]).reshape(-1, g.n * g.n)
+        assert got.shape == want.shape
+        assert np.abs(got @ got.T - np.eye(len(got))).max(initial=0.0) < 1e-14
+        # Every entrywise element lies in the span of the orthonormal basis.
+        assert np.abs(want - (want @ got.T) @ got).max(initial=0.0) < 1e-14
 
     @pytest.mark.parametrize(
         "kind,n,dim",
@@ -153,6 +163,22 @@ class TestLieBasis:
     def test_traceless(self):
         for b in lie_basis(GroupSpec("sl", 3)):
             assert abs(np.trace(b)) < 1e-14
+
+
+class TestLieProjector:
+    """`_lie_part` is the orthogonal projector onto the Lie algebra, which
+    the derived basis (`_basis_columns`) relies on."""
+
+    @pytest.mark.parametrize("g", _groups_up_to(8), ids=lambda g: f"{g.kind}-{g.n}")
+    def test_symmetric_idempotent_onto_the_entrywise_span(self, g):
+        n = g.n
+        # Row k is the projection of the k-th matrix unit, row-major.
+        p = _lie_part(np.eye(n * n).reshape(n * n, n, n), g).reshape(n * n, n * n)
+        assert np.abs(p - p.T).max(initial=0.0) <= 1e-14
+        assert np.abs(p @ p - p).max(initial=0.0) <= 1e-14
+        want = np.array([b.ravel() for b in _entrywise_basis(g)]).reshape(-1, n * n)
+        assert np.linalg.matrix_rank(p) == len(want)
+        assert np.abs(want @ p - want).max(initial=0.0) <= 1e-14
 
 
 class TestSymplecticForm:
@@ -308,9 +334,10 @@ def _draws_and_perturbed(g, count=5, eps=1e-3):
 
 
 def _explicit_residual(x, u, g):
-    """Projection of x^t (u - x) onto the span of the raw Lie basis (least
-    squares), plus the defining-equation violation written out per kind."""
-    cols = np.stack([b.ravel() for b in lie_basis(g)], axis=1)
+    """Projection of x^t (u - x) onto the span of the entrywise Lie basis
+    (least squares), plus the defining-equation violation written out per
+    kind."""
+    cols = np.stack([b.ravel() for b in _entrywise_basis(g)], axis=1)
     m = (x.T @ (u - x)).ravel()
     coef, *_ = np.linalg.lstsq(cols, m, rcond=None)
     lie = np.linalg.norm(cols @ coef)

@@ -165,8 +165,9 @@ def test_package_exports_no_kernels_or_chain():
 
 
 # Exports kept without a caller: the types a caller receives or builds
-# (specs, results, errors), and lie_basis, whose spanning set the
-# acceptance tests use as the independent reference for the Lie algebras.
+# (specs, results, errors), and lie_basis, the orthonormal Lie basis the
+# census derives from each group's projection, which the acceptance tests
+# read to compare two groups' Lie algebras.
 _EXPORTS_WITHOUT_CALLER = {
     "GroupSpec",
     "CriticalPoint",

@@ -58,11 +58,13 @@ class TestNearestOrthogonal:
         assert ours <= brute + 1e-6
         assert ours == pytest.approx(brute, abs=1e-6)
 
-    def test_exactly_orthogonal_input_refused(self):
-        # Gram matrix of a rotation is the identity: repeated eigenvalues,
-        # so the solver refuses rather than perturbing.
-        with pytest.raises(DegeneracyError):
-            nearest_orthogonal(_rotation(0.7))
+    def test_exactly_orthogonal_input_is_its_own_nearest_point(self):
+        # Both singular values of a rotation are 1: its frame is not
+        # unique, but its polar factor, the rotation itself, is.
+        point = nearest_orthogonal(_rotation(0.7))
+        assert np.abs(point.x - _rotation(0.7)).max() < 1e-15
+        assert point.distance_sq < 1e-30
+        assert point.det_sign == 1
 
     def test_near_orthogonal_input(self):
         u = _rotation(0.7) @ np.diag([1.001, 0.999])
@@ -107,9 +109,12 @@ class TestEnumerateOrthogonal:
                 assert frobenius_norm(points[i].x - points[j].x) > 1e-6
 
     def test_repeated_singular_values_rejected(self):
+        # The enumerations keep the gap rule that the nearest points drop.
+        solvers = (enumerate_orthogonal_critical, enumerate_special_orthogonal_critical, enumerate_unitary_critical)
         for u in (2.0 * np.eye(2), np.eye(3), np.diag([2.0, 2.0, 1.0])):
-            with pytest.raises(DegeneracyError):
-                enumerate_orthogonal_critical(u)
+            for solve in solvers:
+                with pytest.raises(DegeneracyError, match="too clustered to enumerate"):
+                    solve(u)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +219,81 @@ class TestIllConditionedInput:
             points = enumerate_orthogonal_critical(u)
             assert len(points) == 16
             assert max(p.residual for p in points) < 1e-12
+
+
+def _clustered_inputs(complex_entries=False, count=40):
+    """count inputs Q1 diag(sigma) Q2^* with Q1, Q2 Haar orthogonal
+    (unitary), n = 2..6 and sigma drawn from fewer distinct values than n,
+    so every sigma repeats a value; one distinct value gives a scalar
+    multiple of an isometry.  Returns (u, sigma descending) pairs."""
+    rng = np.random.default_rng(5)
+    out = []
+    for i in range(count):
+        n = 2 + i % 5
+        values = rng.uniform(0.2, 3.0, size=rng.integers(1, n))
+        sigma = np.sort(rng.choice(values, n))[::-1]
+        frames = []
+        for _ in range(2):
+            a = rng.standard_normal((n, n))
+            if complex_entries:
+                a = a + 1j * rng.standard_normal((n, n))
+            q, r = np.linalg.qr(a)
+            frames.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+        q1, q2 = frames
+        out.append(((q1 * sigma) @ np.conj(q2).T, sigma))
+    return out
+
+
+class TestNearestWhereUnique:
+    # The nearest point needs no gap between singular values: the polar
+    # factor is the unique nearest point of every nonsingular u.  Only SO
+    # at det u < 0 needs sigma_(n-1) > sigma_n.
+    @pytest.mark.parametrize("solve", [nearest_orthogonal, nearest_unitary], ids=lambda s: s.__name__)
+    def test_polar_factor_of_clustered_input(self, solve):
+        complex_entries = solve is nearest_unitary
+        for u, sigma in _clustered_inputs(complex_entries):
+            p = solve(u)
+            s = np.conj(p.x).T @ u
+            assert np.abs(s - np.conj(s).T).max() < 1e-13 * sigma[0]
+            assert np.linalg.eigvalsh(0.5 * (s + np.conj(s).T)).min() > 0.0
+            # The real metric doubles a complex squared distance.
+            want = (2.0 if complex_entries else 1.0) * np.sum((sigma - 1.0) ** 2)
+            assert p.distance_sq == pytest.approx(want, rel=1e-10, abs=1e-13)
+            assert p.residual < 1e-13 * (1.0 + frobenius_norm(u))
+
+    def test_special_orthogonal_of_clustered_input(self):
+        seen = {"refused": 0, "det u > 0": 0, "det u < 0": 0}
+        for u, sigma in _clustered_inputs():
+            if np.linalg.det(u) < 0.0 and sigma[-2] == sigma[-1]:
+                with pytest.raises(DegeneracyError, match="det u < 0"):
+                    nearest_special_orthogonal(u)
+                seen["refused"] += 1
+                continue
+            p = nearest_special_orthogonal(u)
+            s = p.x.T @ u
+            assert p.det_sign == 1
+            assert np.abs(s - s.T).max() < 1e-13 * sigma[0]
+            # x^t u has eigenvalues sigma, with sigma_n negated at det u < 0.
+            flip = np.where(np.arange(len(sigma)) == len(sigma) - 1, np.sign(np.linalg.det(u)), 1.0)
+            assert np.allclose(np.sort(np.linalg.eigvalsh(0.5 * (s + s.T))), np.sort(flip * sigma), rtol=0, atol=1e-13)
+            want = np.sum((sigma - flip) ** 2)
+            assert p.distance_sq == pytest.approx(want, rel=1e-10, abs=1e-13)
+            assert p.residual < 1e-13 * (1.0 + frobenius_norm(u))
+            seen["det u < 0" if np.linalg.det(u) < 0.0 else "det u > 0"] += 1
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_multiples_of_the_identity_give_the_identity(self, n):
+        for solve in (nearest_orthogonal, nearest_special_orthogonal, nearest_unitary):
+            for u in (np.eye(n), 3.0 * np.eye(n)):
+                p = solve(u.astype(complex) if solve is nearest_unitary else u)
+                assert np.array_equal(p.x, np.eye(n)), solve.__name__
+
+    def test_special_orthogonal_refuses_minus_identity(self):
+        # Every rotation by pi about an axis is nearest to -I_3.
+        assert np.array_equal(nearest_orthogonal(-np.eye(3)).x, -np.eye(3))
+        with pytest.raises(DegeneracyError):
+            nearest_special_orthogonal(-np.eye(3))
 
 
 class TestNearestSpecialOrthogonal:
