@@ -178,7 +178,7 @@ def cmd_critical(args) -> RunReport:
     if args.group == "symplectic":
         census = multistart_census(u, GroupSpec("symplectic", n), starts=args.starts, seed=args.seed)
         points = census.points
-        diagnostics = ("attempted", "converged", "failed", "merge_radius", "worst_residual", "sweeps")
+        diagnostics = ("attempted", "converged", "failed", "stalled", "budget", "merge_radius", "worst_residual", "sweeps")
         counts.update(expected_source="literature", **{k: getattr(census, k) for k in diagnostics})
     else:
         points = row.critical(u)

@@ -12,7 +12,8 @@ checked against it, and for the symplectic groups it is the only tool.
 That system is square for every group the census runs: SO and U run
 O's (`_Equations.census`), and a start counts as converged only when the
 point it stops at is certified on its own group.  So every sweep solves
-J delta = -f.
+J delta = -f.  The starts are seeded random elements of the group
+(`_draw`); only O, SL and SL^± pull half of them toward an anchor.
 
 Each group's defining equations are written once, in `_equations`: the
 forms x^t M x = M it preserves and a det rule, with U = O ∩ Sp preserving
@@ -423,7 +424,9 @@ class CensusResult:
     points: list
     attempted: int
     converged: int
-    failed: int
+    failed: int  # stalled + budget
+    stalled: int  # uncertified starts that stopped before the budget ended
+    budget: int  # uncertified starts still moving when the 200-sweep budget ended
     merge_radius: float
     worst_residual: Optional[float]  # largest residual among points; None if none
     sweeps: int  # Newton sweeps run (at most 200)
@@ -566,20 +569,21 @@ _MERGE_BLOCK = 128
 _MERGE_RESOLUTION = 1e-7
 # Largest census size.  At 1000 starts on `random_general(10, 0)`, seed 0
 # (2-vCPU x86 machine, BLAS at 1 thread, one run each), n = 10 takes
-# 12.7 s and peaks at 87 MB for Sp, 39.9 s and 93 MB for SL, 35.3 s and
-# 94 MB for SL^±, 28.3 s and 88 MB for O, 28.4 s and 92 MB for SO and
-# 6.7 s and 86 MB for U.  n = 12 (the cap lifted on a copy, one run
+# 12.6 s and peaks at 87 MB for Sp, 39.9 s and 93 MB for SL, 35.3 s and
+# 94 MB for SL^±, 28.3 s and 88 MB for O, 25.9 s and 86 MB for SO and
+# 7.0 s and 87 MB for U.  n = 12 (the cap lifted on a copy, one run
 # each) takes 30-115 s and 128-169 MB, the cached tensor alone holding
 # n^6 doubles (24 MB), and converges few starts: 27 of 1000 on Sp, 47 on
-# SL, 51 on SL^± and about 330 on O and SO.
+# SL, 51 on SL^± and about 330 on O and SO (Sp and SO then pulled half
+# their starts toward the identity).
 _MAX_CENSUS_N = 10
 # Largest number of starts.  A sweep holds its Jacobians and its Armijo
 # operands for one block of starts at a time (_SWEEP_BLOCK), and about
-# 2.4 kB per start across sweeps: Sp(6), the largest census the CLI runs,
-# peaks at 45 MB with 2000 starts and 64 MB with 10000 (5 s, BLAS at 1
-# thread), where sweeps over all starts at once took 105 and 378 MB.  At
-# n = 10 a start keeps about 3 kB: the unitary census peaks at 86 MB with
-# 1000 starts and 115 MB with 10000 (69 s).
+# 2.9 kB per start across sweeps and the merge: Sp(6), the largest census
+# the CLI runs, peaks at 45 MB with 2000 starts and 68 MB with 10000
+# (4.5 s, BLAS at 1 thread), where sweeps over all starts at once took
+# 105 and 378 MB.  At n = 10 a start keeps about 2.7 kB: the unitary
+# census peaks at 87 MB with 1000 starts and 111 MB with 10000 (70 s).
 _MAX_STARTS = 10_000
 
 
@@ -705,27 +709,31 @@ def _merge_representatives(flat: np.ndarray, radius: float) -> np.ndarray:
 def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> CensusResult:
     """Seeded multistart Newton census of real critical points.
 
-    Starts are one batched draw of random group elements (see `_draw`),
-    every other one pulled halfway toward an anchor: u put on the group by
-    `_unit_det` for SL and SL^±, and for O, SO, U and Sp the identity of
-    the draw's component, diag(det sign, 1, ..., 1).  No anchor reads u's
-    singular frame, whose polar factor is the closed-form nearest point on
-    O, SO and U, so the census checks the closed forms without starting
-    from their answer.  The starts are iterated on the square census
+    Starts are one batched draw of random group elements (see `_draw`).
+    Sp, SO and U start from the draw itself.  On the other groups every
+    other start is pulled halfway toward an anchor: u put on the group by
+    `_unit_det` for SL and SL^±, and for O the identity of the draw's
+    component, diag(det sign, 1, ..., 1).  No start reads u's singular
+    frame, whose polar factor is the closed-form nearest point on O, SO
+    and U, so the census checks the closed forms without starting from
+    their answer.  The starts are iterated on the square census
     system (`_System`; O's for SO and U; budget 200 sweeps, `sweeps`
     counts those run).  The Jacobian is affine in x apart from the det
     row, one cached tensor per group.  Each sweep's Armijo search tests
     the step lengths 2^-j, j = 0..29, all at once on the exact polynomial
     expansion of the residual along the step (see `_armijo`) and takes the
     largest passing length, as halving one length at a time would; a start
-    with no passing length stops.  Each start keeps one record, its pulled
-    draw until its sweeps stop and then the point they stopped at, and
+    with no passing length stops.  Each start keeps one record, its start
+    until its sweeps stop and then the point they stopped at, and
     counts as converged exactly when that record's certificate on g
     (`_residuals`, one batched call over all starts after the sweeps) is at
     most 1e-9; this rejects failed starts and the det -1 and non-C-linear
-    roots of O's system.  Converged points are merged by single linkage at
-    radius 1e-5 * (1 + ||u||), one representative (the lowest start index)
-    per cluster, and returned sorted by distance, then entries.
+    roots of O's system.  The other starts are `failed`: `budget` counts
+    those still moving (their last sweep took a step and left them above
+    the stop tolerance) when the 200-sweep budget ended, `stalled` the
+    rest.  Converged points are merged by single linkage at radius
+    1e-5 * (1 + ||u||), one representative (the lowest start index) per
+    cluster, and returned sorted by distance, then entries.
 
     A sweep runs over consecutive blocks of at most `_SWEEP_BLOCK` active
     starts: on each, the Newton step (`_newton_block`) and then the Armijo
@@ -756,18 +764,24 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
         raise UnsupportedError(f"multistart_census supports starts <= {_MAX_STARTS}, got {starts}")
     rng = np.random.default_rng(seed)
     x0 = _draw(g, rng, starts)
-    # Alternate pulled and raw starts.  On SL^± the identity as anchor
+    # Sp, SO and U start from the draw itself, which lies on the group.
+    # Pulled starts 0.5 (Q + I) lie off it: on Sp(4) (1000 starts, seeds
+    # 7-26) they took 56 % of the start-sweeps and 65 % of the failed
+    # starts, and dropping them found the same 84 points.  O and SL / SL^±
+    # alternate pulled and raw starts.  On SL^± the identity as anchor
     # found fewer points than u at unit |det| (n = 4 and 5, 1000 starts).
-    # Elsewhere a start is pulled toward the identity of its draw's
-    # component, diag(det sign, 1, ..., 1): 0.5 (Q + I) is singular for a
-    # det -1 draw Q of O.  (The reflection diag(1, ..., 1, -1) missed one
-    # of the 16 points of random_general(4, 18) at 100 starts, seed 18.)
+    # O pulls toward the identity of its draw's component,
+    # diag(det sign, 1, ..., 1): 0.5 (Q + I) is singular for a det -1
+    # draw Q.  (The reflection diag(1, ..., 1, -1) missed one of the 16
+    # points of random_general(4, 18) at 100 starts, seed 18.)  Without
+    # its pull, O(4) at 100 starts loses a point on each of seeds 0, 4 and
+    # 18, though its recall over seeds 0-79 rises (1248 to 1261 points).
     if g.kind in ("sl", "sl_pm"):
-        anchor = _unit_det(u[None].copy(), g.kind)
-    else:
+        x0[0::2] = 0.5 * (x0[0::2] + _unit_det(u[None].copy(), g.kind))
+    elif g.kind == "orthogonal":
         anchor = np.tile(np.eye(n), (x0[0::2].shape[0], 1, 1))
         anchor[:, 0, 0] = np.where(np.linalg.det(x0[0::2]) < 0.0, -1.0, 1.0)
-    x0[0::2] = 0.5 * (x0[0::2] + anchor)
+        x0[0::2] = 0.5 * (x0[0::2] + anchor)
 
     sys_ = _System(u, g)
     utol = 1.0 + frobenius_norm(u)
@@ -776,8 +790,9 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     active = np.arange(starts)
     if sys_.has_det:  # the det row needs x^-1: a singular start stays at its draw
         active = np.flatnonzero(np.linalg.det(x0) != 0.0)
-    # Each start's record is its pulled draw until its sweeps stop.
+    # Each start's record is its start until its sweeps stop.
     frozen_x, x = x0, x0[active]
+    moving = np.zeros(starts, dtype=bool)  # still stepping when the budget ended
     fvals = sys_.residual(x)
     phi = np.einsum("br,br->b", fvals, fvals)
     sweeps = 0
@@ -789,7 +804,10 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
             delta, lin = _newton_block(sys_, x[b], fvals[b])
             stalled[b] = _armijo(sys_, x[b], delta.reshape(-1, n, n), lin, fvals[b], phi[b])
         # Converged, stalled and, at the end of the budget, every start stops.
-        done = stalled | (np.sqrt(phi) <= converge_tol) | (sweeps == 200)
+        converged = np.sqrt(phi) <= converge_tol
+        if sweeps == 200:
+            moving[active[~(stalled | converged)]] = True
+        done = stalled | converged | (sweeps == 200)
         frozen_x[active[done]] = x[done]
         keep = ~done
         x, phi, fvals, active = x[keep], phi[keep], fvals[keep], active[keep]
@@ -797,9 +815,11 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
     # A start counts when its record is certified on g.  That rejects the
     # starts that failed, and the det -1 and non-C-linear roots of O's
     # system, run for SO and U.
-    good = frozen_x[_residuals(frozen_x, u, g) <= 1e-9]
+    certified = _residuals(frozen_x, u, g) <= 1e-9
+    good = frozen_x[certified]
     n_conv = good.shape[0]
     n_fail = starts - n_conv
+    n_budget = int(np.count_nonzero(moving & ~certified))
 
     radius = 1e-5 * utol
     pts: list[CriticalPoint] = []
@@ -816,6 +836,8 @@ def multistart_census(u, g: GroupSpec, starts: int = 1000, seed: int = 0) -> Cen
         attempted=starts,
         converged=n_conv,
         failed=n_fail,
+        stalled=n_fail - n_budget,
+        budget=n_budget,
         merge_radius=radius,
         worst_residual=max((p.residual for p in pts), default=None),
         sweeps=sweeps,

@@ -96,6 +96,9 @@ class TestCritical:
         counts = json.loads(first[1])["counts"]
         assert counts["expected_source"] == "literature"
         assert counts["attempted"] == counts["converged"] + counts["failed"] == 200
+        assert counts["stalled"] + counts["budget"] == counts["failed"]
+        keys = list(counts)
+        assert keys[keys.index("failed") :][:3] == ["failed", "stalled", "budget"]
         # antidiag is [[0, 2], [1, 0]], so ||u|| = sqrt(5).
         assert counts["merge_radius"] == pytest.approx(1e-5 * (1.0 + 5.0**0.5), rel=1e-15)
         assert counts["worst_residual"] <= 1e-9

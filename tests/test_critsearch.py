@@ -638,6 +638,7 @@ class TestCensus:
         census = multistart_census(u, GroupSpec("orthogonal", 2), starts=200, seed=2)
         assert census.attempted == 200
         assert census.converged + census.failed == census.attempted
+        assert census.stalled + census.budget == census.failed
         assert census.merge_radius == 1e-5 * (1.0 + frobenius_norm(u))
         assert census.worst_residual == max(p.residual for p in census)
         assert 1 <= census.sweeps <= 200
@@ -659,9 +660,9 @@ class TestCensus:
 
     def test_converged_starts_off_the_group_are_rejected(self, monkeypatch):
         # SO's census runs O's system, whose roots include O's det -1
-        # critical points.  With every start drawn on the det -1 component
-        # (and pulled toward diag(-1, 1, 1)), the starts converge there, and
-        # the certificate on SO rejects each one.
+        # critical points.  With every start drawn on the det -1 component,
+        # the starts converge there, and the certificate on SO rejects each
+        # one.
         draw, flip = critsearch._draw, np.diag([-1.0, 1.0, 1.0])
         monkeypatch.setattr(critsearch, "_draw", lambda g, rng, count: flip @ draw(g, rng, count))
         census = multistart_census(random_general(3, 0), GroupSpec("special_orthogonal", 3), starts=50, seed=0)
@@ -752,17 +753,17 @@ class TestCensus:
             multistart_census(u, GroupSpec("sl", n), starts=critsearch._MAX_STARTS + 1)
 
     def test_late_converger_kept(self):
-        # One of the 10 points of this census is reached by a single start
-        # (start 203), at sweep 33, after 24 sweeps in which its residual
-        # fell by under 2 % per sweep (0.345 to 0.325): a start that gains
-        # little over many sweeps can still converge, so no stagnation stop
-        # may drop it.  Under the normal-equation step and the Newton step
-        # alike; the prefix of 203 starts lacks the point.
-        u, g = random_general(6, 55), GroupSpec("symplectic", 6)
-        census = multistart_census(u, g, starts=300, seed=55)
-        assert len(census) == 10
+        # One of the 59 points of this census is reached by a single start
+        # (start 48), at sweep 126, after 110 sweeps in which its residual
+        # fell by under 0.5 % per sweep (1.112 at sweep 7 to 1.105 at sweep
+        # 117): a start that gains little over many sweeps can still
+        # converge, so no stagnation stop may drop it.  The prefix of 48
+        # starts lacks the point.
+        u, g = random_general(6, 8), GroupSpec("orthogonal", 6)
+        census = multistart_census(u, g, starts=300, seed=8)
+        assert len(census) == 59
         assert census.worst_residual < 1e-9
-        assert len(multistart_census(u, g, starts=203, seed=55)) == 9
+        assert len(multistart_census(u, g, starts=48, seed=8)) == len(multistart_census(u, g, starts=49, seed=8)) - 1
 
     # Sp(2) and SL(2) are the same group.  On these seeds one of the two
     # points lies near -I (trace -1.7 to -1.95).
@@ -779,6 +780,28 @@ class TestCensus:
         assert len(census) == 4
         assert census.worst_residual < 1e-9
 
+    @pytest.mark.parametrize("kind,n", [("symplectic", 4), ("special_orthogonal", 4), ("unitary_embedded", 4)])
+    def test_compact_starts_are_the_draw(self, kind, n, monkeypatch):
+        # Sp, SO and U start from the draw itself, on the group.
+        g = GroupSpec(kind, n)
+        starts = _first_residual_input(monkeypatch, random_general(n, 3), g, starts=9, seed=3)
+        assert starts.tobytes() == critsearch._draw(g, np.random.default_rng(3), 9).tobytes()
+
+    @pytest.mark.parametrize("kind,n", [("orthogonal", 4), ("sl", 3), ("sl_pm", 3)])
+    def test_even_starts_are_pulled(self, kind, n, monkeypatch):
+        # O pulls every other start halfway toward the identity of its
+        # draw's component, diag(det sign, 1, ..., 1); SL and SL^± toward u
+        # put on the group by `_unit_det`.  The odd starts are the draw.
+        u, g = random_general(n, 3), GroupSpec(kind, n)
+        starts = _first_residual_input(monkeypatch, u, g, starts=9, seed=3)
+        draw = critsearch._draw(g, np.random.default_rng(3), 9)
+        if kind == "orthogonal":
+            anchor = np.stack([np.diag([np.sign(np.linalg.det(q))] + [1.0] * (n - 1)) for q in draw[0::2]])
+        else:
+            anchor = critsearch._unit_det(u[None].copy(), kind)
+        assert starts[0::2].tobytes() == (0.5 * (draw[0::2] + anchor)).tobytes()
+        assert starts[1::2].tobytes() == draw[1::2].tobytes()
+
     @pytest.mark.parametrize(
         "kind,n", [("symplectic", 4), ("sl_pm", 3), ("symplectic", 2), ("orthogonal", 3), ("unitary_embedded", 4)]
     )
@@ -793,6 +816,21 @@ class TestCensus:
             many = {p.x.tobytes() for p in multistart_census(u, g, starts=800, seed=seed)}
             for p in few:
                 assert p.x.tobytes() in many, f"{kind} n={n} seed={seed}"
+
+
+def _first_residual_input(monkeypatch, u, g, starts, seed):
+    """The stack of starts of a census: the first input of `_System.residual`."""
+    seen = []
+    residual = critsearch._System.residual
+
+    def record(self, x):
+        if not seen:
+            seen.append(x.copy())
+        return residual(self, x)
+
+    monkeypatch.setattr(critsearch._System, "residual", record)
+    multistart_census(u, g, starts=starts, seed=seed)
+    return seen[0]
 
 
 def _closed_form_points(kind, n, seed):
